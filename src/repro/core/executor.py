@@ -889,9 +889,12 @@ class ProcessExecutor(Executor):
                           collector_bitmaps_enabled(),
                           cmp_coverage_enabled()))
         else:
-            self._ref_pool = multiprocessing.get_context("fork").Pool(
-                processes=self.jobs, initializer=worker.fork_init,
-                initargs=(blob,), maxtasksperchild=1)
+            # terminate() can race a replacement worker's start, before
+            # fork_init drops the inherited SIGTERM handler.
+            with worker.sigterm_blocked():
+                self._ref_pool = multiprocessing.get_context("fork").Pool(
+                    processes=self.jobs, initializer=worker.fork_init,
+                    initargs=(blob,), maxtasksperchild=1)
         self._ref_pool_key = blob
         self._ref_pool_id = id(jvm)
         return self._ref_pool

@@ -660,12 +660,13 @@ def _prepare_checkpoint(checkpoint_dir, checkpoint_every: int,
         if resume:
             raise ValueError("resume requires a checkpoint_dir")
         return None, None
-    state = None
-    if resume and has_checkpoint(checkpoint_dir):
-        state = load_checkpoint(checkpoint_dir)
+    if not (resume and has_checkpoint(checkpoint_dir)):
+        return Checkpointer(checkpoint_dir, checkpoint_every,
+                            telemetry=telemetry), None
+    state = load_checkpoint(checkpoint_dir)
     checkpointer = Checkpointer(
         checkpoint_dir, checkpoint_every, telemetry=telemetry,
-        start_index=state["index"] if state is not None else 0)
+        start_index=state["index"], journal=state.get("journal"))
     return checkpointer, state
 
 

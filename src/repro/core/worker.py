@@ -31,8 +31,10 @@ task functions must be importable top-level callables.
 from __future__ import annotations
 
 import pickle
+import signal
 import time
 from array import array
+from contextlib import contextmanager
 from typing import Optional, Tuple
 
 from repro.coverage import shm
@@ -68,6 +70,34 @@ _PERSISTENT: Optional[_PersistentState] = None
 _FORK_BLOB: Optional[bytes] = None
 
 
+@contextmanager
+def sigterm_blocked():
+    """Block SIGTERM in this thread and the threads and forks it starts.
+
+    The fork-mode pool is built inside this block, so its workers, and
+    the pool thread that forks their replacements, start with SIGTERM
+    blocked until :func:`_default_sigterm` unblocks it.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _default_sigterm() -> None:
+    """Undo a graceful-shutdown SIGTERM handler inherited by fork.
+
+    A worker that only sets the parent's shutdown flag would survive
+    ``Pool.terminate()`` and hang the pool's ``join()`` forever; workers
+    hold nothing worth a final checkpoint, so they just die.  SIGTERM is
+    unblocked only once the default action is back, so one that arrived
+    while a fork-mode worker was starting kills it now.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 # ---------------------------------------------------------------------------
 # Persistent mode
 # ---------------------------------------------------------------------------
@@ -81,6 +111,7 @@ def persistent_init(blob: bytes, table, ring, max_runs: int,
     attach below is normally a no-op on the inherited interner state).
     """
     global _PERSISTENT
+    _default_sigterm()
     if bitmaps:
         enable_collector_bitmaps()
     if cmp_coverage:
@@ -188,6 +219,7 @@ def fork_init(blob: bytes) -> None:
     and all real construction happens inside :func:`fork_run`.
     """
     global _FORK_BLOB
+    _default_sigterm()
     _FORK_BLOB = blob
 
 

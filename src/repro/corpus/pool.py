@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.corpus.schedule import SeedScheduler, make_scheduler
 from repro.jimple.model import JClass
@@ -153,12 +153,19 @@ class SeedPool:
 
     # -- checkpointing ------------------------------------------------------
 
-    def get_state(self) -> Dict[str, object]:
-        """Picklable pool state (no interned ids — see :meth:`set_state`)."""
+    def get_state(self, ref: Optional[Callable[[JClass], object]] = None
+                  ) -> Dict[str, object]:
+        """Picklable pool state (no interned ids — see :meth:`set_state`).
+
+        ``ref`` replaces each entry's Jimple with a reference to it (the
+        checkpoint journal stores the bodies once); by default the Jimple
+        stays inline.
+        """
+        body = ref if ref is not None else (lambda jclass: jclass)
         return {
             "scheduler": self.scheduler.spec(),
             "seed_count": self.seed_count,
-            "entries": [(entry.jclass, entry.label, entry.origin,
+            "entries": [(body(entry.jclass), entry.label, entry.origin,
                          entry.size, entry.picks, entry.accepted,
                          entry.novelty) for entry in self.entries],
         }
@@ -166,10 +173,11 @@ class SeedPool:
     def set_state(self, state: Dict[str, object]) -> None:
         """Restore entries and stats from :meth:`get_state` output.
 
-        The interned novelty set is *not* restored — interned ids are
-        process-local — so the resume path must re-absorb the seed-prime
-        and accepted tracefiles (exactly what the fuzzing pipeline's
-        priming step does).
+        Entries must carry their Jimple inline: a checkpoint resolves
+        the references it stored before restoring.  The interned novelty
+        set is *not* restored — interned ids are process-local — so the
+        resume path must re-absorb the seed-prime and accepted tracefiles
+        (exactly what the fuzzing pipeline's priming step does).
         """
         spec = state["scheduler"]
         if spec["name"] != self.scheduler.name:

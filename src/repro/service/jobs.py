@@ -26,7 +26,6 @@ RNG seed :func:`repro.core.campaign.run_campaign` would use.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 import time
@@ -41,6 +40,7 @@ from repro.core.campaign import (
     iterations_for_budget,
     safe_label,
 )
+from repro.core.checkpoint import atomic_write_bytes
 
 #: Every state a job (or leg) can be in, in lifecycle order.
 QUEUED = "queued"
@@ -362,14 +362,9 @@ class JobStore:
         """Atomically persist ``job`` (temp file + fsync + rename)."""
         directory = self.job_dir(job.id)
         directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(job.to_record(), indent=2,
-                             sort_keys=True).encode("utf-8")
-        tmp = directory / (JOB_FILE + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, directory / JOB_FILE)
+        atomic_write_bytes(directory / JOB_FILE,
+                           json.dumps(job.to_record(), indent=2,
+                                      sort_keys=True).encode("utf-8"))
 
     def load(self, job_id: str) -> Job:
         """Load one job record (raises :class:`JobError` when missing)."""

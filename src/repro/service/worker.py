@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.campaign import run_algorithm
-from repro.core.checkpoint import CRASH_AFTER_ENV
+from repro.core.checkpoint import CRASH_AFTER_ENV, atomic_write_bytes
 from repro.core.executor import make_executor
 from repro.core.shutdown import (
     GRACEFUL_EXIT_CODE,
@@ -59,19 +59,10 @@ RESULT_FILE = "result.json"
 ERROR_FILE = "error.txt"
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def write_json(path: Path, document: Dict[str, Any]) -> None:
     """Atomically write one JSON document (crash leaves old or new)."""
-    _atomic_write(path, json.dumps(document, indent=2,
-                                   sort_keys=True).encode("utf-8"))
+    atomic_write_bytes(path, json.dumps(document, indent=2,
+                                        sort_keys=True).encode("utf-8"))
 
 
 class _StatusPublisher:
@@ -225,8 +216,8 @@ def run_leg(root: Path, job_id: str, leg_label: str, attempt: int,
     except KeyboardInterrupt:
         return 130
     except Exception as exc:  # report, then fail the attempt
-        _atomic_write(leg_dir / ERROR_FILE,
-                      f"{type(exc).__name__}: {exc}\n".encode("utf-8"))
+        atomic_write_bytes(leg_dir / ERROR_FILE,
+                           f"{type(exc).__name__}: {exc}\n".encode("utf-8"))
         print(f"leg {leg_label} failed: {exc}", file=sys.stderr)
         return 1
     finally:

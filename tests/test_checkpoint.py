@@ -1,19 +1,23 @@
 """Tests for resumable campaign checkpoints (kill → resume bit-equality)."""
 
 import hashlib
+import io
 import json
+import pickle
 
 import pytest
 
 from repro.core.campaign import run_campaign
 from repro.core.checkpoint import (
     CRASH_AFTER_ENV,
+    JOURNAL_FILE,
     META_FILE,
     STATE_FILE,
     CheckpointError,
     Checkpointer,
     has_checkpoint,
     load_checkpoint,
+    read_journal,
     read_meta,
 )
 from repro.core.fuzzing import classfuzz, greedyfuzz, randfuzz, uniquefuzz
@@ -63,7 +67,7 @@ class TestCheckpointer:
         classfuzz(seeds, iterations=20, seed=7,
                   checkpoint_dir=directory, checkpoint_every=5)
         names = {p.name for p in directory.iterdir()}
-        assert names == {STATE_FILE, META_FILE}
+        assert names == {STATE_FILE, META_FILE, JOURNAL_FILE}
 
     def test_interval_validated(self, tmp_path):
         with pytest.raises(ValueError, match=">= 1"):
@@ -185,6 +189,131 @@ class TestKillAndResume:
         assert events[-1].fields["index"] == 30
         text = telemetry.render_prometheus()
         assert "repro_checkpoints_total" in text
+
+
+class _ClassSpy(pickle.Unpickler):
+    """Unpickler that records every class a pickle refers to."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data))
+        self.names = set()
+
+    def find_class(self, module, name):
+        self.names.add(name)
+        return super().find_class(module, name)
+
+
+class TestJournal:
+    def killed_run(self, seeds, directory, monkeypatch):
+        kill_after(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            classfuzz(seeds, iterations=50, seed=7,
+                      checkpoint_dir=directory, checkpoint_every=10)
+        monkeypatch.delenv(CRASH_AFTER_ENV)
+
+    def resume(self, seeds, directory):
+        return classfuzz(seeds, iterations=50, seed=7,
+                         checkpoint_dir=directory, checkpoint_every=10,
+                         resume=True)
+
+    def test_each_class_is_journaled_once(self, seeds, tmp_path):
+        directory = tmp_path / "ckpt"
+        telemetry = make_telemetry(ring_capacity=1024)
+        result = classfuzz(seeds, iterations=50, seed=7,
+                           telemetry=telemetry, checkpoint_dir=directory,
+                           checkpoint_every=10)
+        frames, _ = read_journal(directory)
+        assert sum(len(frame["records"]) for frame in frames) \
+            == len(result.gen_classes)
+        assert "seeds" in frames[0]
+        assert not any("seeds" in frame for frame in frames[1:])
+        events = telemetry.bus.sinks[0].events(CHECKPOINT_WRITTEN)
+        assert sum(event.fields["journal_bytes"] for event in events) \
+            == (directory / JOURNAL_FILE).stat().st_size
+        state_bytes = (directory / STATE_FILE).stat().st_size
+        assert events[-1].fields["state_bytes"] == state_bytes
+        assert read_meta(directory)["state_bytes"] == state_bytes
+
+    def test_state_file_holds_no_classes(self, seeds, tmp_path):
+        directory = tmp_path / "ckpt"
+        classfuzz(seeds, iterations=50, seed=7,
+                  checkpoint_dir=directory, checkpoint_every=10)
+        spy = _ClassSpy((directory / STATE_FILE).read_bytes())
+        spy.load()
+        assert not spy.names & {"JClass", "GeneratedClass"}
+
+    def test_tail_past_recorded_length_is_dropped(self, seeds, tmp_path,
+                                                  monkeypatch):
+        baseline = classfuzz(seeds, iterations=50, seed=7)
+        directory = tmp_path / "ckpt"
+        self.killed_run(seeds, directory, monkeypatch)
+        # A kill between a frame's fsync and the state replace.
+        with open(directory / JOURNAL_FILE, "ab") as handle:
+            handle.write(b"torn frame" * 100_000)
+        resumed = self.resume(seeds, directory)
+        assert fingerprint(resumed) == fingerprint(baseline)
+        frames, _ = read_journal(directory)
+        assert sum(len(frame["records"]) for frame in frames) \
+            == len(resumed.gen_classes)
+
+    def test_flipped_byte_is_corrupt(self, seeds, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        self.killed_run(seeds, directory, monkeypatch)
+        path = directory / JOURNAL_FILE
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(directory)
+
+    def test_fresh_run_starts_new_journal(self, seeds, tmp_path):
+        directory = tmp_path / "ckpt"
+        classfuzz(seeds, iterations=50, seed=7,
+                  checkpoint_dir=directory, checkpoint_every=10)
+        fresh = classfuzz(seeds, iterations=30, seed=8,
+                          checkpoint_dir=directory, checkpoint_every=10)
+        frames, _ = read_journal(directory)
+        journaled = [record for frame in frames
+                     for record in frame["records"]]
+        assert [g.label for g in journaled] \
+            == [g.label for g in fresh.gen_classes]
+        assert [g.data for g in journaled] \
+            == [g.data for g in fresh.gen_classes]
+        again = classfuzz(seeds, iterations=30, seed=8,
+                          checkpoint_dir=directory, checkpoint_every=10,
+                          resume=True)
+        assert fingerprint(again) == fingerprint(fresh)
+
+    def test_resumed_state_shares_objects(self, seeds, tmp_path,
+                                          monkeypatch):
+        directory = tmp_path / "ckpt"
+        self.killed_run(seeds, directory, monkeypatch)
+        state = load_checkpoint(directory)
+        generated = {id(g) for g in state["gen_classes"]}
+        assert all(id(t) in generated for t in state["test_classes"])
+        bodies = {id(g.jclass) for g in state["test_classes"]}
+        mutants = [entry for entry in state["pool"]["entries"]
+                   if entry[2] == "mutant"]
+        assert mutants
+        assert all(id(entry[0]) in bodies for entry in mutants)
+
+    def test_version_1_checkpoint_resumes(self, seeds, tmp_path,
+                                          monkeypatch):
+        baseline = classfuzz(seeds, iterations=50, seed=7)
+        directory = tmp_path / "ckpt"
+        self.killed_run(seeds, directory, monkeypatch)
+        # The v1 layout: every class inline in the state file, no journal.
+        state = load_checkpoint(directory)
+        state["version"] = 1
+        del state["journal"]
+        (directory / STATE_FILE).write_bytes(pickle.dumps(state))
+        (directory / JOURNAL_FILE).unlink()
+        resumed = self.resume(seeds, directory)
+        assert fingerprint(resumed) == fingerprint(baseline)
+        assert load_checkpoint(directory)["version"] == 2
+        frames, _ = read_journal(directory)
+        assert sum(len(frame["records"]) for frame in frames) \
+            == len(resumed.gen_classes)
 
 
 class TestCampaignResume:

@@ -1,6 +1,8 @@
 """Tests for graceful SIGTERM shutdown (final checkpoint + exit 143)."""
 
+import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import worker
 from repro.core.checkpoint import has_checkpoint, read_meta
 from repro.core.fuzzing import classfuzz
 from repro.core.shutdown import (
@@ -61,6 +64,40 @@ class TestShutdownFlag:
         thread.start()
         thread.join()
         assert results == [False]
+
+
+def _sigterm_after_init(init, args, conn):
+    # What a fork-mode worker inherits: the graceful handler, blocked.
+    install_sigterm_handler()
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    init(*args)
+    conn.send((signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+               signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK,
+                                                        [])))
+    conn.close()
+
+
+class TestWorkerSigterm:
+    """Reference workers must die on ``Pool.terminate()``'s SIGTERM."""
+
+    @pytest.mark.parametrize("init, args", [
+        (worker.fork_init, (pickle.dumps(None),)),
+        (worker.persistent_init,
+         (pickle.dumps(None), None, None, 0, False)),
+    ], ids=["fork_init", "persistent_init"])
+    def test_initializer_restores_default_disposition(self, init, args):
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_sigterm_after_init,
+                                args=(init, args, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(30)
+            assert receiver.recv() == (True, False)  # default, unblocked
+        finally:
+            child.join(30)
+        assert child.exitcode == 0
 
 
 class TestGracefulRunStop:
