@@ -4,8 +4,8 @@ The execution engine is the reproduction's stand-in for the paper's
 cluster-side JVM invocation machinery.  Two properties are measured:
 
 * the process backend beats the serial baseline on a multi-core machine
-  (the thread backend cannot — simulated JVM runs are pure-Python and
-  GIL-bound) while staying bit-identical to it;
+  (simulated JVM runs are pure-Python, so only worker processes escape
+  the GIL) while staying bit-identical to it;
 * the content-addressed outcome cache turns repeated evaluation of the
   same bytes into lookups.
 

@@ -1,33 +1,17 @@
-"""Fuzzing-pipeline throughput: batching speedup and the bitmap index.
+"""Fuzzing-pipeline throughput: batching speedup and monitor overhead.
 
-Three claims are measured here, all into ``BENCH_fuzz_pipeline.json``
+Two claims are measured here, both into ``BENCH_fuzz_pipeline.json``
 at the repo root:
 
 1. **Batched speculation** (the PR-5 tentpole): fanning each round's
    reference-JVM coverage runs out across process workers (``batch=8``,
    ``backend=process``) at least doubles classfuzz's generated-classfile
    throughput over the historical serial loop.
-2. **The bitmap coverage index** (the ``--coverage-index`` tentpole):
-   with cached reference runs, the fixed-width bitmap prefilter makes
-   the *acceptance hot path* — the per-mutant uniqueness decision on a
-   fresh tracefile — at least 3× faster than the exact criterion, while
-   its decisions (and the accepted-suite manifest) stay byte-identical.
-   The full serial pipeline is dominated by the simulated JVM runs, so
-   end-to-end it is gated at "bitmap is not slower"; both measurements
-   are reported so the artifact shows where the win lives.
-3. **The live monitor** (the ``--serve`` tentpole): running the full
+2. **The live monitor** (the ``--serve`` tentpole): running the full
    telemetry bundle with an embedded :class:`MonitorServer` — scraped
    continuously from another thread while fuzzing — costs at most 2%
    of mutants/sec, and with the monitor *off* the decision stream is
    byte-identical to a bare run (no telemetry object at all).
-4. **Persistent workers** (the ``--worker-mode`` tentpole): the process
-   backend's warm reference workers — shared site table, packed
-   shared-memory coverage transport, JVM state kept across runs — beat
-   the honest fork-per-call baseline (a fresh process, JVM unpickle and
-   pickled-dict trace per run) by at least 3× mutants/sec at
-   ``batch=8``, with decision streams byte-identical to the serial
-   golden run.  The win is overhead elimination, not parallelism, so
-   the gate holds at any core count.
 
 Benchmarks skip rather than fail on hosts that cannot support them
 (single core, or a sandbox that forbids worker processes).
@@ -35,10 +19,8 @@ Benchmarks skip rather than fail on hosts that cannot support them
 
 from __future__ import annotations
 
-import gc
 import json
 import os
-import statistics
 import time
 from pathlib import Path
 
@@ -50,8 +32,6 @@ from repro.core.executor import (
     SerialExecutor,
 )
 from repro.core.fuzzing import classfuzz
-from repro.coverage.tracefile import Tracefile
-from repro.coverage.uniqueness import make_criterion
 from repro.jvm.vendors import reference_jvm
 
 #: Mutation iterations per measurement (enough to amortise pool spin-up).
@@ -62,13 +42,6 @@ SEED_POOL = 120
 
 #: The speculative batch size under test (the issue's target config).
 BATCH = 8
-
-#: Measurement repeats per mode; the median defeats scheduler noise.
-ROUNDS = 5
-
-#: The end-to-end gate: bitmap mode must not run the (JVM-bound)
-#: pipeline slower than exact mode, modulo scheduler noise.
-PIPELINE_FLOOR = 0.90
 
 ARTIFACT = Path(__file__).resolve().parent.parent / \
     "BENCH_fuzz_pipeline.json"
@@ -176,245 +149,6 @@ def test_bench_fuzz_pipeline_speedup(seed_corpus):
         f"got {speedup:.2f}x"
 
 
-def _collect_decision_stream(seeds, reference):
-    """One run's worth of (seed traces, mutant traces), in decision
-    order, preserving the trace cache's instance sharing: a duplicate
-    mutant arrives as the *same* ``Tracefile`` object (with warm derived
-    views) in the real pipeline, and only cache misses are fresh."""
-    engine = SerialExecutor(cache=OutcomeCache())
-    result = classfuzz(seeds, ITERATIONS, criterion="tr", seed=42,
-                       reference=reference, executor=engine)
-    stream = [g.tracefile for g in result.gen_classes
-              if g.tracefile is not None]
-    # Prime with the seed corpus's coverage, as the pipeline does.
-    from repro.jimple.to_classfile import compile_class_bytes
-
-    primes = []
-    for jclass in seeds:
-        try:
-            data = compile_class_bytes(jclass)
-        except Exception:
-            continue
-        _, trace = engine.run_reference(reference, data)
-        primes.append(trace)
-    return primes, stream
-
-
-def _clone_stream(stream, coverage_index):
-    """Fresh-per-round replicas of the decision stream.
-
-    Each *distinct* trace instance becomes one fresh ``Tracefile`` (no
-    warm views — a cache miss's state); duplicate positions reuse that
-    replica, as the content-addressed cache does.  In bitmap mode each
-    replica's bitmap view is pre-built here, outside the timed window,
-    mirroring the collector's collection-time pre-build (one slot pass
-    per cache miss, amortised into the instrumented reference run).
-    """
-    replicas = {}
-    fresh = []
-    for trace in stream:
-        replica = replicas.get(id(trace))
-        if replica is None:
-            replica = Tracefile(statements=trace.statements,
-                                branches=trace.branches)
-            if coverage_index == "bitmap":
-                replica.bitmap
-            replicas[id(trace)] = replica
-        fresh.append(replica)
-    return fresh
-
-
-def _replay_decisions(primes, stream, coverage_index):
-    """Time one acceptance replay over the decision stream; returns
-    ``(decisions, median_seconds)`` across ROUNDS repeats (median, not
-    min: scheduler noise only ever *adds* time, and the median keeps
-    one lucky or unlucky round from deciding the gate)."""
-    decisions = None
-    times = []
-    for _ in range(ROUNDS):
-        criterion = make_criterion("tr", coverage_index=coverage_index)
-        for trace in primes:
-            criterion.accept(Tracefile(statements=trace.statements,
-                                       branches=trace.branches))
-        fresh = _clone_stream(stream, coverage_index)
-        # Clear the clone-building allocation debt so neither mode's
-        # window inherits a foreign gen-0 collection; each mode still
-        # pays for the garbage its own decisions create.
-        gc.collect()
-        started = time.perf_counter()
-        outcome = [criterion.check_and_accept(trace) for trace in fresh]
-        times.append(time.perf_counter() - started)
-        assert decisions is None or outcome == decisions
-        decisions = outcome
-    return decisions, statistics.median(times)
-
-
-def test_bench_coverage_index_modes(seed_corpus):
-    seeds = seed_corpus[:SEED_POOL]
-    reference = reference_jvm()
-
-    # -- full pipeline, exact vs bitmap (decisions must be identical) --
-    # Interleaved runs per mode, compared best-vs-best: scheduler noise
-    # only ever *subtracts* throughput, so each mode's fastest run is
-    # the cleanest estimate of what it can actually sustain.  Three
-    # rounds normally suffice; while the ratio still sits below the
-    # gate the loop keeps sampling (up to 7 rounds) so one noisy burst
-    # on a busy runner cannot fail a genuinely-at-parity build.
-    exact_rates, bitmap_rates = [], []
-    exact_result = bitmap_result = None
-    while True:
-        exact_result, _ = _measure(
-            seeds, reference, SerialExecutor(cache=OutcomeCache()),
-            batch=1, criterion="tr", coverage_index="exact")
-        bitmap_result, _ = _measure(
-            seeds, reference, SerialExecutor(cache=OutcomeCache()),
-            batch=1, criterion="tr", coverage_index="bitmap")
-        assert _fingerprint(bitmap_result) == _fingerprint(exact_result)
-        exact_rates.append(exact_result.mutants_per_second)
-        bitmap_rates.append(bitmap_result.mutants_per_second)
-        pipeline_ratio = max(bitmap_rates) / max(exact_rates)
-        if len(exact_rates) >= 3 and (pipeline_ratio >= PIPELINE_FLOOR
-                                      or len(exact_rates) >= 7):
-            break
-
-    exact_rate = max(exact_rates)
-    bitmap_rate = max(bitmap_rates)
-
-    # -- the acceptance hot path: per-mutant decisions on fresh traces --
-    primes, mutants = _collect_decision_stream(seeds, reference)
-    exact_decisions, exact_seconds = _replay_decisions(
-        primes, mutants, "exact")
-    bitmap_decisions, bitmap_seconds = _replay_decisions(
-        primes, mutants, "bitmap")
-    assert bitmap_decisions == exact_decisions
-    exact_dps = len(mutants) / exact_seconds
-    bitmap_dps = len(mutants) / bitmap_seconds
-    decision_speedup = bitmap_dps / exact_dps if exact_dps else 0.0
-
-    print(f"\n=== Coverage index: exact vs bitmap (classfuzz[tr], "
-          f"{ITERATIONS} iterations, serial) ===")
-    print(f"pipeline  exact : {exact_rate:8.1f} mutants/s")
-    print(f"pipeline  bitmap: {bitmap_rate:8.1f} mutants/s  "
-          f"({pipeline_ratio:.2f}x; JVM-run bound)")
-    print(f"decisions exact : {exact_dps:10.0f} decisions/s")
-    print(f"decisions bitmap: {bitmap_dps:10.0f} decisions/s  "
-          f"({decision_speedup:.2f}x)")
-
-    _merge_artifact("coverage_index", {
-        "algorithm": "classfuzz[tr]",
-        "iterations": ITERATIONS,
-        "seed_pool": SEED_POOL,
-        "decisions_identical": True,
-        "pipeline": {
-            "exact_mutants_per_second": round(exact_rate, 2),
-            "bitmap_mutants_per_second": round(bitmap_rate, 2),
-            "ratio": round(pipeline_ratio, 3),
-            "accepted": len(bitmap_result.test_classes),
-        },
-        "acceptance_hot_path": {
-            "decision_stream": len(mutants),
-            "exact_decisions_per_second": round(exact_dps, 0),
-            "bitmap_decisions_per_second": round(bitmap_dps, 0),
-            "speedup": round(decision_speedup, 3),
-            "note": "fresh tracefiles; bitmap view collection-time "
-                    "pre-built (amortised into the reference run)",
-        },
-    })
-
-    # The hot-path gate: the bitmap prefilter must make per-mutant
-    # acceptance decisions at least 3x faster than the exact criterion.
-    assert decision_speedup >= 3.0, \
-        f"expected >= 3.0x decisions/sec in bitmap mode, " \
-        f"got {decision_speedup:.2f}x"
-    # End-to-end the serial pipeline is dominated by the simulated JVM
-    # runs; bitmap mode must simply never be slower.  The floor leaves
-    # a 10% envelope for scheduler noise on busy CI runners (observed
-    # best-vs-best ratios sit at 0.95-1.05).
-    assert pipeline_ratio >= PIPELINE_FLOOR, \
-        f"bitmap pipeline slower than exact: {pipeline_ratio:.2f}x"
-
-
-#: Iterations for the worker-mode comparison: enough rounds (30 at
-#: batch=8) to amortise pool spin-up while keeping the deliberately
-#: slow fork-per-call baseline (one process per reference run) at a
-#: tolerable wall-clock cost.
-WORKER_ITERATIONS = 240
-
-#: The worker-mode gate: persistent workers must deliver at least this
-#: multiple of the fork-per-call baseline's mutants/sec.
-WORKER_MODE_FLOOR = 3.0
-
-
-def test_bench_worker_modes(seed_corpus):
-    from concurrent.futures.process import BrokenProcessPool
-
-    seeds = seed_corpus[:SEED_POOL]
-    reference = reference_jvm()
-    jobs = min(os.cpu_count() or 1, 4)
-
-    serial_result, _ = _measure(
-        seeds, reference, SerialExecutor(cache=OutcomeCache()),
-        batch=BATCH, iterations=WORKER_ITERATIONS, criterion="tr")
-
-    results = {}
-    rates = {}
-    for mode in ("fork", "persistent"):
-        engine = ProcessExecutor(jobs=jobs, worker_mode=mode,
-                                 cache=OutcomeCache())
-        try:
-            try:
-                # Spin the pool up outside the measured window (for the
-                # fork baseline this costs nothing: every real run pays
-                # the fork again anyway).
-                engine.run_reference_many(reference, [b"\xca\xfe"])
-            except (BrokenProcessPool, OSError, PermissionError) as exc:
-                pytest.skip(f"process pool unavailable: {exc}")
-            results[mode], _ = _measure(
-                seeds, reference, engine, batch=BATCH,
-                iterations=WORKER_ITERATIONS, criterion="tr")
-            stats = engine.stats.snapshot()
-        finally:
-            engine.close()
-        rates[mode] = results[mode].mutants_per_second
-        # Every decision stream must match the serial golden run.
-        assert _fingerprint(results[mode]) == _fingerprint(serial_result)
-        if mode == "persistent":
-            assert stats.warm_runs > stats.cold_runs
-        else:
-            assert stats.warm_runs == 0
-
-    speedup = rates["persistent"] / rates["fork"] if rates["fork"] \
-        else 0.0
-    serial_rate = serial_result.mutants_per_second
-
-    print(f"\n=== Worker modes (classfuzz[tr], {WORKER_ITERATIONS} "
-          f"iterations, batch={BATCH}, {jobs} process workers) ===")
-    print(f"serial               : {serial_rate:8.1f} mutants/s")
-    print(f"process + fork       : {rates['fork']:8.1f} mutants/s")
-    print(f"process + persistent : {rates['persistent']:8.1f} mutants/s "
-          f"({speedup:.2f}x over fork)")
-
-    _merge_artifact("worker_mode", {
-        "algorithm": "classfuzz[tr]",
-        "iterations": WORKER_ITERATIONS,
-        "seed_pool": SEED_POOL,
-        "batch": BATCH,
-        "jobs": jobs,
-        "decisions_identical": True,
-        "serial_mutants_per_second": round(serial_rate, 2),
-        "fork_mutants_per_second": round(rates["fork"], 2),
-        "persistent_mutants_per_second": round(rates["persistent"], 2),
-        "speedup": round(speedup, 3),
-        "note": "fork = one forked process, JVM unpickle and pickled "
-                "trace dict per reference run; persistent = warm JVM "
-                "state, shared site table, packed shm coverage",
-    })
-
-    assert speedup >= WORKER_MODE_FLOOR, \
-        f"expected persistent workers >= {WORKER_MODE_FLOOR}x " \
-        f"fork-per-call mutants/sec, got {speedup:.2f}x"
-
-
 #: The monitor gate: serving /status + /metrics while fuzzing may cost
 #: at most 2% of mutants/sec (best-vs-best, so noise cannot hide a
 #: real regression behind one slow bare round).
@@ -457,8 +191,7 @@ def test_bench_monitor_overhead(seed_corpus):
         try:
             result, wall = _measure(
                 seeds, reference, SerialExecutor(cache=OutcomeCache()),
-                batch=1, criterion="tr", coverage_index="bitmap",
-                telemetry=telemetry)
+                batch=1, criterion="tr", telemetry=telemetry)
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -466,15 +199,16 @@ def test_bench_monitor_overhead(seed_corpus):
             telemetry.close()
         return result, wall, scrapes[0]
 
-    # Interleaved rounds, best-vs-best (same protocol as the coverage
-    # index gate); keep sampling while below the floor, up to 7 rounds.
+    # Interleaved rounds, best-vs-best: scheduler noise only ever
+    # subtracts throughput, so each side's fastest run is the cleanest
+    # estimate.  Keep sampling while below the floor, up to 7 rounds.
     bare_rates, monitored_rates = [], []
     bare_result = monitored_result = None
     scrape_total = 0
     while True:
         bare_result, _ = _measure(
             seeds, reference, SerialExecutor(cache=OutcomeCache()),
-            batch=1, criterion="tr", coverage_index="bitmap")
+            batch=1, criterion="tr")
         monitored_result, _, scrapes = _monitored_round()
         scrape_total += scrapes
         # The monitor must never alter what the fuzzer decides — with

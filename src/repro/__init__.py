@@ -37,7 +37,6 @@ from repro.core import (
     McmcMutatorSelector,
     Mutator,
     OutcomeCache,
-    ParallelExecutor,
     SerialExecutor,
     SuiteReport,
     classfuzz,

@@ -39,10 +39,7 @@ expose the run live over HTTP (``/``, ``/metrics``, ``/status``,
 also accept the corpus-subsystem flags: ``--seed-schedule`` picks the
 seed-scheduling policy, ``--checkpoint-dir``/``--checkpoint-every``/
 ``--resume`` make runs crash-durable (a killed run resumed with
-``--resume`` reproduces the uninterrupted run's suite exactly), and
-``--coverage-index bitmap`` puts the fixed-width bitmap novelty
-prefilter in front of the exact acceptance criteria (same decisions,
-lower per-mutant cost — see :mod:`repro.coverage.bitmap`).
+``--resume`` reproduces the uninterrupted run's suite exactly).
 """
 
 from __future__ import annotations
@@ -75,6 +72,7 @@ from repro.core.fuzzing import classfuzz, greedyfuzz, randfuzz, uniquefuzz
 from repro.core.metrics import evaluate_suite, format_table
 from repro.core.reporting import report_discrepancy
 from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus.schedule import DEFAULT_SCHEDULE, SCHEDULERS
 from repro.jimple.from_classfile import lift_class
 from repro.jimple.printer import print_class
 from repro.jimple.to_classfile import compile_class_bytes
@@ -88,7 +86,6 @@ from repro.observe.summary import (
     replay_events,
     summarize_events,
     summarize_job,
-    summarize_prefilter,
     summarize_workers,
     write_timeseries,
 )
@@ -97,19 +94,8 @@ from repro.observe.summary import (
 def _add_executor_options(command: argparse.ArgumentParser) -> None:
     """Execution-engine flags shared by the JVM-running commands."""
     command.add_argument("--jobs", type=int, default=1,
-                         help="worker count for differential runs "
+                         help="worker processes for JVM runs "
                               "(1 = serial)")
-    command.add_argument("--backend", choices=("thread", "process"),
-                         default="thread",
-                         help="parallel backend when --jobs > 1 "
-                              "(process gives real CPU parallelism)")
-    command.add_argument("--worker-mode",
-                         choices=("persistent", "fork"),
-                         default="persistent", dest="worker_mode",
-                         help="process-backend reference workers: "
-                              "persistent keeps JVM state warm and ships "
-                              "coverage through shared memory; fork "
-                              "rebuilds state per call (baseline)")
     command.add_argument("--stats", action="store_true",
                          help="print executor statistics (runs, cache "
                               "hits, per-vendor latency)")
@@ -140,8 +126,6 @@ def _add_telemetry_options(command: argparse.ArgumentParser) -> None:
 
 def _add_corpus_options(command: argparse.ArgumentParser) -> None:
     """Corpus-subsystem flags shared by ``fuzz`` and ``campaign``."""
-    from repro.corpus.schedule import DEFAULT_SCHEDULE, SCHEDULERS
-
     command.add_argument("--seed-schedule", dest="seed_schedule",
                          choices=sorted(SCHEDULERS),
                          default=DEFAULT_SCHEDULE,
@@ -158,12 +142,6 @@ def _add_corpus_options(command: argparse.ArgumentParser) -> None:
     command.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint-dir's latest "
                               "checkpoint (fresh start when none exists)")
-    command.add_argument("--coverage-index", dest="coverage_index",
-                         choices=("exact", "bitmap"), default="exact",
-                         help="acceptance-index implementation: exact "
-                              "criterion lookups, or the fixed-width "
-                              "bitmap novelty prefilter in front of them "
-                              "(same decisions, lower per-mutant cost)")
     command.add_argument("--exec-fraction", dest="exec_fraction",
                          type=float, default=0.0, metavar="FRAC",
                          help="fraction of seed classes built from the "
@@ -274,31 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
                            "runs fan out across the executor workers in "
                            "rounds of this many mutants, with acceptance "
                            "replayed deterministically (1 = serial loop)")
-    fuzz.add_argument("--jobs", type=int, default=1,
-                      help="worker count for batched reference runs "
-                           "(1 = serial)")
-    fuzz.add_argument("--backend", choices=("thread", "process"),
-                      default="thread",
-                      help="parallel backend when --jobs > 1 "
-                           "(process gives real CPU parallelism)")
-    fuzz.add_argument("--worker-mode",
-                      choices=("persistent", "fork"),
-                      default="persistent", dest="worker_mode",
-                      help="process-backend reference workers: "
-                           "persistent keeps JVM state warm and ships "
-                           "coverage through shared memory; fork "
-                           "rebuilds state per call (baseline)")
     fuzz.add_argument("--seed-count", type=int, default=200,
                       help="synthetic seed corpus size")
     fuzz.add_argument("--out", type=Path, default=None,
                       help="directory for accepted classfiles")
-    fuzz.add_argument("--stats", action="store_true",
-                      help="print executor statistics for the run")
     fuzz.add_argument("--mutator-report", type=int, default=0,
                       metavar="N", dest="mutator_report",
                       help="print the top-N mutators by MCMC rank "
                            "(the Table 5 view)")
     _add_corpus_options(fuzz)
+    _add_executor_options(fuzz)
     _add_telemetry_options(fuzz)
 
     difftest = sub.add_parser("difftest",
@@ -419,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     observe.add_argument("--metrics", type=Path, default=None,
                          metavar="DUMP",
                          help="summary: also read this Prometheus dump "
-                              "and report the bitmap-prefilter hit/miss "
-                              "ratio when its counters are present")
+                              "and report the worker warm/cold split "
+                              "when its counters are present")
 
     monitor = sub.add_parser(
         "monitor", help="serve a recorded events log through the live "
@@ -498,11 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--batch", type=int, default=None,
                         help="speculative batch size")
     submit.add_argument("--seed-schedule", default=None,
-                        dest="seed_schedule",
+                        dest="seed_schedule", choices=sorted(SCHEDULERS),
                         help="seed-scheduling policy")
-    submit.add_argument("--coverage-index", default=None,
-                        dest="coverage_index", choices=("exact", "bitmap"),
-                        help="acceptance-index implementation")
     submit.add_argument("--exec-fraction", type=float, default=None,
                         dest="exec_fraction",
                         help="fraction of execution-phase seed templates "
@@ -587,14 +547,11 @@ def _cmd_fuzz(args) -> int:
     mutators = _apply_execution_options(args)
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
-    executor = make_executor(jobs=args.jobs, backend=args.backend,
-                             telemetry=telemetry,
-                             worker_mode=args.worker_mode)
+    executor = make_executor(jobs=args.jobs, telemetry=telemetry)
     corpus_kw = dict(schedule=args.seed_schedule,
                      checkpoint_dir=args.checkpoint_dir,
                      checkpoint_every=args.checkpoint_every,
-                     resume=args.resume,
-                     coverage_index=args.coverage_index)
+                     resume=args.resume)
     if mutators is not None:
         corpus_kw["mutators"] = mutators
     runners = {
@@ -692,9 +649,7 @@ def _cmd_difftest(args) -> int:
         return 2
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
-    executor = make_executor(jobs=args.jobs, backend=args.backend,
-                             telemetry=telemetry,
-                             worker_mode=args.worker_mode)
+    executor = make_executor(jobs=args.jobs, telemetry=telemetry)
     harness = DifferentialHarness(executor=executor, telemetry=telemetry)
     suite = [(path.stem, path.read_bytes()) for path in files]
     if telemetry is not None:
@@ -746,9 +701,7 @@ def _cmd_campaign(args) -> int:
     budget = PAPER_BUDGET_SECONDS * args.budget_scale
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
-    executor = make_executor(jobs=args.jobs, backend=args.backend,
-                             telemetry=telemetry,
-                             worker_mode=args.worker_mode)
+    executor = make_executor(jobs=args.jobs, telemetry=telemetry)
     triage_engine = None
     if args.triage_out is not None:
         from repro.triage import TriageEngine
@@ -758,7 +711,6 @@ def _cmd_campaign(args) -> int:
                      checkpoint_dir=args.checkpoint_dir,
                      checkpoint_every=args.checkpoint_every,
                      resume=args.resume,
-                     coverage_index=args.coverage_index,
                      mutators=mutators)
     try:
         if telemetry is not None:
@@ -907,9 +859,7 @@ def _cmd_triage(args) -> int:
             return 2
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
-    executor = make_executor(jobs=args.jobs, backend=args.backend,
-                             telemetry=telemetry,
-                             worker_mode=args.worker_mode)
+    executor = make_executor(jobs=args.jobs, telemetry=telemetry)
     harness = DifferentialHarness(executor=executor, telemetry=telemetry)
     engine = TriageEngine(kind=COARSE if args.coarse else FINE,
                           suppressions=suppressions, telemetry=telemetry)
@@ -1054,11 +1004,10 @@ def _cmd_observe(args) -> int:
         if args.metrics is not None:
             samples = parse_prometheus(
                 args.metrics.read_text(encoding="utf-8"))
-            for block in (summarize_prefilter(samples),
-                          summarize_workers(samples)):
-                if block:
-                    print()
-                    print(block)
+            block = summarize_workers(samples)
+            if block:
+                print()
+                print(block)
         return 0
     if args.action == "replay":
         print(replay_events(events, event_type=args.event_type,
@@ -1162,7 +1111,6 @@ def _build_submit_spec(args) -> dict:
         "seed_count": args.seed_count,
         "batch": args.batch,
         "seed_schedule": args.seed_schedule,
-        "coverage_index": args.coverage_index,
         "exec_fraction": args.exec_fraction,
         "execution_mutators": args.execution_mutators,
         "cmp_coverage": args.cmp_coverage,

@@ -15,10 +15,8 @@ from repro.core.executor import (
     Executor,
     ExecutorStats,
     OutcomeCache,
-    ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     classfile_digest,
     make_executor,
 )
@@ -35,11 +33,9 @@ __all__ = [
     "McmcMutatorSelector",
     "Mutator",
     "OutcomeCache",
-    "ParallelExecutor",
     "ProcessExecutor",
     "SerialExecutor",
     "SuiteReport",
-    "ThreadExecutor",
     "classfile_digest",
     "classfuzz",
     "estimate_p_range",

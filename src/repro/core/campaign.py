@@ -186,8 +186,7 @@ def run_algorithm(label: str, seeds: Sequence[JClass], iterations: int,
     so a leg executed in a worker subprocess with the same
     ``(seeds, iterations, rng_seed)`` produces a byte-identical suite.
     All fuzzing keywords (``executor``, ``telemetry``, ``batch``,
-    ``schedule``, ``checkpoint_dir``, ``resume``, ``coverage_index``,
-    ...) pass through.
+    ``schedule``, ``checkpoint_dir``, ``resume``, ...) pass through.
 
     Raises:
         ValueError: for a label outside :data:`ALL_ALGORITHMS`.
@@ -234,7 +233,6 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
                  checkpoint_every: int = 50,
                  resume: bool = False,
                  triage=None,
-                 coverage_index: str = "exact",
                  mutators=None) -> List[CampaignRun]:
     """Run the Table 4/6 experiment at a scaled budget.
 
@@ -279,10 +277,6 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
             fed into it, deduplicating discrepancies across the whole
             campaign into one cluster inventory (each run records the
             clusters its suite touched in ``triage_clusters``).
-        coverage_index: acceptance-index implementation handed to every
-            fuzzing run (``"exact"`` or ``"bitmap"``); acceptance
-            decisions — and hence every table — are byte-identical
-            either way.
         mutators: mutator rotation handed to every fuzzing run
             (default: the paper's 129-operator registry; e.g.
             ``MUTATORS + EXECUTION_MUTATORS`` for execution-targeted
@@ -311,8 +305,7 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
         status.update(algorithms=list(algorithms),
                       budget_seconds=budget_seconds,
                       repetitions=max(1, repetitions),
-                      evaluate=evaluate, batch=batch,
-                      coverage_index=coverage_index)
+                      evaluate=evaluate, batch=batch)
 
     runs: List[CampaignRun] = []
     for leg_index, label in enumerate(algorithms):
@@ -338,8 +331,7 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
                                   schedule=schedule,
                                   checkpoint_dir=leg_dir,
                                   checkpoint_every=checkpoint_every,
-                                  resume=resume,
-                                  coverage_index=coverage_index)
+                                  resume=resume)
                 if mutators is not None:
                     leg_kwargs["mutators"] = mutators
                 result = _RUNNERS[label](seeds, iterations,

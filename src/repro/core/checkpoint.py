@@ -19,14 +19,9 @@ pipeline needs to continue mid-run):
 
 What it deliberately does **not** carry: interned coverage-site ids
 (process-local by contract — see :mod:`repro.coverage.interner`) and the
-acceptance-criterion indexes built from them — including the bitmap
-prefilter's accumulated slot state, whose slots are derived from those
-ids.  All of it is rebuilt on resume by re-priming the seed corpus and
-re-absorbing the accepted tracefiles — pure, deterministic replays of
-cached reference runs — so a bitmap-mode run resumes bit-identically
-too.  The run's ``coverage_index`` *is* recorded and validated on
-resume, because silently switching index implementations mid-run would
-change per-decision costs the operator asked to measure.
+acceptance-criterion indexes built from them.  Both are rebuilt on
+resume by re-priming the seed corpus and re-absorbing the accepted
+tracefiles — pure, deterministic replays of cached reference runs.
 
 Two files per directory split that state by how often it changes:
 
@@ -254,7 +249,6 @@ def snapshot_run(result, engine, selector, index: int, round_index: int,
         "batch": result.batch,
         "iterations": result.iterations,
         "scheduler": engine.pool.scheduler.name,
-        "coverage_index": result.coverage_index,
         "index": index,
         "round_index": round_index,
         "elapsed": elapsed,
@@ -288,13 +282,9 @@ def restore_run(state: Dict[str, object], result, engine,
             raise CheckpointError(
                 f"checkpoint {key} {state[key]!r} does not match this "
                 f"run's {current!r}")
-    # Back-compat: checkpoints written before the bitmap prefilter
-    # existed could only have been exact-mode runs.
-    checkpointed_index = state.get("coverage_index", "exact")
-    if checkpointed_index != result.coverage_index:
-        raise CheckpointError(
-            f"checkpoint coverage_index {checkpointed_index!r} does not "
-            f"match this run's {result.coverage_index!r}")
+    # Checkpoints written while the bitmap index existed carry a
+    # ``coverage_index`` key; it is ignored, since "exact" and "bitmap"
+    # made identical decisions.
     try:
         engine.pool.set_state(state["pool"])
         selector.set_state(state["selector"])
@@ -316,7 +306,7 @@ def _validate_shared_table() -> None:
     Interned ids are never checkpointed — resume re-primes seeds and
     re-absorbs the restored suite, replaying the interning order.  When
     the run's executor attached a shared site table (the process
-    backend's persistent worker mode), the attach published those
+    backend's persistent workers), the attach published those
     replayed ids into the table, and this confirms table and local
     mirror still agree entry-for-entry: the rebuilt cross-process id
     space is bit-identical to the pre-kill one or the resume stops here
@@ -416,7 +406,6 @@ class Checkpointer:
             "criterion": result.criterion,
             "scheduler": engine.pool.scheduler.name,
             "batch": result.batch,
-            "coverage_index": result.coverage_index,
             "index": index,
             "iterations": result.iterations,
             "generated": len(result.gen_classes),

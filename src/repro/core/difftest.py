@@ -3,8 +3,8 @@
 Runs each classfile on the five JVM implementations of Table 3, encodes
 the per-JVM outcomes into the 0–4 phase-code vector, and reports
 discrepancies.  All JVM executions route through a pluggable
-:class:`~repro.core.executor.Executor`, so the same harness runs serially,
-on a thread pool, or on a process pool — with identical results.
+:class:`~repro.core.executor.Executor`, so the same harness runs serially
+or on a process pool — with identical results.
 """
 
 from __future__ import annotations

@@ -3,11 +3,9 @@
 Every JVM execution in the pipeline — the five-vendor differential runs
 of :class:`~repro.core.difftest.DifferentialHarness` and the
 coverage-collected reference runs of the fuzzing loop — routes through an
-:class:`Executor`.  Three engines share one interface:
+:class:`Executor`.  Two engines share one interface:
 
 * :class:`SerialExecutor` — the in-order baseline;
-* :class:`ThreadExecutor` — a ``concurrent.futures.ThreadPoolExecutor``
-  backend (overlaps runs; bounded by the GIL for pure-Python work);
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` backend that ships
   classfile bytes to worker processes for real CPU parallelism.
 
@@ -31,7 +29,6 @@ order).
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import pickle
 import threading
@@ -42,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import worker
 from repro.coverage import shm
-from repro.coverage.bitmap import collector_bitmaps_enabled
 from repro.coverage.interner import GLOBAL_INTERNER
 from repro.coverage.probes import CoverageCollector, cmp_coverage_enabled
 from repro.coverage.tracefile import Tracefile
@@ -81,7 +77,7 @@ class ExecutorStats:
         vendor_seconds: vendor name → wall-clock spent executing.
         warm_runs: reference-worker runs served on already-built state.
         cold_runs: reference-worker runs that paid a JVM construction
-            (worker start, recycle, or a fork-per-call process).
+            (worker start or recycle).
         worker_recycles: persistent workers that hit the
             ``max_runs_per_worker`` bound and rebuilt their state.
     """
@@ -487,12 +483,7 @@ class Executor:
     @staticmethod
     def _reference_execute(jvm: Jvm, data: bytes
                            ) -> Tuple[Outcome, Tracefile, float]:
-        """One instrumented run: collector scope + timing, no bookkeeping.
-
-        Static (no engine state) so worker threads can call it
-        concurrently — coverage collectors are thread-local, so parallel
-        instrumented runs never mix probes.
-        """
+        """One instrumented run: collector scope + timing, no bookkeeping."""
         collector = CoverageCollector()
         started = time.perf_counter()
         with collector:
@@ -507,9 +498,9 @@ class Executor:
         The bulk counterpart of :meth:`run_reference` for the speculative
         fuzzing pipeline: every item is first short-circuited through the
         content-addressed tracefile cache, and only the misses are handed
-        to the backend's :meth:`_run_reference_batch` fan-out (worker
-        threads for the thread engine, a dedicated reference worker pool
-        for the process engine, an in-order loop for the serial one).
+        to the backend's :meth:`_run_reference_batch` fan-out (a
+        dedicated reference worker pool for the process engine, an
+        in-order loop for the serial one).
 
         Results are deterministic and bit-identical across engines for a
         fixed input batch — ``Jvm.run`` is a pure function of the bytes,
@@ -519,7 +510,7 @@ class Executor:
         digest: each distinct miss executes exactly once and every
         duplicate position is filled from that single ``(outcome,
         trace)`` pair — so duplicates share one :class:`Tracefile`
-        instance (one set of cached interned/bitmap views, and on the
+        instance (one set of cached interned views, and on the
         process backend one pickled trace crossing the pool boundary
         instead of one per position).  Duplicate positions count as
         ``trace_hits``: they are served without an execution, exactly
@@ -608,9 +599,9 @@ class Executor:
         The generic fan-out hook for the speculative pipeline's
         CPU-bound non-JVM stages (mutant compile + classfile dump).
         ``fn`` must be a module-level, side-effect-free function of one
-        argument, with both argument and result picklable — backends are
-        free to run it on worker threads or processes.  The serial
-        fallback is an in-order loop.
+        argument, with both argument and result picklable — the process
+        backend runs it in worker processes.  The serial fallback is an
+        in-order loop.
         """
         return [fn(item) for item in items]
 
@@ -679,53 +670,6 @@ class SerialExecutor(Executor):
                 for label, data in batch]
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool engine: one task per classfile, submit-order join.
-
-    JVM instances are shared across worker threads — ``Jvm.run`` keeps no
-    per-run state on the instance (interpreters are per-run) and coverage
-    collection is thread-local, so concurrent runs cannot interfere.
-    """
-
-    kind = "thread"
-
-    def __init__(self, jobs: Optional[int] = None, **kwargs):
-        super().__init__(**kwargs)
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self._pool: Optional[futures.ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-exec")
-        return self._pool
-
-    def _run_batch(self, jvms, batch):
-        pool = self._ensure_pool()
-        pending = [pool.submit(self._run_classfile, jvms, label, data)
-                   for label, data in batch]
-        return [task.result() for task in pending]
-
-    def _run_reference_batch(self, jvm, batch):
-        # Instrumented runs are safe to overlap: coverage collectors are
-        # thread-local, so each worker records only its own run's probes.
-        pool = self._ensure_pool()
-        pending = [pool.submit(self._reference_execute, jvm, data)
-                   for data in batch]
-        return [task.result() for task in pending]
-
-    def map_many(self, fn, items):
-        pool = self._ensure_pool()
-        pending = [pool.submit(fn, item) for item in items]
-        return [task.result() for task in pending]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # -- process backend ----------------------------------------------------------
 
 #: Per-worker JVM instances, set once by the pool initializer.
@@ -758,39 +702,28 @@ class ProcessExecutor(Executor):
     identity first, so the steady state (the same JVM list every batch)
     never re-pickles anything.
 
-    The reference path runs in one of two worker modes
-    (see :mod:`repro.core.worker`):
-
-    * ``"persistent"`` (default): warm workers sharing the parent's
-      site table through shared memory, returning packed coverage in
-      :class:`~repro.coverage.shm.TraceSlotRing` slots, recycled every
-      ``max_runs_per_worker`` runs;
-    * ``"fork"``: a fork-per-call baseline that rebuilds JVM state for
-      every single run and ships pickled tracefile dicts.
-
-    Both modes keep the executor determinism contract: decision streams
-    are byte-identical to the serial backend.
+    The reference path runs on persistent workers (see
+    :mod:`repro.core.worker`): warm reference JVMs sharing the parent's
+    site table through shared memory, returning packed coverage in
+    :class:`~repro.coverage.shm.TraceSlotRing` slots, recycled every
+    ``max_runs_per_worker`` runs.  Decision streams stay byte-identical
+    to the serial backend.
     """
 
     kind = "process"
 
     def __init__(self, jobs: Optional[int] = None,
-                 worker_mode: str = "persistent",
                  max_runs_per_worker: Optional[int] = None, **kwargs):
         super().__init__(**kwargs)
-        if worker_mode not in ("persistent", "fork"):
-            raise ValueError(f"unknown worker mode {worker_mode!r} "
-                             f"(expected 'persistent' or 'fork')")
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
-        self.worker_mode = worker_mode
         self.max_runs_per_worker = \
             worker.DEFAULT_MAX_RUNS_PER_WORKER \
             if max_runs_per_worker is None else max_runs_per_worker
         self._pool: Optional[futures.ProcessPoolExecutor] = None
         self._pool_key: Optional[bytes] = None
         self._pool_ids: Optional[Tuple[int, ...]] = None
-        self._ref_pool = None  # ProcessPoolExecutor or mp.Pool
+        self._ref_pool: Optional[futures.ProcessPoolExecutor] = None
         self._ref_pool_key: Optional[bytes] = None
         self._ref_pool_id: Optional[int] = None
         self._map_pool: Optional[futures.ProcessPoolExecutor] = None
@@ -872,47 +805,25 @@ class ProcessExecutor(Executor):
             self._ref_pool_id = id(jvm)
             return self._ref_pool
         self._shutdown_ref_pool()
-        if self.worker_mode == "persistent":
-            self._site_table = shm.SharedSiteTable()
-            # Attach before the pool exists: forked workers inherit an
-            # interner already mirroring the table, with every id the
-            # parent minted so far (seed priming included) published.
-            GLOBAL_INTERNER.attach_shared(self._site_table)
-            self._slot_ring = shm.TraceSlotRing(
-                slot_count=max(32, 4 * self.jobs))
-            self._free_slots = list(range(self._slot_ring.slot_count))
-            self._ref_pool = futures.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=worker.persistent_init,
-                initargs=(blob, self._site_table, self._slot_ring,
-                          self.max_runs_per_worker,
-                          collector_bitmaps_enabled(),
-                          cmp_coverage_enabled()))
-        else:
-            # terminate() can race a replacement worker's start, before
-            # fork_init drops the inherited SIGTERM handler.
-            with worker.sigterm_blocked():
-                self._ref_pool = multiprocessing.get_context("fork").Pool(
-                    processes=self.jobs, initializer=worker.fork_init,
-                    initargs=(blob,), maxtasksperchild=1)
+        self._site_table = shm.SharedSiteTable()
+        # Attach before the pool exists: forked workers inherit an
+        # interner already mirroring the table, with every id the
+        # parent minted so far (seed priming included) published.
+        GLOBAL_INTERNER.attach_shared(self._site_table)
+        self._slot_ring = shm.TraceSlotRing(
+            slot_count=max(32, 4 * self.jobs))
+        self._free_slots = list(range(self._slot_ring.slot_count))
+        self._ref_pool = futures.ProcessPoolExecutor(
+            max_workers=self.jobs,
+            initializer=worker.persistent_init,
+            initargs=(blob, self._site_table, self._slot_ring,
+                      self.max_runs_per_worker, cmp_coverage_enabled()))
         self._ref_pool_key = blob
         self._ref_pool_id = id(jvm)
         return self._ref_pool
 
     def _run_reference_batch(self, jvm, batch):
         pool = self._ensure_ref_pool(jvm)
-        if self.worker_mode == "fork":
-            pending = [pool.apply_async(worker.fork_run, (data,))
-                       for data in batch]
-            executed = []
-            for task in pending:
-                outcome, trace, seconds = task.get()
-                with self._stats_lock:
-                    self.stats.cold_runs += 1
-                if self._observe is not None:
-                    self._observe.worker_run(warm=False)
-                executed.append((outcome, trace, seconds))
-            return executed
         slots = [self._free_slots.pop() if self._free_slots else None
                  for _ in batch]
         pending = [pool.submit(worker.persistent_run, data, slot)
@@ -956,11 +867,7 @@ class ProcessExecutor(Executor):
         handlers close the executor), so ``/dev/shm`` never leaks.
         """
         if self._ref_pool is not None:
-            if self.worker_mode == "fork":
-                self._ref_pool.terminate()
-                self._ref_pool.join()
-            else:
-                self._ref_pool.shutdown(wait=True, cancel_futures=True)
+            self._ref_pool.shutdown(wait=True, cancel_futures=True)
             self._ref_pool = None
             self._ref_pool_key = None
             self._ref_pool_id = None
@@ -987,51 +894,24 @@ class ProcessExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# Factories
+# Factory
 # ---------------------------------------------------------------------------
 
-#: Backend name → engine class.
-BACKENDS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
+def make_executor(jobs: int = 1, backend: str = "process",
+                  cache: bool = True, telemetry=None) -> Executor:
+    """Build the engine for a job count (the CLI's ``--jobs``).
 
-
-def ParallelExecutor(jobs: Optional[int] = None, backend: str = "thread",
-                     worker_mode: Optional[str] = None,
-                     **kwargs) -> Executor:
-    """A parallel engine for ``backend`` (``"thread"`` or ``"process"``).
-
-    ``worker_mode`` selects the process backend's reference-worker
-    discipline (``"persistent"`` or ``"fork"``); it is rejected for the
-    thread backend, whose workers are threads in this process.
+    ``jobs <= 1`` selects the serial engine and anything above it the
+    process engine; ``backend`` names the parallel engine and accepts
+    only ``"process"``.  ``cache=True`` attaches a fresh
+    :class:`OutcomeCache`.  ``telemetry`` threads an optional
+    :class:`~repro.observe.Telemetry` into the engine.
     """
-    if backend not in ("thread", "process"):
-        raise ValueError(f"unknown parallel backend {backend!r}")
-    if worker_mode is not None:
-        if backend != "process":
-            raise ValueError("worker_mode only applies to the process "
-                             "backend")
-        kwargs["worker_mode"] = worker_mode
-    return BACKENDS[backend](jobs=jobs, **kwargs)
-
-
-def make_executor(jobs: int = 1, backend: str = "thread",
-                  cache: bool = True, telemetry=None,
-                  worker_mode: str = "persistent") -> Executor:
-    """Build the engine for a job count (the CLI's ``--jobs``/``--backend``).
-
-    ``jobs <= 1`` selects the serial engine.  ``cache=True`` attaches a
-    fresh :class:`OutcomeCache`.  ``telemetry`` threads an optional
-    :class:`~repro.observe.Telemetry` into the engine.  ``worker_mode``
-    (the CLI's ``--worker-mode``) picks the process backend's
-    reference-worker discipline and is ignored by the other engines.
-    """
+    if backend != "process":
+        raise ValueError(f"unknown parallel backend {backend!r} "
+                         f"(expected 'process')")
     outcome_cache = OutcomeCache() if cache else None
     if jobs <= 1:
         return SerialExecutor(cache=outcome_cache, telemetry=telemetry)
-    kwargs = {"worker_mode": worker_mode} if backend == "process" else {}
-    return ParallelExecutor(jobs=jobs, backend=backend,
-                            cache=outcome_cache, telemetry=telemetry,
-                            **kwargs)
+    return ProcessExecutor(jobs=jobs, cache=outcome_cache,
+                           telemetry=telemetry)

@@ -27,8 +27,8 @@ pipeline**, every algorithm runs in rounds of ``batch`` iterations:
    resulting classfiles on the reference JVM in one
    :meth:`~repro.core.executor.Executor.run_reference_many` bulk call,
    which short-circuits per item through the content-addressed tracefile
-   cache and parallelises the misses on thread/process backends (the
-   process backend's default **persistent workers** keep the reference
+   cache and parallelises the misses on the process backend (its
+   **persistent workers** keep the reference
    JVM warm across rounds and return coverage as packed interned-id
    arrays over a shared site table — see :mod:`repro.core.worker` and
    :mod:`repro.coverage.shm` — decoding to tracefiles byte-identical to
@@ -83,12 +83,8 @@ from repro.core.shutdown import GracefulShutdown, shutdown_requested
 from repro.core.mutators import MUTATORS, Mutator
 from repro.corpus.pool import SeedEntry, SeedPool
 from repro.corpus.schedule import SeedScheduler, make_scheduler
-from repro.coverage.bitmap import (
-    AccumulatedBitmap,
-    enable_collector_bitmaps,
-)
 from repro.coverage.tracefile import Tracefile
-from repro.coverage.uniqueness import COVERAGE_INDEXES, make_criterion
+from repro.coverage.uniqueness import make_criterion
 from repro.jimple.builder import add_printing_main
 from repro.jimple.model import JClass
 from repro.jimple.to_classfile import JimpleCompileError, compile_class
@@ -157,10 +153,6 @@ class FuzzResult:
         seed_stats: per-seed scheduling rows (label, origin, size, picks,
             accepted, novelty) for every pool member that was picked,
             credited, or fed back — the v2 manifest's ``seed_stats``.
-        coverage_index: acceptance-index implementation the run used
-            (``"exact"`` or ``"bitmap"``); decisions are byte-identical
-            either way, so this is deliberately *not* part of the suite
-            manifest.
     """
 
     algorithm: str
@@ -175,7 +167,6 @@ class FuzzResult:
     discards: Dict[str, int] = field(default_factory=dict)
     scheduler: str = "uniform"
     seed_stats: List[Dict[str, object]] = field(default_factory=list)
-    coverage_index: str = "exact"
 
     @property
     def succ(self) -> float:
@@ -327,8 +318,7 @@ class _FuzzObserver:
                     "criterion": result.criterion,
                     "iterations": iterations,
                     "batch": result.batch,
-                    "scheduler": result.scheduler,
-                    "coverage_index": result.coverage_index})
+                    "scheduler": result.scheduler})
 
     def scheduled(self, entry: "SeedEntry") -> None:
         if not self.active:
@@ -588,39 +578,24 @@ class _GreedyAcceptance(_AcceptancePolicy):
     """greedyfuzz: accept only mutants growing accumulated coverage.
 
     Operates on interned-id sets, so the per-mutant subset checks are
-    integer set operations.  With ``coverage_index="bitmap"`` an
-    accumulated bitmap fronts them: a mutant occupying a never-seen slot
-    provably hit a never-seen site, so coverage grows and the accept
-    fast path skips the exact subset checks (decisions unchanged — a
-    "no new slot" verdict still falls through to the exact check, since
-    a collision can hide a genuinely new site).
+    integer set operations.
     """
 
-    def __init__(self, coverage_index: str = "exact") -> None:
+    def __init__(self) -> None:
         self.covered_statements: Set[int] = set()
         self.covered_branches: Set[int] = set()
-        self.accumulated: Optional[AccumulatedBitmap] = None
-        if coverage_index == "bitmap":
-            enable_collector_bitmaps()
-            self.accumulated = AccumulatedBitmap()
 
     def prime(self, trace: Tracefile) -> None:
         self.covered_statements |= trace.stmt_ids
         self.covered_branches |= trace.br_ids
-        if self.accumulated is not None:
-            self.accumulated.absorb(trace.bitmap)
 
     def consider(self, generated: GeneratedClass) -> bool:
         trace = generated.tracefile
-        if not (self.accumulated is not None
-                and self.accumulated.has_new(trace.bitmap)):
-            if trace.stmt_ids <= self.covered_statements and \
-                    trace.br_ids <= self.covered_branches:
-                return False
+        if trace.stmt_ids <= self.covered_statements and \
+                trace.br_ids <= self.covered_branches:
+            return False
         self.covered_statements |= trace.stmt_ids
         self.covered_branches |= trace.br_ids
-        if self.accumulated is not None:
-            self.accumulated.absorb(trace.bitmap)
         return True
 
 
@@ -639,14 +614,6 @@ class _AcceptAllAcceptance(_AcceptancePolicy):
 # ---------------------------------------------------------------------------
 # The batched speculative driver
 # ---------------------------------------------------------------------------
-
-def _check_coverage_index(coverage_index: str) -> str:
-    """Validate a ``coverage_index`` argument (``"exact"``/``"bitmap"``)."""
-    if coverage_index not in COVERAGE_INDEXES:
-        raise ValueError(f"unknown coverage index {coverage_index!r}; "
-                         f"expected one of {COVERAGE_INDEXES}")
-    return coverage_index
-
 
 def _prepare_checkpoint(checkpoint_dir, checkpoint_every: int,
                         resume: bool, telemetry):
@@ -795,8 +762,7 @@ def classfuzz(seeds: Sequence[JClass], iterations: int,
               telemetry=None, batch: int = 1,
               schedule=None, checkpoint_dir=None,
               checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-              resume: bool = False,
-              coverage_index: str = "exact") -> FuzzResult:
+              resume: bool = False) -> FuzzResult:
     """Algorithm 1: coverage-directed generation with MCMC mutator selection.
 
     Args:
@@ -831,13 +797,7 @@ def classfuzz(seeds: Sequence[JClass], iterations: int,
         checkpoint_every: iteration interval between checkpoints.
         resume: restore ``checkpoint_dir``'s latest snapshot and continue
             from it (fresh start when none exists yet).
-        coverage_index: ``"exact"`` (default) or ``"bitmap"`` — whether
-            acceptance runs the exact criterion directly or behind the
-            fixed-width bitmap novelty prefilter
-            (:mod:`repro.coverage.bitmap`).  Decisions are byte-identical
-            either way; bitmap mode only changes their cost.
     """
-    _check_coverage_index(coverage_index)
     rng = random.Random(seed)
     observer = _FuzzObserver(telemetry, f"classfuzz[{criterion}]")
     engine = _FuzzEngine(seeds, rng, mutators, reference, executor,
@@ -845,15 +805,13 @@ def classfuzz(seeds: Sequence[JClass], iterations: int,
     selector = McmcMutatorSelector(mutators, p=p, rng=rng,
                                    telemetry=telemetry)
     result = FuzzResult("classfuzz", criterion, iterations, batch=batch,
-                        scheduler=engine.pool.scheduler.name,
-                        coverage_index=coverage_index)
+                        scheduler=engine.pool.scheduler.name)
     checkpointer, state = _prepare_checkpoint(
         checkpoint_dir, checkpoint_every, resume, telemetry)
     return _run_pipeline(
         result, engine, selector,
-        _UniquenessAcceptance(make_criterion(
-            criterion, telemetry=telemetry,
-            coverage_index=coverage_index)),
+        _UniquenessAcceptance(make_criterion(criterion,
+                                             telemetry=telemetry)),
         observer, iterations, batch, seed_feedback=seed_feedback,
         checkpointer=checkpointer, checkpoint_state=state)
 
@@ -865,25 +823,20 @@ def uniquefuzz(seeds: Sequence[JClass], iterations: int, seed: int = 0,
                telemetry=None, batch: int = 1,
                schedule=None, checkpoint_dir=None,
                checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-               resume: bool = False,
-               coverage_index: str = "exact") -> FuzzResult:
+               resume: bool = False) -> FuzzResult:
     """classfuzz minus MCMC: uniform mutator selection, [stbr] uniqueness."""
-    _check_coverage_index(coverage_index)
     rng = random.Random(seed)
     observer = _FuzzObserver(telemetry, "uniquefuzz")
     engine = _FuzzEngine(seeds, rng, mutators, reference, executor,
                          observer, scheduler=make_scheduler(schedule))
     selector = UniformMutatorSelector(mutators, rng=rng)
     result = FuzzResult("uniquefuzz", "stbr", iterations, batch=batch,
-                        scheduler=engine.pool.scheduler.name,
-                        coverage_index=coverage_index)
+                        scheduler=engine.pool.scheduler.name)
     checkpointer, state = _prepare_checkpoint(
         checkpoint_dir, checkpoint_every, resume, telemetry)
     return _run_pipeline(
         result, engine, selector,
-        _UniquenessAcceptance(make_criterion(
-            "stbr", telemetry=telemetry,
-            coverage_index=coverage_index)),
+        _UniquenessAcceptance(make_criterion("stbr", telemetry=telemetry)),
         observer, iterations, batch,
         checkpointer=checkpointer, checkpoint_state=state)
 
@@ -895,22 +848,19 @@ def greedyfuzz(seeds: Sequence[JClass], iterations: int, seed: int = 0,
                telemetry=None, batch: int = 1,
                schedule=None, checkpoint_dir=None,
                checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-               resume: bool = False,
-               coverage_index: str = "exact") -> FuzzResult:
+               resume: bool = False) -> FuzzResult:
     """Greedy baseline: accept only mutants growing accumulated coverage."""
-    _check_coverage_index(coverage_index)
     rng = random.Random(seed)
     observer = _FuzzObserver(telemetry, "greedyfuzz")
     engine = _FuzzEngine(seeds, rng, mutators, reference, executor,
                          observer, scheduler=make_scheduler(schedule))
     selector = UniformMutatorSelector(mutators, rng=rng)
     result = FuzzResult("greedyfuzz", None, iterations, batch=batch,
-                        scheduler=engine.pool.scheduler.name,
-                        coverage_index=coverage_index)
+                        scheduler=engine.pool.scheduler.name)
     checkpointer, state = _prepare_checkpoint(
         checkpoint_dir, checkpoint_every, resume, telemetry)
     return _run_pipeline(result, engine, selector,
-                         _GreedyAcceptance(coverage_index=coverage_index),
+                         _GreedyAcceptance(),
                          observer, iterations, batch,
                          checkpointer=checkpointer,
                          checkpoint_state=state)
@@ -923,26 +873,21 @@ def randfuzz(seeds: Sequence[JClass], iterations: int, seed: int = 0,
              telemetry=None, batch: int = 1,
              schedule=None, checkpoint_dir=None,
              checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-             resume: bool = False,
-             coverage_index: str = "exact") -> FuzzResult:
+             resume: bool = False) -> FuzzResult:
     """Blind baseline: every dumped mutant is a test; no coverage runs.
 
     ``reference`` and ``executor`` are accepted for signature parity with
     the directed algorithms — callers (and :mod:`repro.core.campaign`)
     can inject one instrumented/stub JVM and one engine uniformly across
-    all four — but randfuzz never executes the reference JVM.  Likewise
-    ``coverage_index`` is validated and recorded for parity, but with no
-    coverage runs there is nothing to index.
+    all four — but randfuzz never executes the reference JVM.
     """
-    _check_coverage_index(coverage_index)
     rng = random.Random(seed)
     observer = _FuzzObserver(telemetry, "randfuzz")
     engine = _FuzzEngine(seeds, rng, mutators, reference, executor,
                          observer, scheduler=make_scheduler(schedule))
     selector = UniformMutatorSelector(mutators, rng=rng)
     result = FuzzResult("randfuzz", None, iterations, batch=batch,
-                        scheduler=engine.pool.scheduler.name,
-                        coverage_index=coverage_index)
+                        scheduler=engine.pool.scheduler.name)
     checkpointer, state = _prepare_checkpoint(
         checkpoint_dir, checkpoint_every, resume, telemetry)
     return _run_pipeline(result, engine, selector,

@@ -72,8 +72,8 @@ def evaluate_suite(name: str, classfiles: Sequence[Tuple[str, bytes]],
     """Run a suite through the harness and summarise it (a Table 6 row).
 
     ``executor`` overrides the harness's engine for this evaluation —
-    e.g. a :func:`~repro.core.executor.ParallelExecutor` to fan the suite
-    out over workers.
+    e.g. a :class:`~repro.core.executor.ProcessExecutor` to fan the
+    suite out over workers.
     """
     harness = harness or DifferentialHarness()
     results = harness.run_many(classfiles, executor=executor)

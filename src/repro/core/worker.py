@@ -1,23 +1,17 @@
 """Worker-process internals for the process backend's reference path.
 
-Two worker disciplines live here, selected by ``--worker-mode``:
-
-* **persistent** — the optimised default.  Each pool worker unpickles
-  the reference JVM once at initialisation and keeps the parsed vendor
-  policy, runtime and library environment warm across mutants;
-  ``Jvm.run`` already builds a fresh interpreter per call, so the only
-  per-run reset needed is the (thread-local) coverage collector scope.
-  Workers intern coverage through the shared site table and return
-  packed ``(id, count)`` arrays — written into their assigned
-  :class:`~repro.coverage.shm.TraceSlotRing` slot when one was granted —
-  so neither a string dict pickle nor a parent-side re-interning pass
-  survives on the hot path.  A ``max_runs_per_worker`` recycle bound
-  rebuilds the JVM from its pickle blob in place every N runs: leak
-  hygiene for a long campaign without tearing the process down.
-* **fork** — the fork-per-call baseline the benchmark gate measures
-  against: an ``mp.Pool(maxtasksperchild=1)`` gives every reference run
-  a freshly forked process that rebuilds the JVM from the blob and
-  ships its tracefile back as the classic pickled dict.
+Each pool worker is **persistent**: it unpickles the reference JVM once
+at initialisation and keeps the parsed vendor policy, runtime and
+library environment warm across mutants; ``Jvm.run`` already builds a
+fresh interpreter per call, so the only per-run reset needed is the
+(thread-local) coverage collector scope.  Workers intern coverage
+through the shared site table and return packed ``(id, count)`` arrays —
+written into their assigned :class:`~repro.coverage.shm.TraceSlotRing`
+slot when one was granted — so neither a string dict pickle nor a
+parent-side re-interning pass survives on the hot path.  A
+``max_runs_per_worker`` recycle bound rebuilds the JVM from its pickle
+blob in place every N runs: leak hygiene for a long campaign without
+tearing the process down.
 
 Every run's result carries ``warm`` (state was already built when the
 run arrived) and ``recycled`` flags so the parent can account warm/cold
@@ -34,13 +28,9 @@ import pickle
 import signal
 import time
 from array import array
-from contextlib import contextmanager
 from typing import Optional, Tuple
 
 from repro.coverage import shm
-from repro.coverage.bitmap import (CoverageBitmap,
-                                   collector_bitmaps_enabled,
-                                   enable_collector_bitmaps)
 from repro.coverage.interner import GLOBAL_INTERNER, SharedTableFull
 from repro.coverage.probes import CoverageCollector, enable_cmp_coverage
 
@@ -67,53 +57,25 @@ class _PersistentState:
 
 _PERSISTENT: Optional[_PersistentState] = None
 
-_FORK_BLOB: Optional[bytes] = None
-
-
-@contextmanager
-def sigterm_blocked():
-    """Block SIGTERM in this thread and the threads and forks it starts.
-
-    The fork-mode pool is built inside this block, so its workers, and
-    the pool thread that forks their replacements, start with SIGTERM
-    blocked until :func:`_default_sigterm` unblocks it.
-    """
-    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-def _default_sigterm() -> None:
-    """Undo a graceful-shutdown SIGTERM handler inherited by fork.
-
-    A worker that only sets the parent's shutdown flag would survive
-    ``Pool.terminate()`` and hang the pool's ``join()`` forever; workers
-    hold nothing worth a final checkpoint, so they just die.  SIGTERM is
-    unblocked only once the default action is back, so one that arrived
-    while a fork-mode worker was starting kills it now.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-# ---------------------------------------------------------------------------
-# Persistent mode
-# ---------------------------------------------------------------------------
 
 def persistent_init(blob: bytes, table, ring, max_runs: int,
-                    bitmaps: bool, cmp_coverage: bool = False) -> None:
+                    cmp_coverage: bool = False) -> None:
     """Pool initializer: build the warm state once per worker process.
 
     ``table`` and ``ring`` arrive by fork inheritance (the parent
     attaches the table to its interner *before* the pool exists, so the
     attach below is normally a no-op on the inherited interner state).
+
+    A graceful-shutdown SIGTERM handler inherited by fork is undone
+    first: a worker that only sets the parent's shutdown flag would
+    survive pool shutdown, and workers hold nothing worth a final
+    checkpoint, so they just die.  SIGTERM is unblocked only once the
+    default action is back, so one that arrived while the worker was
+    starting kills it now.
     """
     global _PERSISTENT
-    _default_sigterm()
-    if bitmaps:
-        enable_collector_bitmaps()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     if cmp_coverage:
         enable_cmp_coverage()
     if table is not None:
@@ -176,14 +138,7 @@ def _pack(collector: CoverageCollector, ring,
         # Table capacity exhausted (or a count beyond 32 bits): fall
         # back to the exact pickled-dict transport for this run.
         return ("trace", collector.tracefile())
-    slots = None
-    buffer = b""
-    if collector_bitmaps_enabled():
-        bitmap = CoverageBitmap(statements, branches, comparisons)
-        slots = bitmap.slots
-        buffer = bitmap.buffer
-    payload = shm.encode_payload(stmt_pairs, br_pairs, cmp_pairs, slots,
-                                 buffer)
+    payload = shm.encode_payload(stmt_pairs, br_pairs, cmp_pairs)
     if slot_index is not None and ring is not None \
             and len(payload) <= ring.slot_size:
         ring.write(slot_index, payload)
@@ -201,34 +156,4 @@ def decode_payload(payload: tuple, ring):
         raw = ring.read(payload[1], payload[2])
     else:
         raw = payload[1]
-    stmt_pairs, br_pairs, cmp_pairs, slots, buffer = \
-        shm.decode_payload(raw)
-    return Tracefile.from_packed(stmt_pairs, br_pairs, cmp_pairs,
-                                 slots=slots, buffer=buffer)
-
-
-# ---------------------------------------------------------------------------
-# Fork-per-call baseline
-# ---------------------------------------------------------------------------
-
-def fork_init(blob: bytes) -> None:
-    """Per-process initializer for the fork-per-call pool.
-
-    With ``maxtasksperchild=1`` this runs once per *task*: the process
-    is discarded after its single run, so only the blob is stashed here
-    and all real construction happens inside :func:`fork_run`.
-    """
-    global _FORK_BLOB
-    _default_sigterm()
-    _FORK_BLOB = blob
-
-
-def fork_run(data: bytes) -> Tuple[object, object, float]:
-    """One cold reference run: rebuild the JVM, run, pickle the dict."""
-    jvm = pickle.loads(_FORK_BLOB)
-    collector = CoverageCollector()
-    started = time.perf_counter()
-    with collector:
-        outcome = jvm.run(data)
-    elapsed = time.perf_counter() - started
-    return outcome, collector.tracefile(), elapsed
+    return Tracefile.from_packed(*shm.decode_payload(raw))

@@ -1,22 +1,10 @@
 """Coverage instrumentation of the reference JVM (GCOV/LCOV substitute)."""
 
-from repro.coverage.bitmap import (
-    BITMAP_POWER,
-    BITMAP_SIZE,
-    AccumulatedBitmap,
-    CoverageBitmap,
-    branch_slot,
-    classify_count,
-    coverage_slots,
-    statement_slot,
-)
 from repro.coverage.interner import GLOBAL_INTERNER, SiteInterner
 from repro.coverage.probes import CoverageCollector, active_collector, probe, branch
 from repro.coverage.tracefile import Tracefile, merge
 from repro.coverage.uniqueness import (
-    COVERAGE_INDEXES,
     UNIQUENESS_CRITERIA,
-    BitmapPrefilteredCriterion,
     StUniqueness,
     StBrUniqueness,
     TrUniqueness,
@@ -25,12 +13,6 @@ from repro.coverage.uniqueness import (
 )
 
 __all__ = [
-    "AccumulatedBitmap",
-    "BITMAP_POWER",
-    "BITMAP_SIZE",
-    "BitmapPrefilteredCriterion",
-    "COVERAGE_INDEXES",
-    "CoverageBitmap",
     "CoverageCollector",
     "GLOBAL_INTERNER",
     "SiteInterner",
@@ -42,11 +24,7 @@ __all__ = [
     "UniquenessCriterion",
     "active_collector",
     "branch",
-    "branch_slot",
-    "classify_count",
-    "coverage_slots",
     "make_criterion",
     "merge",
     "probe",
-    "statement_slot",
 ]

@@ -25,7 +25,7 @@ entry stream.  Every process attached to the same table agrees on every
 id, which is what lets the process backend's persistent reference
 workers ship coverage as packed ``(id, count)`` arrays instead of
 string dicts.  The lock-free read fast path is unchanged — mirrors, like
-the table, only ever grow — and serial/thread backends never attach a
+the table, only ever grow — and the serial backend never attaches a
 table at all.
 """
 

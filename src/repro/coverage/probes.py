@@ -24,7 +24,6 @@ import threading
 from collections import Counter
 from typing import Optional
 
-from repro.coverage.bitmap import collector_bitmaps_enabled
 from repro.coverage.tracefile import Tracefile
 
 #: Thread-local slot holding the thread's active collector.
@@ -39,10 +38,9 @@ _COUNT_LOCK = threading.Lock()
 #: Off by default so the :func:`log_int32_cmp`-family probes are inert
 #: and decision streams stay byte-identical to runs without them; the
 #: ``--cmp-coverage`` CLI flag turns them on for the whole process (and,
-#: through the executor initializers, for worker processes).  Sticky —
-#: like the collector-bitmap flag — because a criterion's uniqueness
-#: state accumulated with comparison sites cannot be compared against
-#: tracefiles collected without them.
+#: through the executor initializers, for worker processes).  Sticky
+#: because a criterion's uniqueness state accumulated with comparison
+#: sites cannot be compared against tracefiles collected without them.
 _CMP_COVERAGE = False
 
 
@@ -115,19 +113,10 @@ class CoverageCollector:
         return self._statements, self._branches, self._comparisons
 
     def tracefile(self) -> Tracefile:
-        """Snapshot the recorded coverage.
-
-        When a bitmap-indexed run is active, the snapshot's bitmap view
-        is pre-built here — one slot-cache pass over the distinct sites,
-        amortised against the instrumented run it summarises — so the
-        acceptance hot path finds it already cached.
-        """
-        trace = Tracefile(statements=dict(self._statements),
-                          branches=dict(self._branches),
-                          comparisons=dict(self._comparisons))
-        if collector_bitmaps_enabled():
-            trace.bitmap
-        return trace
+        """Snapshot the recorded coverage."""
+        return Tracefile(statements=dict(self._statements),
+                         branches=dict(self._branches),
+                         comparisons=dict(self._comparisons))
 
 
 def active_collector() -> Optional[CoverageCollector]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
-from repro.coverage.bitmap import CoverageBitmap
 from repro.coverage.interner import GLOBAL_INTERNER
 
 #: Sentinel distinguishing "never computed" from any computed value.
@@ -46,23 +45,21 @@ class Tracefile:
     comparisons: Dict[str, int] = field(default_factory=dict)
 
     @staticmethod
-    def from_packed(stmt_pairs, br_pairs, cmp_pairs=None, interner=None,
-                    slots=None, buffer: bytes = b"") -> "Tracefile":
+    def from_packed(stmt_pairs, br_pairs, cmp_pairs=None,
+                    interner=None) -> "Tracefile":
         """Build a tracefile from packed ``(id, count)`` coverage arrays.
 
         The wire format of the process backend's persistent reference
         workers: ``stmt_pairs``/``br_pairs`` are flat
         ``id, count, id, count, ...`` sequences over ids minted in a
-        shared site table (see :mod:`repro.coverage.shm`), optionally
-        with the worker-computed bitmap ``slots``/``buffer``.  The
-        string-keyed dicts are materialised **lazily** — the bitmap
-        ``[tr]`` fast-accept path never touches them, and the interned
-        ``stmt_ids``/``br_ids`` views come straight from the id columns
-        with no string round-trip at all.
+        shared site table (see :mod:`repro.coverage.shm`).  The
+        string-keyed dicts are materialised **lazily** — acceptance
+        never touches them, and the interned ``stmt_ids``/``br_ids``
+        views come straight from the id columns with no string
+        round-trip at all.
         """
         return PackedTracefile(stmt_pairs, br_pairs, cmp_pairs=cmp_pairs,
-                               interner=interner, slots=slots,
-                               buffer=buffer)
+                               interner=interner)
 
     def _cached(self, slot: str, compute):
         value = self.__dict__.get(slot, _UNSET)
@@ -132,20 +129,6 @@ class Tracefile:
                      if self.comparisons else frozenset()))
 
     @property
-    def bitmap(self) -> CoverageBitmap:
-        """The fixed-width coverage-bitmap view (cached).
-
-        Built from interned-id slots, so — like ``stmt_ids``/``br_ids``
-        — it is process-local and dropped on pickling.  Usually already
-        cached when the acceptance path asks: collectors pre-build it at
-        collection time when a bitmap-indexed run is active.
-        """
-        return self._cached(
-            "_bitmap",
-            lambda: CoverageBitmap(self.statements, self.branches,
-                                   self.comparisons))
-
-    @property
     def signature(self) -> Tuple[int, int]:
         """The ``(stmt, br)`` coverage-statistics pair."""
         return len(self.statements), len(self.branches)
@@ -158,10 +141,9 @@ class Tracefile:
         """The ⊕ merge operator: union coverage of two runs."""
         return merge(self, other)
 
-    # Interned ids — and the bitmap slots derived from them — are
-    # process-local, so the cached derived views must not travel:
-    # pickle only the raw dicts and re-derive lazily in the receiving
-    # process.
+    # Interned ids are process-local, so the cached derived views must
+    # not travel: pickle only the raw dicts and re-derive lazily in the
+    # receiving process.
     def __getstate__(self):
         return {"statements": self.statements, "branches": self.branches,
                 "comparisons": self.comparisons}
@@ -179,18 +161,18 @@ class PackedTracefile(Tracefile):
 
     Holds the flat ``(id, count)`` arrays and materialises the
     string-keyed ``statements``/``branches`` dicts only on first access
-    (an exact-criterion confirm, a merge, an export) by reverse lookup
+    (a merge, an export) by reverse lookup
     through the interner's id mirrors.  Count-only views (``stmt``,
     ``br``, ``signature``) and the interned-id sets read the arrays
-    directly; a transported bitmap view is adopted at construction.
+    directly.
 
     Materialisation preserves site order: workers pack pairs in probe
     first-hit order, so the lazily built dicts iterate exactly like the
     dicts a serial in-process run would have produced.
     """
 
-    def __init__(self, stmt_pairs, br_pairs, cmp_pairs=None, interner=None,
-                 slots=None, buffer: bytes = b"") -> None:
+    def __init__(self, stmt_pairs, br_pairs, cmp_pairs=None,
+                 interner=None) -> None:
         setattr_ = object.__setattr__
         setattr_(self, "_stmt_pairs", stmt_pairs)
         setattr_(self, "_br_pairs", br_pairs)
@@ -198,9 +180,6 @@ class PackedTracefile(Tracefile):
                  else ())
         setattr_(self, "_interner",
                  interner if interner is not None else GLOBAL_INTERNER)
-        if slots is not None:
-            setattr_(self, "_bitmap",
-                     CoverageBitmap.from_transport(slots, buffer))
 
     @property
     def statements(self) -> Dict[str, int]:
@@ -299,27 +278,3 @@ def merge(first: Tracefile, second: Tracefile) -> Tracefile:
     return Tracefile(statements=statements, branches=branches,
                      comparisons=comparisons)
 
-
-def same_statement_sets(first: Tracefile, second: Tracefile) -> bool:
-    """Whether the two runs hit exactly the same statement sites.
-
-    Implements the paper's ``tr_cl.stmt = tr_t.stmt = (tr_cl ⊕ tr_t).stmt``
-    — equal statistics that survive merging means equal sets.  Because
-    ``|A| = |B| = |A ∪ B|`` holds exactly when ``A = B``, the key views
-    are compared directly instead of materialising the merged tracefile.
-    """
-    return first.statements.keys() == second.statements.keys()
-
-
-def same_branch_sets(first: Tracefile, second: Tracefile) -> bool:
-    """Branch-set analogue of :func:`same_statement_sets`."""
-    return first.branches.keys() == second.branches.keys()
-
-
-def same_comparison_sets(first: Tracefile, second: Tracefile) -> bool:
-    """Comparison-set analogue of :func:`same_statement_sets`.
-
-    Trivially true (two empty key views) whenever ``--cmp-coverage`` is
-    off, so pre-existing acceptance behaviour is unchanged.
-    """
-    return first.comparisons.keys() == second.comparisons.keys()

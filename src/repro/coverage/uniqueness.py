@@ -14,18 +14,9 @@ material of the coverage-growth time series.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
-from repro.coverage.bitmap import (
-    AccumulatedBitmap,
-    enable_collector_bitmaps,
-)
-from repro.coverage.tracefile import (
-    Tracefile,
-    same_branch_sets,
-    same_comparison_sets,
-    same_statement_sets,
-)
+from repro.coverage.tracefile import Tracefile
 
 
 class UniquenessCriterion:
@@ -38,17 +29,6 @@ class UniquenessCriterion:
 
     #: Short name used in tables ("st", "stbr", "tr").
     name = "abstract"
-
-    #: Whether this criterion is *set-semantic*: a trace is unique
-    #: exactly when its (statement, branch) hit sets differ from every
-    #: accepted trace's.  That property lets the bitmap wrapper decide
-    #: entirely in slot space (see :class:`BitmapPrefilteredCriterion`):
-    #: a never-seen slot proves a never-seen site (fast accept), and a
-    #: seen candidate only needs comparing against accepted traces with
-    #: its *exact* slot set, since equal hit sets force equal slot sets.
-    #: For the count statistics ([st]/[stbr]) a new site does *not*
-    #: imply a new count, so the wrapper stays inert and delegates.
-    prefilter_fast_path = False
 
     def __init__(self, telemetry=None) -> None:
         self.accepted_count = 0
@@ -133,7 +113,6 @@ class TrUniqueness(UniquenessCriterion):
     """
 
     name = "tr"
-    prefilter_fast_path = True
 
     def __init__(self, telemetry=None) -> None:
         super().__init__(telemetry)
@@ -159,147 +138,6 @@ class TrUniqueness(UniquenessCriterion):
         self._by_signature.setdefault(trace.signature, set()).add(key)
 
 
-class BitmapPrefilteredCriterion(UniquenessCriterion):
-    """An exact criterion behind the fixed-width bitmap novelty prefilter.
-
-    The prefilter-then-confirm contract (decisions stay byte-identical
-    to exact mode):
-
-    * bitmap says **"new"** (the candidate occupies a slot no accepted
-      trace does) *and* the wrapped criterion is set-semantic
-      (``prefilter_fast_path``) → accept.  Sound because slots are a
-      pure function of the site: a never-seen slot proves a never-seen
-      site, so the candidate's hit sets differ from every accepted
-      trace's.
-    * bitmap says **"seen"** (every slot already occupied — a duplicate
-      *or* a collision) → confirm against ``_by_slots``, the accepted
-      traces bucketed by their slot set's cached hash (an int key, so
-      the probe never replays a full frozenset equality).  Equal hit
-      sets force equal slot sets, hence equal hashes, so only the
-      candidate's own bucket can hold an indistinguishable trace; an
-      empty bucket means the "seen" verdict was a subset coincidence
-      and the candidate is unique after all.  Bucket members are
-      compared on the raw coverage-dict key views — site-for-site
-      hit-set equality, the same relation ``[tr]``'s interned
-      frozensets encode, and the comparison that decides, so a
-      hash-collision bucket mixing different slot sets stays harmless —
-      and the whole bitmap-mode decision path never builds an interned
-      view at all (the big per-decision saving over the exact index).
-      Collisions therefore cost a bucket comparison, never a wrong
-      decision.
-    * non-set-semantic criteria ([st]/[stbr], where a new slot cannot
-      imply a new count) → the prefilter is inert and every check
-      **"bypass"**\\ es straight to the exact criterion.
-
-    Telemetry: ``repro_bitmap_prefilter_total{criterion,outcome}``
-    counts the new/seen/bypass verdicts — the prefilter's hit/miss
-    ratio — alongside the base class's usual uniqueness instruments.
-    """
-
-    def __init__(self, exact: UniquenessCriterion, telemetry=None) -> None:
-        self.name = exact.name
-        super().__init__(telemetry)
-        self.exact = exact
-        self.accumulated = AccumulatedBitmap()
-        self._fast = exact.prefilter_fast_path
-        #: slot-set hash → accepted traces whose slot sets hash there.
-        self._by_slots: Dict[int, List[Tracefile]] = {}
-        if telemetry is not None:
-            self._prefilter = telemetry.registry.counter(
-                "repro_bitmap_prefilter_total",
-                "Bitmap-prefilter verdicts by criterion and outcome.",
-                ("criterion", "outcome"))
-            self._slots_gauge = telemetry.registry.gauge(
-                "repro_coverage_bitmap_slots",
-                "Occupied slots in the accumulated coverage bitmap.",
-                ("criterion",)).labels(criterion=self.name)
-        else:
-            self._prefilter = None
-            self._slots_gauge = None
-
-    def _note(self, outcome: str) -> None:
-        if self._prefilter is not None:
-            self._prefilter.labels(criterion=self.name,
-                                   outcome=outcome).inc()
-
-    def is_unique(self, trace: Tracefile) -> bool:
-        if not self._fast:
-            self._note("bypass")
-            return self.exact.is_unique(trace)
-        if self.accumulated.has_new(trace.bitmap):
-            self._note("new")
-            return True
-        self._note("seen")
-        return self._unique_in_bucket(trace)
-
-    def _unique_in_bucket(self, trace: Tracefile) -> bool:
-        bucket = self._by_slots.get(hash(trace.bitmap.slots))
-        if bucket is None:
-            return True
-        return not any(same_statement_sets(trace, other)
-                       and same_branch_sets(trace, other)
-                       and same_comparison_sets(trace, other)
-                       for other in bucket)
-
-    def _record(self, trace: Tracefile) -> None:
-        self.accumulated.absorb(trace.bitmap)
-        if self._slots_gauge is not None:
-            self._slots_gauge.set(len(self.accumulated.slots))
-        if self._fast:
-            self._by_slots.setdefault(hash(trace.bitmap.slots),
-                                      []).append(trace)
-        else:
-            self.exact._record(trace)
-
-    def check_and_accept(self, trace: Tracefile) -> bool:
-        """The fused per-mutant decision (the acceptance hot path).
-
-        Semantically identical to the base class's check-then-accept,
-        but one frame with one set pass: the candidate's slots are
-        unioned into the accumulator *first* and novelty read off the
-        size change — for a candidate that ends up rejected the union
-        is a no-op (its slots were already a subset), so the state
-        mutation is unobservable either way.
-        """
-        if not self._fast:
-            return super().check_and_accept(trace)
-        slots = trace.bitmap.slots
-        key = hash(slots)
-        accumulated = self.accumulated.slots
-        before = len(accumulated)
-        accumulated |= slots
-        if len(accumulated) != before:
-            unique = True
-            outcome = "new"
-            if self._slots_gauge is not None:
-                self._slots_gauge.set(len(accumulated))
-        else:
-            outcome = "seen"
-            unique = True
-            bucket = self._by_slots.get(key)
-            if bucket is not None:
-                for other in bucket:
-                    if (same_statement_sets(trace, other)
-                            and same_branch_sets(trace, other)
-                            and same_comparison_sets(trace, other)):
-                        unique = False
-                        break
-        if unique:
-            self._by_slots.setdefault(key, []).append(trace)
-            self.accepted_count += 1
-        if self.telemetry is not None:
-            if unique and self._unique is not None:
-                self._unique.set(self.accepted_count)
-            if self._prefilter is not None:
-                self._prefilter.labels(criterion=self.name,
-                                       outcome=outcome).inc()
-            if self._checks is not None:
-                self._checks.labels(
-                    criterion=self.name,
-                    outcome="accepted" if unique else "rejected").inc()
-        return unique
-
-
 #: Criterion name → factory.
 UNIQUENESS_CRITERIA = {
     "st": StUniqueness,
@@ -307,26 +145,11 @@ UNIQUENESS_CRITERIA = {
     "tr": TrUniqueness,
 }
 
-#: Acceptance-index implementations selectable on fuzz/campaign runs.
-COVERAGE_INDEXES = ("exact", "bitmap")
 
-
-def make_criterion(name: str, telemetry=None,
-                   coverage_index: str = "exact") -> UniquenessCriterion:
-    """Instantiate a criterion by table name (``st``/``stbr``/``tr``).
-
-    ``coverage_index="bitmap"`` wraps the exact criterion in the
-    :class:`BitmapPrefilteredCriterion` and turns on collection-time
-    bitmap pre-building for this process; acceptance decisions are
-    byte-identical to ``"exact"`` either way.
-    """
+def make_criterion(name: str, telemetry=None) -> UniquenessCriterion:
+    """Instantiate a criterion by table name (``st``/``stbr``/``tr``)."""
     try:
         factory = UNIQUENESS_CRITERIA[name]
     except KeyError:
         raise ValueError(f"unknown uniqueness criterion {name!r}") from None
-    if coverage_index == "exact":
-        return factory(telemetry)
-    if coverage_index != "bitmap":
-        raise ValueError(f"unknown coverage index {coverage_index!r}")
-    enable_collector_bitmaps()
-    return BitmapPrefilteredCriterion(factory(), telemetry)
+    return factory(telemetry)

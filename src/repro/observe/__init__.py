@@ -53,7 +53,6 @@ from repro.observe.summary import (
     parse_prometheus,
     replay_events,
     summarize_events,
-    summarize_prefilter,
     summarize_workers,
     write_timeseries,
 )
@@ -82,7 +81,7 @@ __all__ = [
     # summary
     "CORE_METRIC_FAMILIES", "check_prometheus", "load_events",
     "parse_prometheus", "replay_events", "summarize_events",
-    "summarize_prefilter", "summarize_workers", "write_timeseries",
+    "summarize_workers", "write_timeseries",
     # telemetry + tracing
     "Telemetry", "make_telemetry", "NULL_SPAN", "NullSpan", "Span",
     "Tracer", "ambient_phase_span", "ambient_telemetry",

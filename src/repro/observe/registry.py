@@ -10,9 +10,10 @@ compatibility and feed the same hot-path code.
 
 Design points:
 
-* **Thread safety.** Worker threads of the thread-pool executor record
-  concurrently; every instrument guards its state with its own lock (the
-  GIL does not make ``+=`` atomic across the read/add/store bytecodes).
+* **Thread safety.** The monitor's HTTP threads and the service's
+  status publisher read instruments while the run records them; every
+  instrument guards its state with its own lock (the GIL does not make
+  ``+=`` atomic across the read/add/store bytecodes).
 * **Label families.** ``registry.counter(name, help, ("vendor",))``
   returns a family; ``family.labels(vendor="hotspot9")`` returns the
   child instrument, cached per label-value tuple so hot paths can

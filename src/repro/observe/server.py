@@ -245,9 +245,9 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   <div class="tile"><div class="label">mutants / sec</div>
     <div class="value" id="t-rate">&ndash;</div>
     <div class="sub">30s window</div></div>
-  <div class="tile"><div class="label">coverage slots</div>
+  <div class="tile"><div class="label">unique traces</div>
     <div class="value" id="t-cov">&ndash;</div>
-    <div class="sub" id="t-covp"></div></div>
+    <div class="sub">accepted suite</div></div>
   <div class="tile" id="tile-disc"><div class="label">discrepancies</div>
     <div class="value" id="t-disc">&ndash;</div>
     <div class="sub" id="t-clus"></div></div>
@@ -255,7 +255,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 
 <div class="charts">
   <div class="chart">
-    <h2>coverage slots over time</h2>
+    <h2>unique traces over time</h2>
     <div class="readout" id="r-cov">&nbsp;</div>
     <canvas id="c-cov"></canvas>
   </div>
@@ -336,9 +336,8 @@ function push(series, t, yv) {
 function render(s) {
   const run = s.run || {}, p = s.progress || {};
   const cov = s.coverage || {}, d = s.discrepancies || {};
-  const slots = cov.bitmap_slots || {};
-  const slotMax = Object.keys(slots).length
-    ? Math.max(...Object.values(slots)) : null;
+  const unique = Object.values(cov.unique_traces || {});
+  const uniqueMax = unique.length ? Math.max(...unique) : null;
   const label = [run.id, run.config_fingerprint ? "cfg " +
     run.config_fingerprint : "", p.algorithm ? "alg " + p.algorithm : "",
     run.uptime_seconds !== undefined ?
@@ -350,19 +349,17 @@ function render(s) {
   $("t-acc").textContent = (100 * (p.acceptance_rate || 0)).toFixed(1) + "%";
   $("t-accn").textContent = fmt(p.accepted) + " accepted";
   $("t-rate").textContent = (p.mutants_per_second || 0).toFixed(1);
-  $("t-cov").textContent = slotMax === null ? "\\u2013" : fmt(slotMax);
-  $("t-covp").textContent = cov.bitmap_occupancy !== undefined ?
-    (100 * cov.bitmap_occupancy).toFixed(2) + "% of bitmap" : "";
+  $("t-cov").textContent = uniqueMax === null ? "\\u2013" : fmt(uniqueMax);
   $("t-disc").textContent = fmt(d.total || 0);
   $("t-clus").textContent = (d.triage_clusters || 0) + " clusters";
   $("tile-disc").classList.toggle("alert", (d.total || 0) > 0);
-  if (slotMax !== null) push(covSeries, s.now, slotMax);
+  if (uniqueMax !== null) push(covSeries, s.now, uniqueMax);
   if (p.iterations) push(accSeries, s.now,
                          +(100 * p.acceptance_rate).toFixed(2));
   sparkline($("c-cov"), $("r-cov"), covSeries,
             getComputedStyle(document.documentElement)
               .getPropertyValue("--series-1").trim(),
-            v => fmt(v) + " slots");
+            v => fmt(v) + " traces");
   sparkline($("c-acc"), $("r-acc"), accSeries,
             getComputedStyle(document.documentElement)
               .getPropertyValue("--series-2").trim(),

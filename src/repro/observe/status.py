@@ -6,8 +6,8 @@ current round, mutants/sec over a sliding window, acceptance tallies,
 checkpoint high-water mark, discrepancy and triage counts — and, at
 snapshot time, reads the shared
 :class:`~repro.observe.registry.MetricsRegistry` for everything the
-instruments already track (bitmap-prefilter outcomes, per-vendor JVM
-runs, cache hit rates, unique-trace and coverage-slot gauges).
+instruments already track (per-vendor JVM runs, cache hit rates, the
+unique-trace gauge).
 
 Everything mutable lives behind one lock; ``snapshot()`` copies under it
 and assembles the JSON-ready dict outside, so an HTTP scrape holds the
@@ -37,10 +37,6 @@ from repro.observe.registry import MetricsRegistry
 
 #: Sliding-window length (seconds) for the mutants/sec estimate.
 RATE_WINDOW_SECONDS = 30.0
-
-#: Total bitmap slots (mirrors ``repro.coverage.bitmap.BITMAP_SIZE``;
-#: duplicated here so ``observe`` stays importable without ``coverage``).
-_BITMAP_SLOTS = 1 << 16
 
 
 def config_fingerprint(config: Dict[str, Any]) -> str:
@@ -192,7 +188,6 @@ class StatusTracker(EventSink):
             "job": job,
             "progress": progress,
             "coverage": self._coverage_section(),
-            "prefilter": self._prefilter_section(),
             "executor": self._executor_section(),
             "discrepancies": discrepancies,
             "checkpoint": checkpoint,
@@ -229,31 +224,7 @@ class StatusTracker(EventSink):
     def _coverage_section(self) -> Dict[str, Any]:
         unique = {".".join(k) if k else "all": v for k, v
                   in self._family_values("repro_unique_traces")}
-        slots = {".".join(k) if k else "all": int(v) for k, v
-                 in self._family_values("repro_coverage_bitmap_slots")}
-        section: Dict[str, Any] = {"unique_traces": unique,
-                                   "bitmap_slots": slots}
-        if slots:
-            filled = max(slots.values())
-            section["bitmap_occupancy"] = round(filled / _BITMAP_SLOTS, 6)
-        return section
-
-    def _prefilter_section(self) -> Dict[str, Any]:
-        by_criterion: Dict[str, Dict[str, float]] = {}
-        for key, value in self._family_values(
-                "repro_bitmap_prefilter_total"):
-            criterion, outcome = key if len(key) == 2 else ("?", "?")
-            by_criterion.setdefault(criterion, {})[outcome] = value
-        section: Dict[str, Any] = {}
-        for criterion, outcomes in sorted(by_criterion.items()):
-            new = outcomes.get("new", 0.0)
-            seen = outcomes.get("seen", 0.0)
-            decided = new + seen
-            section[criterion] = {
-                "outcomes": {k: int(v) for k, v in sorted(outcomes.items())},
-                "hit_rate": round(new / decided, 4) if decided else 0.0,
-            }
-        return section
+        return {"unique_traces": unique}
 
     def _executor_section(self) -> Dict[str, Any]:
         vendor_runs = {".".join(k) if k else "all": int(v) for k, v
@@ -282,8 +253,8 @@ class StatusTracker(EventSink):
     def _worker_subsection(self) -> Dict[str, Any]:
         """Warm/cold run split of the process backend's reference workers.
 
-        Empty (and omitted from the snapshot) for thread/serial runs,
-        which never start worker processes.
+        Empty (and omitted from the snapshot) for serial runs, which
+        never start worker processes.
         """
         runs = {".".join(k) if k else "?": int(v) for k, v
                 in self._family_values("repro_worker_runs_total")}

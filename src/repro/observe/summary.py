@@ -276,39 +276,6 @@ def write_timeseries(events: Sequence[Event],
     return len(rows) - 1
 
 
-def summarize_prefilter(samples: Dict[str, List[
-        Tuple[Dict[str, str], float]]]) -> Optional[str]:
-    """Render the bitmap-prefilter hit/miss ratio from parsed metrics.
-
-    Reads the ``repro_bitmap_prefilter_total{criterion,outcome}``
-    counters out of a :func:`parse_prometheus` result; returns ``None``
-    when the run recorded none (exact-index runs).
-    """
-    rows = samples.get("repro_bitmap_prefilter_total")
-    if not rows:
-        return None
-    by_criterion: Dict[str, Dict[str, float]] = {}
-    for labels, value in rows:
-        criterion = labels.get("criterion", "?")
-        outcome = labels.get("outcome", "?")
-        per = by_criterion.setdefault(criterion, {})
-        per[outcome] = per.get(outcome, 0.0) + value
-    lines = ["=== Bitmap prefilter ==="]
-    for criterion in sorted(by_criterion):
-        outcomes = by_criterion[criterion]
-        new = outcomes.get("new", 0.0)
-        seen = outcomes.get("seen", 0.0)
-        bypass = outcomes.get("bypass", 0.0)
-        decided = new + seen
-        rate = f"{new / decided:.1%}" if decided else "-"
-        line = (f"[{criterion}] {int(new)} new / {int(seen)} seen "
-                f"(hit rate {rate})")
-        if bypass:
-            line += f", {int(bypass)} bypassed"
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def summarize_workers(samples: Dict[str, List[
         Tuple[Dict[str, str], float]]]) -> Optional[str]:
     """Render the worker-process warm/cold run split from parsed metrics.
@@ -316,7 +283,7 @@ def summarize_workers(samples: Dict[str, List[
     Reads the ``repro_worker_runs_total{state}`` and
     ``repro_worker_recycles_total`` counters out of a
     :func:`parse_prometheus` result; returns ``None`` when the run
-    recorded none (thread/serial runs, which never start workers).
+    recorded none (serial runs, which never start workers).
     """
     rows = samples.get("repro_worker_runs_total")
     if not rows:

@@ -41,6 +41,7 @@ from repro.core.campaign import (
     safe_label,
 )
 from repro.core.checkpoint import atomic_write_bytes
+from repro.corpus.schedule import SCHEDULERS
 
 #: Every state a job (or leg) can be in, in lifecycle order.
 QUEUED = "queued"
@@ -87,7 +88,7 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     raises :class:`JobError` with an operator-readable message for
     anything malformed.  Common fields: ``seed`` (base RNG seed),
     ``seed_count`` (corpus size), ``batch``, ``seed_schedule``,
-    ``coverage_index``, ``checkpoint_every``.  Per-type fields:
+    ``checkpoint_every``.  Per-type fields:
 
     * ``fuzz`` — ``algorithm`` (a campaign label like ``classfuzz[tr]``,
       or bare ``classfuzz`` + ``criterion``) and ``iterations``;
@@ -105,10 +106,11 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     out["batch"] = _int_field(spec, "batch", 1, minimum=1)
     out["checkpoint_every"] = _int_field(
         spec, "checkpoint_every", 50, minimum=1)
-    out["seed_schedule"] = str(spec.get("seed_schedule", "uniform"))
-    out["coverage_index"] = str(spec.get("coverage_index", "exact"))
-    _require(out["coverage_index"] in ("exact", "bitmap"),
-             "spec.coverage_index must be 'exact' or 'bitmap'")
+    schedule = spec.get("seed_schedule", "uniform")
+    _require(isinstance(schedule, str) and schedule in SCHEDULERS,
+             f"spec.seed_schedule must be one of {sorted(SCHEDULERS)}, "
+             f"got {schedule!r}")
+    out["seed_schedule"] = schedule
     exec_fraction = spec.get("exec_fraction", 0.0)
     _require(isinstance(exec_fraction, (int, float))
              and 0.0 <= exec_fraction <= 1.0,

@@ -131,8 +131,7 @@ def _run_fuzz_leg(job: Job, leg: Dict[str, Any], leg_dir: Path,
             batch=spec["batch"], schedule=spec["seed_schedule"],
             checkpoint_dir=leg_dir / "checkpoint",
             checkpoint_every=spec["checkpoint_every"],
-            resume=True, coverage_index=spec["coverage_index"],
-            **extra)
+            resume=True, **extra)
     finally:
         executor.close()
     manifest = save_suite(result, leg_dir / "suite")

@@ -5,7 +5,7 @@ Two discrepancies are the *same bug candidate* when their fine-grained
 the coarse phase-only code vector is available as a fallback view for
 the paper's original §3.1.3 grouping.  A cluster's id is a hash of its
 signature alone — never of arrival order, timestamps, or backend — so
-ids are byte-identical across serial/thread/process executors and
+ids are byte-identical across serial/process executors and
 across a checkpoint kill/resume of the producing campaign.
 """
 

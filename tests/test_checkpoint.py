@@ -179,6 +179,27 @@ class TestKillAndResume:
                       checkpoint_dir=directory, checkpoint_every=10,
                       resume=True)
 
+    @pytest.mark.parametrize("index", ["exact", "bitmap"])
+    def test_legacy_coverage_index_ignored(self, index, seeds, tmp_path,
+                                           monkeypatch):
+        # Checkpoints written while the bitmap index existed record a
+        # coverage_index; both values made identical decisions.
+        baseline = classfuzz(seeds, iterations=40, seed=7, criterion="tr")
+        directory = tmp_path / "ckpt"
+        kill_after(monkeypatch, 1)
+        with pytest.raises(KeyboardInterrupt):
+            classfuzz(seeds, iterations=40, seed=7, criterion="tr",
+                      checkpoint_dir=directory, checkpoint_every=10)
+        monkeypatch.delenv(CRASH_AFTER_ENV)
+        path = directory / STATE_FILE
+        state = pickle.loads(path.read_bytes())
+        state["coverage_index"] = index
+        path.write_bytes(pickle.dumps(state))
+        resumed = classfuzz(seeds, iterations=40, seed=7, criterion="tr",
+                            checkpoint_dir=directory, checkpoint_every=10,
+                            resume=True)
+        assert fingerprint(resumed) == fingerprint(baseline)
+
     def test_checkpoint_written_events(self, seeds, tmp_path):
         telemetry = make_telemetry(ring_capacity=1024)
         ring = telemetry.bus.sinks[0]

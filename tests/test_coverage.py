@@ -11,7 +11,6 @@ from repro.coverage import (
     merge,
     probe,
 )
-from repro.coverage.tracefile import same_branch_sets, same_statement_sets
 from repro.coverage.uniqueness import (
     StBrUniqueness,
     StUniqueness,
@@ -75,22 +74,12 @@ class TestTracefile:
     def test_merge_operator_alias(self):
         assert (trace(["a"]) | trace(["b"])).stmt == 2
 
-    def test_same_statement_sets(self):
-        assert same_statement_sets(trace(["a", "b"]), trace(["a", "b"]))
-        assert not same_statement_sets(trace(["a", "b"]), trace(["a", "c"]))
-
-    def test_same_branch_sets(self):
-        first = trace([], [("x", True)])
-        second = trace([], [("x", False)])
-        assert not same_branch_sets(first, second)
-        assert same_branch_sets(first, trace([], [("x", True)]))
-
     def test_equal_counts_different_sets_detected_by_merge(self):
         """The [tr]-vs-[stbr] distinction: same statistics, different sets."""
         first = trace(["a", "b"])
         second = trace(["a", "c"])
         assert first.signature == second.signature
-        assert not same_statement_sets(first, second)
+        assert (first | second).stmt > first.stmt
 
 
 class TestUniquenessCriteria:

@@ -7,10 +7,8 @@ from repro.core.difftest import DifferentialHarness
 from repro.core.executor import (
     ExecutorStats,
     OutcomeCache,
-    ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     classfile_digest,
     make_executor,
 )
@@ -61,13 +59,8 @@ class TestSerialExecutor:
 class TestDeterminism:
     """Parallel engines must be bit-identical to the serial baseline."""
 
-    def test_thread_equals_serial(self, suite, serial_results):
-        with ThreadExecutor(jobs=4) as engine:
-            assert engine.run_differential(all_jvms(), suite) == \
-                serial_results
-
-    def test_thread_cached_equals_serial(self, suite, serial_results):
-        with ThreadExecutor(jobs=4, cache=OutcomeCache()) as engine:
+    def test_process_cached_equals_serial(self, suite, serial_results):
+        with ProcessExecutor(jobs=2, cache=OutcomeCache()) as engine:
             first = engine.run_differential(all_jvms(), suite)
             second = engine.run_differential(all_jvms(), suite)
         assert first == serial_results
@@ -82,7 +75,7 @@ class TestDeterminism:
         assert results == serial_results[:4]
 
     def test_harness_parallel_equals_serial(self, suite, serial_results):
-        with ParallelExecutor(jobs=3) as engine:
+        with ProcessExecutor(jobs=2) as engine:
             harness = DifferentialHarness(executor=engine)
             assert harness.run_many(suite) == serial_results
 
@@ -277,37 +270,22 @@ class TestFactories:
     def test_make_executor_uncached(self):
         assert make_executor(jobs=1, cache=False).cache is None
 
-    def test_make_executor_thread(self):
+    def test_make_executor_parallel_is_process(self):
         engine = make_executor(jobs=3)
-        assert isinstance(engine, ThreadExecutor)
+        assert isinstance(engine, ProcessExecutor)
         assert engine.jobs == 3
 
     def test_make_executor_process(self):
         engine = make_executor(jobs=2, backend="process")
         assert isinstance(engine, ProcessExecutor)
 
-    def test_parallel_executor_rejects_serial(self):
+    @pytest.mark.parametrize("backend", ["thread", "serial"])
+    def test_make_executor_rejects_other_backends(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(jobs=2, backend="serial")
-
-    def test_worker_mode_rejected_for_thread_backend(self):
-        with pytest.raises(ValueError, match="worker_mode"):
-            ParallelExecutor(jobs=2, backend="thread",
-                             worker_mode="persistent")
-
-    def test_process_rejects_unknown_worker_mode(self):
-        with pytest.raises(ValueError, match="worker mode"):
-            ProcessExecutor(jobs=2, worker_mode="bogus")
-
-    def test_make_executor_worker_mode_plumbed(self):
-        engine = make_executor(jobs=2, backend="process",
-                               worker_mode="fork")
-        assert engine.worker_mode == "fork"
-        assert make_executor(jobs=2, backend="process").worker_mode == \
-            "persistent"
+            make_executor(jobs=2, backend=backend)
 
     def test_context_manager_closes_pool(self, suite):
-        engine = ThreadExecutor(jobs=2)
+        engine = ProcessExecutor(jobs=2)
         with engine:
             engine.run_differential(all_jvms(), suite[:1])
         assert engine._pool is None
@@ -367,14 +345,14 @@ class TestCampaignEquivalence:
             for run in runs
         ]
 
-    def test_thread_campaign_equals_serial(self, seeds):
+    def test_process_campaign_equals_serial(self, seeds):
         kwargs = dict(budget_seconds=1200.0,
                       algorithms=("classfuzz[stbr]", "randfuzz"),
                       rng_seed=4, evaluate=True)
         serial = run_campaign(seeds, executor=SerialExecutor(), **kwargs)
-        with ThreadExecutor(jobs=4, cache=OutcomeCache()) as engine:
-            threaded = run_campaign(seeds, executor=engine, **kwargs)
-        assert self._vectors(serial) == self._vectors(threaded)
+        with ProcessExecutor(jobs=2, cache=OutcomeCache()) as engine:
+            parallel = run_campaign(seeds, executor=engine, **kwargs)
+        assert self._vectors(serial) == self._vectors(parallel)
 
     def test_campaign_cache_reports_hits(self, seeds):
         runs = run_campaign(seeds, budget_seconds=600.0,

@@ -14,7 +14,6 @@ from repro.core.executor import (
     OutcomeCache,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.jimple.to_classfile import compile_class_bytes
@@ -96,26 +95,17 @@ class TestSerialDedup:
 
 
 class TestParallelDedup:
-    def test_thread_backend_dedups(self, classfiles, jvm):
-        with ThreadExecutor(jobs=4, cache=OutcomeCache()) as engine:
-            results = engine.run_reference_many(
-                jvm, [classfiles[0]] * 6 + [classfiles[1]] * 2)
-            assert engine.stats.runs == 2
-            assert engine.stats.trace_misses == 2
-            assert engine.stats.trace_hits == 6
-        serial = SerialExecutor(cache=OutcomeCache()).run_reference_many(
-            jvm, [classfiles[0]] * 6 + [classfiles[1]] * 2)
-        assert results == serial
-
     def test_process_backend_dedups(self, classfiles, jvm):
-        batch = [classfiles[0]] * 4 + [classfiles[1]]
+        batch = [classfiles[0]] * 6 + [classfiles[1]] * 2
         try:
             with ProcessExecutor(jobs=2, cache=OutcomeCache()) as engine:
                 results = engine.run_reference_many(jvm, batch)
-                runs = engine.stats.runs
+                stats = engine.stats.snapshot()
         except (OSError, ValueError, ImportError) as exc:
             pytest.skip(f"process pool unavailable: {exc}")
-        assert runs == 2
+        assert stats.runs == 2
+        assert stats.trace_misses == 2
+        assert stats.trace_hits == 6
         serial = SerialExecutor(cache=OutcomeCache()).run_reference_many(
             jvm, batch)
         assert results == serial

@@ -8,8 +8,8 @@ Two guarantees are pinned here:
    captured from the pre-pipeline serial implementation
    (``tests/data/golden_serial_fuzz.json``).
 2. For a fixed ``(seed, batch)`` the run is **deterministic across
-   repeats and across executor backends** — serial, thread, and process
-   — because acceptance is replayed sequentially in batch-index order.
+   repeats and across executor backends** — serial and process — because
+   acceptance is replayed sequentially in batch-index order.
 """
 
 import hashlib
@@ -22,7 +22,6 @@ from repro.core.executor import (
     OutcomeCache,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.core.fuzzing import classfuzz, greedyfuzz, randfuzz, uniquefuzz
 from repro.corpus import CorpusConfig, generate_corpus
@@ -98,18 +97,11 @@ class TestBatchedDeterminism:
         assert first.batch == 8
 
     @pytest.mark.parametrize("key", ["classfuzz[stbr]", "greedyfuzz"])
-    def test_thread_backend_matches_serial(self, key, seeds):
+    def test_process_backend_matches_serial(self, key, seeds):
         baseline = RUNNERS[key](seeds, batch=8)
-        with ThreadExecutor(jobs=4, cache=OutcomeCache()) as engine:
-            threaded = RUNNERS[key](seeds, batch=8, executor=engine)
-        assert fingerprint(threaded) == fingerprint(baseline)
-
-    def test_process_backend_matches_serial(self, seeds):
-        baseline = RUNNERS["classfuzz[stbr]"](seeds, batch=8)
         try:
             with ProcessExecutor(jobs=2, cache=OutcomeCache()) as engine:
-                spawned = RUNNERS["classfuzz[stbr]"](
-                    seeds, batch=8, executor=engine)
+                spawned = RUNNERS[key](seeds, batch=8, executor=engine)
         except (OSError, ValueError, ImportError) as exc:
             pytest.skip(f"process pool unavailable: {exc}")
         assert fingerprint(spawned) == fingerprint(baseline)

@@ -116,7 +116,7 @@ class TestStatusTracker:
     def test_snapshot_schema_empty(self):
         snapshot = StatusTracker().snapshot()
         for section in ("run", "campaign", "progress", "coverage",
-                        "prefilter", "executor", "discrepancies",
+                        "executor", "discrepancies",
                         "checkpoint", "events", "now"):
             assert section in snapshot
         assert snapshot["progress"]["iterations"] == 0
@@ -177,14 +177,8 @@ class TestStatusTracker:
     def test_reads_registry_families(self):
         telemetry = Telemetry()
         registry = telemetry.registry
-        registry.counter("repro_bitmap_prefilter_total", "",
-                         ("criterion", "outcome")) \
-            .labels(criterion="tr", outcome="new").inc(30)
-        registry.counter("repro_bitmap_prefilter_total", "",
-                         ("criterion", "outcome")) \
-            .labels(criterion="tr", outcome="seen").inc(10)
-        registry.gauge("repro_coverage_bitmap_slots", "",
-                       ("criterion",)).labels(criterion="tr").set(512)
+        registry.gauge("repro_unique_traces", "",
+                       ("criterion",)).labels(criterion="tr").set(42)
         registry.counter("repro_jvm_runs_total", "", ("vendor",)) \
             .labels(vendor="hotspot9").inc(5)
         registry.counter("repro_cache_lookups_total", "",
@@ -194,11 +188,7 @@ class TestStatusTracker:
                          ("store", "result")) \
             .labels(store="outcome", result="miss").inc(2)
         snapshot = StatusTracker(registry).snapshot()
-        assert snapshot["prefilter"]["tr"]["hit_rate"] == 0.75
-        assert snapshot["prefilter"]["tr"]["outcomes"]["new"] == 30
-        assert snapshot["coverage"]["bitmap_slots"]["tr"] == 512
-        assert snapshot["coverage"]["bitmap_occupancy"] == \
-            pytest.approx(512 / 65536, abs=1e-6)
+        assert snapshot["coverage"] == {"unique_traces": {"tr": 42}}
         assert snapshot["executor"]["vendor_runs"]["hotspot9"] == 5
         assert snapshot["executor"]["caches"]["outcome"]["hit_rate"] == 0.8
 
@@ -246,23 +236,23 @@ class TestMonitorServer:
         monitor = MonitorServer(telemetry).start()
         try:
             classfuzz(seeds, 30, criterion="tr", seed=1,
-                      telemetry=telemetry, coverage_index="bitmap")
+                      telemetry=telemetry)
             code, headers, body = _get(monitor.url + "/")
             assert code == 200 and b"campaign monitor" in body
+            assert b"bitmap" not in body
             assert "text/html" in headers["Content-Type"]
             code, headers, body = _get(monitor.url + "/metrics")
             assert code == 200
             text = body.decode()
             assert "repro_iterations_total" in text
-            assert "repro_bitmap_prefilter_total" in text
+            assert "repro_unique_traces" in text
             from repro.observe.summary import parse_prometheus
             assert parse_prometheus(text)  # well-formed exposition
             code, _, body = _get(monitor.url + "/status")
             status = json.loads(body)
             assert status["progress"]["iterations"] == 30
             assert status["run"]["id"].startswith("classfuzz#")
-            assert status["run"]["config"]["coverage_index"] == "bitmap"
-            assert status["coverage"]["bitmap_slots"]["tr"] > 0
+            assert status["coverage"]["unique_traces"]["tr"] > 0
         finally:
             monitor.stop()
 
@@ -299,7 +289,7 @@ class TestMonitorServer:
             thread.start()
         try:
             classfuzz(seeds, 60, criterion="tr", seed=2,
-                      telemetry=telemetry, coverage_index="bitmap")
+                      telemetry=telemetry)
         finally:
             done.set()
             for thread in scrapers:

@@ -37,7 +37,6 @@ from repro.observe.summary import (
     parse_prometheus,
     replay_events,
     summarize_events,
-    summarize_prefilter,
     write_timeseries,
 )
 from repro.observe.telemetry import Telemetry, make_telemetry
@@ -482,27 +481,6 @@ class TestSummary:
             pytest.approx(8.957e-05)
         assert samples["tiny_negative"][0][1] == pytest.approx(-0.0015)
         assert samples["plain_exp"][0][1] == 2e6
-
-    def test_summarize_prefilter_renders_hit_rate(self):
-        text = ('repro_bitmap_prefilter_total'
-                '{criterion="tr",outcome="new"} 30\n'
-                'repro_bitmap_prefilter_total'
-                '{criterion="tr",outcome="seen"} 90\n'
-                'repro_bitmap_prefilter_total'
-                '{criterion="tr",outcome="bypass"} 5\n'
-                'repro_bitmap_prefilter_total'
-                '{criterion="stbr",outcome="new"} 4\n')
-        block = summarize_prefilter(parse_prometheus(text))
-        assert block.startswith("=== Bitmap prefilter ===")
-        assert "[tr] 30 new / 90 seen (hit rate 25.0%), 5 bypassed" in block
-        assert "[stbr] 4 new / 0 seen (hit rate 100.0%)" in block
-        # Criteria render in sorted order.
-        assert block.index("[stbr]") < block.index("[tr]")
-
-    def test_summarize_prefilter_absent_returns_none(self):
-        assert summarize_prefilter({}) is None
-        assert summarize_prefilter(
-            parse_prometheus("repro_iterations_total 5\n")) is None
 
     def test_check_prometheus_reports_missing_families(self):
         problems = check_prometheus("repro_iterations_total 5\n")

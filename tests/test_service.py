@@ -40,7 +40,7 @@ class TestSpecValidation:
         assert spec["algorithm"] == "classfuzz[stbr]"
         assert spec["iterations"] == 500
         assert spec["seed_count"] == 200
-        assert spec["coverage_index"] == "exact"
+        assert spec["seed_schedule"] == "uniform"
 
     def test_bare_classfuzz_takes_criterion(self):
         spec = validate_spec({"type": "fuzz", "algorithm": "classfuzz",
@@ -56,6 +56,7 @@ class TestSpecValidation:
         {"type": "fuzz", "algorithm": "quantumfuzz"},
         {"type": "fuzz", "iterations": 0},
         {"type": "fuzz", "iterations": "many"},
+        {"type": "fuzz", "seed_schedule": "bogus"},
         {"type": "campaign", "algorithms": []},
         {"type": "campaign", "budget_scale": -1},
         {"type": "difftest"},
@@ -89,6 +90,35 @@ class TestJobStore:
         assert (store.leg_dir(job.id, "randfuzz")).is_dir()
         # a fresh store over the same root sees the same queue
         assert JobStore(tmp_path).list_ids() == [job.id]
+
+    def test_record_with_coverage_index_still_runs(self, tmp_path):
+        # Records queued while the bitmap index existed carry a
+        # ``coverage_index`` field; the worker no longer reads it.
+        import signal
+
+        from repro.service.worker import run_leg
+
+        store = JobStore(tmp_path)
+        job = store.submit({"type": "fuzz", "algorithm": "classfuzz[tr]",
+                            "iterations": 20, "seed": 3, "seed_count": 8,
+                            "coverage_index": "bitmap"})
+        assert "coverage_index" not in job.spec
+        store.update(job.id, lambda record: record.spec.update(
+            coverage_index="bitmap"))
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            code = run_leg(store.root, job.id, "classfuzz-tr", 0, 0)
+        finally:
+            # run_leg routes SIGTERM to the graceful-shutdown flag.
+            signal.signal(signal.SIGTERM, previous)
+        assert code == 0
+        seeds = generate_corpus(CorpusConfig(count=8, seed=3))
+        expected = save_suite(
+            run_algorithm("classfuzz[tr]", seeds, 20, 3),
+            tmp_path / "expected")
+        served = store.leg_dir(job.id, "classfuzz-tr") / "suite"
+        assert expected.read_bytes() == \
+            (served / "manifest.json").read_bytes()
 
     def test_malformed_job_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)

@@ -19,7 +19,6 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.coverage.bitmap import BITMAP_SIZE, CoverageBitmap
 from repro.coverage.interner import SharedTableFull, SiteInterner
 from repro.coverage.shm import (
     KIND_BRANCH_TRUE,
@@ -191,37 +190,23 @@ class TestPackedPayload:
     def test_roundtrip_exact_mode(self):
         stmt = array("I", [0, 3, 2, 1])
         br = array("I", [1, 7])
-        out_stmt, out_br, out_cmp, slots, buffer = decode_payload(
-            encode_payload(stmt, br))
+        out_stmt, out_br, out_cmp = decode_payload(encode_payload(stmt, br))
         assert out_stmt == stmt
         assert out_br == br
         assert len(out_cmp) == 0
-        assert slots is None
-        assert buffer == b""
-
-    def test_roundtrip_bitmap_mode(self):
-        stmt = array("I", [0, 1])
-        buffer = bytes(BITMAP_SIZE)
-        out_stmt, _, _, slots, out_buffer = decode_payload(
-            encode_payload(stmt, array("I"), slots={5, 900}, buffer=buffer))
-        assert out_stmt == stmt
-        assert slots == frozenset({5, 900})
-        assert out_buffer == buffer
 
     def test_roundtrip_comparison_pairs(self):
         stmt = array("I", [0, 3])
         cmp_pairs = array("I", [1, 2, 4, 1])
-        out_stmt, _, out_cmp, slots, _ = decode_payload(
+        out_stmt, _, out_cmp = decode_payload(
             encode_payload(stmt, array("I"), cmp_pairs))
         assert out_stmt == stmt
         assert out_cmp == cmp_pairs
-        assert slots is None
 
     def test_empty_payload(self):
-        out_stmt, out_br, out_cmp, slots, buffer = decode_payload(
+        out_stmt, out_br, out_cmp = decode_payload(
             encode_payload(array("I"), array("I")))
         assert len(out_stmt) == len(out_br) == len(out_cmp) == 0
-        assert slots is None
 
 
 class TestPackedTracefile:
@@ -273,20 +258,3 @@ class TestPackedTracefile:
         clone = pickle.loads(pickle.dumps(tr))
         assert type(clone) is Tracefile
         assert clone == tr
-
-    def test_bitmap_adopted_from_transport(self):
-        # Slots hash through the process-global interner, so the packed
-        # trace uses it too (the from_packed default).
-        from repro.coverage.interner import GLOBAL_INTERNER
-
-        plain = Tracefile(statements={"s.a": 4, "s.b": 1},
-                          branches={("b.x", True): 2})
-        reference = plain.bitmap
-        sids = [GLOBAL_INTERNER.statement_id(s) for s in ("s.a", "s.b")]
-        bid = GLOBAL_INTERNER.branch_id(("b.x", True))
-        tr = Tracefile.from_packed(
-            array("I", [sids[0], 4, sids[1], 1]), array("I", [bid, 2]),
-            slots=reference.slots, buffer=reference.buffer)
-        assert "_bitmap" in tr.__dict__
-        assert tr.bitmap.slots == reference.slots
-        assert "_statements_dict" not in tr.__dict__

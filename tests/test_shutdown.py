@@ -67,7 +67,8 @@ class TestShutdownFlag:
 
 
 def _sigterm_after_init(init, args, conn):
-    # What a fork-mode worker inherits: the graceful handler, blocked.
+    # The worst a forked worker can inherit: the graceful handler,
+    # blocked.
     install_sigterm_handler()
     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     init(*args)
@@ -81,10 +82,8 @@ class TestWorkerSigterm:
     """Reference workers must die on ``Pool.terminate()``'s SIGTERM."""
 
     @pytest.mark.parametrize("init, args", [
-        (worker.fork_init, (pickle.dumps(None),)),
-        (worker.persistent_init,
-         (pickle.dumps(None), None, None, 0, False)),
-    ], ids=["fork_init", "persistent_init"])
+        (worker.persistent_init, (pickle.dumps(None), None, None, 0)),
+    ], ids=["persistent_init"])
     def test_initializer_restores_default_disposition(self, init, args):
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)

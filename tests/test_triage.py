@@ -359,8 +359,8 @@ class TestMinimize:
 class TestBackendDeterminism:
     def test_cluster_ids_identical_across_backends(self):
         """The acceptance criterion: triaging the same suite through
-        serial, thread, and process executors yields byte-identical
-        cluster ids, counts, and representatives."""
+        serial and process executors yields byte-identical cluster ids,
+        counts, and representatives."""
         from repro.core.difftest import DifferentialHarness
 
         suite = [("Bulky", bulky_bytes()),
@@ -368,9 +368,8 @@ class TestBackendDeterminism:
                  ("SubUnsafe", sub_unsafe_bytes()),
                  ("Demo", demo_bytes())]
         inventories = []
-        for jobs, backend in ((1, "thread"), (4, "thread"),
-                              (2, "process")):
-            executor = make_executor(jobs=jobs, backend=backend)
+        for jobs in (1, 2):
+            executor = make_executor(jobs=jobs)
             harness = DifferentialHarness(executor=executor)
             engine = TriageEngine()
             engine.add_many(harness.run_many(suite), dict(suite))
@@ -378,7 +377,7 @@ class TestBackendDeterminism:
                 [(c.cluster_id, c.count, c.representative, c.first_seen)
                  for c in engine.clusters()])
             executor.close()
-        assert inventories[0] == inventories[1] == inventories[2]
+        assert inventories[0] == inventories[1]
         assert len(inventories[0]) == 3  # Demo is clean
 
 

@@ -1,11 +1,11 @@
 """Decision-stream identity of the process backend's reference workers.
 
-The tentpole contract: the persistent worker mode — warm JVM state,
-shared site table, packed shared-memory coverage transport — must keep
-fuzzing decision streams **byte-identical** to the serial backend over
-full classfuzz rounds, in both coverage-index modes, through a
-kill → resume cycle, and the shared-memory segments it creates must
-never outlive the executor (normal close and interrupt paths alike).
+The contract: persistent workers — warm JVM state, shared site table,
+packed shared-memory coverage transport — must keep fuzzing decision
+streams **byte-identical** to the serial backend over full classfuzz
+rounds and through a kill → resume cycle, and the shared-memory
+segments they create must never outlive the executor (normal close and
+interrupt paths alike).
 """
 
 import hashlib
@@ -63,26 +63,13 @@ def process_engine(**kwargs):
 
 
 class TestDecisionStreamIdentity:
-    @pytest.mark.parametrize("coverage_index", ["exact", "bitmap"])
-    def test_persistent_matches_serial_over_tr_rounds(self, seeds,
-                                                      coverage_index):
+    def test_persistent_matches_serial_over_tr_rounds(self, seeds):
         baseline = classfuzz(seeds, iterations=60, criterion="tr",
-                             seed=7, batch=8,
-                             coverage_index=coverage_index)
-        with process_engine() as engine:
-            assert engine.worker_mode == "persistent"
-            parallel = classfuzz(seeds, iterations=60, criterion="tr",
-                                 seed=7, batch=8, executor=engine,
-                                 coverage_index=coverage_index)
-        assert fingerprint(parallel) == fingerprint(baseline)
-
-    def test_fork_mode_matches_serial(self, seeds):
-        baseline = classfuzz(seeds, iterations=40, criterion="tr",
                              seed=7, batch=8)
-        with process_engine(worker_mode="fork") as engine:
-            forked = classfuzz(seeds, iterations=40, criterion="tr",
-                               seed=7, batch=8, executor=engine)
-        assert fingerprint(forked) == fingerprint(baseline)
+        with process_engine() as engine:
+            parallel = classfuzz(seeds, iterations=60, criterion="tr",
+                                 seed=7, batch=8, executor=engine)
+        assert fingerprint(parallel) == fingerprint(baseline)
 
     def test_recycled_workers_keep_identity(self, seeds):
         baseline = classfuzz(seeds, iterations=40, criterion="stbr",
@@ -137,13 +124,6 @@ class TestWorkerAccounting:
             text = stats.format()
         assert "worker runs:" in text
         assert f"{stats.warm_runs} warm" in text
-
-    def test_fork_runs_all_cold(self, seeds):
-        with process_engine(worker_mode="fork") as engine:
-            classfuzz(seeds, iterations=24, criterion="stbr", seed=7,
-                      batch=8, executor=engine)
-            assert engine.stats.warm_runs == 0
-            assert engine.stats.cold_runs > 0
 
     def test_worker_telemetry_counters(self, seeds):
         from repro.observe import Telemetry
