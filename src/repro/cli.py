@@ -91,9 +91,21 @@ from repro.observe.summary import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_executor_options(command: argparse.ArgumentParser) -> None:
     """Execution-engine flags shared by the JVM-running commands."""
-    command.add_argument("--jobs", type=int, default=1,
+    command.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for JVM runs "
                               "(1 = serial)")
     command.add_argument("--stats", action="store_true",
@@ -155,25 +167,12 @@ def _add_corpus_options(command: argparse.ArgumentParser) -> None:
                               "casts, handler permutation) into the "
                               "rotation alongside the 129-mutator "
                               "registry")
-    command.add_argument("--cmp-coverage", dest="cmp_coverage",
-                         action="store_true",
-                         help="enable comparison-progress coverage "
-                              "probes (cmplog-style; off by default so "
-                              "decision streams stay byte-identical to "
-                              "the paper's two probe kinds)")
 
 
-def _apply_execution_options(args):
-    """Honour the execution-phase flags shared by ``fuzz``/``campaign``.
-
-    Flips the sticky comparison-coverage switch (before the executor is
-    built, so process workers inherit it) and returns the mutator
-    rotation override, or ``None`` for the default 129-mutator registry.
-    """
-    if args.cmp_coverage:
-        from repro.coverage.probes import enable_cmp_coverage
-
-        enable_cmp_coverage()
+def _mutator_rotation(args):
+    """The mutator rotation ``fuzz``/``campaign`` run: the registry plus
+    the execution-targeted mutators when asked, or ``None`` for the
+    default 129-mutator registry."""
     if args.execution_mutators:
         from repro.core.mutators import EXECUTION_MUTATORS, MUTATORS
 
@@ -247,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="stbr")
     fuzz.add_argument("--iterations", type=int, default=500)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--batch", type=int, default=1,
+    fuzz.add_argument("--batch", type=_positive_int, default=1,
                       help="speculative batch size: reference coverage "
                            "runs fan out across the executor workers in "
                            "rounds of this many mutants, with acceptance "
@@ -285,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seed", type=int, default=20160613)
     campaign.add_argument("--algorithms", nargs="*",
                           default=list(ALL_ALGORITHMS))
-    campaign.add_argument("--batch", type=int, default=1,
+    campaign.add_argument("--batch", type=_positive_int, default=1,
                           help="speculative batch size for every fuzzing "
                                "run (1 = serial Algorithm 1 loop)")
     campaign.add_argument("--mutator-report", type=int, default=0,
@@ -458,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="base RNG seed")
     submit.add_argument("--seed-count", type=int, default=None,
                         dest="seed_count", help="seed corpus size")
-    submit.add_argument("--batch", type=int, default=None,
+    submit.add_argument("--batch", type=_positive_int, default=None,
                         help="speculative batch size")
     submit.add_argument("--seed-schedule", default=None,
                         dest="seed_schedule", choices=sorted(SCHEDULERS),
@@ -471,9 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None, dest="execution_mutators",
                         help="merge the execution-targeted mutators into "
                              "the rotation")
-    submit.add_argument("--cmp-coverage", action="store_true",
-                        default=None, dest="cmp_coverage",
-                        help="enable comparison-progress coverage probes")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes; exit 0 only "
                              "when it completes")
@@ -544,7 +540,7 @@ def _cmd_fuzz(args) -> int:
     seeds = generate_corpus(CorpusConfig(count=args.seed_count,
                                          seed=args.seed,
                                          exec_fraction=args.exec_fraction))
-    mutators = _apply_execution_options(args)
+    mutators = _mutator_rotation(args)
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
     executor = make_executor(jobs=args.jobs, telemetry=telemetry)
@@ -697,7 +693,7 @@ def _cmd_campaign(args) -> int:
     seeds = generate_corpus(CorpusConfig(count=args.seed_count,
                                          seed=args.seed,
                                          exec_fraction=args.exec_fraction))
-    mutators = _apply_execution_options(args)
+    mutators = _mutator_rotation(args)
     budget = PAPER_BUDGET_SECONDS * args.budget_scale
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
@@ -1113,7 +1109,6 @@ def _build_submit_spec(args) -> dict:
         "seed_schedule": args.seed_schedule,
         "exec_fraction": args.exec_fraction,
         "execution_mutators": args.execution_mutators,
-        "cmp_coverage": args.cmp_coverage,
     }
     spec.update({key: value for key, value in overrides.items()
                  if value is not None})

@@ -296,31 +296,7 @@ def restore_run(state: Dict[str, object], result, engine,
     engine._name_counter = state["name_counter"]
     result.gen_classes = list(state["gen_classes"])
     result.test_classes = list(state["test_classes"])
-    _validate_shared_table()
     return state["index"], state["round_index"], state["elapsed"]
-
-
-def _validate_shared_table() -> None:
-    """Check a shared site table against the restored interning history.
-
-    Interned ids are never checkpointed — resume re-primes seeds and
-    re-absorbs the restored suite, replaying the interning order.  When
-    the run's executor attached a shared site table (the process
-    backend's persistent workers), the attach published those
-    replayed ids into the table, and this confirms table and local
-    mirror still agree entry-for-entry: the rebuilt cross-process id
-    space is bit-identical to the pre-kill one or the resume stops here
-    rather than silently diverging.
-    """
-    from repro.coverage.interner import GLOBAL_INTERNER
-    if GLOBAL_INTERNER.shared_table is None:
-        return
-    try:
-        GLOBAL_INTERNER.verify_shared()
-    except RuntimeError as exc:
-        raise CheckpointError(
-            f"shared site table diverged from the restored run's "
-            f"interning history: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ coverage-collected reference runs of the fuzzing loop — routes through an
 
 * :class:`SerialExecutor` — the in-order baseline;
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` backend that ships
-  classfile bytes to worker processes for real CPU parallelism.
+  classfile bytes to worker processes for real CPU parallelism.  Its
+  coverage-collected reference runs come back as pickled tracefiles,
+  which the parent re-keys onto its own interned site ids.
 
 Because ``Jvm.run(bytes)`` is a pure function of the classfile bytes and
 the vendor policy, runs can be cached content-addressed: an
@@ -38,9 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import worker
-from repro.coverage import shm
-from repro.coverage.interner import GLOBAL_INTERNER
-from repro.coverage.probes import CoverageCollector, cmp_coverage_enabled
+from repro.coverage.probes import CoverageCollector
 from repro.coverage.tracefile import Tracefile
 from repro.jvm.machine import Jvm
 from repro.jvm.outcome import DifferentialResult, Outcome
@@ -703,11 +703,11 @@ class ProcessExecutor(Executor):
     never re-pickles anything.
 
     The reference path runs on persistent workers (see
-    :mod:`repro.core.worker`): warm reference JVMs sharing the parent's
-    site table through shared memory, returning packed coverage in
-    :class:`~repro.coverage.shm.TraceSlotRing` slots, recycled every
-    ``max_runs_per_worker`` runs.  Decision streams stay byte-identical
-    to the serial backend.
+    :mod:`repro.core.worker`): warm reference JVMs, recycled every
+    ``max_runs_per_worker`` runs, that pickle each run's tracefile back.
+    The parent re-keys every returned trace onto its own interned ids
+    in submit order, so decision streams stay byte-identical to the
+    serial backend.
     """
 
     kind = "process"
@@ -727,9 +727,6 @@ class ProcessExecutor(Executor):
         self._ref_pool_key: Optional[bytes] = None
         self._ref_pool_id: Optional[int] = None
         self._map_pool: Optional[futures.ProcessPoolExecutor] = None
-        self._site_table = None
-        self._slot_ring = None
-        self._free_slots: List[int] = []
 
     def _ensure_pool(self, jvms: List[Jvm]) -> futures.ProcessPoolExecutor:
         # Identity fingerprint first: the common case is the same JVM
@@ -805,35 +802,24 @@ class ProcessExecutor(Executor):
             self._ref_pool_id = id(jvm)
             return self._ref_pool
         self._shutdown_ref_pool()
-        self._site_table = shm.SharedSiteTable()
-        # Attach before the pool exists: forked workers inherit an
-        # interner already mirroring the table, with every id the
-        # parent minted so far (seed priming included) published.
-        GLOBAL_INTERNER.attach_shared(self._site_table)
-        self._slot_ring = shm.TraceSlotRing(
-            slot_count=max(32, 4 * self.jobs))
-        self._free_slots = list(range(self._slot_ring.slot_count))
         self._ref_pool = futures.ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=worker.persistent_init,
-            initargs=(blob, self._site_table, self._slot_ring,
-                      self.max_runs_per_worker, cmp_coverage_enabled()))
+            initargs=(blob, self.max_runs_per_worker))
         self._ref_pool_key = blob
         self._ref_pool_id = id(jvm)
         return self._ref_pool
 
     def _run_reference_batch(self, jvm, batch):
         pool = self._ensure_ref_pool(jvm)
-        slots = [self._free_slots.pop() if self._free_slots else None
-                 for _ in batch]
-        pending = [pool.submit(worker.persistent_run, data, slot)
-                   for data, slot in zip(batch, slots)]
+        pending = [pool.submit(worker.persistent_run, data)
+                   for data in batch]
         executed = []
-        for task, slot in zip(pending, slots):
-            outcome, payload, seconds, warm, recycled = task.result()
-            trace = worker.decode_payload(payload, self._slot_ring)
-            if slot is not None:
-                self._free_slots.append(slot)
+        for task in pending:
+            outcome, trace, seconds, warm, recycled = task.result()
+            # Decoded in submit order: ids are minted here, in the
+            # parent, in the same order on every run.
+            trace = worker.decode_payload(trace)
             with self._stats_lock:
                 if warm:
                     self.stats.warm_runs += 1
@@ -859,27 +845,17 @@ class ProcessExecutor(Executor):
         return [task.result() for task in pending]
 
     def _shutdown_ref_pool(self) -> None:
-        """Stop reference workers, then release shared-memory segments.
+        """Stop the reference workers.
 
-        Pool teardown comes first so no worker can still be writing a
-        slot when the segments are unlinked.  Runs on normal close, on
-        pool rebuild, and on the SIGINT path (the CLI's interrupt
-        handlers close the executor), so ``/dev/shm`` never leaks.
+        Runs on normal close, on pool rebuild, and on the SIGINT path
+        (the CLI's interrupt handlers close the executor), so no worker
+        outlives the executor.
         """
         if self._ref_pool is not None:
             self._ref_pool.shutdown(wait=True, cancel_futures=True)
             self._ref_pool = None
             self._ref_pool_key = None
             self._ref_pool_id = None
-        if self._site_table is not None:
-            if GLOBAL_INTERNER.shared_table is self._site_table:
-                GLOBAL_INTERNER.detach_shared()
-            self._site_table.destroy()
-            self._site_table = None
-        if self._slot_ring is not None:
-            self._slot_ring.destroy()
-            self._slot_ring = None
-            self._free_slots = []
 
     def close(self) -> None:
         if self._pool is not None:

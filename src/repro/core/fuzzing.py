@@ -28,11 +28,10 @@ pipeline**, every algorithm runs in rounds of ``batch`` iterations:
    :meth:`~repro.core.executor.Executor.run_reference_many` bulk call,
    which short-circuits per item through the content-addressed tracefile
    cache and parallelises the misses on the process backend (its
-   **persistent workers** keep the reference
-   JVM warm across rounds and return coverage as packed interned-id
-   arrays over a shared site table — see :mod:`repro.core.worker` and
-   :mod:`repro.coverage.shm` — decoding to tracefiles byte-identical to
-   a serial run's);
+   **persistent workers** keep the reference JVM warm across rounds and
+   pickle each run's tracefile back; the parent re-keys it onto its own
+   interned ids, equal to the tracefile a serial run collects — see
+   :mod:`repro.core.worker`);
 3. *replay acceptance* — uniqueness checks, seed-pool feedback, MCMC
    ``record_success`` and telemetry fire sequentially in batch-index
    order.

@@ -9,8 +9,8 @@ Beyond the paper's fixed 129, this module also defines the
 **execution-targeted** mutators (``EXECUTION_MUTATORS``): opt-in
 operators that steer mutants toward the execution-semantics policy axes
 (`docs/policy-axes.md`) — injecting numeric edge values, nudging
-comparison constants toward near-equality (the cmplog gradient), adding
-narrowing conversions, and permuting exception-handler order.  They are
+comparison constants toward near-equality, adding narrowing
+conversions, and permuting exception-handler order.  They are
 kept out of ``MUTATORS`` so the registry stays at the paper's 129;
 ``--execution-mutators`` merges them into a fuzzing run's rotation.
 """
@@ -155,9 +155,9 @@ def _inject_edge_value(jclass: JClass, rng: random.Random) -> bool:
 def _nudge_comparison(jclass: JClass, rng: random.Random) -> bool:
     """Shift one comparison/binop constant by ±1 — toward near-equality.
 
-    The cmplog-style comparison-progress probes reward operands that
-    agree on longer prefixes; nudging constants walks mutants along that
-    gradient instead of re-rolling them blind.
+    Values next to a comparison's boundary are where vendors' runtime
+    semantics split; nudging constants walks mutants toward that boundary
+    instead of re-rolling them blind.
     """
     candidates = []
     for method in jclass.methods:

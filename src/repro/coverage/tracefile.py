@@ -11,12 +11,17 @@ acceptance hot path keeps asking for — the hit sets, the statistics
 signature, and the interned-id sets used for cheap set algebra — are
 computed once and cached on the instance rather than rebuilt on every
 property access.
+
+:class:`PackedTracefile` holds the same record as interned-id arrays.
+It is the form the process backend keeps for coverage its reference
+workers collected: the parent re-keys each worker's tracefile onto its
+own interner (see :func:`repro.core.worker.decode_payload`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.coverage.interner import GLOBAL_INTERNER
 
@@ -31,35 +36,19 @@ class Tracefile:
     Attributes:
         statements: statement site → hit count.
         branches: (branch site, outcome) → hit count.
-        comparisons: comparison-progress site → hit count (cmplog-style
-            ``--cmp-coverage`` sites; empty unless enabled).
 
     Derived views (``stmt_set``, ``br_set``, ``signature``, ``stmt_ids``,
-    ``br_ids``, ``cmp_ids``) are cached on first access via
-    ``object.__setattr__`` — legal on a frozen dataclass and safe because
-    the underlying dicts are never mutated after construction.
+    ``br_ids``) are cached on first access via ``object.__setattr__`` —
+    legal on a frozen dataclass and safe because the underlying dicts
+    are never mutated after construction.
     """
 
     statements: Dict[str, int] = field(default_factory=dict)
     branches: Dict[Tuple[str, bool], int] = field(default_factory=dict)
-    comparisons: Dict[str, int] = field(default_factory=dict)
-
-    @staticmethod
-    def from_packed(stmt_pairs, br_pairs, cmp_pairs=None,
-                    interner=None) -> "Tracefile":
-        """Build a tracefile from packed ``(id, count)`` coverage arrays.
-
-        The wire format of the process backend's persistent reference
-        workers: ``stmt_pairs``/``br_pairs`` are flat
-        ``id, count, id, count, ...`` sequences over ids minted in a
-        shared site table (see :mod:`repro.coverage.shm`).  The
-        string-keyed dicts are materialised **lazily** — acceptance
-        never touches them, and the interned ``stmt_ids``/``br_ids``
-        views come straight from the id columns with no string
-        round-trip at all.
-        """
-        return PackedTracefile(stmt_pairs, br_pairs, cmp_pairs=cmp_pairs,
-                               interner=interner)
+    #: Accepted and dropped.  Packed tracefiles pickled while a third,
+    #: comparison probe kind existed unpickle as
+    #: ``Tracefile(statements, branches, comparisons)``.
+    _legacy_comparisons: InitVar[Optional[Dict[str, int]]] = None
 
     def _cached(self, slot: str, compute):
         value = self.__dict__.get(slot, _UNSET)
@@ -110,25 +99,6 @@ class Tracefile:
             "_br_ids", lambda: GLOBAL_INTERNER.branch_ids(self.branches))
 
     @property
-    def cmp_set(self) -> FrozenSet[str]:
-        """The set of comparison-progress sites hit (cached)."""
-        return self._cached("_cmp_set",
-                            lambda: frozenset(self.comparisons))
-
-    @property
-    def cmp_ids(self) -> FrozenSet[int]:
-        """The comparison hit set as process-local interned ids (cached).
-
-        Empty (the common case: ``--cmp-coverage`` off) without touching
-        the interner, so set-based acceptance pays nothing for the third
-        probe kind until it exists.
-        """
-        return self._cached(
-            "_cmp_ids",
-            lambda: (GLOBAL_INTERNER.comparison_ids(self.comparisons)
-                     if self.comparisons else frozenset()))
-
-    @property
     def signature(self) -> Tuple[int, int]:
         """The ``(stmt, br)`` coverage-statistics pair."""
         return len(self.statements), len(self.branches)
@@ -145,39 +115,41 @@ class Tracefile:
     # not travel: pickle only the raw dicts and re-derive lazily in the
     # receiving process.
     def __getstate__(self):
-        return {"statements": self.statements, "branches": self.branches,
-                "comparisons": self.comparisons}
+        return {"statements": self.statements, "branches": self.branches}
 
     def __setstate__(self, state):
+        # Pickles written while a third, comparison probe kind existed
+        # also carry a "comparisons" dict; it is dropped.
         object.__setattr__(self, "statements", state["statements"])
         object.__setattr__(self, "branches", state["branches"])
-        # Pickles from before the comparison probe kind carry two dicts.
-        object.__setattr__(self, "comparisons",
-                           state.get("comparisons", {}))
 
 
 class PackedTracefile(Tracefile):
-    """A tracefile decoded from the packed cross-process wire format.
+    """A tracefile held as interned ``(id, count)`` arrays.
 
-    Holds the flat ``(id, count)`` arrays and materialises the
-    string-keyed ``statements``/``branches`` dicts only on first access
-    (a merge, an export) by reverse lookup
-    through the interner's id mirrors.  Count-only views (``stmt``,
-    ``br``, ``signature``) and the interned-id sets read the arrays
-    directly.
+    The process backend's form of a reference worker's coverage: the
+    parent re-keys each returned tracefile onto its interner's ids (see
+    :func:`repro.core.worker.decode_payload`).  A cached trace then
+    costs a few bytes per site, where a freshly unpickled dict owns a
+    private copy of every site string.
 
-    Materialisation preserves site order: workers pack pairs in probe
-    first-hit order, so the lazily built dicts iterate exactly like the
-    dicts a serial in-process run would have produced.
+    ``stmt_pairs``/``br_pairs`` are flat ``id, count, id, count, ...``
+    sequences.  The string-keyed ``statements``/``branches`` dicts are
+    materialised only on first access (a merge, an export) by reverse
+    lookup through the interner's id mirrors.  Count-only views
+    (``stmt``, ``br``, ``signature``) and the interned-id sets read the
+    arrays directly.
+
+    Materialisation preserves site order: pairs are packed in the
+    source tracefile's first-hit order, so the lazily built dicts
+    iterate exactly like the dicts a serial in-process run would have
+    produced.
     """
 
-    def __init__(self, stmt_pairs, br_pairs, cmp_pairs=None,
-                 interner=None) -> None:
+    def __init__(self, stmt_pairs, br_pairs, interner=None) -> None:
         setattr_ = object.__setattr__
         setattr_(self, "_stmt_pairs", stmt_pairs)
         setattr_(self, "_br_pairs", br_pairs)
-        setattr_(self, "_cmp_pairs", cmp_pairs if cmp_pairs is not None
-                 else ())
         setattr_(self, "_interner",
                  interner if interner is not None else GLOBAL_INTERNER)
 
@@ -189,10 +161,6 @@ class PackedTracefile(Tracefile):
     def branches(self) -> Dict[Tuple[str, bool], int]:
         return self._cached("_branches_dict", self._build_branches)
 
-    @property
-    def comparisons(self) -> Dict[str, int]:
-        return self._cached("_comparisons_dict", self._build_comparisons)
-
     def _build_statements(self) -> Dict[str, int]:
         pairs = self._stmt_pairs
         sites = self._interner.resolve_statements(pairs[0::2])
@@ -202,13 +170,6 @@ class PackedTracefile(Tracefile):
         pairs = self._br_pairs
         keys = self._interner.resolve_branches(pairs[0::2])
         return dict(zip(keys, pairs[1::2]))
-
-    def _build_comparisons(self) -> Dict[str, int]:
-        pairs = self._cmp_pairs
-        if not pairs:
-            return {}
-        sites = self._interner.resolve_comparisons(pairs[0::2])
-        return dict(zip(sites, pairs[1::2]))
 
     @property
     def stmt(self) -> int:
@@ -232,11 +193,6 @@ class PackedTracefile(Tracefile):
         return self._cached(
             "_br_ids", lambda: frozenset(self._br_pairs[0::2]))
 
-    @property
-    def cmp_ids(self) -> FrozenSet[int]:
-        return self._cached(
-            "_cmp_ids", lambda: frozenset(self._cmp_pairs[0::2]))
-
     def total_hits(self) -> int:
         return sum(self._stmt_pairs[1::2])
 
@@ -247,16 +203,14 @@ class PackedTracefile(Tracefile):
     def __eq__(self, other):
         if isinstance(other, Tracefile):
             return (self.statements == other.statements
-                    and self.branches == other.branches
-                    and self.comparisons == other.comparisons)
+                    and self.branches == other.branches)
         return NotImplemented
 
     # A packed trace's id arrays are only meaningful next to its
     # interner, so pickling materialises and ships a plain Tracefile —
     # the same raw-dict wire form the base class uses.
     def __reduce__(self):
-        return Tracefile, (self.statements, self.branches,
-                           self.comparisons)
+        return Tracefile, (self.statements, self.branches)
 
 
 def merge(first: Tracefile, second: Tracefile) -> Tracefile:
@@ -272,9 +226,5 @@ def merge(first: Tracefile, second: Tracefile) -> Tracefile:
     branches = dict(first.branches)
     for key, count in second.branches.items():
         branches[key] = branches.get(key, 0) + count
-    comparisons = dict(first.comparisons)
-    for site, count in second.comparisons.items():
-        comparisons[site] = comparisons.get(site, 0) + count
-    return Tracefile(statements=statements, branches=branches,
-                     comparisons=comparisons)
+    return Tracefile(statements=statements, branches=branches)
 

@@ -123,18 +123,16 @@ class TrUniqueness(UniquenessCriterion):
         #: same-signature membership test is one hash lookup over int
         #: sets instead of O(bucket) frozenset-of-string comparisons.
         self._by_signature: Dict[Tuple[int, int], Set[
-            Tuple[FrozenSet[int], FrozenSet[int],
-                  FrozenSet[int]]]] = {}
+            Tuple[FrozenSet[int], FrozenSet[int]]]] = {}
 
     def is_unique(self, trace: Tracefile) -> bool:
         candidates = self._by_signature.get(trace.signature)
         if candidates is None:
             return True
-        return (trace.stmt_ids, trace.br_ids, trace.cmp_ids) \
-            not in candidates
+        return (trace.stmt_ids, trace.br_ids) not in candidates
 
     def _record(self, trace: Tracefile) -> None:
-        key = (trace.stmt_ids, trace.br_ids, trace.cmp_ids)
+        key = (trace.stmt_ids, trace.br_ids)
         self._by_signature.setdefault(trace.signature, set()).add(key)
 
 

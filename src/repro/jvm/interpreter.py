@@ -24,13 +24,7 @@ from repro.classfile.constant_pool import ConstantPoolError, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
 from repro.classfile.methods import MethodInfo
 from repro.classfile.model import ClassFile
-from repro.coverage.probes import (
-    branch,
-    log_int32_cmp,
-    log_int64_cmp,
-    log_str_cmp,
-    probe,
-)
+from repro.coverage.probes import branch, probe
 from repro.errors import (
     AbstractMethodError,
     ArithmeticException,
@@ -382,8 +376,6 @@ class Interpreter:
         if name.startswith("IF_ICMP"):
             right, left = self._as_int(self._pop(stack)), \
                 self._as_int(self._pop(stack))
-            log_int32_cmp(f"interp.cmp.i32@{instruction.offset}",
-                          left, right)
             taken = self._compare(name[len("IF_ICMP"):], left - right)
             return _Jump(operands["target"]) if taken else _NEXT
         if name.startswith("IF_ACMP"):
@@ -397,7 +389,6 @@ class Interpreter:
             return _Jump(operands["target"]) if taken else _NEXT
         if name.startswith("IF"):
             value = self._as_int(self._pop(stack))
-            log_int32_cmp(f"interp.cmp.i32z@{instruction.offset}", value, 0)
             taken = self._compare(name[2:], value)
             return _Jump(operands["target"]) if taken else _NEXT
         if op in (Op.GOTO, Op.GOTO_W):
@@ -654,7 +645,6 @@ class Interpreter:
         if op is Op.LCMP:
             right = self._as_int(self._pop(stack))
             left = self._as_int(self._pop(stack))
-            log_int64_cmp("interp.cmp.i64", left, right)
             stack.append((left > right) - (left < right))
             return True
         if op in (Op.FCMPL, Op.FCMPG, Op.DCMPL, Op.DCMPG):
@@ -992,17 +982,12 @@ class Interpreter:
                     return _NO_INTRINSIC
                 if name == "equals":
                     other = args[0] if args else None
-                    if isinstance(other, str):
-                        log_str_cmp("interp.cmp.str.equals", receiver,
-                                    other)
                     return 1 if receiver == other else 0
                 if name == "compareTo":
                     other = args[0] if args else None
                     if branch("interp.compareto_null",
                               not isinstance(other, str)):
                         raise NullPointerException("String.compareTo")
-                    log_str_cmp("interp.cmp.str.compareTo", receiver,
-                                other)
                     for ours, theirs in zip(receiver, other):
                         if ours != theirs:
                             return _wrap_int(ord(ours) - ord(theirs))

@@ -117,7 +117,6 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
              "spec.exec_fraction must be a number in [0, 1]")
     out["exec_fraction"] = float(exec_fraction)
     out["execution_mutators"] = bool(spec.get("execution_mutators", False))
-    out["cmp_coverage"] = bool(spec.get("cmp_coverage", False))
     if "crash_after_checkpoints" in spec:  # test hook, first attempt only
         out["crash_after_checkpoints"] = _int_field(
             spec, "crash_after_checkpoints", 0, minimum=1)

@@ -119,10 +119,6 @@ def _run_fuzz_leg(job: Job, leg: Dict[str, Any], leg_dir: Path,
         from repro.core.mutators import EXECUTION_MUTATORS, MUTATORS
 
         extra["mutators"] = list(MUTATORS) + list(EXECUTION_MUTATORS)
-    if spec.get("cmp_coverage"):
-        from repro.coverage.probes import enable_cmp_coverage
-
-        enable_cmp_coverage()
     executor = make_executor(telemetry=telemetry)
     try:
         result = run_algorithm(

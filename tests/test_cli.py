@@ -123,3 +123,29 @@ class TestReduceCommand:
         path = tmp_path / "Clean.class"
         path.write_bytes(compile_class_bytes(builder.build()))
         assert main(["reduce", str(path)]) == 2
+
+
+class TestUsageErrors:
+    """Invalid options exit 2 with a usage message, before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--batch", "0"],
+        ["campaign", "--batch", "-1"],
+        ["fuzz", "--jobs", "0"],
+        ["difftest", "--jobs", "-2", "seeds"],
+    ], ids=["fuzz-batch-0", "campaign-batch-neg1", "fuzz-jobs-0",
+            "difftest-jobs-neg2"])
+    def test_counts_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be >= 1" in err
+
+    def test_cmp_coverage_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--cmp-coverage"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cmp-coverage" in \
+            capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Unit tests for tracefiles, the ⊕ merge, and the uniqueness criteria."""
 
+import pickle
+from array import array
+
 import pytest
 
 from repro.coverage import (
@@ -11,6 +14,8 @@ from repro.coverage import (
     merge,
     probe,
 )
+from repro.coverage.interner import SiteInterner
+from repro.coverage.tracefile import PackedTracefile
 from repro.coverage.uniqueness import (
     StBrUniqueness,
     StUniqueness,
@@ -80,6 +85,115 @@ class TestTracefile:
         second = trace(["a", "c"])
         assert first.signature == second.signature
         assert (first | second).stmt > first.stmt
+
+
+LEGACY_STATEMENTS = {"a": 2, "b": 1}
+LEGACY_BRANCHES = {("x", True): 1}
+LEGACY_COMPARISONS = {"interp.cmp.i64#sign": 1}
+
+
+class _LegacyPackedTrace:
+    """Pickles the way a packed tracefile did while a comparison probe
+    kind existed: ``Tracefile(statements, branches, comparisons)``."""
+
+    def __reduce__(self):
+        return Tracefile, (LEGACY_STATEMENTS, LEGACY_BRANCHES,
+                           LEGACY_COMPARISONS)
+
+
+class TestLegacyPickles:
+    """Journal frames written while a comparison probe kind existed."""
+
+    def check(self, data):
+        restored = pickle.loads(data)
+        assert type(restored) is Tracefile
+        assert restored == Tracefile(statements=LEGACY_STATEMENTS,
+                                     branches=LEGACY_BRANCHES)
+        assert restored.signature == (2, 1)
+
+    def test_state_with_comparisons_unpickles(self, monkeypatch):
+        monkeypatch.setattr(Tracefile, "__getstate__", lambda self: {
+            "statements": self.statements, "branches": self.branches,
+            "comparisons": LEGACY_COMPARISONS})
+        data = pickle.dumps(Tracefile(statements=LEGACY_STATEMENTS,
+                                      branches=LEGACY_BRANCHES))
+        monkeypatch.undo()
+        self.check(data)
+
+    def test_packed_reduce_with_comparisons_unpickles(self):
+        self.check(pickle.dumps(_LegacyPackedTrace()))
+
+
+class TestPackedTracefile:
+    def make_packed(self, interner):
+        sids = [interner.statement_id(s) for s in ("s.a", "s.b")]
+        bid = interner.branch_id(("b.x", True))
+        stmt = array("I", [sids[0], 4, sids[1], 1])
+        br = array("I", [bid, 2])
+        return PackedTracefile(stmt, br, interner=interner)
+
+    def test_lazy_dict_materialisation(self):
+        tr = self.make_packed(SiteInterner())
+        # Count-only views never build the dicts.
+        assert tr.signature == (2, 1)
+        assert tr.total_hits() == 5
+        assert "_statements_dict" not in tr.__dict__
+        assert tr.statements == {"s.a": 4, "s.b": 1}
+        assert tr.branches == {("b.x", True): 2}
+        assert "_statements_dict" in tr.__dict__
+
+    def test_materialised_dicts_preserve_pack_order(self):
+        interner = SiteInterner()
+        sites = [f"s.{i}" for i in (3, 1, 2)]  # first-hit order, unsorted
+        pairs = array("I")
+        for site in sites:
+            pairs.extend([interner.statement_id(site), 1])
+        tr = PackedTracefile(pairs, array("I"), interner=interner)
+        assert list(tr.statements) == sites
+
+    def test_id_views_skip_string_roundtrip(self):
+        interner = SiteInterner()
+        tr = self.make_packed(interner)
+        assert tr.stmt_ids == frozenset(
+            {interner.statement_id("s.a"), interner.statement_id("s.b")})
+        assert tr.br_ids == frozenset({interner.branch_id(("b.x", True))})
+        assert "_statements_dict" not in tr.__dict__
+
+    def test_equality_with_plain_tracefile_both_directions(self):
+        tr = self.make_packed(SiteInterner())
+        plain = Tracefile(statements={"s.a": 4, "s.b": 1},
+                          branches={("b.x", True): 2})
+        assert tr == plain
+        assert plain == tr
+        assert tr != Tracefile(statements={"s.a": 4})
+
+    def test_pickle_ships_plain_tracefile(self):
+        tr = self.make_packed(SiteInterner())
+        clone = pickle.loads(pickle.dumps(tr))
+        assert type(clone) is Tracefile
+        assert clone == tr
+
+
+class TestDecodePayload:
+    def test_worker_trace_decodes_equal_in_site_order(self, demo_bytes):
+        from repro.core.worker import decode_payload
+        from repro.jvm.vendors import reference_jvm
+
+        collector = CoverageCollector()
+        with collector:
+            reference_jvm().run(demo_bytes)
+        # What a persistent worker's result pickle delivers.
+        shipped = pickle.loads(pickle.dumps(collector.tracefile()))
+        packed = decode_payload(shipped)
+        assert isinstance(packed, PackedTracefile)
+        assert packed == shipped
+        assert shipped == packed
+        assert list(packed.statements) == list(shipped.statements)
+        assert list(packed.branches) == list(shipped.branches)
+        assert packed.signature == shipped.signature
+        assert packed.total_hits() == shipped.total_hits()
+        assert packed.stmt_ids == shipped.stmt_ids
+        assert packed.br_ids == shipped.br_ids
 
 
 class TestUniquenessCriteria:

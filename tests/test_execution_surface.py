@@ -143,15 +143,17 @@ class TestServiceSpec:
         spec = validate_spec({"type": "fuzz"})
         assert spec["exec_fraction"] == 0.0
         assert spec["execution_mutators"] is False
-        assert spec["cmp_coverage"] is False
+        assert "cmp_coverage" not in spec
 
     def test_roundtrip(self):
+        # A spec from before the comparison probe kind was deleted still
+        # validates; its cmp_coverage field is no longer stored.
         spec = validate_spec({"type": "campaign", "exec_fraction": 0.25,
                               "execution_mutators": True,
                               "cmp_coverage": True})
         assert spec["exec_fraction"] == 0.25
         assert spec["execution_mutators"] is True
-        assert spec["cmp_coverage"] is True
+        assert "cmp_coverage" not in spec
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, "half"])
     def test_rejects_bad_fraction(self, bad):

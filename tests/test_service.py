@@ -91,9 +91,15 @@ class TestJobStore:
         # a fresh store over the same root sees the same queue
         assert JobStore(tmp_path).list_ids() == [job.id]
 
-    def test_record_with_coverage_index_still_runs(self, tmp_path):
-        # Records queued while the bitmap index existed carry a
-        # ``coverage_index`` field; the worker no longer reads it.
+    @pytest.mark.parametrize("field, value", [
+        ("coverage_index", "bitmap"),
+        ("cmp_coverage", True),
+    ], ids=["coverage_index", "cmp_coverage"])
+    def test_record_with_coverage_index_still_runs(self, tmp_path, field,
+                                                   value):
+        # Records queued while the bitmap index or the comparison probe
+        # kind existed carry a ``coverage_index`` or ``cmp_coverage``
+        # field; the worker no longer reads either.
         import signal
 
         from repro.service.worker import run_leg
@@ -101,10 +107,10 @@ class TestJobStore:
         store = JobStore(tmp_path)
         job = store.submit({"type": "fuzz", "algorithm": "classfuzz[tr]",
                             "iterations": 20, "seed": 3, "seed_count": 8,
-                            "coverage_index": "bitmap"})
-        assert "coverage_index" not in job.spec
+                            field: value})
+        assert field not in job.spec
         store.update(job.id, lambda record: record.spec.update(
-            coverage_index="bitmap"))
+            {field: value}))
         previous = signal.getsignal(signal.SIGTERM)
         try:
             code = run_leg(store.root, job.id, "classfuzz-tr", 0, 0)

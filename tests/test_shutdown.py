@@ -82,7 +82,7 @@ class TestWorkerSigterm:
     """Reference workers must die on ``Pool.terminate()``'s SIGTERM."""
 
     @pytest.mark.parametrize("init, args", [
-        (worker.persistent_init, (pickle.dumps(None), None, None, 0)),
+        (worker.persistent_init, (pickle.dumps(None), 0)),
     ], ids=["persistent_init"])
     def test_initializer_restores_default_disposition(self, init, args):
         context = multiprocessing.get_context("fork")

@@ -1,14 +1,15 @@
 """Decision-stream identity of the process backend's reference workers.
 
-The contract: persistent workers — warm JVM state, shared site table,
-packed shared-memory coverage transport — must keep fuzzing decision
-streams **byte-identical** to the serial backend over full classfuzz
-rounds and through a kill → resume cycle, and the shared-memory
-segments they create must never outlive the executor (normal close and
-interrupt paths alike).
+The contract: persistent workers — warm JVM state, tracefiles pickled
+back and re-keyed onto the parent's interned ids — must keep fuzzing
+decision streams **byte-identical** to the serial backend over full
+classfuzz rounds and through a kill → resume cycle, and the worker
+processes must never outlive the executor (normal close and interrupt
+paths alike).  The transport needs no shared memory at all.
 """
 
 import hashlib
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from repro.core.checkpoint import CRASH_AFTER_ENV
 from repro.core.executor import OutcomeCache, ProcessExecutor
 from repro.core.fuzzing import classfuzz
 from repro.corpus import CorpusConfig, generate_corpus
-from repro.coverage.interner import GLOBAL_INTERNER
 
 SHM_DIR = Path("/dev/shm")
 
@@ -25,13 +25,6 @@ SHM_DIR = Path("/dev/shm")
 @pytest.fixture(scope="module")
 def seeds():
     return generate_corpus(CorpusConfig(count=25, seed=11))
-
-
-@pytest.fixture(autouse=True)
-def no_dangling_shared_table():
-    """Every test must leave the global interner detached again."""
-    yield
-    assert GLOBAL_INTERNER.shared_table is None
 
 
 def fingerprint(result):
@@ -98,10 +91,8 @@ class TestKillAndResume:
         finally:
             # The CLI's interrupt handler path: close on the way out.
             engine.close()
-        assert GLOBAL_INTERNER.shared_table is None
         monkeypatch.delenv(CRASH_AFTER_ENV)
-        # Resume in a fresh persistent executor: a new shared table is
-        # rebuilt from the replayed interning history and validated.
+        # Resume in a fresh persistent executor.
         with process_engine() as engine:
             resumed = classfuzz(seeds, iterations=48, criterion="tr",
                                 seed=3, batch=8, executor=engine,
@@ -139,21 +130,24 @@ class TestWorkerAccounting:
         assert "repro_worker_runs_total" in text
 
 
-class TestShmLifecycle:
+class TestPoolLifecycle:
+    """Workers never outlive the executor, and no shared memory exists."""
+
     @pytest.mark.skipif(not SHM_DIR.is_dir(),
                         reason="no /dev/shm on this platform")
-    def test_no_segments_leak_on_close(self, seeds):
+    def test_no_shared_memory_and_no_workers_after_close(self, seeds):
         before = repro_segments()
         with process_engine() as engine:
             classfuzz(seeds, iterations=16, criterion="tr", seed=7,
                       batch=8, executor=engine)
-            assert repro_segments() != before  # segments exist mid-run
+            mid_run = repro_segments()
+            assert multiprocessing.active_children()  # workers are up
+        assert mid_run == before
         assert repro_segments() == before
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(not SHM_DIR.is_dir(),
-                        reason="no /dev/shm on this platform")
-    def test_no_segments_leak_on_interrupt(self, seeds, tmp_path,
-                                           monkeypatch):
+    def test_no_workers_after_interrupt(self, seeds, tmp_path,
+                                        monkeypatch):
         before = repro_segments()
         monkeypatch.setenv(CRASH_AFTER_ENV, "1")
         engine = process_engine()
@@ -166,6 +160,7 @@ class TestShmLifecycle:
         finally:
             engine.close()
         assert repro_segments() == before
+        assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self, seeds):
         engine = process_engine()
@@ -173,4 +168,4 @@ class TestShmLifecycle:
                   executor=engine)
         engine.close()
         engine.close()
-        assert GLOBAL_INTERNER.shared_table is None
+        assert multiprocessing.active_children() == []
