@@ -45,6 +45,7 @@ seed-scheduling policy, ``--checkpoint-dir``/``--checkpoint-every``/
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -57,6 +58,7 @@ from repro.core.campaign import (
     PAPER_BUDGET_SECONDS,
     format_mutator_report,
     format_table4,
+    run_algorithm,
     run_campaign,
     save_campaign_suites,
 )
@@ -68,7 +70,6 @@ from repro.core.shutdown import (
 )
 from repro.core.difftest import DifferentialHarness
 from repro.core.executor import make_executor
-from repro.core.fuzzing import classfuzz, greedyfuzz, randfuzz, uniquefuzz
 from repro.core.metrics import evaluate_suite, format_table
 from repro.core.reporting import report_discrepancy
 from repro.corpus import CorpusConfig, generate_corpus
@@ -86,7 +87,7 @@ from repro.observe.summary import (
     replay_events,
     summarize_events,
     summarize_job,
-    summarize_workers,
+    summarize_metrics,
     write_timeseries,
 )
 
@@ -100,6 +101,19 @@ def _positive_int(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type for a fraction in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1], got {text}")
     return value
 
 
@@ -148,14 +162,14 @@ def _add_corpus_options(command: argparse.ArgumentParser) -> None:
                          help="periodically checkpoint the run's state "
                               "here so it can be resumed after a kill")
     command.add_argument("--checkpoint-every", dest="checkpoint_every",
-                         type=int, default=50, metavar="N",
+                         type=_positive_int, default=50, metavar="N",
                          help="iterations between checkpoints "
                               "(default: 50)")
     command.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint-dir's latest "
                               "checkpoint (fresh start when none exists)")
     command.add_argument("--exec-fraction", dest="exec_fraction",
-                         type=float, default=0.0, metavar="FRAC",
+                         type=_fraction, default=0.0, metavar="FRAC",
                          help="fraction of seed classes built from the "
                               "execution-phase templates (runtime-"
                               "divergent seeds; default: 0, the paper's "
@@ -187,6 +201,13 @@ def _make_telemetry(args):
             or getattr(args, "serve", None) is not None):
         return None
     return make_telemetry(events_path=args.events, progress=args.progress)
+
+
+def _activate(telemetry):
+    """Install ``telemetry`` as the ambient bundle for a ``with`` block
+    (a no-op context when observability is off)."""
+    return telemetry.activate() if telemetry is not None \
+        else contextlib.nullcontext()
 
 
 def _start_monitor(telemetry, args):
@@ -244,14 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                "randfuzz"), default="classfuzz")
     fuzz.add_argument("--criterion", choices=("st", "stbr", "tr"),
                       default="stbr")
-    fuzz.add_argument("--iterations", type=int, default=500)
+    fuzz.add_argument("--iterations", type=_positive_int, default=500)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--batch", type=_positive_int, default=1,
                       help="speculative batch size: reference coverage "
                            "runs fan out across the executor workers in "
                            "rounds of this many mutants, with acceptance "
                            "replayed deterministically (1 = serial loop)")
-    fuzz.add_argument("--seed-count", type=int, default=200,
+    fuzz.add_argument("--seed-count", type=_positive_int, default=200,
                       help="synthetic seed corpus size")
     fuzz.add_argument("--out", type=Path, default=None,
                       help="directory for accepted classfiles")
@@ -280,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="the Table 4/6 experiment")
     campaign.add_argument("--budget-scale", type=float, default=0.1,
                           help="fraction of the paper's 3-day budget")
-    campaign.add_argument("--seed-count", type=int, default=1216)
+    campaign.add_argument("--seed-count", type=_positive_int,
+                          default=1216)
     campaign.add_argument("--seed", type=int, default=20160613)
     campaign.add_argument("--algorithms", nargs="*",
                           default=list(ALL_ALGORITHMS))
@@ -380,9 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "present (default: the core families)")
     observe.add_argument("--metrics", type=Path, default=None,
                          metavar="DUMP",
-                         help="summary: also read this Prometheus dump "
-                              "and report the worker warm/cold split "
-                              "when its counters are present")
+                         help="summary: read this Prometheus dump for the "
+                              "JVM phase latency, executor batch and "
+                              "worker blocks (a job directory reads each "
+                              "leg's metrics.prom by default)")
 
     monitor = sub.add_parser(
         "monitor", help="serve a recorded events log through the live "
@@ -544,39 +567,19 @@ def _cmd_fuzz(args) -> int:
     telemetry = _make_telemetry(args)
     monitor = _start_monitor(telemetry, args)
     executor = make_executor(jobs=args.jobs, telemetry=telemetry)
-    corpus_kw = dict(schedule=args.seed_schedule,
-                     checkpoint_dir=args.checkpoint_dir,
-                     checkpoint_every=args.checkpoint_every,
-                     resume=args.resume)
+    label = f"classfuzz[{args.criterion}]" \
+        if args.algorithm == "classfuzz" else args.algorithm
+    kwargs = dict(executor=executor, telemetry=telemetry,
+                  batch=args.batch, schedule=args.seed_schedule,
+                  checkpoint_dir=args.checkpoint_dir,
+                  checkpoint_every=args.checkpoint_every,
+                  resume=args.resume)
     if mutators is not None:
-        corpus_kw["mutators"] = mutators
-    runners = {
-        "classfuzz": lambda: classfuzz(seeds, args.iterations,
-                                       criterion=args.criterion,
-                                       seed=args.seed, executor=executor,
-                                       telemetry=telemetry,
-                                       batch=args.batch, **corpus_kw),
-        "uniquefuzz": lambda: uniquefuzz(seeds, args.iterations,
-                                         seed=args.seed,
-                                         executor=executor,
-                                         telemetry=telemetry,
-                                         batch=args.batch, **corpus_kw),
-        "greedyfuzz": lambda: greedyfuzz(seeds, args.iterations,
-                                         seed=args.seed,
-                                         executor=executor,
-                                         telemetry=telemetry,
-                                         batch=args.batch, **corpus_kw),
-        "randfuzz": lambda: randfuzz(seeds, args.iterations,
-                                     seed=args.seed, executor=executor,
-                                     telemetry=telemetry,
-                                     batch=args.batch, **corpus_kw),
-    }
+        kwargs["mutators"] = mutators
     try:
-        if telemetry is not None:
-            with telemetry.activate():
-                result = runners[args.algorithm]()
-        else:
-            result = runners[args.algorithm]()
+        with _activate(telemetry):
+            result = run_algorithm(label, seeds, args.iterations,
+                                   args.seed, **kwargs)
     except GracefulShutdown as exc:
         print(f"SIGTERM honoured: {exc}; resume with --resume",
               file=sys.stderr)
@@ -648,10 +651,7 @@ def _cmd_difftest(args) -> int:
     executor = make_executor(jobs=args.jobs, telemetry=telemetry)
     harness = DifferentialHarness(executor=executor, telemetry=telemetry)
     suite = [(path.stem, path.read_bytes()) for path in files]
-    if telemetry is not None:
-        with telemetry.activate():
-            report = evaluate_suite("suite", suite, harness)
-    else:
+    with _activate(telemetry):
         report = evaluate_suite("suite", suite, harness)
     print(format_table([report]))
     shown = 0
@@ -709,21 +709,13 @@ def _cmd_campaign(args) -> int:
                      resume=args.resume,
                      mutators=mutators)
     try:
-        if telemetry is not None:
-            with telemetry.activate():
-                runs = run_campaign(seeds, budget,
-                                    algorithms=tuple(args.algorithms),
-                                    rng_seed=args.seed, evaluate=True,
-                                    executor=executor,
-                                    telemetry=telemetry,
-                                    batch=args.batch,
-                                    triage=triage_engine, **corpus_kw)
-        else:
+        with _activate(telemetry):
             runs = run_campaign(seeds, budget,
                                 algorithms=tuple(args.algorithms),
                                 rng_seed=args.seed, evaluate=True,
-                                executor=executor, batch=args.batch,
-                                triage=triage_engine, **corpus_kw)
+                                executor=executor, telemetry=telemetry,
+                                batch=args.batch, triage=triage_engine,
+                                **corpus_kw)
     except GracefulShutdown as exc:
         print(f"SIGTERM honoured: {exc}; latest checkpoints kept under "
               f"{args.checkpoint_dir} (resume with --resume)",
@@ -879,10 +871,7 @@ def _cmd_triage(args) -> int:
                 store.append_progress(begin + len(chunk))
 
     try:
-        if telemetry is not None:
-            with telemetry.activate():
-                triage_all()
-        else:
+        with _activate(telemetry):
             triage_all()
     except KeyboardInterrupt:
         print(f"interrupted; durable progress kept in {args.out} "
@@ -977,6 +966,7 @@ def _cmd_observe(args) -> int:
         return 0
     job_record = None
     event_paths = [args.path]
+    metric_paths = [args.metrics] if args.metrics is not None else []
     if args.path.is_dir():
         if (args.path / "job.json").exists():
             import json as _json
@@ -984,6 +974,8 @@ def _cmd_observe(args) -> int:
             job_record = _json.loads(
                 (args.path / "job.json").read_text(encoding="utf-8"))
             event_paths = sorted(args.path.glob("legs/*/events.jsonl"))
+            if not metric_paths:
+                metric_paths = sorted(args.path.glob("legs/*/metrics.prom"))
         elif (args.path / "events.jsonl").exists():
             event_paths = [args.path / "events.jsonl"]
         else:
@@ -997,13 +989,15 @@ def _cmd_observe(args) -> int:
             print(summarize_job(job_record))
             print()
         print(summarize_events(events))
-        if args.metrics is not None:
-            samples = parse_prometheus(
-                args.metrics.read_text(encoding="utf-8"))
-            block = summarize_workers(samples)
-            if block:
-                print()
-                print(block)
+        samples = {}
+        for path in metric_paths:
+            for name, rows in parse_prometheus(
+                    path.read_text(encoding="utf-8")).items():
+                samples.setdefault(name, []).extend(rows)
+        block = summarize_metrics(samples)
+        if block:
+            print()
+            print(block)
         return 0
     if args.action == "replay":
         print(replay_events(events, event_type=args.event_type,

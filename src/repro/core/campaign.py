@@ -292,10 +292,10 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
     engines: List[Executor] = [executor]
     if harness is not None and harness.executor is not executor:
         engines.append(harness.executor)
-    def _span(name: str, **attrs):
+    def _span(name: str):
         if telemetry is None:
             return NULL_SPAN
-        return telemetry.span(name, **attrs)
+        return telemetry.span(name)
 
     # The live monitor (--serve) attaches a status tracker; campaigns
     # feed it the leg-level context individual fuzz runs can't know.
@@ -317,8 +317,7 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
         before = [engine.stats.snapshot() for engine in engines]
         fuzz_started = time.perf_counter()
         best: Optional[FuzzResult] = None
-        with _span("campaign.fuzz", algorithm=label,
-                   iterations=iterations):
+        with _span("campaign.fuzz"):
             for repetition in range(max(1, repetitions)):
                 leg_dir = None
                 if checkpoint_dir is not None:
@@ -346,7 +345,7 @@ def run_campaign(seeds: Sequence[JClass], budget_seconds: float,
             evaluate_started = time.perf_counter()
             if status is not None:
                 status.update(phase="evaluate")
-            with _span("campaign.evaluate", algorithm=label):
+            with _span("campaign.evaluate"):
                 run.gen_report = evaluate_suite(
                     f"Gen_{label}",
                     [(g.label, g.data) for g in best.gen_classes], harness)

@@ -44,7 +44,6 @@ from repro.coverage.probes import CoverageCollector
 from repro.coverage.tracefile import Tracefile
 from repro.jvm.machine import Jvm
 from repro.jvm.outcome import DifferentialResult, Outcome
-from repro.observe.events import CACHE_HIT, EXECUTOR_BATCH
 
 
 def classfile_digest(data: bytes) -> str:
@@ -67,8 +66,8 @@ class ExecutorStats:
         trace_hits: reference runs served from the tracefile cache.
         trace_misses: reference runs that had to execute.
         trace_outcome_only: the split-lookup subset of ``trace_misses``
-            where the outcome was still cached (and reused) but the
-            trace itself had been evicted.
+            where a differential run had cached the outcome (reused)
+            but no trace.
         batches: ``run_differential`` calls.
         batch_seconds: wall-clock spent inside ``run_differential``.
         ref_batches: ``run_reference_many`` calls.
@@ -217,19 +216,14 @@ class OutcomeCache:
 
     Outcomes and traces live in separate stores joined by key: a
     reference run's ``put_trace`` populates *both*, so its outcome also
-    serves later differential lookups, and a trace eviction leaves the
-    (much smaller) outcome behind.  ``get_trace`` reports that split
-    state — outcome present, trace evicted — explicitly instead of as a
-    plain miss, so the caller re-runs only for coverage and still
-    reuses the cached outcome.
-
-    Args:
-        max_entries: optional capacity per store; the oldest entries are
-            evicted first (insertion order).  ``None`` means unbounded.
+    serves later differential lookups.  A differential run caches the
+    outcome alone, so the same bytes can reach a later reference lookup
+    with an outcome but no trace.  ``get_trace`` reports that split
+    state explicitly instead of as a plain miss, so the caller re-runs
+    only for coverage and still reuses the cached outcome.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._outcomes: Dict[Tuple[str, str], Outcome] = {}
         self._traces: Dict[Tuple[str, str], Tracefile] = {}
         self._lock = threading.Lock()
@@ -250,7 +244,6 @@ class OutcomeCache:
     def put_outcome(self, digest: str, vendor: str,
                     outcome: Outcome) -> None:
         with self._lock:
-            self._evict(self._outcomes)
             self._outcomes[(digest, vendor)] = outcome
 
     def get_trace(self, digest: str, vendor: str
@@ -258,10 +251,9 @@ class OutcomeCache:
         """The split reference lookup.
 
         Returns ``(outcome, trace)`` on a full hit, ``(outcome, None)``
-        when the outcome survives but the trace was evicted (the caller
-        must re-run for coverage yet can keep the outcome), and ``None``
-        on a full miss.  An orphaned trace whose outcome was evicted is
-        unusable and reads as a full miss.
+        when only a differential run cached the outcome (the caller must
+        re-run for coverage yet can keep the outcome), and ``None`` on a
+        full miss.
         """
         with self._lock:
             key = (digest, vendor)
@@ -277,15 +269,8 @@ class OutcomeCache:
                   trace: Tracefile) -> None:
         with self._lock:
             key = (digest, vendor)
-            self._evict(self._outcomes)
             self._outcomes[key] = outcome
-            self._evict(self._traces)
             self._traces[key] = trace
-
-    def _evict(self, store: Dict) -> None:
-        if self.max_entries is not None:
-            while len(store) >= self.max_entries:
-                store.pop(next(iter(store)))
 
 
 class _ExecutorInstruments:
@@ -293,18 +278,17 @@ class _ExecutorInstruments:
 
     Constructed only when an engine is handed a telemetry bundle; every
     instrument child is resolved once here so per-run recording is a
-    plain method call, and event payloads are only built when the bus
-    has sinks.
+    plain method call.  The engine emits no events: runs, cache lookups
+    and batches are counts and latencies, and the registry holds them.
     """
 
-    __slots__ = ("telemetry", "bus", "_runs", "_run_seconds", "_cache",
+    __slots__ = ("telemetry", "_runs", "_run_seconds", "_cache",
                  "_batches", "_batch_seconds", "_ref_batches",
                  "_ref_batch_seconds", "_reference_seconds",
                  "_worker_warm", "_worker_cold", "_worker_recycles")
 
     def __init__(self, telemetry, kind: str):
         self.telemetry = telemetry
-        self.bus = telemetry.bus
         registry = telemetry.registry
         self._runs = registry.counter(
             "repro_jvm_runs_total",
@@ -349,11 +333,9 @@ class _ExecutorInstruments:
     def record_reference(self, seconds: float) -> None:
         self._reference_seconds.observe(seconds)
 
-    def cache_lookup(self, store: str, hit: bool, vendor: str) -> None:
+    def cache_lookup(self, store: str, hit: bool) -> None:
         self._cache.labels(store=store,
                            result="hit" if hit else "miss").inc()
-        if hit and self.bus.enabled:
-            self.bus.emit(CACHE_HIT, store=store, vendor=vendor)
 
     def cache_outcome_only(self) -> None:
         """A trace miss whose outcome was still cached (split lookup)."""
@@ -365,20 +347,13 @@ class _ExecutorInstruments:
     def worker_recycle(self) -> None:
         self._worker_recycles.inc()
 
-    def batch(self, kind: str, size: int, seconds: float) -> None:
+    def batch(self, seconds: float) -> None:
         self._batches.inc()
         self._batch_seconds.observe(seconds)
-        if self.bus.enabled:
-            self.bus.emit(EXECUTOR_BATCH, engine=kind, size=size,
-                          seconds=seconds)
 
-    def reference_batch(self, kind: str, size: int,
-                        seconds: float) -> None:
+    def reference_batch(self, seconds: float) -> None:
         self._ref_batches.inc()
         self._ref_batch_seconds.observe(seconds)
-        if self.bus.enabled:
-            self.bus.emit(EXECUTOR_BATCH, engine=f"{kind}.reference",
-                          size=size, seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +370,8 @@ class Executor:
         stats: lifetime counters, thread-safe.
         telemetry: optional :class:`~repro.observe.Telemetry`; when set,
             runs, cache lookups and batches additionally feed the
-            structured metrics registry and event bus.  ``None`` (the
-            default) costs one attribute check per operation.
+            structured metrics registry.  ``None`` (the default) costs
+            one attribute check per operation.
     """
 
     kind = "abstract"
@@ -425,12 +400,12 @@ class Executor:
             with self._stats_lock:
                 self.stats.cache_hits += 1
             if self._observe is not None:
-                self._observe.cache_lookup("outcome", True, jvm.name)
+                self._observe.cache_lookup("outcome", True)
             return cached
         with self._stats_lock:
             self.stats.cache_misses += 1
         if self._observe is not None:
-            self._observe.cache_lookup("outcome", False, jvm.name)
+            self._observe.cache_lookup("outcome", False)
         outcome = self._execute(jvm, data)
         self.cache.put_outcome(digest, jvm.name, outcome)
         return outcome
@@ -453,18 +428,18 @@ class Executor:
                 with self._stats_lock:
                     self.stats.trace_hits += 1
                 if self._observe is not None:
-                    self._observe.cache_lookup("trace", True, jvm.name)
+                    self._observe.cache_lookup("trace", True)
                 return cached
             if cached is not None:
-                # Split lookup: the trace was evicted but the outcome
-                # survives — re-run for coverage only, keep the outcome.
+                # Split lookup: a differential run cached the outcome
+                # only — re-run for coverage, keep the outcome.
                 outcome_hint = cached[0]
             with self._stats_lock:
                 self.stats.trace_misses += 1
                 if outcome_hint is not None:
                     self.stats.trace_outcome_only += 1
             if self._observe is not None:
-                self._observe.cache_lookup("trace", False, jvm.name)
+                self._observe.cache_lookup("trace", False)
                 if outcome_hint is not None:
                     self._observe.cache_outcome_only()
         with self._reference_lock:
@@ -523,8 +498,8 @@ class Executor:
         #: digest → every position in this batch awaiting its result.
         positions: Dict[str, List[int]] = {}
         misses: List[Tuple[str, bytes]] = []
-        #: digest → cached outcome whose trace was evicted (split
-        #: lookup): the re-run collects coverage, the outcome is reused.
+        #: digest → cached outcome without a trace (split lookup): the
+        #: re-run collects coverage, the outcome is reused.
         outcome_hints: Dict[str, Outcome] = {}
         if self.cache is not None:
             hits = 0
@@ -548,9 +523,9 @@ class Executor:
                 self.stats.trace_outcome_only += len(outcome_hints)
             if self._observe is not None:
                 for _ in range(hits):
-                    self._observe.cache_lookup("trace", True, jvm.name)
+                    self._observe.cache_lookup("trace", True)
                 for _ in misses:
-                    self._observe.cache_lookup("trace", False, jvm.name)
+                    self._observe.cache_lookup("trace", False)
                 for _ in outcome_hints:
                     self._observe.cache_outcome_only()
         else:
@@ -582,7 +557,7 @@ class Executor:
             self.stats.ref_batches += 1
             self.stats.ref_batch_seconds += elapsed
         if self._observe is not None:
-            self._observe.reference_batch(self.kind, len(items), elapsed)
+            self._observe.reference_batch(elapsed)
         return results
 
     def _run_reference_batch(self, jvm: Jvm, batch: List[bytes]
@@ -623,7 +598,7 @@ class Executor:
             self.stats.batches += 1
             self.stats.batch_seconds += elapsed
         if self._observe is not None:
-            self._observe.batch(self.kind, len(batch), elapsed)
+            self._observe.batch(elapsed)
         return results
 
     def _run_batch(self, jvms: List[Jvm],
@@ -768,10 +743,9 @@ class ProcessExecutor(Executor):
                 elif self.cache is not None:
                     self.stats.cache_misses += len(jvms)
             if self._observe is not None and self.cache is not None:
-                for jvm in jvms:
+                for _ in jvms:
                     self._observe.cache_lookup("outcome",
-                                               cached is not None,
-                                               jvm.name)
+                                               cached is not None)
             task = None if cached is not None \
                 else pool.submit(_process_worker_run, data)
             pending.append((label, digest, task, cached))

@@ -89,13 +89,7 @@ from repro.jimple.model import JClass
 from repro.jimple.to_classfile import JimpleCompileError, compile_class
 from repro.jvm.machine import Jvm
 from repro.jvm.vendors import reference_jvm
-from repro.observe.events import (
-    BATCH_ROUND,
-    ITERATION,
-    MUTANT_ACCEPTED,
-    MUTANT_DISCARDED,
-    SEED_SCHEDULED,
-)
+from repro.observe.events import ITERATION, MUTANT_ACCEPTED, MUTANT_DISCARDED
 
 #: Default iteration interval between campaign checkpoints.
 DEFAULT_CHECKPOINT_EVERY = 50
@@ -324,12 +318,6 @@ class _FuzzObserver:
             return
         self._scheduled.labels(algorithm=self.algorithm,
                                origin=entry.origin).inc()
-        if self.telemetry.bus.enabled:
-            self.telemetry.bus.emit(SEED_SCHEDULED,
-                                    algorithm=self.algorithm,
-                                    label=entry.label,
-                                    origin=entry.origin,
-                                    picks=entry.picks)
 
     def credited(self, novelty: int) -> None:
         if not self.active or novelty <= 0:
@@ -359,7 +347,8 @@ class _FuzzObserver:
 
     def iteration(self, index: int, mutator: Mutator,
                   generated: Optional[GeneratedClass], accepted: bool,
-                  tests: int, pool: int, seconds: float) -> None:
+                  tests: int, pool: int, seconds: float,
+                  round_index: int, seed: str) -> None:
         if not self.active:
             return
         self._iterations.inc()
@@ -371,21 +360,15 @@ class _FuzzObserver:
         if self.telemetry.bus.enabled:
             self.telemetry.bus.emit(
                 ITERATION, algorithm=self.algorithm, index=index,
-                mutator=mutator.name, generated=generated is not None,
-                accepted=accepted, tests=tests, pool=pool,
-                seconds=seconds)
+                round=round_index, seed=seed, mutator=mutator.name,
+                generated=generated is not None, accepted=accepted,
+                tests=tests, pool=pool, seconds=seconds)
 
-    def batch_round(self, round_index: int, size: int, generated: int,
-                    accepted: int, seconds: float) -> None:
+    def batch_round(self, seconds: float) -> None:
         if not self.active:
             return
         self._rounds.inc()
         self._round_seconds.observe(seconds)
-        if self.telemetry.bus.enabled:
-            self.telemetry.bus.emit(
-                BATCH_ROUND, algorithm=self.algorithm, round=round_index,
-                size=size, generated=generated, accepted=accepted,
-                seconds=seconds)
 
 
 #: The shared disabled observer (``telemetry=None`` path).
@@ -394,9 +377,13 @@ _NULL_OBSERVER = _FuzzObserver(None, "")
 
 @dataclass
 class _Draft:
-    """One speculated mutation: the rewritten class plus its lineage."""
+    """One speculated mutation: the rewritten class plus its lineage.
 
-    jclass: JClass
+    ``jclass`` is ``None`` when the rewrite crashed or reported itself
+    inapplicable; the pick of the parent still happened.
+    """
+
+    jclass: Optional[JClass]
     parent_index: int
     parent_label: str
 
@@ -425,16 +412,16 @@ class _FuzzEngine:
         self.discards[category] = self.discards.get(category, 0) + 1
         self.observer.discarded(category, mutator)
 
-    def mutate_draft(self, mutator: Mutator) -> Optional[_Draft]:
+    def mutate_draft(self, mutator: Mutator) -> _Draft:
         """The RNG-consuming half of one iteration: schedule, clone, rewrite.
 
         The seed pool's scheduler picks which member to mutate (the
         default uniform policy consumes the RNG exactly like the
         historical ``rng.choice``).  Returns the mutated (not yet
-        compiled) draft with its parent lineage, or ``None`` when the
-        rewrite crashed or reported itself inapplicable — both discard
-        categories are recorded here, sequentially, so their ordering is
-        deterministic.
+        compiled) draft with its parent lineage; its ``jclass`` is
+        ``None`` when the rewrite crashed or reported itself
+        inapplicable — both discard categories are recorded here,
+        sequentially, so their ordering is deterministic.
         """
         parent_index, entry = self.pool.pick(self.rng)
         self.observer.scheduled(entry)
@@ -447,14 +434,14 @@ class _FuzzEngine:
             # Mutators are arbitrary rewrites over arbitrary mutants; a
             # crashing rewrite is a failed iteration, but a counted one.
             self._discard(DISCARD_MUTATOR_ERROR, mutator.name)
-            return None
+            return _Draft(None, parent_index, entry.label)
         if not applied:
             self._discard(DISCARD_INAPPLICABLE, mutator.name)
-            return None
+            return _Draft(None, parent_index, entry.label)
         supplement_main(mutant)
         return _Draft(mutant, parent_index, entry.label)
 
-    def dump_drafts(self, drafts: List[Tuple[Mutator, Optional[_Draft]]]
+    def dump_drafts(self, drafts: List[Tuple[Mutator, _Draft]]
                     ) -> List[Optional[GeneratedClass]]:
         """Compile and dump one round of drafts, aligned with the input.
 
@@ -466,7 +453,7 @@ class _FuzzEngine:
         """
         pending = [(position, mutator, draft)
                    for position, (mutator, draft) in enumerate(drafts)
-                   if draft is not None]
+                   if draft.jclass is not None]
         results: List[Optional[GeneratedClass]] = [None] * len(drafts)
         if not pending:
             return results
@@ -490,7 +477,7 @@ class _FuzzEngine:
         counted under its failure category in :attr:`discards`.
         """
         draft = self.mutate_draft(mutator)
-        if draft is None:
+        if draft.jclass is None:
             return None
         category, data = _dump_mutant(draft.jclass)
         if data is None:
@@ -706,15 +693,12 @@ def _run_pipeline(result: FuzzResult, engine: _FuzzEngine, selector,
                  if generated is not None])
         share = (time.perf_counter() - round_started) / size
         # Replay acceptance sequentially in batch-index order.
-        round_generated = round_accepted = 0
         for offset, ((mutator, draft), generated) in enumerate(items):
             accepted = False
             if generated is not None:
-                round_generated += 1
                 result.gen_classes.append(generated)
                 if policy.consider(generated):
                     accepted = True
-                    round_accepted += 1
                     result.test_classes.append(generated)
                     novelty = engine.pool.absorb(generated.tracefile) \
                         if generated.tracefile is not None else 0
@@ -729,10 +713,9 @@ def _run_pipeline(result: FuzzResult, engine: _FuzzEngine, selector,
                                       len(result.test_classes))
             observer.iteration(
                 index + offset, mutator, generated, accepted,
-                len(result.test_classes), len(engine.pool), share)
-        observer.batch_round(round_index, size, round_generated,
-                             round_accepted,
-                             time.perf_counter() - round_started)
+                len(result.test_classes), len(engine.pool), share,
+                round_index, draft.parent_label)
+        observer.batch_round(time.perf_counter() - round_started)
         index += size
         round_index += 1
         if checkpointer is not None and index < iterations:
@@ -779,10 +762,9 @@ def classfuzz(seeds: Sequence[JClass], iterations: int,
         executor: the execution engine for reference runs (defaults to a
             cached serial engine).
         telemetry: optional :class:`~repro.observe.Telemetry`; records
-            per-iteration metrics and emits ``iteration`` /
-            ``mutant_accepted`` / ``mutant_discarded`` /
-            ``mcmc_transition`` / ``batch_round`` / ``seed_scheduled`` /
-            ``checkpoint_written`` events.
+            per-iteration, per-round and per-pick metrics and emits
+            ``iteration`` / ``mutant_accepted`` / ``mutant_discarded`` /
+            ``mcmc_transition`` / ``checkpoint_written`` events.
         batch: speculative batch size (1 = the exact serial Algorithm 1
             loop; larger batches amortise reference runs across the
             executor's workers at the cost of intra-round staleness of

@@ -1,28 +1,28 @@
-"""``repro.observe``: campaign telemetry — metrics, events, tracing.
+"""``repro.observe``: campaign telemetry — metrics, events, timing.
 
-Three layers, bundled by :class:`Telemetry` and threaded through every
-stage of the fuzz → coverage → difftest pipeline:
+Two recording layers, bundled by :class:`Telemetry` and threaded through
+every stage of the fuzz → coverage → difftest pipeline, each holding
+facts the other does not:
 
 * :mod:`repro.observe.registry` — a thread-safe metrics registry
   (counters, gauges, fixed-bucket latency histograms) with Prometheus
-  text exposition;
+  text exposition: every count and latency, JVM phases included;
 * :mod:`repro.observe.events` — a typed event bus with pluggable sinks
-  (JSONL file, in-memory ring buffer, live stderr progress);
-* :mod:`repro.observe.tracing` — span-based timing with parent/child
-  nesting, plus the ambient hook the JVM startup phases use.
+  (JSONL file, in-memory ring buffer, live stderr progress) for the
+  per-iteration and per-decision records no metric holds.
 
-:mod:`repro.observe.summary` analyses recorded logs offline (the
-``repro observe`` CLI command).  Everything is no-op cheap when
-disabled: uninstrumented code paths pay one ``is None`` check.
+:mod:`repro.observe.tracing` holds the ambient hook the JVM startup
+phases time themselves through.  :mod:`repro.observe.summary` analyses
+recorded logs and metric dumps offline (the ``repro observe`` CLI
+command), and :mod:`repro.observe.server` serves them live.  Everything
+is no-op cheap when disabled: uninstrumented code paths pay one
+``is None`` check.
 """
 
 from repro.observe.events import (
-    CACHE_HIT,
     DISCREPANCY_FOUND,
     EVENT_TYPES,
-    EXECUTOR_BATCH,
     ITERATION,
-    JVM_PHASE,
     MCMC_TRANSITION,
     MUTANT_ACCEPTED,
     MUTANT_DISCARDED,
@@ -53,25 +53,23 @@ from repro.observe.summary import (
     parse_prometheus,
     replay_events,
     summarize_events,
-    summarize_workers,
+    summarize_metrics,
     write_timeseries,
 )
 from repro.observe.telemetry import Telemetry, make_telemetry
 from repro.observe.tracing import (
     NULL_SPAN,
     NullSpan,
-    Span,
-    Tracer,
     ambient_phase_span,
     ambient_telemetry,
 )
 
 __all__ = [
     # events
-    "CACHE_HIT", "DISCREPANCY_FOUND", "EVENT_TYPES", "EXECUTOR_BATCH",
-    "ITERATION", "JVM_PHASE", "MCMC_TRANSITION", "MUTANT_ACCEPTED",
-    "MUTANT_DISCARDED", "CallbackSink", "Event", "EventBus", "EventSink",
-    "JsonlSink", "RingBufferSink", "StderrProgressSink", "read_events",
+    "DISCREPANCY_FOUND", "EVENT_TYPES", "ITERATION", "MCMC_TRANSITION",
+    "MUTANT_ACCEPTED", "MUTANT_DISCARDED", "CallbackSink", "Event",
+    "EventBus", "EventSink", "JsonlSink", "RingBufferSink",
+    "StderrProgressSink", "read_events",
     # registry
     "DEFAULT_LATENCY_BUCKETS", "Counter", "Family", "Gauge", "Histogram",
     "MetricsRegistry",
@@ -81,8 +79,8 @@ __all__ = [
     # summary
     "CORE_METRIC_FAMILIES", "check_prometheus", "load_events",
     "parse_prometheus", "replay_events", "summarize_events",
-    "summarize_workers", "write_timeseries",
-    # telemetry + tracing
-    "Telemetry", "make_telemetry", "NULL_SPAN", "NullSpan", "Span",
-    "Tracer", "ambient_phase_span", "ambient_telemetry",
+    "summarize_metrics", "write_timeseries",
+    # telemetry + ambient phase timing
+    "Telemetry", "make_telemetry", "NULL_SPAN", "NullSpan",
+    "ambient_phase_span", "ambient_telemetry",
 ]

@@ -8,21 +8,21 @@ offline.  The taxonomy (one constant per type, all in
 ================== ========================================================
 type               emitted by
 ================== ========================================================
-``iteration``      the fuzzing loop, once per mutation iteration
+``iteration``      the fuzzing loop, once per mutation iteration (with
+                   its ``round`` and the ``seed`` label it mutated)
 ``mutant_accepted``  the fuzzing loop, when a mutant joins TestClasses
 ``mutant_discarded`` the mutation engine, when an iteration produced
                    no classfile (with the discard category)
 ``mcmc_transition``  the Metropolis–Hastings chain, per accepted proposal
-``batch_round``    the speculative fuzzing pipeline, per batch round
-``seed_scheduled`` the seed pool, per scheduled mutation seed pick
 ``checkpoint_written``  the campaign checkpoint layer, per checkpoint
 ``reduction_step`` the delta-debugging reducer, per surviving deletion
-``jvm_phase``      the JVM startup pipeline, per phase span
-``executor_batch`` the execution engine, per differential batch
-``cache_hit``      the execution engine, per content-addressed cache hit
 ``discrepancy_found``  the differential harness
 ``triage_cluster`` the triage engine, once per newly discovered cluster
 ================== ========================================================
+
+An event records a fact no metric holds.  Counts and latencies that a
+metric family already records (JVM phases, executor batches, cache
+lookups, scheduled seeds, rounds) stay in the registry only.
 
 The bus is **no-op cheap when disabled**: with no sinks attached
 ``EventBus.enabled`` is false and every instrumentation site guards its
@@ -46,22 +46,15 @@ ITERATION = "iteration"
 MUTANT_ACCEPTED = "mutant_accepted"
 MUTANT_DISCARDED = "mutant_discarded"
 MCMC_TRANSITION = "mcmc_transition"
-BATCH_ROUND = "batch_round"
-SEED_SCHEDULED = "seed_scheduled"
 CHECKPOINT_WRITTEN = "checkpoint_written"
 REDUCTION_STEP = "reduction_step"
-JVM_PHASE = "jvm_phase"
-EXECUTOR_BATCH = "executor_batch"
-CACHE_HIT = "cache_hit"
 DISCREPANCY_FOUND = "discrepancy_found"
 TRIAGE_CLUSTER = "triage_cluster"
 
 #: Every event type the pipeline emits.
 EVENT_TYPES = (ITERATION, MUTANT_ACCEPTED, MUTANT_DISCARDED,
-               MCMC_TRANSITION, BATCH_ROUND, SEED_SCHEDULED,
-               CHECKPOINT_WRITTEN, REDUCTION_STEP, JVM_PHASE,
-               EXECUTOR_BATCH, CACHE_HIT, DISCREPANCY_FOUND,
-               TRIAGE_CLUSTER)
+               MCMC_TRANSITION, CHECKPOINT_WRITTEN, REDUCTION_STEP,
+               DISCREPANCY_FOUND, TRIAGE_CLUSTER)
 
 
 @dataclass(frozen=True)

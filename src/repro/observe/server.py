@@ -23,6 +23,12 @@ Overhead design: the server runs on daemon threads
 *existing* locked snapshots (registry exposition, tracker snapshot), and
 without ``--serve`` none of this module is even imported by the hot
 path.
+
+The module also holds the HTTP skeleton the service API
+(:mod:`repro.service.api`) shares: :class:`HttpServerBase` (the
+threaded server on a daemon thread, with ``port``/``url``/``start``/
+``stop``) and :class:`HttpHandlerBase` (HTTP/1.1, silent logging,
+``_send``/``_send_json``).
 """
 
 from __future__ import annotations
@@ -40,45 +46,52 @@ from repro.observe.telemetry import Telemetry
 SSE_HEARTBEAT_SECONDS = 5.0
 
 
-class MonitorServer:
-    """Serves live telemetry for one :class:`Telemetry` bundle.
+class _ThreadingServer(ThreadingHTTPServer):
+    """Thread-per-request server that never outlives its process."""
 
-    Attaches a :class:`StatusTracker` (reusing one already attached via
-    :meth:`Telemetry.attach_status`) and an :class:`SseSink` to the bus,
-    then serves them over HTTP from daemon threads.  ``port=0`` binds an
-    ephemeral port (tests); :attr:`port`/:attr:`url` report the bound
-    address after :meth:`start`.
+    daemon_threads = True
+    # A live SSE stream would otherwise make ``server_close`` wait on
+    # its handler thread forever; daemon threads die with the process.
+    block_on_close = False
+    owner: "HttpServerBase"
+
+
+class HttpServerBase:
+    """Serves :attr:`handler_class` from a daemon thread.
+
+    ``port=0`` binds an ephemeral port (tests); :attr:`port`/:attr:`url`
+    report the bound address.  Handlers reach the subclass instance as
+    ``self.server.owner``.
     """
 
-    def __init__(self, telemetry: Telemetry, host: str = "127.0.0.1",
-                 port: int = 0):
-        self.telemetry = telemetry
-        self.tracker = telemetry.attach_status()
-        self.sse = SseSink(telemetry.registry)
-        telemetry.bus.add_sink(self.sse)
-        self._stopping = threading.Event()
-        self._httpd = _MonitorHTTPServer((host, port), _MonitorHandler)
-        self._httpd.monitor = self
+    handler_class: type  # an HttpHandlerBase subclass
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        self._httpd = _ThreadingServer((host, port), self.handler_class)
+        self._httpd.owner = self
         self._thread: Optional[threading.Thread] = None
 
     @property
     def port(self) -> int:
+        """The bound port (useful with ``port=0``)."""
         return self._httpd.server_address[1]
 
     @property
     def url(self) -> str:
+        """Base URL clients should talk to."""
         host = self._httpd.server_address[0]
         return f"http://{host}:{self.port}"
 
-    def start(self) -> "MonitorServer":
+    def start(self) -> "HttpServerBase":
+        """Serve from a daemon thread; returns self."""
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            name=f"repro-monitor:{self.port}", daemon=True)
+            name=f"{type(self).__name__}:{self.port}", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
+        """Shut the listener down (in-flight handlers are daemonic)."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -86,23 +99,33 @@ class MonitorServer:
             self._thread = None
 
 
-class _MonitorHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    # A live SSE stream would otherwise make ``server_close`` wait on
-    # its handler thread forever; daemon threads die with the process.
-    block_on_close = False
-    monitor: "MonitorServer"
+class HttpHandlerBase(BaseHTTPRequestHandler):
+    """HTTP/1.1 request plumbing shared by the monitor and service API."""
 
-
-class _MonitorHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-
-    @property
-    def monitor(self) -> MonitorServer:
-        return self.server.monitor  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # scrapes at dashboard poll rates would flood stderr
+
+    def _send(self, code: int, content_type: str, body: bytes) -> None:
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Access-Control-Allow-Origin", "*")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_json(self, code: int, document) -> None:
+        body = json.dumps(document, sort_keys=True,
+                          default=str).encode("utf-8")
+        self._send(code, "application/json", body)
+
+
+class _MonitorHandler(HttpHandlerBase):
+
+    @property
+    def monitor(self) -> "MonitorServer":
+        return self.server.owner  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         path = self.path.split("?", 1)[0]
@@ -115,24 +138,13 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                 self._send(200, "text/plain; version=0.0.4; charset=utf-8",
                            body.encode("utf-8"))
             elif path == "/status":
-                body = json.dumps(self.monitor.tracker.snapshot(),
-                                  sort_keys=True, default=str)
-                self._send(200, "application/json", body.encode("utf-8"))
+                self._send_json(200, self.monitor.tracker.snapshot())
             elif path == "/events":
                 self._serve_events()
             else:
-                self._send(404, "application/json",
-                           b'{"error": "not found"}')
+                self._send_json(404, {"error": "not found"})
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client went away mid-response
-
-    def _send(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
 
     def _serve_events(self) -> None:
         client = self.monitor.sse.register()
@@ -156,6 +168,30 @@ class _MonitorHandler(BaseHTTPRequestHandler):
             pass  # disconnects are the normal way this loop ends
         finally:
             self.monitor.sse.unregister(client)
+
+
+class MonitorServer(HttpServerBase):
+    """Serves live telemetry for one :class:`Telemetry` bundle.
+
+    Attaches a :class:`StatusTracker` (reusing one already attached via
+    :meth:`Telemetry.attach_status`) and an :class:`SseSink` to the bus,
+    then serves them over HTTP from daemon threads.
+    """
+
+    handler_class = _MonitorHandler
+
+    def __init__(self, telemetry: Telemetry, host: str = "127.0.0.1",
+                 port: int = 0):
+        self.telemetry = telemetry
+        self.tracker: StatusTracker = telemetry.attach_status()
+        self.sse = SseSink(telemetry.registry)
+        telemetry.bus.add_sink(self.sse)
+        self._stopping = threading.Event()
+        super().__init__(host, port)
+
+    def stop(self) -> None:
+        self._stopping.set()
+        super().stop()
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +419,9 @@ setInterval(poll, 1000);
 const logList = $("events");
 const source = new EventSource("/events");
 source.onmessage = ev => logEvent(JSON.parse(ev.data));
-["iteration", "mutant_accepted", "batch_round", "checkpoint_written",
- "discrepancy_found", "triage_cluster", "seed_scheduled",
- "mutant_discarded", "mcmc_transition", "executor_batch", "cache_hit",
- "jvm_phase", "reduction_step"].forEach(t =>
+["iteration", "mutant_accepted", "checkpoint_written",
+ "discrepancy_found", "triage_cluster", "mutant_discarded",
+ "mcmc_transition", "reduction_step"].forEach(t =>
   source.addEventListener(t, ev => logEvent(JSON.parse(ev.data))));
 function logEvent(e) {
   if (e.type === "iteration" && e.seq % 25 !== 0 && !e.accepted) return;

@@ -24,7 +24,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.observe.events import (
-    BATCH_ROUND,
     CHECKPOINT_WRITTEN,
     DISCREPANCY_FOUND,
     ITERATION,
@@ -121,11 +120,10 @@ class StatusTracker(EventSink):
                     self._accepted += 1
                 self._tests = int(event.fields.get("tests", self._tests))
                 self._pool = int(event.fields.get("pool", self._pool))
+                self._round = int(event.fields.get("round", self._round))
                 algorithm = event.fields.get("algorithm")
                 if algorithm is not None:
                     self._algorithm = str(algorithm)
-            elif event.type == BATCH_ROUND:
-                self._round = int(event.fields.get("round", self._round))
             elif event.type == MUTANT_DISCARDED:
                 category = str(event.fields.get("category", "?"))
                 self._discards[category] = \

@@ -5,9 +5,12 @@ the JSONL event logs written by :class:`~repro.observe.events.JsonlSink`
 and the Prometheus text dumps written by
 :meth:`~repro.observe.registry.MetricsRegistry.render_prometheus`:
 
-* :func:`summarize_events` — the campaign post-mortem: per-algorithm
-  acceptance rates (overall and per quartile, so coverage-growth stalls
-  are visible), per-phase JVM latency, executor batches, MCMC traffic;
+* :func:`summarize_events` — the campaign post-mortem from the event
+  log: per-algorithm acceptance rates (overall and per quartile, so
+  coverage-growth stalls are visible), MCMC traffic, discrepancies;
+* :func:`summarize_metrics` — the post-mortem blocks the metric dump
+  holds: per-phase JVM latency, executor batches, worker warm/cold
+  runs;
 * :func:`replay_events` — a human-readable line-per-event replay;
 * :func:`write_timeseries` — the coverage-growth / acceptance-rate
   time series as CSV, one row per recorded iteration;
@@ -25,9 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.observe.events import (
     DISCREPANCY_FOUND,
     EVENT_TYPES,
-    EXECUTOR_BATCH,
     ITERATION,
-    JVM_PHASE,
     MCMC_TRANSITION,
     Event,
     read_events,
@@ -46,6 +47,9 @@ CORE_METRIC_FAMILIES = (
 
 #: The four JVM startup phases, in pipeline order.
 STARTUP_PHASES = ("loading", "linking", "initialization", "execution")
+
+#: Parsed Prometheus samples: ``{metric: [(labels, value)]}``.
+Samples = Dict[str, List[Tuple[Dict[str, str], float]]]
 
 
 def load_events(path: Union[str, Path]) -> List[Event]:
@@ -106,14 +110,6 @@ def _render_rows(headers: Sequence[str],
     return lines
 
 
-def _quantile(values: Sequence[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
-
-
 def summarize_events(events: Sequence[Event]) -> str:
     """Render the post-mortem summary of a recorded event log."""
     if not events:
@@ -159,40 +155,6 @@ def summarize_events(events: Sequence[Event]) -> str:
         lines.extend(_render_rows(
             ["algorithm", "iterations", "accepted", "rate",
              "q1", "q2", "q3", "q4"], rows))
-
-    phase_events = [e for e in events if e.type == JVM_PHASE]
-    if phase_events:
-        lines.append("")
-        lines.append("=== JVM phase latency ===")
-        by_phase: Dict[str, List[float]] = {}
-        for event in phase_events:
-            by_phase.setdefault(str(event.fields.get("phase", "?")),
-                                []).append(float(
-                                    event.fields.get("seconds", 0.0)))
-        rows = []
-        ordered = [p for p in STARTUP_PHASES if p in by_phase]
-        ordered += sorted(set(by_phase) - set(STARTUP_PHASES))
-        for phase in ordered:
-            samples = by_phase[phase]
-            mean_ms = sum(samples) / len(samples) * 1000.0
-            p95_ms = _quantile(samples, 0.95) * 1000.0
-            rows.append([phase, str(len(samples)),
-                         f"{sum(samples):.3f}", f"{mean_ms:.3f}",
-                         f"{p95_ms:.3f}"])
-        lines.extend(_render_rows(
-            ["phase", "spans", "total_s", "mean_ms", "p95_ms"], rows))
-
-    batch_events = [e for e in events if e.type == EXECUTOR_BATCH]
-    if batch_events:
-        lines.append("")
-        lines.append("=== Executor batches ===")
-        sizes = [int(e.fields.get("size", 0)) for e in batch_events]
-        seconds = [float(e.fields.get("seconds", 0.0))
-                   for e in batch_events]
-        lines.append(f"{len(batch_events)} batches, "
-                     f"{sum(sizes)} classfiles, "
-                     f"mean {sum(sizes) / len(sizes):.1f}/batch, "
-                     f"{sum(seconds):.2f}s total")
 
     transitions = [e for e in events if e.type == MCMC_TRANSITION]
     if transitions:
@@ -276,32 +238,102 @@ def write_timeseries(events: Sequence[Event],
     return len(rows) - 1
 
 
-def summarize_workers(samples: Dict[str, List[
-        Tuple[Dict[str, str], float]]]) -> Optional[str]:
-    """Render the worker-process warm/cold run split from parsed metrics.
+def summarize_metrics(samples: Samples) -> Optional[str]:
+    """Render the post-mortem blocks a metrics dump holds.
 
-    Reads the ``repro_worker_runs_total{state}`` and
-    ``repro_worker_recycles_total`` counters out of a
-    :func:`parse_prometheus` result; returns ``None`` when the run
-    recorded none (serial runs, which never start workers).
+    ``samples`` is a :func:`parse_prometheus` result; the samples of
+    several dumps (one per service leg) may be concatenated per metric,
+    since every block sums over its series.  Renders:
+
+    * the JVM phase latency table from
+      ``repro_jvm_phase_seconds{vendor,phase}``, summed over vendors —
+      span count, total and mean are exact; p95 is the upper bound of
+      the histogram bucket holding the 95th-percentile span;
+    * the executor batches per engine, from
+      ``repro_executor_batches_total`` and
+      ``repro_executor_batch_seconds``;
+    * the worker warm/cold run split, from
+      ``repro_worker_runs_total{state}`` and
+      ``repro_worker_recycles_total`` (process backend only).
+
+    Returns ``None`` when the dump records none of them.
     """
-    rows = samples.get("repro_worker_runs_total")
-    if not rows:
-        return None
-    by_state: Dict[str, float] = {}
+    blocks = [block for block in (_phase_block(samples),
+                                  _batch_block(samples),
+                                  _worker_block(samples)) if block]
+    return "\n\n".join(blocks) if blocks else None
+
+
+def _sum_by(rows: Sequence[Tuple[Dict[str, str], float]],
+            label: str) -> Dict[str, float]:
+    totals: Dict[str, float] = {}
     for labels, value in rows:
-        state = labels.get("state", "?")
-        by_state[state] = by_state.get(state, 0.0) + value
+        key = labels.get(label, "?")
+        totals[key] = totals.get(key, 0.0) + value
+    return totals
+
+
+def _bucket_quantile(cumulative: Dict[float, float], count: float,
+                     q: float) -> float:
+    """The upper bound of the bucket holding the ``q`` quantile."""
+    rank = min(count, int(q * count) + 1)
+    for bound in sorted(cumulative):
+        if cumulative[bound] >= rank:
+            return bound
+    return float("inf")
+
+
+def _phase_block(samples: Samples) -> Optional[str]:
+    family = "repro_jvm_phase_seconds"
+    counts = _sum_by(samples.get(f"{family}_count", []), "phase")
+    sums = _sum_by(samples.get(f"{family}_sum", []), "phase")
+    buckets: Dict[str, Dict[float, float]] = {}
+    for labels, value in samples.get(f"{family}_bucket", []):
+        per_bound = buckets.setdefault(labels.get("phase", "?"), {})
+        bound = float(labels.get("le", "+Inf"))
+        per_bound[bound] = per_bound.get(bound, 0.0) + value
+    ordered = [p for p in STARTUP_PHASES if counts.get(p)]
+    ordered += sorted(p for p in counts
+                      if counts[p] and p not in STARTUP_PHASES)
+    if not ordered:
+        return None
+    rows = []
+    for phase in ordered:
+        count = counts[phase]
+        total = sums.get(phase, 0.0)
+        p95 = _bucket_quantile(buckets.get(phase, {}), count, 0.95)
+        rows.append([phase, str(int(count)), f"{total:.3f}",
+                     f"{total / count * 1000.0:.3f}",
+                     f"{p95 * 1000.0:.3f}"])
+    return "\n".join(["=== JVM phase latency ==="] + _render_rows(
+        ["phase", "spans", "total_s", "mean_ms", "p95_ms"], rows))
+
+
+def _batch_block(samples: Samples) -> Optional[str]:
+    batches = _sum_by(samples.get("repro_executor_batches_total", []),
+                      "engine")
+    seconds = _sum_by(samples.get("repro_executor_batch_seconds_sum", []),
+                      "engine")
+    lines = [f"{engine}: {int(batches[engine])} batches, "
+             f"{seconds.get(engine, 0.0):.2f}s total"
+             for engine in sorted(batches) if batches[engine]]
+    if not lines:
+        return None
+    return "\n".join(["=== Executor batches ==="] + lines)
+
+
+def _worker_block(samples: Samples) -> Optional[str]:
+    # A serial run's instruments declare the counters at zero.
+    by_state = _sum_by(samples.get("repro_worker_runs_total", []), "state")
+    total = sum(by_state.values())
+    if not total:
+        return None
     warm = by_state.get("warm", 0.0)
     cold = by_state.get("cold", 0.0)
-    total = sum(by_state.values())
     recycles = sum(value for _, value
                    in samples.get("repro_worker_recycles_total", []))
-    lines = ["=== Worker runs ==="]
-    rate = f"{warm / total:.1%}" if total else "-"
-    lines.append(f"{int(warm)} warm / {int(cold)} cold "
-                 f"(warm rate {rate}), {int(recycles)} recycles")
-    return "\n".join(lines)
+    return (f"=== Worker runs ===\n{int(warm)} warm / {int(cold)} cold "
+            f"(warm rate {warm / total:.1%}), {int(recycles)} recycles")
 
 
 # -- Prometheus dump validation ---------------------------------------------
@@ -316,14 +348,13 @@ _SAMPLE_RE = re.compile(
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
-def parse_prometheus(text: str) -> Dict[str, List[
-        Tuple[Dict[str, str], float]]]:
+def parse_prometheus(text: str) -> Samples:
     """Parse a Prometheus text dump into ``{metric: [(labels, value)]}``.
 
     Raises ``ValueError`` on a malformed sample line, so the CI check
     fails loudly rather than silently accepting garbage.
     """
-    samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
+    samples: Samples = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

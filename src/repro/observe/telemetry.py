@@ -1,11 +1,17 @@
 """The telemetry bundle threaded through the pipeline.
 
-One :class:`Telemetry` couples the three layers of ``repro.observe``:
+One :class:`Telemetry` couples the two recording layers of
+``repro.observe``:
 
 * a :class:`~repro.observe.registry.MetricsRegistry` (counters, gauges,
   latency histograms);
-* an :class:`~repro.observe.events.EventBus` with pluggable sinks;
-* a :class:`~repro.observe.tracing.Tracer` for span-based timing.
+* an :class:`~repro.observe.events.EventBus` with pluggable sinks.
+
+Timing is one primitive, :class:`_PhaseSpan`: a ``with`` block observed
+into one histogram child.  :meth:`Telemetry.jvm_phase_span` times the
+JVM startup phases into ``repro_jvm_phase_seconds{vendor,phase}`` and
+:meth:`Telemetry.span` times campaign stages into
+``repro_span_seconds{span}``; neither emits an event.
 
 Every instrumented entry point (the fuzzing algorithms, the execution
 engines, the differential harness, the campaign orchestrator) takes an
@@ -13,28 +19,27 @@ optional ``telemetry`` argument defaulting to ``None`` — the disabled
 state costs one ``is None`` check per site.  :meth:`Telemetry.activate`
 additionally installs the bundle as the process-wide ambient telemetry
 so the JVM startup phases (which no campaign object reaches directly)
-trace themselves.
+time themselves.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.observe.events import JVM_PHASE, EventBus, JsonlSink, \
-    RingBufferSink, StderrProgressSink
+from repro.observe.events import EventBus, JsonlSink, RingBufferSink, \
+    StderrProgressSink
 from repro.observe.registry import MetricsRegistry
-from repro.observe.tracing import NULL_SPAN, Span, Tracer, \
-    install_ambient, uninstall_ambient
+from repro.observe.tracing import install_ambient, uninstall_ambient
 
 
 class Telemetry:
-    """Registry + event bus + tracer, as one pluggable unit.
+    """Registry + event bus, as one pluggable unit.
 
     Attributes:
         registry: the metrics registry every instrument records into.
         bus: the structured event bus (disabled until a sink attaches).
-        tracer: the span factory bound to both.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -42,8 +47,10 @@ class Telemetry:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.bus = bus if bus is not None else EventBus()
-        self.tracer = Tracer(self.registry, self.bus)
         self.status = None  # set by attach_status (the --serve path)
+        self._span_seconds = self.registry.histogram(
+            "repro_span_seconds",
+            "Duration of traced pipeline spans.", ("span",))
         self._jvm_phase_seconds = self.registry.histogram(
             "repro_jvm_phase_seconds",
             "Latency of the four JVM startup phases.",
@@ -57,21 +64,15 @@ class Telemetry:
 
     # -- spans ---------------------------------------------------------------
 
-    def span(self, name: str, event_type: Optional[str] = None,
-             **attrs) -> Span:
-        return self.tracer.span(name, event_type, **attrs)
+    def span(self, name: str) -> "_PhaseSpan":
+        """Time a ``with`` block into ``repro_span_seconds{span=name}``."""
+        return _PhaseSpan(self._span_seconds.labels(span=name))
 
-    def jvm_phase_span(self, vendor: str, phase: str) -> Span:
-        """A span for one JVM startup phase (loading/linking/init/exec).
-
-        Feeds both the generic span histogram and the dedicated
-        ``repro_jvm_phase_seconds{vendor,phase}`` family, and emits a
-        ``jvm_phase`` event when the bus is live.
-        """
-        span = self.tracer.span(f"jvm.{phase}", event_type=JVM_PHASE,
-                                vendor=vendor, phase=phase)
-        hist = self._jvm_phase_seconds.labels(vendor=vendor, phase=phase)
-        return _PhaseSpan(span, hist)
+    def jvm_phase_span(self, vendor: str, phase: str) -> "_PhaseSpan":
+        """Time one JVM startup phase (loading/linking/init/exec) into
+        ``repro_jvm_phase_seconds{vendor,phase}``."""
+        return _PhaseSpan(self._jvm_phase_seconds.labels(vendor=vendor,
+                                                         phase=phase))
 
     def attach_status(self, tracker=None):
         """Attach (or return the already-attached) status tracker sink.
@@ -105,24 +106,23 @@ class Telemetry:
 
 
 class _PhaseSpan:
-    """Wraps a span to also record the vendor/phase latency histogram."""
+    """Times one ``with`` block on the monotonic clock into one histogram
+    child; :attr:`seconds` holds the duration after exit."""
 
-    __slots__ = ("_span", "_hist")
+    __slots__ = ("_hist", "_started", "seconds")
 
-    def __init__(self, span: Span, hist):
-        self._span = span
+    def __init__(self, hist):
         self._hist = hist
-
-    def note(self, **attrs) -> None:
-        self._span.note(**attrs)
+        self._started = 0.0
+        self.seconds = 0.0
 
     def __enter__(self) -> "_PhaseSpan":
-        self._span.__enter__()
+        self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        self._span.__exit__(*exc_info)
-        self._hist.observe(self._span.seconds)
+        self.seconds = time.perf_counter() - self._started
+        self._hist.observe(self.seconds)
         return False
 
 

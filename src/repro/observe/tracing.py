@@ -1,29 +1,20 @@
-"""Span-based tracing: monotonic-clock context managers with nesting.
-
-A :class:`Span` measures one region of the pipeline — a fuzz iteration,
-a reference-JVM run, one of the four JVM startup phases, an executor
-batch — on the monotonic clock (``time.perf_counter``).  Spans nest via
-a thread-local stack, so each records its parent's name, and every
-completed span feeds the ``repro_span_seconds{span=...}`` latency
-histogram; spans opened with an ``event_type`` additionally emit a
-structured event carrying the duration.
+"""The ambient JVM-phase hook and the null span of disabled paths.
 
 The JVM startup pipeline cannot be handed a telemetry object explicitly
 (vendors construct :class:`~repro.jvm.machine.Jvm` instances far from
-any campaign), so — exactly like the coverage probes — phase spans use a
-process-wide *ambient* telemetry installed by
+any campaign), so — exactly like the coverage probes — phase timers use
+a process-wide *ambient* telemetry installed by
 :meth:`~repro.observe.telemetry.Telemetry.activate`.  With nothing
 installed, :func:`ambient_phase_span` returns a shared null span whose
 enter/exit do nothing, keeping uninstrumented JVM runs no-op cheap.
+
+The timer itself is :class:`~repro.observe.telemetry._PhaseSpan`: one
+``with`` block observed into one histogram child, emitting no event.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Dict, List, Optional
-
-from repro.observe.events import JVM_PHASE
 
 
 class NullSpan:
@@ -37,93 +28,9 @@ class NullSpan:
     def __exit__(self, *exc_info) -> bool:
         return False
 
-    def note(self, **attrs: Any) -> None:
-        """Accepts and drops attributes (API parity with :class:`Span`)."""
-
 
 #: The shared do-nothing span.
 NULL_SPAN = NullSpan()
-
-
-class Span:
-    """One timed region; use as a context manager.
-
-    Attributes:
-        name: the span name (e.g. ``jvm.linking``).
-        parent: the enclosing span's name, or ``None`` at top level.
-        seconds: the measured duration (populated on exit).
-        attrs: free-form attributes included in the emitted event.
-    """
-
-    __slots__ = ("name", "parent", "seconds", "attrs", "_tracer",
-                 "_event_type", "_started")
-
-    def __init__(self, tracer: "Tracer", name: str,
-                 event_type: Optional[str] = None,
-                 attrs: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.parent: Optional[str] = None
-        self.seconds = 0.0
-        self.attrs = attrs or {}
-        self._tracer = tracer
-        self._event_type = event_type
-        self._started = 0.0
-
-    def note(self, **attrs: Any) -> None:
-        """Attach attributes mid-span (they ride on the emitted event)."""
-        self.attrs.update(attrs)
-
-    def __enter__(self) -> "Span":
-        stack = self._tracer._stack()
-        if stack:
-            self.parent = stack[-1].name
-        stack.append(self)
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.seconds = time.perf_counter() - self._started
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        self._tracer._finish(self, self._event_type)
-        return False
-
-
-class Tracer:
-    """Creates spans bound to one registry/bus pair."""
-
-    def __init__(self, registry, bus):
-        self.registry = registry
-        self.bus = bus
-        self._span_seconds = registry.histogram(
-            "repro_span_seconds",
-            "Duration of traced pipeline spans.", ("span",))
-        self._tls = threading.local()
-
-    def span(self, name: str, event_type: Optional[str] = None,
-             **attrs: Any) -> Span:
-        """A new span; ``event_type`` makes exit emit a structured event."""
-        return Span(self, name, event_type, attrs)
-
-    def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    # -- internals -----------------------------------------------------------
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
-    def _finish(self, span: Span, event_type: Optional[str]) -> None:
-        self._span_seconds.labels(span=span.name).observe(span.seconds)
-        if event_type is not None and self.bus.enabled:
-            self.bus.emit(event_type, span=span.name, parent=span.parent,
-                          seconds=span.seconds, **span.attrs)
 
 
 # -- ambient telemetry (for the JVM startup pipeline) -----------------------
@@ -167,6 +74,5 @@ def ambient_phase_span(vendor: str, phase: str):
     return telemetry.jvm_phase_span(vendor, phase)
 
 
-__all__ = ["NullSpan", "NULL_SPAN", "Span", "Tracer", "JVM_PHASE",
-           "install_ambient", "uninstall_ambient", "ambient_telemetry",
-           "ambient_phase_span"]
+__all__ = ["NullSpan", "NULL_SPAN", "install_ambient", "uninstall_ambient",
+           "ambient_telemetry", "ambient_phase_span"]

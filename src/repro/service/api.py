@@ -1,8 +1,10 @@
 """HTTP API + queue dashboard for the service daemon (stdlib only).
 
-Grown from the :mod:`repro.observe.server` monitor: same
-``ThreadingHTTPServer`` skeleton (daemon threads, non-blocking close,
-ephemeral-port support for tests), extended with POST routes and
+Built on the HTTP skeleton of the :mod:`repro.observe.server` monitor
+(:class:`~repro.observe.server.HttpServerBase`: daemon threads,
+non-blocking close, ephemeral-port support for tests;
+:class:`~repro.observe.server.HttpHandlerBase`: HTTP/1.1, silent
+logging, ``_send``/``_send_json``), extended with POST routes and
 artifact serving.  Endpoints:
 
 ``POST /jobs``
@@ -33,11 +35,9 @@ JSON schemas for ``/jobs`` documents are specified in
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Optional, Tuple
 
+from repro.observe.server import HttpHandlerBase, HttpServerBase
 from repro.service.jobs import JobError
 
 #: Largest request body the API accepts (a job spec is tiny).
@@ -54,62 +54,12 @@ _CONTENT_TYPES = {
 }
 
 
-class ServiceServer:
-    """Serves the job-queue API for one :class:`ServiceDaemon`."""
-
-    def __init__(self, daemon, host: str = "127.0.0.1", port: int = 0):
-        self.daemon = daemon
-        self._httpd = _ServiceHTTPServer((host, port), _ServiceHandler)
-        self._httpd.service = self
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        host = self._httpd.server_address[0]
-        return f"http://{host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        """Serve from a daemon thread; returns self."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-service:{self.port}", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the listener down (in-flight handlers are daemonic)."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    """Thread-per-request server that never outlives the daemon."""
-
-    daemon_threads = True
-    block_on_close = False
-    service: "ServiceServer"
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(HttpHandlerBase):
     """Routes one HTTP request to the daemon's queue operations."""
-
-    protocol_version = "HTTP/1.1"
 
     @property
     def daemon(self):
-        return self.server.service.daemon  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # dashboard polls would flood stderr
+        return self.server.owner.daemon  # type: ignore[attr-defined]
 
     # -- routing -------------------------------------------------------------
 
@@ -166,7 +116,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # -- handlers ------------------------------------------------------------
 
     def _submit(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = 0
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_json(400, {"error": "missing or oversized body"})
             return
@@ -211,18 +164,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return parts[1], rest
         return None, None
 
-    def _send_json(self, code: int, document) -> None:
-        body = json.dumps(document, sort_keys=True,
-                          default=str).encode("utf-8")
-        self._send(code, "application/json", body)
 
-    def _send(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
+class ServiceServer(HttpServerBase):
+    """Serves the job-queue API for one :class:`ServiceDaemon`."""
+
+    handler_class = _ServiceHandler
+
+    def __init__(self, daemon, host: str = "127.0.0.1", port: int = 0):
+        self.daemon = daemon
+        super().__init__(host, port)
 
 
 # ---------------------------------------------------------------------------

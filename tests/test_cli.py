@@ -133,8 +133,15 @@ class TestUsageErrors:
         ["campaign", "--batch", "-1"],
         ["fuzz", "--jobs", "0"],
         ["difftest", "--jobs", "-2", "seeds"],
+        ["fuzz", "--iterations", "-3"],
+        ["fuzz", "--seed-count", "0"],
+        ["campaign", "--seed-count", "0"],
+        ["fuzz", "--checkpoint-dir", "ckpt", "--checkpoint-every", "0"],
+        ["campaign", "--checkpoint-every", "0"],
     ], ids=["fuzz-batch-0", "campaign-batch-neg1", "fuzz-jobs-0",
-            "difftest-jobs-neg2"])
+            "difftest-jobs-neg2", "fuzz-iterations-neg3",
+            "fuzz-seed-count-0", "campaign-seed-count-0",
+            "fuzz-checkpoint-every-0", "campaign-checkpoint-every-0"])
     def test_counts_below_one_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -142,6 +149,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["fuzz", "campaign"])
+    @pytest.mark.parametrize("value", ["7", "-1"])
+    def test_exec_fraction_outside_unit_interval_rejected(
+            self, command, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--exec-fraction", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be in [0, 1]" in err
 
     def test_cmp_coverage_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -26,7 +26,7 @@ from repro.core.executor import (
 from repro.core.fuzzing import classfuzz, greedyfuzz, randfuzz, uniquefuzz
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.observe import Telemetry
-from repro.observe.events import BATCH_ROUND, RingBufferSink
+from repro.observe.events import ITERATION, RingBufferSink
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_serial_fuzz.json"
 
@@ -121,17 +121,18 @@ class TestBatchValidation:
 
 
 class TestBatchRoundTelemetry:
+    """Rounds are counted by ``repro_fuzz_rounds_total``; each
+    ``iteration`` event carries the index of the round it ran in."""
+
     def test_emits_one_round_event_per_round(self, seeds):
         telemetry = Telemetry()
         ring = telemetry.bus.add_sink(RingBufferSink())
         RUNNERS["classfuzz[stbr]"](seeds, batch=8, telemetry=telemetry)
-        rounds = ring.events(BATCH_ROUND)
-        assert len(rounds) == 8  # ceil(60 / 8)
-        assert [e.fields["round"] for e in rounds] == list(range(8))
-        assert sum(e.fields["size"] for e in rounds) == 60
-        first = rounds[0].fields
-        assert first["algorithm"] == "classfuzz[stbr]"
-        assert first["generated"] >= first["accepted"] >= 0
+        iterations = ring.events(ITERATION)
+        assert len(iterations) == 60
+        # ceil(60 / 8) = 8 rounds; the tail round holds 4 iterations.
+        assert [e.fields["round"] for e in iterations] == \
+            [index // 8 for index in range(60)]
         counter = telemetry.registry.get("repro_fuzz_rounds_total")
         assert counter.labels(
             algorithm="classfuzz[stbr]").value == 8
@@ -140,4 +141,7 @@ class TestBatchRoundTelemetry:
         telemetry = Telemetry()
         ring = telemetry.bus.add_sink(RingBufferSink())
         RUNNERS["randfuzz"](seeds, batch=1, telemetry=telemetry)
-        assert len(ring.events(BATCH_ROUND)) == 60
+        assert [e.fields["round"] for e in ring.events(ITERATION)] == \
+            list(range(60))
+        counter = telemetry.registry.get("repro_fuzz_rounds_total")
+        assert counter.labels(algorithm="randfuzz").value == 60

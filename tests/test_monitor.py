@@ -151,7 +151,7 @@ class TestStatusTracker:
 
     def test_folds_rounds_discards_checkpoints(self):
         tracker = StatusTracker()
-        tracker.emit(_event("batch_round", round=3))
+        tracker.emit(_event("iteration", round=3))
         tracker.emit(_event("mutant_discarded", category="inapplicable"))
         tracker.emit(_event("mutant_discarded", category="inapplicable"))
         tracker.emit(_event("checkpoint_written", index=2, iterations=100,
@@ -161,7 +161,7 @@ class TestStatusTracker:
         assert snapshot["progress"]["discards"] == {"inapplicable": 2}
         assert snapshot["checkpoint"]["index"] == 2
         assert snapshot["checkpoint"]["age_seconds"] >= 0
-        assert snapshot["events"]["batch_round"] == 1
+        assert snapshot["events"]["iteration"] == 1
 
     def test_folds_discrepancies_and_clusters(self):
         tracker = StatusTracker()

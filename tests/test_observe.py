@@ -3,8 +3,8 @@
 Covers the metrics registry (instrument semantics, label families,
 histogram bucket boundaries, Prometheus exposition, thread safety), the
 event bus and its sinks (disabled-path cost, JSONL round-trips for every
-event type, ring buffer, progress sink), span tracing (nesting, ambient
-installation), and the offline summary/validation helpers.
+event type, ring buffer, progress sink), span timing (histograms,
+ambient installation), and the offline summary/validation helpers.
 """
 
 import io
@@ -37,6 +37,7 @@ from repro.observe.summary import (
     parse_prometheus,
     replay_events,
     summarize_events,
+    summarize_metrics,
     write_timeseries,
 )
 from repro.observe.telemetry import Telemetry, make_telemetry
@@ -247,18 +248,13 @@ class TestEventBus:
         sink = bus.add_sink(JsonlSink(path))
         payloads = {
             "iteration": {"algorithm": "classfuzz[stbr]", "index": 3,
+                          "round": 0, "seed": "Seed3",
                           "accepted": True, "seconds": 0.01},
             "mutant_accepted": {"label": "M1", "mutator": "m.x",
                                 "tests": 4},
             "mutant_discarded": {"category": "compile_error",
                                  "mutator": None},
             "mcmc_transition": {"frm": "a", "to": "b", "proposals": 2},
-            "batch_round": {"algorithm": "classfuzz[stbr]", "round": 2,
-                            "size": 8, "generated": 7, "accepted": 1,
-                            "seconds": 0.05},
-            "seed_scheduled": {"algorithm": "classfuzz[stbr]",
-                               "label": "Seed3", "origin": "seed",
-                               "picks": 2},
             "checkpoint_written": {"algorithm": "classfuzz[stbr]",
                                    "index": 50, "iterations": 200,
                                    "accepted": 9, "pool": 34,
@@ -267,10 +263,6 @@ class TestEventBus:
             "reduction_step": {"label": "M9", "description":
                                "delete method frob", "remaining": 12,
                                "tests_run": 7},
-            "jvm_phase": {"vendor": "hotspot8", "phase": "linking",
-                          "seconds": 0.001},
-            "executor_batch": {"engine": "serial", "size": 10},
-            "cache_hit": {"store": "outcome", "vendor": "j9"},
             "discrepancy_found": {"label": "M2", "codes": [0, 2, 2, 0, 0]},
             "triage_cluster": {"id": "Cdeadbeef0123", "kind": "fine",
                                "signature": [["gij", 0, ""],
@@ -360,27 +352,6 @@ class TestTracing:
         family = telemetry.registry.get("repro_span_seconds")
         assert family.labels(span="unit.work").count == 1
 
-    def test_spans_nest_via_thread_local_stack(self):
-        telemetry = Telemetry()
-        with telemetry.span("outer") as outer:
-            with telemetry.span("inner") as inner:
-                assert telemetry.tracer.current_span() is inner
-            assert telemetry.tracer.current_span() is outer
-        assert outer.parent is None
-        assert inner.parent == "outer"
-        assert telemetry.tracer.current_span() is None
-
-    def test_span_with_event_type_emits(self):
-        telemetry = Telemetry()
-        seen = []
-        telemetry.bus.add_sink(CallbackSink(seen.append))
-        with telemetry.span("batch", event_type="executor_batch", size=5):
-            pass
-        assert len(seen) == 1
-        assert seen[0].fields["span"] == "batch"
-        assert seen[0].fields["size"] == 5
-        assert seen[0].fields["seconds"] >= 0
-
     def test_ambient_defaults_to_null_span(self):
         assert ambient_telemetry() is None
         assert ambient_phase_span("hotspot8", "loading") is NULL_SPAN
@@ -412,7 +383,7 @@ class TestTracing:
 
     def test_null_span_is_inert(self):
         with NULL_SPAN as span:
-            span.note(anything="goes")
+            assert span is NULL_SPAN
 
 
 class TestSummary:
@@ -424,14 +395,24 @@ class TestSummary:
             bus.emit(ITERATION, algorithm="classfuzz[stbr]", index=i,
                      accepted=i % 2 == 0, tests=i // 2, pool=30 + i,
                      seconds=0.001)
-        bus.emit("jvm_phase", vendor="hotspot8", phase="linking",
-                 seconds=0.002)
-        bus.emit("jvm_phase", vendor="hotspot8", phase="loading",
-                 seconds=0.001)
         bus.emit("mcmc_transition", frm="a", to="b", proposals=3)
-        bus.emit("executor_batch", engine="serial", size=4, seconds=0.1)
         bus.emit(DISCREPANCY_FOUND, label="M9", codes=[0, 2])
         return seen
+
+    @staticmethod
+    def _metrics():
+        telemetry = Telemetry()
+        for vendor in ("hotspot8", "j9"):
+            with telemetry.jvm_phase_span(vendor, "linking"):
+                pass
+        with telemetry.jvm_phase_span("hotspot8", "loading"):
+            pass
+        registry = telemetry.registry
+        registry.counter("repro_executor_batches_total", "", ("engine",)) \
+            .labels(engine="serial").inc(2)
+        registry.histogram("repro_executor_batch_seconds", "",
+                           ("engine",)).labels(engine="serial").observe(0.1)
+        return parse_prometheus(telemetry.render_prometheus())
 
     def test_summarize_renders_core_tables(self):
         text = summarize_events(self._events())
@@ -439,11 +420,19 @@ class TestSummary:
         assert "Acceptance rate" in text
         assert "classfuzz[stbr]" in text
         assert "50.0%" in text
-        assert "JVM phase latency" in text
-        # Phases print in pipeline order.
-        assert text.index("loading") < text.index("linking")
         assert "MCMC chain" in text
         assert "1 discrepancies" in text
+        # Phase latency and batches come from the metrics dump.
+        assert "JVM phase latency" not in text
+        metrics = summarize_metrics(self._metrics())
+        assert "JVM phase latency" in metrics
+        # Phases print in pipeline order, spans summed over vendors.
+        assert metrics.index("loading") < metrics.index("linking")
+        linking = next(line for line in metrics.splitlines()
+                       if line.startswith("linking"))
+        assert linking.split()[1] == "2"
+        assert "serial: 2 batches, 0.10s total" in metrics
+        assert summarize_metrics({}) is None
 
     def test_summarize_empty(self):
         assert summarize_events([]) == "no events recorded"

@@ -3,7 +3,9 @@
 Exercises classfuzz/randfuzz with a live telemetry bundle, the ambient
 JVM phase spans, discrepancy events from the differential harness, the
 registry under the process executor, and the ``--events`` /
-``--metrics-out`` / ``repro observe`` CLI surface end to end.
+``--metrics-out`` / ``repro observe`` CLI surface end to end.  Counts
+and latencies are asserted through the registry: events carry only the
+facts no metric holds.
 """
 
 import json
@@ -19,11 +21,9 @@ from repro.corpus import CorpusConfig, generate_corpus
 from repro.jimple.to_classfile import compile_class_bytes
 from repro.observe import RingBufferSink, Telemetry
 from repro.observe.events import (
-    CACHE_HIT,
     DISCREPANCY_FOUND,
-    EXECUTOR_BATCH,
+    EVENT_TYPES,
     ITERATION,
-    JVM_PHASE,
     MCMC_TRANSITION,
     MUTANT_ACCEPTED,
 )
@@ -59,12 +59,29 @@ class TestFuzzingTelemetry:
         assert len(ring.events(MUTANT_ACCEPTED)) == \
             len(result.test_classes)
         assert len(ring.events(MCMC_TRANSITION)) == 15
-        # The reference-JVM coverage runs traced their startup phases.
-        phases = {e.fields["phase"] for e in ring.events(JVM_PHASE)}
-        assert "loading" in phases
         registry = telemetry.registry
+        # The reference-JVM coverage runs timed their startup phases.
+        phases = {phase for (_, phase), _ in
+                  registry.get("repro_jvm_phase_seconds").children()}
+        assert "loading" in phases
         assert registry.get("repro_iterations_total") \
             .labels(algorithm="classfuzz[stbr]").value == 15
+
+    def test_classfuzz_records_each_fact_once(self, seeds):
+        telemetry, ring = _telemetry_with_ring()
+        executor = SerialExecutor(cache=OutcomeCache(),
+                                  telemetry=telemetry)
+        with telemetry.activate():
+            classfuzz(seeds, iterations=30, seed=1, executor=executor,
+                      telemetry=telemetry)
+        events = ring.events()
+        iterations = ring.events(ITERATION)
+        assert len(iterations) == 30
+        assert len(events) <= 3 * len(iterations)
+        # No jvm_phase, executor_batch, cache_hit, batch_round or
+        # seed_scheduled: their facts are metrics or iteration fields.
+        assert {e.type for e in events} <= set(EVENT_TYPES)
+        assert all({"round", "seed"} <= set(e.fields) for e in iterations)
 
     def test_randfuzz_without_telemetry_is_unchanged(self, seeds):
         plain = randfuzz(seeds, iterations=20, seed=1)
@@ -111,11 +128,13 @@ class TestHarnessTelemetry:
                  for jclass in seeds[:4]]
         harness.run_many(suite)
         harness.run_many(suite)  # second pass: pure cache hits
-        batches = ring.events(EXECUTOR_BATCH)
-        assert len(batches) == 2
-        assert batches[0].fields["size"] == 4
-        assert len(ring.events(CACHE_HIT)) >= \
-            4 * len(harness.jvms)
+        registry = telemetry.registry
+        assert registry.get("repro_executor_batches_total") \
+            .labels(engine="serial").value == 2
+        hits = registry.get("repro_cache_lookups_total") \
+            .labels(store="outcome", result="hit").value
+        assert hits >= 4 * len(harness.jvms)
+        assert len(ring) == 0  # batches and lookups emit no events
 
     def test_process_executor_records_worker_runs(self, seeds):
         telemetry, _ = _telemetry_with_ring()
@@ -143,9 +162,12 @@ class TestCampaignTelemetry:
                          algorithms=("classfuzz[stbr]", "randfuzz"),
                          evaluate=True, telemetry=telemetry)
         types = {event.type for event in ring.events()}
-        assert {ITERATION, MCMC_TRANSITION, JVM_PHASE,
-                EXECUTOR_BATCH} <= types
-        spans = telemetry.registry.get("repro_span_seconds")
+        assert {ITERATION, MCMC_TRANSITION} <= types
+        registry = telemetry.registry
+        assert registry.get("repro_jvm_phase_seconds").children()
+        batches = registry.get("repro_executor_batches_total")
+        assert sum(child.value for _, child in batches.children()) > 0
+        spans = registry.get("repro_span_seconds")
         names = {key[0] for key, _ in spans.children()}
         assert "campaign.fuzz" in names
         assert "campaign.evaluate" in names
@@ -170,16 +192,21 @@ class TestObserveCli:
 
         recorded = {json.loads(line)["type"]
                     for line in events.read_text().splitlines()}
-        assert {"iteration", "mcmc_transition", "jvm_phase",
-                "executor_batch"} <= recorded
+        assert {"iteration", "mcmc_transition"} <= recorded
+        assert recorded <= set(EVENT_TYPES)
 
         assert main(["observe", "check", str(metrics)]) == 0
         assert "OK" in capsys.readouterr().out
 
-        assert main(["observe", "summary", str(events)]) == 0
+        assert main(["observe", "summary", str(events),
+                     "--metrics", str(metrics)]) == 0
         summary = capsys.readouterr().out
         assert "Acceptance rate" in summary
+        assert "MCMC chain" in summary
         assert "JVM phase latency" in summary
+        assert "Executor batches" in summary
+        # A serial run starts no workers: no all-zero worker block.
+        assert "Worker runs" not in summary
 
         out_csv = tmp_path / "ts.csv"
         assert main(["observe", "timeseries", str(events),
@@ -221,6 +248,33 @@ class TestObserveCli:
         assert main(["observe", "summary", str(events),
                      "--metrics", str(metrics)]) == 0
         assert "Worker runs" not in capsys.readouterr().out
+
+    def test_observe_summary_reads_job_leg_metrics(self, tmp_path,
+                                                   capsys):
+        # Without --metrics, a service job directory's summary takes the
+        # JVM phase table from each leg's metrics.prom.
+        import signal
+
+        from repro.service.jobs import JobStore
+        from repro.service.worker import run_leg
+
+        store = JobStore(tmp_path)
+        job = store.submit({"type": "fuzz", "algorithm": "classfuzz[stbr]",
+                            "iterations": 10, "seed": 2,
+                            "seed_count": 8})
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            assert run_leg(store.root, job.id, "classfuzz-stbr", 0, 0) == 0
+        finally:
+            # run_leg routes SIGTERM to the graceful-shutdown flag.
+            signal.signal(signal.SIGTERM, previous)
+        assert main(["observe", "summary",
+                     str(store.job_dir(job.id))]) == 0
+        summary = capsys.readouterr().out
+        assert f"=== Job {job.id}" in summary
+        assert "Acceptance rate" in summary
+        assert "JVM phase latency" in summary
+        assert "loading" in summary
 
     def test_observe_check_fails_on_missing_family(self, tmp_path, capsys):
         dump = tmp_path / "partial.prom"

@@ -16,7 +16,7 @@ from repro.corpus.schedule import (
 )
 from repro.core.fuzzing import classfuzz, uniquefuzz
 from repro.observe import make_telemetry
-from repro.observe.events import SEED_SCHEDULED
+from repro.observe.events import ITERATION
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +234,16 @@ class TestFuzzingIntegration:
         ring = telemetry.bus.sinks[0]
         result = uniquefuzz(seeds, iterations=15, seed=2,
                             telemetry=telemetry)
-        events = ring.events(SEED_SCHEDULED)
+        # Every iteration, discarded ones included, names the pool entry
+        # it picked; the per-origin pick counts live in the registry.
+        events = ring.events(ITERATION)
         assert len(events) == 15
-        assert all(e.fields["origin"] in (ORIGIN_SEED, ORIGIN_MUTANT)
-                   for e in events)
-        text = telemetry.render_prometheus()
-        assert "repro_seeds_scheduled_total" in text
+        labels = {seed.name for seed in seeds} | \
+            {g.label for g in result.test_classes}
+        assert all(e.fields["seed"] in labels for e in events)
+        picks = telemetry.registry.get("repro_seeds_scheduled_total")
+        by_origin = {origin: child.value
+                     for (_, origin), child in picks.children()}
+        assert set(by_origin) <= {ORIGIN_SEED, ORIGIN_MUTANT}
+        assert sum(by_origin.values()) == 15
         assert result.seed_stats

@@ -268,6 +268,24 @@ class TestHttpApi:
         client.wait(record["id"], timeout=60)
         with pytest.raises(ServiceClientError, match="403"):
             client.artifact(record["id"], "../../../etc/passwd")
+        # A non-numeric Content-Length is a bad request, not a dropped
+        # connection, and the server keeps serving.
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(daemon.url)
+        connection = http.client.HTTPConnection(address.hostname,
+                                                address.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Length", "ten")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "body" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert client.healthz()["ok"] is True
 
     def test_dashboard_served(self, daemon):
         import urllib.request
