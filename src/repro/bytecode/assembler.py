@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.bytecode.instructions import Instruction, InstructionError, encode_code
+from repro.bytecode.instructions import (
+    Instruction,
+    InstructionError,
+    encode_with_layout,
+)
 from repro.bytecode.opcodes import Op
 
 
@@ -108,16 +112,9 @@ class Assembler:
                 operands["pairs"] = [(m, resolve(t))
                                      for m, t in operands["pairs"]]
         self._pending.clear()
-        code = encode_code(self._instructions)
-        # Map labels to final byte offsets: re-derive the encoded layout.
-        provisional_to_byte: Dict[int, int] = {}
-        from repro.bytecode.instructions import decode_code
-
-        for provisional, encoded in zip(self._instructions,
-                                        decode_code(code)):
-            provisional_to_byte[provisional.offset] = encoded.offset
-        end_of_code = len(code)
+        code, layout = encode_with_layout(self._instructions)
+        # A label past the last instruction marks the end of the code.
         self.label_offsets = {
-            name: provisional_to_byte.get(position, end_of_code)
+            name: layout.get(position, len(code))
             for name, position in self._labels.items()}
         return code

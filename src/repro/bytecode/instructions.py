@@ -44,7 +44,7 @@ class Instruction:
     @property
     def info(self) -> OpcodeInfo:
         """Static opcode metadata."""
-        return OPCODES[int(self.op)]
+        return OPCODES[self.op]
 
     @property
     def mnemonic(self) -> str:
@@ -150,12 +150,12 @@ def _decode_one(code: bytes, pos: int) -> Tuple[Instruction, int]:
             operands["dimensions"] = code[pos + 2]
             pos += 3
         elif kind == ops.SWITCH:
-            pos = _decode_switch(code, start, pos, Op(opcode), operands)
+            pos = _decode_switch(code, start, pos, info.op, operands)
         elif kind == ops.WIDE:
             return _decode_wide(code, start, pos)
         else:  # pragma: no cover - table is closed
             raise InstructionError(f"unhandled operand kind {kind}")
-    return Instruction(start, Op(opcode), operands), pos
+    return Instruction(start, info.op, operands), pos
 
 
 def _decode_switch(code: bytes, start: int, pos: int, op: Op,
@@ -207,19 +207,22 @@ def _decode_switch(code: bytes, start: int, pos: int, op: Op,
     return pos
 
 
+#: Opcodes the ``wide`` prefix widens to a two-byte local index.
+_WIDE_LOCALS = frozenset(
+    int(op) for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD, Op.LLOAD, Op.DLOAD,
+                       Op.ISTORE, Op.FSTORE, Op.ASTORE, Op.LSTORE,
+                       Op.DSTORE, Op.RET))
+
+
 def _decode_wide(code: bytes, start: int, pos: int) -> Tuple[Instruction, int]:
     _need(code, pos, 1)
     modified = code[pos]
     pos += 1
-    wide_locals = {int(op) for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD, Op.LLOAD,
-                                      Op.DLOAD, Op.ISTORE, Op.FSTORE,
-                                      Op.ASTORE, Op.LSTORE, Op.DSTORE,
-                                      Op.RET)}
-    if modified in wide_locals:
+    if modified in _WIDE_LOCALS:
         _need(code, pos, 2)
         index = struct.unpack_from(">H", code, pos)[0]
         pos += 2
-        return Instruction(start, Op(modified),
+        return Instruction(start, OPCODES[modified].op,
                            {"index": index, "wide": True}), pos
     if modified == int(Op.IINC):
         _need(code, pos, 4)
@@ -246,6 +249,16 @@ def encode_code(instructions: List[Instruction]) -> bytes:
     Raises:
         InstructionError: when a branch target does not name an instruction.
     """
+    return encode_with_layout(instructions)[0]
+
+
+def encode_with_layout(instructions: List[Instruction]
+                       ) -> Tuple[bytes, Dict[int, int]]:
+    """:func:`encode_code`, plus its layout: label → encoded byte offset.
+
+    The layout maps each instruction's ``offset`` label to where the
+    instruction starts in the returned bytes.
+    """
     # Pass 1: lay out new offsets.
     new_offsets: Dict[int, int] = {}
     pos = 0
@@ -256,7 +269,7 @@ def encode_code(instructions: List[Instruction]) -> bytes:
     out = bytearray()
     for instruction in instructions:
         out += _encode_one(instruction, len(out), new_offsets)
-    return bytes(out)
+    return bytes(out), new_offsets
 
 
 def _encoded_size(instruction: Instruction, pos: int) -> int:

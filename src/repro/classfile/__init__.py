@@ -5,8 +5,8 @@ specification (JVMS §4): the constant pool, access flags, fields, methods,
 attributes (including ``Code``), and binary (de)serialization.  It plays the
 role that real classfile bytes played in the paper — every mutant produced
 by classfuzz is serialized through :func:`repro.classfile.writer.write_class`
-and re-parsed by each simulated JVM through
-:func:`repro.classfile.reader.read_class`.
+and parsed once, through :func:`repro.classfile.reader.parse_class`, for
+all the simulated JVMs that run it.
 """
 
 from repro.classfile.access_flags import AccessFlags
@@ -22,7 +22,12 @@ from repro.classfile.attributes import (
     ConstantValueAttribute,
     RawAttribute,
 )
-from repro.classfile.reader import ClassReader, read_class
+from repro.classfile.reader import (
+    ClassReader,
+    ParsedClass,
+    parse_class,
+    read_class,
+)
 from repro.classfile.writer import ClassWriter, write_class
 
 __all__ = [
@@ -41,8 +46,10 @@ __all__ = [
     "JAVA7_MAJOR",
     "MAGIC",
     "MethodInfo",
+    "ParsedClass",
     "RawAttribute",
     "SourceFileAttribute",
+    "parse_class",
     "read_class",
     "write_class",
 ]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.bytecode import instructions as bytecode
+from repro.bytecode.instructions import Instruction, InstructionError
 from repro.classfile.constant_pool import ConstantPool
 
 
@@ -68,6 +70,10 @@ class CodeAttribute(Attribute):
     exception_table: List[ExceptionHandler] = field(default_factory=list)
     attributes: List[Attribute] = field(default_factory=list)
 
+    #: ``(code, instructions or InstructionError)`` once :meth:`decoded`
+    #: ran; not a field, so equality and repr ignore it.
+    _decoded = None
+
     def __init__(self, max_stack: int = 0, max_locals: int = 0,
                  code: bytes = b"",
                  exception_table: List[ExceptionHandler] | None = None,
@@ -79,6 +85,39 @@ class CodeAttribute(Attribute):
         self.code = code
         self.exception_table = exception_table or []
         self.attributes = attributes or []
+
+    def decoded(self) -> Tuple[Instruction, ...]:
+        """The instructions of :attr:`code`, decoded once and shared.
+
+        The verifier and the interpreter of every vendor that runs this
+        parse read the same tuple; none of them may write into it or into
+        an instruction's operands (:mod:`repro.jimple.remap`, which
+        rewrites what it decodes, calls ``decode_code`` itself).  The
+        decode is redone only if ``code`` is replaced.
+
+        Raises:
+            InstructionError: when the code array does not decode (again
+                on every call, without decoding again).
+        """
+        cached = self._decoded
+        if cached is None or cached[0] is not self.code:
+            try:
+                # Looked up on the module at call time, so a wrapper put
+                # there (a tracer, a test's counter) sees every decode.
+                result = tuple(bytecode.decode_code(self.code))
+            except InstructionError as exc:
+                result = exc
+            cached = self._decoded = (self.code, result)
+        if isinstance(cached[1], InstructionError):
+            raise InstructionError(*cached[1].args)
+        return cached[1]
+
+    def __getstate__(self):
+        # The decode is a per-process cache: pickles (journal frames,
+        # worker payloads) and copies carry the fields only.
+        state = self.__dict__.copy()
+        state.pop("_decoded", None)
+        return state
 
 
 @dataclass

@@ -1,17 +1,24 @@
 """Binary classfile parser (JVMS §4).
 
 Parsing is the *creation & loading* phase's format check: any structural
-violation raises :class:`repro.errors.ClassFormatError` with a message in
-the style real JVMs print.  A strictness knob lets different simulated
-vendors accept or reject borderline constructs (e.g. unknown constant-pool
-tags, truncated trailing bytes) the way real JVMs diverge.
+violation is a :class:`repro.errors.ClassFormatError` with a message in
+the style real JVMs print.
+
+A parse is vendor-independent: :meth:`ClassReader.read` returns a
+:class:`ParsedClass` holding the version pair, the class or the format
+error, and the count of trailing bytes.  The reader's only policy inputs,
+the supported version range and whether trailing bytes are an error, are
+applied afterwards by :meth:`ParsedClass.accept` in the order the bytes
+are read: version range, then the body's error, then trailing bytes.  So
+one parse (:func:`parse_class`) serves every vendor that runs a
+classfile, and each vendor's outcome is the one its own parse would give.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.attributes import (
@@ -49,6 +56,67 @@ class ReaderOptions:
     min_supported_major: int = 45
     reject_trailing_bytes: bool = True
     reject_unknown_cp_tags: bool = True
+
+    def version_error(self, major: int, minor: int
+                      ) -> Optional[UnsupportedClassVersionError]:
+        """The error for a version outside the supported range, if any."""
+        if major > self.max_supported_major:
+            return UnsupportedClassVersionError(
+                f"Unsupported major.minor version {major}.{minor} "
+                f"(max supported {self.max_supported_major}.0)")
+        if major < self.min_supported_major:
+            return UnsupportedClassVersionError(
+                f"Unsupported major.minor version {major}.{minor} "
+                f"(min supported {self.min_supported_major}.0)")
+        return None
+
+
+#: Reads the body of every version: the parse several vendors share.
+_ANY_VERSION = ReaderOptions(max_supported_major=0xFFFF,
+                             min_supported_major=0)
+
+
+@dataclass(frozen=True)
+class ParsedClass:
+    """Classfile bytes parsed once, before any vendor policy applies.
+
+    Attributes:
+        major/minor: the version pair, or ``None`` when the header itself
+            is malformed (bad magic, truncated).
+        classfile: the parsed class, or ``None`` when ``error`` is set.
+        error: the format error the bytes raise, if any.  A version
+            outside the reader's range stops the parse before the body,
+            so this is then that version error.
+        trailing: bytes left after the class structure.
+    """
+
+    major: Optional[int]
+    minor: Optional[int]
+    classfile: Optional[ClassFile]
+    error: Optional[ClassFormatError]
+    trailing: int = 0
+
+    def accept(self, options: ReaderOptions) -> ClassFile:
+        """Apply one vendor's policy: the class it loads, or its error.
+
+        Raises:
+            UnsupportedClassVersionError: for a version outside
+                ``options``' range (checked first, as the header is).
+            ClassFormatError: for the body's error, then for trailing
+                bytes when ``options`` rejects them.
+        """
+        if self.major is not None:
+            version_error = options.version_error(self.major, self.minor)
+            if version_error is not None:
+                raise version_error
+        if self.error is not None:
+            # The same error object reaches every vendor; drop the
+            # traceback of its previous raise.
+            raise self.error.with_traceback(None)
+        if self.trailing and options.reject_trailing_bytes:
+            raise ClassFormatError(
+                f"Extra bytes at the end of class file ({self.trailing} left)")
+        return self.classfile
 
 
 class _ByteCursor:
@@ -101,27 +169,38 @@ class _ByteCursor:
 
 
 class ClassReader:
-    """Parses classfile bytes into a :class:`ClassFile`."""
+    """Parses classfile bytes into a :class:`ParsedClass`."""
 
     def __init__(self, options: ReaderOptions | None = None):
         self.options = options or ReaderOptions()
 
-    def read(self, data: bytes) -> ClassFile:
-        """Parse ``data``.
+    def read(self, data: bytes) -> ParsedClass:
+        """Parse ``data``; format errors are returned, not raised.
 
-        Raises:
-            ClassFormatError: for any structural violation.
-            UnsupportedClassVersionError: for version range violations.
+        The body is parsed only when the version is inside this reader's
+        range, so a version-rejected class reaches no body check (and
+        records no ``reader.*`` coverage site).  Trailing bytes are
+        counted, never rejected here: see :meth:`ParsedClass.accept`.
         """
         cursor = _ByteCursor(data)
-        magic = cursor.u4()
-        if magic != MAGIC:
-            raise ClassFormatError(
-                f"Incompatible magic value {magic:#010x} in class file")
-        minor = cursor.u2()
-        major = cursor.u2()
-        self._check_version(major, minor)
+        major = minor = None
+        try:
+            magic = cursor.u4()
+            if magic != MAGIC:
+                raise ClassFormatError(
+                    f"Incompatible magic value {magic:#010x} in class file")
+            minor = cursor.u2()
+            major = cursor.u2()
+            version_error = self.options.version_error(major, minor)
+            if version_error is not None:
+                return ParsedClass(major, minor, None, version_error)
+            classfile = self._read_body(cursor, major, minor)
+        except ClassFormatError as exc:
+            return ParsedClass(major, minor, None, exc)
+        return ParsedClass(major, minor, classfile, None, cursor.remaining)
 
+    def _read_body(self, cursor: _ByteCursor, major: int,
+                   minor: int) -> ClassFile:
         pool = self._read_constant_pool(cursor)
         access_flags = AccessFlags(cursor.u2())
         this_class = cursor.u2()
@@ -136,11 +215,6 @@ class ClassReader:
         fields = [self._read_field(cursor, pool) for _ in range(cursor.u2())]
         methods = [self._read_method(cursor, pool) for _ in range(cursor.u2())]
         attributes = self._read_attributes(cursor, pool)
-
-        if cursor.remaining and self.options.reject_trailing_bytes:
-            raise ClassFormatError(
-                f"Extra bytes at the end of class file ({cursor.remaining} left)")
-
         return ClassFile(
             minor_version=minor,
             major_version=major,
@@ -155,16 +229,6 @@ class ClassReader:
         )
 
     # -- pieces ---------------------------------------------------------------
-
-    def _check_version(self, major: int, minor: int) -> None:
-        if major > self.options.max_supported_major:
-            raise UnsupportedClassVersionError(
-                f"Unsupported major.minor version {major}.{minor} "
-                f"(max supported {self.options.max_supported_major}.0)")
-        if major < self.options.min_supported_major:
-            raise UnsupportedClassVersionError(
-                f"Unsupported major.minor version {major}.{minor} "
-                f"(min supported {self.options.min_supported_major}.0)")
 
     def _check_class_index(self, pool: ConstantPool, index: int, what: str,
                            allow_zero: bool) -> None:
@@ -316,5 +380,22 @@ class ClassReader:
 
 
 def read_class(data: bytes, options: ReaderOptions | None = None) -> ClassFile:
-    """Parse ``data`` with a fresh :class:`ClassReader`."""
-    return ClassReader(options).read(data)
+    """Parse ``data`` and apply ``options`` (default: the strict reader).
+
+    Raises:
+        ClassFormatError: for any structural violation.
+        UnsupportedClassVersionError: for version range violations.
+    """
+    options = options or ReaderOptions()
+    return ClassReader(options).read(data).accept(options)
+
+
+def parse_class(data: bytes) -> ParsedClass:
+    """One parse of ``data`` for every vendor that runs it.
+
+    Every version's body is read, so each vendor's
+    :meth:`ParsedClass.accept` (through
+    :meth:`repro.jvm.loader.Loader.load`) raises exactly what a parse
+    under its own policy would.
+    """
+    return ClassReader(_ANY_VERSION).read(data)

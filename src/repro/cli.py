@@ -46,12 +46,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.classfile.disassembler import disassemble
-from repro.classfile.reader import read_class
+from repro.classfile.reader import parse_class, read_class
 from repro.classfile.writer import write_class
 from repro.core.campaign import (
     ALL_ALGORITHMS,
@@ -539,11 +540,11 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    data = args.classfile.read_bytes()
+    parsed = parse_class(args.classfile.read_bytes())
     jvms = [jvms_by_name()[args.jvm]] if args.jvm else all_jvms()
     worst = 0
     for jvm in jvms:
-        outcome = jvm.run(data)
+        outcome = jvm.run(parsed)
         worst = max(worst, outcome.code)
         print(outcome.brief())
         if outcome.message:
@@ -1205,7 +1206,16 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # The reader of stdout left (``repro ... | head``).  Point stdout
+        # at devnull so the exit-time flush of what is still buffered
+        # raises nothing either; exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

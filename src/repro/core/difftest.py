@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.executor import Executor, SerialExecutor
 from repro.jvm.machine import Jvm
-from repro.jvm.outcome import DifferentialResult, Outcome
+from repro.jvm.outcome import DifferentialResult
 from repro.jvm.vendors import all_jvms
 from repro.observe.events import DISCREPANCY_FOUND
 
@@ -68,10 +68,10 @@ class DifferentialHarness:
 
     def run_one(self, data: bytes, label: str = "",
                 executor: Optional[Executor] = None) -> DifferentialResult:
-        """Execute one classfile on every JVM."""
+        """Execute one classfile on every JVM (one parse, in this
+        process, whatever the engine)."""
         engine = executor if executor is not None else self.executor
-        outcomes = [engine.run_one(jvm, data) for jvm in self.jvms]
-        result = DifferentialResult(outcomes=outcomes, label=label)
+        result = engine._run_classfile(self.jvms, label, data)
         if self._tested is not None:
             self._observe(result)
         return result

@@ -37,8 +37,9 @@ import threading
 import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.classfile.reader import ParsedClass, parse_class
 from repro.core import worker
 from repro.coverage.probes import CoverageCollector
 from repro.coverage.tracefile import Tracefile
@@ -395,20 +396,23 @@ class Executor:
         if self.cache is None:
             return self._execute(jvm, data)
         digest = digest or classfile_digest(data)
-        cached = self.cache.get_outcome(digest, jvm.name)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.cache_hits += 1
-            if self._observe is not None:
-                self._observe.cache_lookup("outcome", True)
-            return cached
-        with self._stats_lock:
-            self.stats.cache_misses += 1
-        if self._observe is not None:
-            self._observe.cache_lookup("outcome", False)
-        outcome = self._execute(jvm, data)
-        self.cache.put_outcome(digest, jvm.name, outcome)
+        outcome = self._cached_outcome(digest, jvm)
+        if outcome is None:
+            outcome = self._execute(jvm, data)
+            self.cache.put_outcome(digest, jvm.name, outcome)
         return outcome
+
+    def _cached_outcome(self, digest: str, jvm: Jvm) -> Optional[Outcome]:
+        """One counted outcome-cache lookup."""
+        cached = self.cache.get_outcome(digest, jvm.name)
+        with self._stats_lock:
+            if cached is not None:
+                self.stats.cache_hits += 1
+            else:
+                self.stats.cache_misses += 1
+        if self._observe is not None:
+            self._observe.cache_lookup("outcome", cached is not None)
+        return cached
 
     def run_reference(self, jvm: Jvm, data: bytes
                       ) -> Tuple[Outcome, Tracefile]:
@@ -608,12 +612,24 @@ class Executor:
 
     def _run_classfile(self, jvms: List[Jvm], label: str,
                        data: bytes) -> DifferentialResult:
+        """One classfile on every JVM: one parse serves every vendor
+        whose outcome is not cached (none is made when all are)."""
         digest = classfile_digest(data) if self.cache is not None else None
-        return DifferentialResult(
-            outcomes=[self.run_one(jvm, data, digest) for jvm in jvms],
-            label=label)
+        parsed = None
+        outcomes = []
+        for jvm in jvms:
+            outcome = self._cached_outcome(digest, jvm) \
+                if digest is not None else None
+            if outcome is None:
+                if parsed is None:
+                    parsed = parse_class(data)
+                outcome = self._execute(jvm, parsed)
+                if digest is not None:
+                    self.cache.put_outcome(digest, jvm.name, outcome)
+            outcomes.append(outcome)
+        return DifferentialResult(outcomes=outcomes, label=label)
 
-    def _execute(self, jvm: Jvm, data: bytes) -> Outcome:
+    def _execute(self, jvm: Jvm, data: Union[bytes, ParsedClass]) -> Outcome:
         started = time.perf_counter()
         outcome = jvm.run(data)
         elapsed = time.perf_counter() - started
@@ -658,11 +674,13 @@ def _process_worker_init(blob: bytes) -> None:
 
 def _process_worker_run(data: bytes
                         ) -> Tuple[List[Outcome], List[float]]:
+    # One parse shared by every vendor; timings are per-vendor runs.
+    parsed = parse_class(data)
     outcomes: List[Outcome] = []
     timings: List[float] = []
     for jvm in _WORKER_JVMS:
         started = time.perf_counter()
-        outcomes.append(jvm.run(data))
+        outcomes.append(jvm.run(parsed))
         timings.append(time.perf_counter() - started)
     return outcomes, timings
 

@@ -784,7 +784,8 @@ def classfuzz(seeds: Sequence[JClass], iterations: int,
     engine = _FuzzEngine(seeds, rng, mutators, reference, executor,
                          observer, scheduler=make_scheduler(schedule))
     selector = McmcMutatorSelector(mutators, p=p, rng=rng,
-                                   telemetry=telemetry)
+                                   telemetry=telemetry,
+                                   algorithm=observer.algorithm)
     result = FuzzResult("classfuzz", criterion, iterations, batch=batch,
                         scheduler=engine.pool.scheduler.name)
     checkpointer, state = _prepare_checkpoint(

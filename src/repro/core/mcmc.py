@@ -92,7 +92,7 @@ class McmcMutatorSelector:
     def __init__(self, mutators: Sequence[Mutator],
                  p: float = DEFAULT_P,
                  rng: Optional[random.Random] = None,
-                 telemetry=None):
+                 telemetry=None, algorithm: str = ""):
         if not mutators:
             raise ValueError("need at least one mutator")
         if not 0.0 < p < 1.0:
@@ -100,6 +100,9 @@ class McmcMutatorSelector:
         self.p = p
         self.rng = rng or random.Random()
         self.telemetry = telemetry
+        #: The run's label (e.g. ``classfuzz[stbr]``), stamped on every
+        #: ``mcmc_transition`` event as on the run's ``iteration`` events.
+        self.algorithm = algorithm
         if telemetry is not None:
             self._transitions = telemetry.registry.counter(
                 "repro_mcmc_transitions_total",
@@ -157,7 +160,8 @@ class McmcMutatorSelector:
         self._proposals.inc(proposals)
         if self.telemetry.bus.enabled:
             self.telemetry.bus.emit(
-                MCMC_TRANSITION, frm=previous, to=proposal.name,
+                MCMC_TRANSITION, algorithm=self.algorithm,
+                frm=previous, to=proposal.name,
                 from_rank=k1 + 1, to_rank=k2 + 1,
                 proposals=proposals,
                 success_rate=self.stats[proposal.name].success_rate)

@@ -12,13 +12,9 @@ the machine reports as *rejected at runtime*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.bytecode.instructions import (
-    Instruction,
-    InstructionError,
-    decode_code,
-)
+from repro.bytecode.instructions import Instruction, InstructionError
 from repro.bytecode.opcodes import Op
 from repro.classfile.constant_pool import ConstantPoolError, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
@@ -163,7 +159,7 @@ class Interpreter:
                 f"Absent Code attribute in method "
                 f"{self.classfile.method_name(method)}")
         try:
-            instructions = decode_code(code.code)
+            instructions = code.decoded()
         except InstructionError as exc:
             from repro.errors import VerifyError
 
@@ -186,7 +182,7 @@ class Interpreter:
 
     # -- the dispatch loop --------------------------------------------------------
 
-    def _run(self, instructions: List[Instruction],
+    def _run(self, instructions: Sequence[Instruction],
              by_offset: Dict[int, int], locals_: Dict[int, object],
              code, depth: int) -> object:
         stack: List[object] = []

@@ -8,7 +8,7 @@ tracefiles discriminate between classfiles exercising different rules.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Set, Tuple, Union
 
 from repro.classfile.access_flags import (
     AccessFlags,
@@ -20,7 +20,7 @@ from repro.classfile.descriptors import (
 )
 from repro.classfile.methods import CLASS_INIT, INSTANCE_INIT, MethodInfo
 from repro.classfile.model import ClassFile
-from repro.classfile.reader import ClassReader, ReaderOptions
+from repro.classfile.reader import ClassReader, ParsedClass, ReaderOptions
 from repro.coverage.probes import branch, probe
 from repro.errors import ClassFormatError
 from repro.jvm.policy import JvmPolicy
@@ -32,8 +32,14 @@ class Loader:
     def __init__(self, policy: JvmPolicy):
         self.policy = policy
 
-    def load(self, data: bytes) -> ClassFile:
+    def load(self, data: Union[bytes, ParsedClass]) -> ClassFile:
         """Parse ``data`` and run the loading-phase format checks.
+
+        ``data`` is classfile bytes, parsed here under this vendor's
+        version range, or a :class:`ParsedClass` several vendors share
+        (see :func:`repro.classfile.reader.parse_class`).  Either way the
+        policy applies the same way: version range, then the body's
+        format error, then trailing bytes.
 
         Raises:
             ClassFormatError: on any format violation.
@@ -45,7 +51,9 @@ class Loader:
             min_supported_major=self.policy.min_class_version,
             reject_trailing_bytes=self.policy.reject_trailing_bytes,
         )
-        classfile = ClassReader(options).read(data)
+        parsed = data if isinstance(data, ParsedClass) \
+            else ClassReader(options).read(data)
+        classfile = parsed.accept(options)
         probe("loader.parsed_ok")
         probe(f"loader.version.{classfile.major_version}")
         if not self.policy.member_checks_at_linking:
@@ -64,16 +72,20 @@ class Loader:
 
     # -- class-level checks ---------------------------------------------------
 
-    _FLAG_NAMES = ("PUBLIC", "PRIVATE", "PROTECTED", "STATIC", "FINAL",
-                   "SUPER", "NATIVE", "INTERFACE", "ABSTRACT", "STRICT",
-                   "SYNTHETIC", "ANNOTATION", "ENUM")
+    #: (bit, probe suffix) per flag examined, as plain ints.
+    _FLAG_BITS = tuple(
+        (int(AccessFlags[name]), name.lower())
+        for name in ("PUBLIC", "PRIVATE", "PROTECTED", "STATIC", "FINAL",
+                     "SUPER", "NATIVE", "INTERFACE", "ABSTRACT", "STRICT",
+                     "SYNTHETIC", "ANNOTATION", "ENUM"))
 
     def _probe_flags(self, prefix: str, flags: AccessFlags) -> None:
         """One probe per flag bit examined — the per-flag validation lines
         of the real parser."""
-        for name in self._FLAG_NAMES:
-            if flags & AccessFlags[name]:
-                probe(f"{prefix}.{name.lower()}")
+        bits = int(flags)
+        for bit, name in self._FLAG_BITS:
+            if bits & bit:
+                probe(f"{prefix}.{name}")
 
     def _check_class_flags(self, classfile: ClassFile) -> None:
         probe("loader.check_class_flags")

@@ -9,11 +9,12 @@ invocation & execution.  The result of a run is an
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.methods import CLASS_INIT, MethodInfo
 from repro.classfile.model import ClassFile
+from repro.classfile.reader import ParsedClass
 from repro.coverage.probes import branch, probe
 from repro.errors import (
     ExceptionInInitializerError,
@@ -52,8 +53,13 @@ class Jvm:
 
     # -- the startup process ------------------------------------------------------
 
-    def run(self, data: bytes, args: Optional[List[str]] = None) -> Outcome:
+    def run(self, data: Union[bytes, ParsedClass],
+            args: Optional[List[str]] = None) -> Outcome:
         """Start up on classfile bytes, as ``java <class>`` would.
+
+        ``data`` may instead be a :class:`ParsedClass` shared by every
+        vendor that runs the same bytes; the outcome is the same.  A
+        shared parse is read-only here, so one serves any number of runs.
 
         Never raises: every error is folded into the returned
         :class:`Outcome`.

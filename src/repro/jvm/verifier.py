@@ -10,13 +10,9 @@ uninitialized merges, HotSpot does neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bytecode.instructions import (
-    Instruction,
-    InstructionError,
-    decode_code,
-)
+from repro.bytecode.instructions import Instruction, InstructionError
 from repro.bytecode.opcodes import Op
 from repro.classfile.attributes import CodeAttribute
 from repro.classfile.constant_pool import ConstantPool, ConstantPoolError, CpTag
@@ -236,7 +232,7 @@ class MethodVerifier:
         """Run verification; raises on the first violation."""
         probe("verifier.method")
         try:
-            instructions = decode_code(self.code.code)
+            instructions = self.code.decoded()
         except InstructionError as exc:
             probe("verifier.bad_instruction")
             raise self._fail(f"Bad instruction: {exc}") from exc
@@ -249,7 +245,7 @@ class MethodVerifier:
         self._check_exception_table(starts)
         self._dataflow(instructions, by_offset)
 
-    def _check_branch_targets(self, instructions: List[Instruction],
+    def _check_branch_targets(self, instructions: Sequence[Instruction],
                               starts: set) -> None:
         if not self.policy.verify_branch_targets:
             return
@@ -306,7 +302,7 @@ class MethodVerifier:
             raise self._fail("Arguments can't fit into locals")
         return locals_
 
-    def _dataflow(self, instructions: List[Instruction],
+    def _dataflow(self, instructions: Sequence[Instruction],
                   by_offset: Dict[int, int]) -> None:
         probe("verifier.dataflow")
         states: Dict[int, Tuple[Tuple[VType, ...], Dict[int, VType]]] = {}
@@ -336,9 +332,12 @@ class MethodVerifier:
                 break  # convergence guard; states monotonically widen
             index = work.pop()
             stack, locals_ = states[index]
-            instruction = instructions[index]
-            next_states = self._transfer(instruction, list(stack),
-                                         dict(locals_), return_cat)
+            # The fall-through successor; none after the last instruction.
+            next_offset = instructions[index + 1].offset \
+                if index + 1 < len(instructions) else None
+            next_states = self._transfer(instructions[index], next_offset,
+                                         list(stack), dict(locals_),
+                                         return_cat)
             for target_offset, new_stack, new_locals in next_states:
                 if branch("verifier.falloff",
                           self.policy.verify_falloff
@@ -427,13 +426,13 @@ class MethodVerifier:
                 f"Local variable index {slot} out of range "
                 f"(max_locals={self.code.max_locals})")
 
-    def _transfer(self, instruction: Instruction, stack: List[VType],
-                  locals_: Dict[int, VType], return_cat: Optional[str]):
+    def _transfer(self, instruction: Instruction, next_offset: Optional[int],
+                  stack: List[VType], locals_: Dict[int, VType],
+                  return_cat: Optional[str]):
         """Apply one instruction; returns [(next_offset|None, stack, locals)]."""
         op = instruction.op
         probe(f"verifier.op.{instruction.mnemonic}")
         operands = instruction.operands
-        next_offset = self._next_offset(instruction)
         name = op.name
 
         # Constants ----------------------------------------------------------
@@ -536,23 +535,6 @@ class MethodVerifier:
             # Array element access and anything else with fixed effects.
             self._transfer_generic(instruction, stack)
         return [(next_offset, list(stack), dict(locals_))]
-
-    def _next_offset(self, instruction: Instruction) -> Optional[int]:
-        end = instruction.offset + self._instruction_length(instruction)
-        return end if end < len(self.code.code) else None
-
-    def _instruction_length(self, instruction: Instruction) -> int:
-        # Recover the encoded length from the original code array: find the
-        # next decoded offset.  Cached per verify() via by-offset ordering.
-        return instruction.operands.get("_length") or self._measure(instruction)
-
-    def _measure(self, instruction: Instruction) -> int:
-        # Lengths were implicit during decoding; re-derive cheaply.
-        from repro.bytecode.instructions import _decode_one  # local import
-        _, end = _decode_one(self.code.code, instruction.offset)
-        length = end - instruction.offset
-        instruction.operands["_length"] = length
-        return length
 
     # -- transfer helpers --------------------------------------------------------------------
 

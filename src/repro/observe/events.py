@@ -14,6 +14,7 @@ type               emitted by
 ``mutant_discarded`` the mutation engine, when an iteration produced
                    no classfile (with the discard category)
 ``mcmc_transition``  the Metropolis–Hastings chain, per accepted proposal
+                   (with the run's ``algorithm`` label)
 ``checkpoint_written``  the campaign checkpoint layer, per checkpoint
 ``reduction_step`` the delta-debugging reducer, per surviving deletion
 ``discrepancy_found``  the differential harness

@@ -156,10 +156,17 @@ def summarize_events(events: Sequence[Event]) -> str:
             ["algorithm", "iterations", "accepted", "rate",
              "q1", "q2", "q3", "q4"], rows))
 
-    transitions = [e for e in events if e.type == MCMC_TRANSITION]
-    if transitions:
+    # One chain per algorithm (a campaign runs several classfuzz legs);
+    # logs recorded before transitions carried ``algorithm`` show one.
+    chains: Dict[Optional[str], List[Event]] = {}
+    for event in events:
+        if event.type == MCMC_TRANSITION:
+            chains.setdefault(event.fields.get("algorithm"),
+                              []).append(event)
+    for algorithm, transitions in chains.items():
         lines.append("")
-        lines.append("=== MCMC chain ===")
+        lines.append(f"=== MCMC chain: {algorithm} ===" if algorithm
+                     else "=== MCMC chain ===")
         targets: Dict[str, int] = {}
         proposals = 0
         for event in transitions:

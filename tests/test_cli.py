@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.observe.events import ITERATION, EventBus, JsonlSink
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -167,3 +175,29 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --cmp-coverage" in \
             capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    """``repro ... | head -1``: the reader leaves before the output ends."""
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        log = tmp_path / "events.jsonl"
+        bus = EventBus()
+        sink = JsonlSink(log)
+        bus.add_sink(sink)
+        for index in range(4000):  # ~0.5 MB: more than a pipe buffers
+            bus.emit(ITERATION, algorithm="classfuzz[stbr]", index=index,
+                     accepted=index % 3 == 0, tests=index // 3, pool=40)
+        sink.close()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "observe", "replay", str(log)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"#")
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr

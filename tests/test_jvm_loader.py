@@ -1,13 +1,27 @@
-"""Unit tests for the loading phase's format checks."""
+"""Unit tests for the loading phase's format checks, and for the parse
+and decode that every vendor running one classfile shares."""
+
+import pickle
+import random
 
 import pytest
 
+from repro.bytecode import instructions
+from repro.bytecode.instructions import InstructionError
+from repro.classfile.attributes import CodeAttribute
+from repro.classfile.reader import ClassReader, parse_class, read_class
 from repro.classfile.writer import write_class
+from repro.cli import main
+from repro.core import executor as executor_module
+from repro.core.difftest import DifferentialHarness
+from repro.core.executor import SerialExecutor, make_executor
+from repro.corpus.templates import switch_shape, trap_shape
 from repro.errors import ClassFormatError, UnsupportedClassVersionError
 from repro.jimple import ClassBuilder, MethodBuilder, compile_class
 from repro.jimple.types import INT, JType, VOID
 from repro.jvm.loader import Loader
 from repro.jvm.policy import JvmPolicy
+from repro.jvm.vendors import all_jvms, make_gij, reference_jvm
 
 
 def load(jclass, **policy_overrides):
@@ -199,3 +213,226 @@ class TestMethodChecks:
         jclass52 = builder.build()
         jclass52.major_version = 52
         load(jclass52)
+
+
+# ---------------------------------------------------------------------------
+# One parse for all vendors
+# ---------------------------------------------------------------------------
+
+#: Vendor order of :func:`all_jvms`.
+VENDORS = ("hotspot7", "hotspot8", "hotspot9", "j9", "gij")
+UCVE = "UnsupportedClassVersionError"
+CFE = "ClassFormatError"
+
+
+def demo_bytes():
+    """A major-51 class every vendor runs to completion."""
+    builder = ClassBuilder("Demo")
+    builder.default_init()
+    builder.main_printing("Completed!")
+    return write_class(compile_class(builder.build()))
+
+
+def with_major(data, major):
+    return data[:6] + major.to_bytes(2, "big") + data[8:]
+
+
+def broken_pool(data):
+    # The first constant-pool entry's tag becomes an unknown tag.
+    return data[:10] + b"\xff" + data[11:]
+
+
+#: name → (rewrite of the demo bytes, each vendor's error or None).
+CRAFTED = {
+    "valid": (lambda d: d, (None,) * 5),
+    "bad magic": (lambda d: b"\xca\xfe\xd0\x0d" + d[4:], (CFE,) * 5),
+    "truncated header": (lambda d: d[:7], (CFE,) * 5),
+    "major 44": (lambda d: with_major(d, 44), (UCVE,) * 5),
+    "major 50": (lambda d: with_major(d, 50), (None,) * 5),
+    "major 51": (lambda d: with_major(d, 51), (None,) * 5),
+    "major 52": (lambda d: with_major(d, 52),
+                 (UCVE, None, None, None, UCVE)),
+    "major 53": (lambda d: with_major(d, 53),
+                 (UCVE, UCVE, None, UCVE, UCVE)),
+    "major 54": (lambda d: with_major(d, 54), (UCVE,) * 5),
+    "trailing bytes": (lambda d: d + b"\x00\x00\x00",
+                       (CFE, CFE, CFE, CFE, None)),
+    # Version range first, trailing bytes last, the body's error between.
+    "trailing bytes, major 52": (lambda d: with_major(d, 52) + b"\x00",
+                                 (UCVE, CFE, CFE, CFE, UCVE)),
+    "broken pool, trailing bytes": (lambda d: broken_pool(d) + b"\x00",
+                                    (CFE,) * 5),
+    "broken pool, major 54": (lambda d: broken_pool(with_major(d, 54)),
+                              (UCVE,) * 5),
+    "broken pool, major 50": (lambda d: broken_pool(with_major(d, 50)),
+                              (CFE,) * 5),
+    "broken pool, major 52": (lambda d: broken_pool(with_major(d, 52)),
+                              (UCVE, CFE, CFE, CFE, UCVE)),
+}
+
+
+def count_reads(monkeypatch):
+    calls = []
+    real = ClassReader.read
+
+    def read(self, data):
+        calls.append(data)
+        return real(self, data)
+
+    monkeypatch.setattr(ClassReader, "read", read)
+    return calls
+
+
+class TestSharedParse:
+    """Every five-vendor path gives each vendor the outcome (phase,
+    error class, message) that vendor's own parse gives."""
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_five_vendor_paths_match_each_vendor_alone(self, name,
+                                                       monkeypatch):
+        rewrite, errors = CRAFTED[name]
+        data = rewrite(demo_bytes())
+        jvms = all_jvms()
+        alone = [jvm.run(data) for jvm in jvms]
+        assert [o.jvm_name for o in alone] == list(VENDORS)
+        assert tuple(o.error for o in alone) == errors
+        (serial,) = SerialExecutor().run_differential(jvms, [(name, data)])
+        assert serial.outcomes == alone
+        assert DifferentialHarness(jvms).run_one(data, name).outcomes \
+            == alone
+        monkeypatch.setattr(executor_module, "_WORKER_JVMS", jvms)
+        outcomes, timings = executor_module._process_worker_run(data)
+        assert outcomes == alone and len(timings) == len(jvms)
+
+    def test_messages_follow_each_vendors_range(self):
+        parsed = parse_class(broken_pool(with_major(demo_bytes(), 52)))
+        messages = {jvm.name: jvm.run(parsed).message for jvm in all_jvms()}
+        assert "max supported 51.0" in messages["hotspot7"]
+        assert "Unknown constant tag 255" in messages["hotspot8"]
+        assert messages["gij"] == messages["hotspot7"]
+        parsed = parse_class(broken_pool(demo_bytes()) + b"\x00")
+        assert "Unknown constant tag" in make_gij().run(parsed).message
+
+    def test_one_read_per_classfile_per_five_vendor_run(self, monkeypatch):
+        calls = count_reads(monkeypatch)
+        suite = [(name, rewrite(demo_bytes()))
+                 for name, (rewrite, _) in sorted(CRAFTED.items())]
+        # "major 51" is the demo's own version: the same bytes as "valid".
+        distinct = len({data for _, data in suite})
+        engine = make_executor()
+        engine.run_differential(all_jvms(), suite)
+        assert len(calls) == distinct == len(suite) - 1
+        # Every vendor's outcome is cached now: nothing is parsed.
+        engine.run_differential(all_jvms(), suite)
+        assert len(calls) == distinct
+        SerialExecutor().run_differential(all_jvms(), suite)
+        assert len(calls) == distinct + len(suite)
+        DifferentialHarness(all_jvms()).run_one(suite[0][1])
+        assert len(calls) == distinct + len(suite) + 1
+
+    def test_repro_run_parses_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "Demo.class"
+        path.write_bytes(demo_bytes() + b"\x00")
+        calls = count_reads(monkeypatch)
+        assert main(["run", str(path)]) == 1
+        assert len(calls) == 1
+        lines = capsys.readouterr().out
+        assert "Extra bytes at the end of class file (1 left)" in lines
+
+    def test_version_rejected_reference_run_records_no_reader_site(self):
+        engine = SerialExecutor()
+        outcome, trace = engine.run_reference(
+            reference_jvm(), with_major(demo_bytes(), 54))
+        assert outcome.error == UCVE
+        assert "loader.parse" in trace.statements
+        assert not [site for site in trace.statements
+                    if site.startswith("reader.")]
+        _, loaded = engine.run_reference(reference_jvm(), demo_bytes())
+        assert any(site.startswith("reader.") for site in loaded.statements)
+
+    def test_read_class_applies_its_options(self):
+        data = with_major(demo_bytes(), 53) + b"\x00"
+        with pytest.raises(UnsupportedClassVersionError):
+            read_class(data)
+        parsed = parse_class(data)
+        assert (parsed.major, parsed.trailing, parsed.error) == (53, 1, None)
+
+
+# ---------------------------------------------------------------------------
+# One decode per Code attribute
+# ---------------------------------------------------------------------------
+
+def switch_trap_bytes():
+    """A class whose helper holds switches and a trap, called from main."""
+    rng = random.Random(3)
+    helper = MethodBuilder("work", VOID, [], ["public", "static"])
+    for counter in range(3):
+        (switch_shape if counter % 2 == 0 else trap_shape)(
+            rng, helper, counter)
+    helper.ret()
+    builder = ClassBuilder("Shapes")
+    builder.default_init()
+    builder.method(helper.build())
+    builder.main_printing("done")
+    return write_class(compile_class(builder.build()))
+
+
+def code_attributes(classfile):
+    return [method.code for method in classfile.methods
+            if method.code is not None]
+
+
+class TestSharedDecode:
+    def test_one_decode_per_code_attribute_per_parse(self, monkeypatch):
+        calls = []
+        real = instructions.decode_code
+
+        def decode_code(code):
+            calls.append(code)
+            return real(code)
+
+        monkeypatch.setattr(instructions, "decode_code", decode_code)
+        data = switch_trap_bytes()
+        parsed = parse_class(data)
+        outcomes = [jvm.run(parsed) for jvm in all_jvms()]
+        assert all(outcome.ok for outcome in outcomes)
+        codes = code_attributes(parsed.classfile)
+        assert len(codes) == 3
+        assert sorted(calls) == sorted(code.code for code in codes)
+        calls.clear()
+        SerialExecutor().run_differential(all_jvms(), [("Shapes", data)])
+        assert len(calls) == 3
+
+    def test_runs_leave_the_shared_decode_untouched(self):
+        parsed = parse_class(switch_trap_bytes())
+        for jvm in all_jvms():
+            jvm.run(parsed)
+        for code in code_attributes(parsed.classfile):
+            assert list(code.decoded()) == instructions.decode_code(code.code)
+
+    def test_decode_never_reaches_a_pickle(self):
+        parsed = parse_class(switch_trap_bytes())
+        for jvm in all_jvms():
+            jvm.run(parsed)
+        for code in code_attributes(parsed.classfile):
+            fresh = CodeAttribute(code.max_stack, code.max_locals, code.code,
+                                  code.exception_table, code.attributes)
+            assert pickle.dumps(code) == pickle.dumps(fresh)
+            assert "_decoded" not in vars(pickle.loads(pickle.dumps(code)))
+
+    def test_replaced_code_is_decoded_again(self):
+        code = CodeAttribute(1, 1, bytes([0x00, 0xB1]))
+        assert [i.mnemonic for i in code.decoded()] == ["nop", "return"]
+        code.code = bytes([0xB1])
+        assert [i.mnemonic for i in code.decoded()] == ["return"]
+
+    def test_bad_code_raises_each_time_from_one_decode(self, monkeypatch):
+        calls = []
+        real = instructions.decode_code
+        monkeypatch.setattr(instructions, "decode_code",
+                            lambda code: calls.append(code) or real(code))
+        code = CodeAttribute(1, 1, bytes([0xFD]))
+        for _ in range(3):
+            with pytest.raises(InstructionError, match="unknown opcode"):
+                code.decoded()
+        assert len(calls) == 1

@@ -434,6 +434,23 @@ class TestSummary:
         assert "serial: 2 batches, 0.10s total" in metrics
         assert summarize_metrics({}) is None
 
+    def test_summarize_prints_one_chain_per_algorithm(self):
+        bus = EventBus()
+        seen = []
+        bus.add_sink(CallbackSink(seen.append))
+        for algorithm, steps in (("classfuzz[st]", 3), ("classfuzz[tr]", 2)):
+            for _ in range(steps):
+                bus.emit("mcmc_transition", algorithm=algorithm, frm="a",
+                         to="b", proposals=2)
+        # A log recorded before transitions carried their algorithm.
+        bus.emit("mcmc_transition", frm="a", to="c", proposals=1)
+        text = summarize_events(seen)
+        assert "=== MCMC chain: classfuzz[st] ===\n" \
+               "3 transitions, 6 proposals" in text
+        assert "=== MCMC chain: classfuzz[tr] ===\n" \
+               "2 transitions, 4 proposals" in text
+        assert "=== MCMC chain ===\n1 transitions, 1 proposals" in text
+
     def test_summarize_empty(self):
         assert summarize_events([]) == "no events recorded"
 

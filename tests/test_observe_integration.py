@@ -219,6 +219,26 @@ class TestObserveCli:
         replay = capsys.readouterr().out
         assert "mcmc_transition" in replay
 
+    def test_campaign_summary_has_one_chain_per_leg(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        assert main(["campaign", "--budget-scale", "0.002",
+                     "--seed-count", "20",
+                     "--algorithms", "classfuzz[st]", "classfuzz[stbr]",
+                     "--events", str(events)]) == 0
+        capsys.readouterr()
+        recorded = [json.loads(line)
+                    for line in events.read_text().splitlines()]
+        legs = {event["algorithm"] for event in recorded
+                if event["type"] == "iteration"}
+        chains = {event["algorithm"] for event in recorded
+                  if event["type"] == "mcmc_transition"}
+        assert chains == legs == {"classfuzz[st]", "classfuzz[stbr]"}
+        assert main(["observe", "summary", str(events)]) == 0
+        summary = capsys.readouterr().out
+        assert "=== MCMC chain: classfuzz[st] ===" in summary
+        assert "=== MCMC chain: classfuzz[stbr] ===" in summary
+        assert "=== MCMC chain ===" not in summary
+
     def test_observe_summary_metrics_worker_block(self, tmp_path,
                                                   capsys):
         events = tmp_path / "events.jsonl"

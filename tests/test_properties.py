@@ -206,6 +206,76 @@ def test_bipush_value_roundtrip(value):
     assert decoded.operands["value"] == value
 
 
+def _label_offsets_by_decoding(asm, code):
+    """How ``Assembler.build`` used to place labels, before the encoder
+    reported its layout: decode the built bytes and pair each emitted
+    instruction with the decoded one at the same position."""
+    from repro.bytecode import decode_code
+
+    decoded = decode_code(code)
+    assert len(decoded) == len(asm.instructions)
+    byte_offset = {emitted.offset: found.offset
+                   for emitted, found in zip(asm.instructions, decoded)}
+    return {name: byte_offset.get(position, len(code))
+            for name, position in asm._labels.items()}
+
+
+def _switch_trap_class(rng):
+    from repro.corpus.templates import switch_shape, trap_shape
+    from repro.jimple import ClassBuilder, MethodBuilder
+    from repro.jimple.types import VOID
+
+    method = MethodBuilder("work", VOID, [], ["public", "static"])
+    for counter in range(rng.randint(1, 6)):
+        shape = switch_shape if rng.random() < 0.5 else trap_shape
+        shape(rng, method, counter)
+    method.ret()
+    method.label("end")  # a label past the last instruction
+    builder = ClassBuilder("LabelOffsets")
+    builder.default_init()
+    builder.method(method.build())
+    return builder.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.booleans(),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=3))
+def test_assembler_label_offsets_match_decoded_layout(rng_seed, from_corpus,
+                                                      mutations):
+    """Labels placed from the encoder's layout sit where decoding the
+    built bytes puts them, on generated and mutated methods with
+    switches and traps."""
+    import random
+    import struct
+
+    from repro.classfile.constant_pool import ConstantPool
+    from repro.core.mutators import MUTATORS
+    from repro.corpus import CorpusConfig, generate_corpus
+    from repro.jimple.to_classfile import JimpleCompileError, _MethodCompiler
+
+    rng = random.Random(rng_seed)
+    if from_corpus:
+        (jclass,) = generate_corpus(CorpusConfig(count=1, seed=rng_seed))
+    else:
+        jclass = _switch_trap_class(rng)
+    for choice in mutations:
+        try:
+            MUTATORS[choice % len(MUTATORS)](jclass, rng)
+        except Exception:
+            pass  # a crashed rewrite is a discarded iteration
+    for method in jclass.methods:
+        if method.body is None:
+            continue
+        compiler = _MethodCompiler(jclass, method, ConstantPool())
+        try:
+            code = compiler.compile().code
+        except (JimpleCompileError, struct.error):
+            continue  # a dump failure: no bytes to place labels in
+        assert compiler.asm.label_offsets == \
+            _label_offsets_by_decoding(compiler.asm, code)
+
+
 # ---------------------------------------------------------------------------
 # MCMC invariants
 # ---------------------------------------------------------------------------
