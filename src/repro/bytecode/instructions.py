@@ -207,11 +207,10 @@ def _decode_switch(code: bytes, start: int, pos: int, op: Op,
     return pos
 
 
-#: Opcodes the ``wide`` prefix widens to a two-byte local index.
-_WIDE_LOCALS = frozenset(
-    int(op) for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD, Op.LLOAD, Op.DLOAD,
-                       Op.ISTORE, Op.FSTORE, Op.ASTORE, Op.LSTORE,
-                       Op.DSTORE, Op.RET))
+#: Opcodes the ``wide`` prefix widens to a two-byte local index: those
+#: with a one-byte local operand (xload, xstore, ret).
+_WIDE_LOCALS = frozenset(code for code, info in OPCODES.items()
+                         if ops.LOCAL1 in info.operands)
 
 
 def _decode_wide(code: bytes, start: int, pos: int) -> Tuple[Instruction, int]:

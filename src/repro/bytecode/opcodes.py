@@ -1,18 +1,22 @@
 """The JVM opcode table (JVMS §6.5).
 
 Every standard opcode is described by an :class:`OpcodeInfo` carrying its
-mnemonic, operand layout, and net operand-stack effect.  Operand layouts are
-expressed as a tuple of operand kinds so one generic codec
-(:mod:`repro.bytecode.instructions`) can decode and encode every
-instruction, including the variable-length ``tableswitch``/``lookupswitch``
-and ``wide``-prefixed forms.
+mnemonic, operand layout and typed operand-stack effect, and for the
+const/load/store/return opcodes their value category and the implicit
+slot or constant of each ``xload_n``/``xstore_n``/``xconst_n`` shorthand.
+This table is the one place that says what an opcode does: the verifier,
+the interpreter, the Jimple lifter and the compiler read it rather than
+parse mnemonics.  Operand layouts are expressed as a tuple of operand kinds
+so one generic codec (:mod:`repro.bytecode.instructions`) can decode and
+encode every instruction, including the variable-length
+``tableswitch``/``lookupswitch`` and ``wide``-prefixed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 # Operand kinds -------------------------------------------------------------
 #: one signed byte
@@ -256,6 +260,35 @@ class Op(IntEnum):
     JSR_W = 0xC9
 
 
+#: Value categories of the typed stack effects (JVMS §2.11.1): ``i``,
+#: ``l``, ``f``, ``d`` and ``a`` (int, long, float, double, reference);
+#: ``NULL`` is the null reference ``aconst_null`` pushes, and ``ANY`` a
+#: popped value whose category is left unchecked (an array store's value).
+NULL = "null"
+ANY = "any"
+
+#: Operand-stack slots a value of each category occupies.
+SLOTS = {"i": 1, "f": 1, "a": 1, NULL: 1, "l": 2, "d": 2}
+
+#: Families of the typed value opcodes (:attr:`OpcodeInfo.family`).
+CONST = "const"
+LOAD = "load"
+STORE = "store"
+RETURN = "return"
+
+
+class StackEffect(NamedTuple):
+    """A fixed operand-stack effect in value categories.
+
+    Attributes:
+        pops: the categories popped, top of stack first.
+        push: the category pushed, or ``None`` when nothing is.
+    """
+
+    pops: Tuple[str, ...]
+    push: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class OpcodeInfo:
     """Static description of one opcode.
@@ -264,9 +297,15 @@ class OpcodeInfo:
         op: the opcode.
         mnemonic: the JVMS mnemonic.
         operands: operand-kind layout (see module constants).
-        pops/pushes: net stack effect in *slots* for fixed-effect opcodes;
-            ``None`` where the effect depends on resolved symbols
-            (invokes, field access, multianewarray).
+        effect: the fixed stack effect; ``None`` where the operands,
+            resolved symbols or the stacked values' own categories decide
+            (ldc, field access, invokes, multianewarray, pop/dup/swap,
+            jsr and the wide prefix).
+        family: ``CONST``/``LOAD``/``STORE``/``RETURN`` for the typed
+            value opcodes (``aconst_null`` and ``ldc`` are not ``CONST``).
+        cat: a family opcode's value category (``"v"`` for ``return``).
+        implicit: the slot of an ``xload_n``/``xstore_n`` or the constant
+            of an ``xconst_n`` shorthand; ``None`` where an operand says.
         is_branch: transfers control conditionally or unconditionally.
         is_terminal: ends a basic block with no fall-through
             (returns, athrow, goto, switches, ret).
@@ -275,171 +314,119 @@ class OpcodeInfo:
     op: Op
     mnemonic: str
     operands: Tuple[str, ...] = ()
-    pops: Optional[int] = 0
-    pushes: Optional[int] = 0
+    effect: Optional[StackEffect] = None
+    family: Optional[str] = None
+    cat: Optional[str] = None
+    implicit: Union[int, float, None] = None
     is_branch: bool = False
     is_terminal: bool = False
-
-
-def _info(op: Op, mnemonic: str, operands: Tuple[str, ...] = (),
-          pops: Optional[int] = 0, pushes: Optional[int] = 0,
-          branch: bool = False, terminal: bool = False) -> OpcodeInfo:
-    return OpcodeInfo(op, mnemonic, operands, pops, pushes, branch, terminal)
 
 
 def _build_table() -> Dict[int, OpcodeInfo]:
     table: Dict[int, OpcodeInfo] = {}
 
-    def add(op: Op, operands: Tuple[str, ...] = (), pops: Optional[int] = 0,
-            pushes: Optional[int] = 0, branch: bool = False,
-            terminal: bool = False) -> None:
-        table[int(op)] = _info(op, op.name.lower().replace("_prefix", ""),
-                               operands, pops, pushes, branch, terminal)
+    def add(op: Op, operands: Tuple[str, ...] = (),
+            pops: Optional[Tuple[str, ...]] = (), push: Optional[str] = None,
+            **fields) -> None:
+        """``pops=None`` marks an effect that is not fixed."""
+        table[int(op)] = OpcodeInfo(
+            op, op.name.lower().replace("_prefix", ""), operands,
+            None if pops is None else StackEffect(pops, push), **fields)
 
     add(Op.NOP)
-    add(Op.ACONST_NULL, pushes=1)
-    for op in (Op.ICONST_M1, Op.ICONST_0, Op.ICONST_1, Op.ICONST_2,
-               Op.ICONST_3, Op.ICONST_4, Op.ICONST_5, Op.FCONST_0,
-               Op.FCONST_1, Op.FCONST_2):
-        add(op, pushes=1)
-    for op in (Op.LCONST_0, Op.LCONST_1, Op.DCONST_0, Op.DCONST_1):
-        add(op, pushes=2)
-    add(Op.BIPUSH, (S1,), pushes=1)
-    add(Op.SIPUSH, (S2,), pushes=1)
-    add(Op.LDC, (CP1,), pushes=1)
-    add(Op.LDC_W, (CP2,), pushes=1)
-    add(Op.LDC2_W, (CP2,), pushes=2)
-    for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD):
-        add(op, (LOCAL1,), pushes=1)
-    for op in (Op.LLOAD, Op.DLOAD):
-        add(op, (LOCAL1,), pushes=2)
-    for op in (Op.ILOAD_0, Op.ILOAD_1, Op.ILOAD_2, Op.ILOAD_3,
-               Op.FLOAD_0, Op.FLOAD_1, Op.FLOAD_2, Op.FLOAD_3,
-               Op.ALOAD_0, Op.ALOAD_1, Op.ALOAD_2, Op.ALOAD_3):
-        add(op, pushes=1)
-    for op in (Op.LLOAD_0, Op.LLOAD_1, Op.LLOAD_2, Op.LLOAD_3,
-               Op.DLOAD_0, Op.DLOAD_1, Op.DLOAD_2, Op.DLOAD_3):
-        add(op, pushes=2)
-    for op in (Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD, Op.CALOAD,
-               Op.SALOAD):
-        add(op, pops=2, pushes=1)
-    for op in (Op.LALOAD, Op.DALOAD):
-        add(op, pops=2, pushes=2)
-    for op in (Op.ISTORE, Op.FSTORE, Op.ASTORE):
-        add(op, (LOCAL1,), pops=1)
-    for op in (Op.LSTORE, Op.DSTORE):
-        add(op, (LOCAL1,), pops=2)
-    for op in (Op.ISTORE_0, Op.ISTORE_1, Op.ISTORE_2, Op.ISTORE_3,
-               Op.FSTORE_0, Op.FSTORE_1, Op.FSTORE_2, Op.FSTORE_3,
-               Op.ASTORE_0, Op.ASTORE_1, Op.ASTORE_2, Op.ASTORE_3):
-        add(op, pops=1)
-    for op in (Op.LSTORE_0, Op.LSTORE_1, Op.LSTORE_2, Op.LSTORE_3,
-               Op.DSTORE_0, Op.DSTORE_1, Op.DSTORE_2, Op.DSTORE_3):
-        add(op, pops=2)
-    for op in (Op.IASTORE, Op.FASTORE, Op.AASTORE, Op.BASTORE, Op.CASTORE,
-               Op.SASTORE):
-        add(op, pops=3)
-    for op in (Op.LASTORE, Op.DASTORE):
-        add(op, pops=4)
-    add(Op.POP, pops=1)
-    add(Op.POP2, pops=2)
-    add(Op.DUP, pops=1, pushes=2)
-    add(Op.DUP_X1, pops=2, pushes=3)
-    add(Op.DUP_X2, pops=3, pushes=4)
-    add(Op.DUP2, pops=2, pushes=4)
-    add(Op.DUP2_X1, pops=3, pushes=5)
-    add(Op.DUP2_X2, pops=4, pushes=6)
-    add(Op.SWAP, pops=2, pushes=2)
-    for op in (Op.IADD, Op.ISUB, Op.IMUL, Op.IDIV, Op.IREM, Op.ISHL,
-               Op.ISHR, Op.IUSHR, Op.IAND, Op.IOR, Op.IXOR,
-               Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV, Op.FREM):
-        add(op, pops=2, pushes=1)
-    for op in (Op.LADD, Op.LSUB, Op.LMUL, Op.LDIV, Op.LREM, Op.LAND,
-               Op.LOR, Op.LXOR, Op.DADD, Op.DSUB, Op.DMUL, Op.DDIV,
-               Op.DREM):
-        add(op, pops=4, pushes=2)
-    for op in (Op.LSHL, Op.LSHR, Op.LUSHR):
-        add(op, pops=3, pushes=2)
-    for op in (Op.INEG, Op.FNEG):
-        add(op, pops=1, pushes=1)
-    for op in (Op.LNEG, Op.DNEG):
-        add(op, pops=2, pushes=2)
+    add(Op.ACONST_NULL, push=NULL)
+    for first, cat, values in ((Op.ICONST_M1, "i", (-1, 0, 1, 2, 3, 4, 5)),
+                               (Op.LCONST_0, "l", (0, 1)),
+                               (Op.FCONST_0, "f", (0.0, 1.0, 2.0)),
+                               (Op.DCONST_0, "d", (0.0, 1.0))):
+        for offset, value in enumerate(values):
+            add(Op(first + offset), push=cat, family=CONST, cat=cat,
+                implicit=value)
+    add(Op.BIPUSH, (S1,), push="i", family=CONST, cat="i")
+    add(Op.SIPUSH, (S2,), push="i", family=CONST, cat="i")
+    add(Op.LDC, (CP1,), pops=None)
+    add(Op.LDC_W, (CP2,), pops=None)
+    add(Op.LDC2_W, (CP2,), pops=None)
+    # Loads, stores and returns come in the category order i, l, f, d, a
+    # (each xload_n/xstore_n run is slots 0-3); array loads and stores
+    # add b, c and s, whose elements are ints on the stack.
+    for k, cat in enumerate("ilfda"):
+        add(Op(Op.ILOAD + k), (LOCAL1,), push=cat, family=LOAD, cat=cat)
+        add(Op(Op.ISTORE + k), (LOCAL1,), pops=(cat,), family=STORE, cat=cat)
+        for slot in range(4):
+            add(Op(Op.ILOAD_0 + 4 * k + slot), push=cat, family=LOAD,
+                cat=cat, implicit=slot)
+            add(Op(Op.ISTORE_0 + 4 * k + slot), pops=(cat,), family=STORE,
+                cat=cat, implicit=slot)
+        add(Op(Op.IRETURN + k), pops=(cat,), family=RETURN, cat=cat,
+            is_terminal=True)
+    add(Op.RETURN, family=RETURN, cat="v", is_terminal=True)
+    for k, cat in enumerate("ilfdaiii"):
+        add(Op(Op.IALOAD + k), pops=("i", "a"), push=cat)
+        add(Op(Op.IASTORE + k), pops=(ANY, "i", "a"))
+    for op in (Op.POP, Op.POP2, Op.DUP, Op.DUP_X1, Op.DUP_X2, Op.DUP2,
+               Op.DUP2_X1, Op.DUP2_X2, Op.SWAP):
+        add(op, pops=None)
+    # add, sub, mul, div and rem, then neg, each for i, l, f, d in turn.
+    for k in range(20):
+        cat = "ilfd"[k % 4]
+        add(Op(Op.IADD + k), pops=(cat, cat), push=cat)
+    for k, cat in enumerate("ilfd"):
+        add(Op(Op.INEG + k), pops=(cat,), push=cat)
+    # shl, shr, ushr, and, or and xor, each for i then l.
+    for first in (Op.ISHL, Op.ISHR, Op.IUSHR):
+        add(first, pops=("i", "i"), push="i")
+        add(Op(first + 1), pops=("i", "l"), push="l")  # an int distance
+    for first in (Op.IAND, Op.IOR, Op.IXOR):
+        add(first, pops=("i", "i"), push="i")
+        add(Op(first + 1), pops=("l", "l"), push="l")
     add(Op.IINC, (IINC,))
-    for op in (Op.I2F, Op.F2I, Op.I2B, Op.I2C, Op.I2S):
-        add(op, pops=1, pushes=1)
-    for op in (Op.I2L, Op.I2D, Op.F2L, Op.F2D):
-        add(op, pops=1, pushes=2)
-    for op in (Op.L2I, Op.L2F, Op.D2I, Op.D2F):
-        add(op, pops=2, pushes=1)
-    for op in (Op.L2D, Op.D2L):
-        add(op, pops=2, pushes=2)
-    add(Op.LCMP, pops=4, pushes=1)
-    for op in (Op.FCMPL, Op.FCMPG):
-        add(op, pops=2, pushes=1)
-    for op in (Op.DCMPL, Op.DCMPG):
-        add(op, pops=4, pushes=1)
-    for op in (Op.IFEQ, Op.IFNE, Op.IFLT, Op.IFGE, Op.IFGT, Op.IFLE,
-               Op.IFNULL, Op.IFNONNULL):
-        add(op, (BRANCH2,), pops=1, branch=True)
+    # i2l through d2f: each category to each other one, in opcode order.
+    conversion = Op.I2L
+    for source in "ilfd":
+        for target in "ilfd".replace(source, ""):
+            add(Op(conversion), pops=(source,), push=target)
+            conversion += 1
+    for op in (Op.I2B, Op.I2C, Op.I2S):
+        add(op, pops=("i",), push="i")
+    for op, cat in ((Op.LCMP, "l"), (Op.FCMPL, "f"), (Op.FCMPG, "f"),
+                    (Op.DCMPL, "d"), (Op.DCMPG, "d")):
+        add(op, pops=(cat, cat), push="i")
+    for op in (Op.IFEQ, Op.IFNE, Op.IFLT, Op.IFGE, Op.IFGT, Op.IFLE):
+        add(op, (BRANCH2,), pops=("i",), is_branch=True)
     for op in (Op.IF_ICMPEQ, Op.IF_ICMPNE, Op.IF_ICMPLT, Op.IF_ICMPGE,
-               Op.IF_ICMPGT, Op.IF_ICMPLE, Op.IF_ACMPEQ, Op.IF_ACMPNE):
-        add(op, (BRANCH2,), pops=2, branch=True)
-    add(Op.GOTO, (BRANCH2,), branch=True, terminal=True)
-    add(Op.JSR, (BRANCH2,), pushes=1, branch=True)
-    add(Op.RET, (LOCAL1,), terminal=True)
-    add(Op.TABLESWITCH, (SWITCH,), pops=1, branch=True, terminal=True)
-    add(Op.LOOKUPSWITCH, (SWITCH,), pops=1, branch=True, terminal=True)
-    add(Op.IRETURN, pops=1, terminal=True)
-    add(Op.LRETURN, pops=2, terminal=True)
-    add(Op.FRETURN, pops=1, terminal=True)
-    add(Op.DRETURN, pops=2, terminal=True)
-    add(Op.ARETURN, pops=1, terminal=True)
-    add(Op.RETURN, terminal=True)
-    add(Op.GETSTATIC, (CP2,), pops=0, pushes=None)
-    add(Op.PUTSTATIC, (CP2,), pops=None, pushes=0)
-    add(Op.GETFIELD, (CP2,), pops=1, pushes=None)
-    add(Op.PUTFIELD, (CP2,), pops=None, pushes=0)
-    for op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC):
-        add(op, (CP2,), pops=None, pushes=None)
-    add(Op.INVOKEINTERFACE, (CP2, INVOKEINTERFACE), pops=None, pushes=None)
-    add(Op.INVOKEDYNAMIC, (CP2, INVOKEDYNAMIC), pops=None, pushes=None)
-    add(Op.NEW, (CP2,), pushes=1)
-    add(Op.NEWARRAY, (ATYPE,), pops=1, pushes=1)
-    add(Op.ANEWARRAY, (CP2,), pops=1, pushes=1)
-    add(Op.ARRAYLENGTH, pops=1, pushes=1)
-    add(Op.ATHROW, pops=1, terminal=True)
-    add(Op.CHECKCAST, (CP2,), pops=1, pushes=1)
-    add(Op.INSTANCEOF, (CP2,), pops=1, pushes=1)
-    add(Op.MONITORENTER, pops=1)
-    add(Op.MONITOREXIT, pops=1)
-    add(Op.WIDE_PREFIX, (WIDE,))
-    add(Op.MULTIANEWARRAY, (MULTIANEWARRAY,), pops=None, pushes=1)
-    add(Op.GOTO_W, (BRANCH4,), branch=True, terminal=True)
-    add(Op.JSR_W, (BRANCH4,), pushes=1, branch=True)
-    return table
+               Op.IF_ICMPGT, Op.IF_ICMPLE):
+        add(op, (BRANCH2,), pops=("i", "i"), is_branch=True)
+    for op in (Op.IF_ACMPEQ, Op.IF_ACMPNE):
+        add(op, (BRANCH2,), pops=("a", "a"), is_branch=True)
+    for op in (Op.IFNULL, Op.IFNONNULL):
+        add(op, (BRANCH2,), pops=("a",), is_branch=True)
+    add(Op.GOTO, (BRANCH2,), is_branch=True, is_terminal=True)
+    add(Op.GOTO_W, (BRANCH4,), is_branch=True, is_terminal=True)
+    # jsr pushes a returnAddress, which no value category describes.
+    add(Op.JSR, (BRANCH2,), pops=None, is_branch=True)
+    add(Op.JSR_W, (BRANCH4,), pops=None, is_branch=True)
+    add(Op.RET, (LOCAL1,), is_terminal=True)
+    for op in (Op.TABLESWITCH, Op.LOOKUPSWITCH):
+        add(op, (SWITCH,), pops=("i",), is_branch=True, is_terminal=True)
+    for op in (Op.GETSTATIC, Op.PUTSTATIC, Op.GETFIELD, Op.PUTFIELD,
+               Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC):
+        add(op, (CP2,), pops=None)
+    add(Op.INVOKEINTERFACE, (CP2, INVOKEINTERFACE), pops=None)
+    add(Op.INVOKEDYNAMIC, (CP2, INVOKEDYNAMIC), pops=None)
+    add(Op.NEW, (CP2,), push="a")
+    add(Op.NEWARRAY, (ATYPE,), pops=("i",), push="a")
+    add(Op.ANEWARRAY, (CP2,), pops=("i",), push="a")
+    add(Op.ARRAYLENGTH, pops=("a",), push="i")
+    add(Op.ATHROW, pops=("a",), is_terminal=True)
+    add(Op.CHECKCAST, (CP2,), pops=("a",), push="a")
+    add(Op.INSTANCEOF, (CP2,), pops=("a",), push="i")
+    add(Op.MONITORENTER, pops=("a",))
+    add(Op.MONITOREXIT, pops=("a",))
+    add(Op.WIDE_PREFIX, (WIDE,), pops=None)
+    add(Op.MULTIANEWARRAY, (MULTIANEWARRAY,), pops=None)
+    return dict(sorted(table.items()))
 
 
 #: Opcode byte → :class:`OpcodeInfo` for every standard opcode.
 OPCODES: Dict[int, OpcodeInfo] = _build_table()
-
-#: Mnemonic → :class:`OpcodeInfo`.
-BY_MNEMONIC: Dict[str, OpcodeInfo] = {
-    info.mnemonic: info for info in OPCODES.values()
-}
-
-#: ``newarray`` primitive type codes (JVMS Table 6.5.newarray-A).
-NEWARRAY_TYPES = {
-    4: "boolean", 5: "char", 6: "float", 7: "double",
-    8: "byte", 9: "short", 10: "int", 11: "long",
-}
-
-#: Return opcode appropriate for each descriptor type character.
-RETURN_OPS = {
-    "V": Op.RETURN,
-    "I": Op.IRETURN, "Z": Op.IRETURN, "B": Op.IRETURN,
-    "C": Op.IRETURN, "S": Op.IRETURN,
-    "J": Op.LRETURN,
-    "F": Op.FRETURN,
-    "D": Op.DRETURN,
-    "L": Op.ARETURN, "[": Op.ARETURN,
-}

@@ -12,6 +12,7 @@ import hashlib
 from typing import List
 
 from repro.bytecode.instructions import InstructionError, decode_code
+from repro.bytecode.opcodes import CP1, CP2, MULTIANEWARRAY, OPCODES
 from repro.classfile.access_flags import flag_names
 from repro.classfile.attributes import (
     CodeAttribute,
@@ -27,11 +28,9 @@ from repro.classfile.descriptors import (
 )
 from repro.classfile.model import ClassFile
 
-#: Operand kinds that index the constant pool.
-_CP_OPS = {"ldc", "ldc_w", "ldc2_w", "getstatic", "putstatic", "getfield",
-           "putfield", "invokevirtual", "invokespecial", "invokestatic",
-           "invokeinterface", "invokedynamic", "new", "anewarray",
-           "checkcast", "instanceof", "multianewarray"}
+#: Mnemonics whose ``index`` operand is a constant-pool index.
+_CP_OPS = {info.mnemonic for info in OPCODES.values()
+           if {CP1, CP2, MULTIANEWARRAY} & set(info.operands)}
 
 
 def _safe(fn, fallback="?"):

@@ -168,6 +168,20 @@ class _ByteCursor:
         return self._take(count)
 
 
+#: Tag byte → (tag, its coverage site), built once for every pool entry.
+_CP_TAGS = {int(tag): (tag, f"reader.cp.{tag.name.lower()}") for tag in CpTag}
+
+#: The kinds of entry each tag's internal references must name (JVMS §4.4).
+_CP_REFERENCES = {
+    **dict.fromkeys((CpTag.CLASS, CpTag.STRING, CpTag.METHOD_TYPE),
+                    (CpTag.UTF8,)),
+    CpTag.NAME_AND_TYPE: (CpTag.UTF8, CpTag.UTF8),
+    **dict.fromkeys((CpTag.FIELDREF, CpTag.METHODREF,
+                     CpTag.INTERFACE_METHODREF),
+                    (CpTag.CLASS, CpTag.NAME_AND_TYPE)),
+}
+
+
 class ClassReader:
     """Parses classfile bytes into a :class:`ParsedClass`."""
 
@@ -252,20 +266,38 @@ class ClassReader:
         index = 1
         while index < count:
             tag_value = cursor.u1()
-            try:
-                tag = CpTag(tag_value)
-            except ValueError:
+            known = _CP_TAGS.get(tag_value)
+            if known is None:
                 if self.options.reject_unknown_cp_tags:
                     raise ClassFormatError(
                         f"Unknown constant tag {tag_value} at index {index}")
                 # Lenient mode: treat the rest of the pool as opaque.
                 break
-            probe(f"reader.cp.{tag.name.lower()}")
+            tag, site = known
+            probe(site)
             info = self._read_cp_entry(cursor, tag)
             pool.add_at(index, info)
             index += 2 if info.is_wide else 1
         pool.set_count(count)
+        self._check_pool_references(pool)
         return pool
+
+    @staticmethod
+    def _check_pool_references(pool: ConstantPool) -> None:
+        """Every internal reference names an entry of the kind its tag
+        needs, as HotSpot's ``parse_constant_pool`` checks before any
+        entry is used: no later pool access can then dangle."""
+        for index, info in pool:
+            wanted = _CP_REFERENCES.get(info.tag)
+            if wanted is None:
+                continue
+            for target, tag in zip(info.value, wanted):
+                entry = pool.maybe_entry(target)
+                if entry is None or entry.tag is not tag:
+                    raise ClassFormatError(
+                        f"Invalid constant pool index {target} in class "
+                        f"file ({info.tag.name} entry {index} needs "
+                        f"{tag.name})")
 
     def _read_cp_entry(self, cursor: _ByteCursor, tag: CpTag) -> CpInfo:
         if tag is CpTag.UTF8:

@@ -13,13 +13,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bytecode.instructions import Instruction, InstructionError, decode_code
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import CONST, LOAD, RETURN, STORE, Op
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.attributes import ConstantValueAttribute
 from repro.classfile.constant_pool import ConstantPool, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
 from repro.classfile.model import ClassFile
 from repro.jimple import statements as st
+from repro.jimple import to_classfile
 from repro.jimple.model import JClass, JField, JLocal, JMethod
 from repro.jimple.types import INT, JType, descriptor_to_java
 
@@ -176,39 +177,10 @@ def _lift_method(classfile: ClassFile, method_info) -> JMethod:
 #: Symbolic stack entries: either a plain value or a one-shot expression.
 _StackItem = Union[st.Constant, str, Tuple[str, object]]
 
-_CONST_OPS = {
-    Op.ICONST_M1: -1, Op.ICONST_0: 0, Op.ICONST_1: 1, Op.ICONST_2: 2,
-    Op.ICONST_3: 3, Op.ICONST_4: 4, Op.ICONST_5: 5,
-}
-
-_BINOP_OPS = {
-    Op.IADD: "+", Op.ISUB: "-", Op.IMUL: "*", Op.IDIV: "/", Op.IREM: "%",
-    Op.IAND: "&", Op.IOR: "|", Op.IXOR: "^", Op.ISHL: "<<", Op.ISHR: ">>",
-    Op.IUSHR: ">>>",
-}
-
-_IF_OPS = {
-    Op.IFEQ: "==", Op.IFNE: "!=", Op.IFLT: "<", Op.IFGE: ">=",
-    Op.IFGT: ">", Op.IFLE: "<=",
-}
-
-_LOAD_OPS = {Op.ILOAD, Op.LLOAD, Op.FLOAD, Op.DLOAD, Op.ALOAD}
-_STORE_OPS = {Op.ISTORE, Op.LSTORE, Op.FSTORE, Op.DSTORE, Op.ASTORE}
-_RETURN_VALUE_OPS = {Op.IRETURN, Op.LRETURN, Op.FRETURN, Op.DRETURN,
-                     Op.ARETURN}
-
-
-def _expand_shorthand(op: Op) -> Tuple[Op, Optional[int]]:
-    """Map ``iload_0``-style shorthands to their general form + slot."""
-    name = op.name
-    for prefix, general in (("ILOAD_", Op.ILOAD), ("LLOAD_", Op.LLOAD),
-                            ("FLOAD_", Op.FLOAD), ("DLOAD_", Op.DLOAD),
-                            ("ALOAD_", Op.ALOAD), ("ISTORE_", Op.ISTORE),
-                            ("LSTORE_", Op.LSTORE), ("FSTORE_", Op.FSTORE),
-                            ("DSTORE_", Op.DSTORE), ("ASTORE_", Op.ASTORE)):
-        if name.startswith(prefix):
-            return general, int(name[len(prefix):])
-    return op, None
+#: Opcode → Jimple operator and condition: the compiler's choices, read
+#: back.
+_BINOP_OPS = {op: symbol for symbol, op in to_classfile._BINOPS.items()}
+_IF_OPS = {op: cond for cond, op in to_classfile._IF_OPS.items()}
 
 
 class _BodyLifter:
@@ -368,27 +340,24 @@ class _BodyLifter:
 
     def _lift_instruction(self, instruction: Instruction,
                           labels: Dict[int, str]) -> None:
-        op, shorthand_slot = _expand_shorthand(instruction.op)
+        op = instruction.op
+        info = instruction.info
         operands = instruction.operands
 
         if op is Op.NOP:
             self.body.append(st.NopStmt())
-        elif op in _CONST_OPS:
-            self.stack.append(st.Constant(_CONST_OPS[op], INT))
+        elif info.family == CONST and info.cat == "i":
+            self.stack.append(st.Constant(
+                operands["value"] if info.implicit is None else info.implicit,
+                INT))
         elif op is Op.ACONST_NULL:
             self.stack.append(st.Constant(None, JType("java.lang.Object")))
-        elif op in (Op.BIPUSH, Op.SIPUSH):
-            self.stack.append(st.Constant(operands["value"], INT))
         elif op in (Op.LDC, Op.LDC_W, Op.LDC2_W):
             self._lift_ldc(operands["index"])  # type: ignore[arg-type]
-        elif op in _LOAD_OPS:
-            slot = shorthand_slot if shorthand_slot is not None \
-                else operands["index"]
-            self._lift_load(op, slot)  # type: ignore[arg-type]
-        elif op in _STORE_OPS:
-            slot = shorthand_slot if shorthand_slot is not None \
-                else operands["index"]
-            self._store(slot)  # type: ignore[arg-type]
+        elif info.family == LOAD:
+            self._lift_load(operands.get("index", info.implicit))  # type: ignore[arg-type]
+        elif info.family == STORE:
+            self._store(operands.get("index", info.implicit))  # type: ignore[arg-type]
         elif op in _BINOP_OPS:
             right = self._pop_value()
             left = self._pop_value()
@@ -449,10 +418,9 @@ class _BodyLifter:
                      for match, target in operands["pairs"]]  # type: ignore[union-attr]
             self.body.append(st.SwitchStmt(
                 local, cases, labels[operands["default"]]))  # type: ignore[index]
-        elif op is Op.RETURN:
-            self.body.append(st.ReturnStmt())
-        elif op in _RETURN_VALUE_OPS:
-            self.body.append(st.ReturnStmt(self._pop_value()))
+        elif info.family == RETURN:
+            self.body.append(st.ReturnStmt() if info.cat == "v"
+                             else st.ReturnStmt(self._pop_value()))
         elif op is Op.ATHROW:
             self.body.append(st.ThrowStmt(self._pop_local()))
         else:
@@ -482,7 +450,7 @@ class _BodyLifter:
         else:
             raise _BodyLiftError(f"unliftable ldc of {entry.tag.name}")
 
-    def _lift_load(self, op: Op, slot: int) -> None:
+    def _lift_load(self, slot: int) -> None:
         if slot in self.slot_names:
             self.stack.append(self.slot_names[slot])
             return

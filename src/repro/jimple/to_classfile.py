@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.bytecode.assembler import Assembler
 from repro.bytecode.instructions import InstructionError
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import OPCODES, SLOTS, Op
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.attributes import (
     CodeAttribute,
@@ -100,18 +100,13 @@ _BINOPS = {"+": Op.IADD, "-": Op.ISUB, "*": Op.IMUL, "/": Op.IDIV,
            "<<": Op.ISHL, ">>": Op.ISHR, ">>>": Op.IUSHR}
 _IF_OPS = {"==": Op.IFEQ, "!=": Op.IFNE, "<": Op.IFLT, ">=": Op.IFGE,
            ">": Op.IFGT, "<=": Op.IFLE}
-#: Three-way compare mnemonic → (opcode, operand slot width per side).
-_CMP_OPS = {"lcmp": (Op.LCMP, 2), "fcmpl": (Op.FCMPL, 1),
-            "fcmpg": (Op.FCMPG, 1), "dcmpl": (Op.DCMPL, 2),
-            "dcmpg": (Op.DCMPG, 2)}
-#: Unary mnemonic → (opcode, popped slots, pushed slots).
-_UNARY_OPS = {"ineg": (Op.INEG, 1, 1), "lneg": (Op.LNEG, 2, 2),
-              "fneg": (Op.FNEG, 1, 1), "dneg": (Op.DNEG, 2, 2),
-              "i2l": (Op.I2L, 1, 2), "l2i": (Op.L2I, 2, 1),
-              "i2b": (Op.I2B, 1, 1), "i2c": (Op.I2C, 1, 1),
-              "i2s": (Op.I2S, 1, 1), "f2i": (Op.F2I, 1, 1),
-              "f2l": (Op.F2L, 1, 2), "d2i": (Op.D2I, 2, 1),
-              "d2l": (Op.D2L, 2, 2)}
+#: Three-way compare and unary mnemonic → opcode; their stack slot
+#: widths come from the opcode table's typed effects.
+_CMP_OPS = {OPCODES[op].mnemonic: op for op in (
+    Op.LCMP, Op.FCMPL, Op.FCMPG, Op.DCMPL, Op.DCMPG)}
+_UNARY_OPS = {OPCODES[op].mnemonic: op for op in (
+    Op.INEG, Op.LNEG, Op.FNEG, Op.DNEG, Op.I2L, Op.L2I, Op.I2B, Op.I2C,
+    Op.I2S, Op.F2I, Op.F2L, Op.D2I, Op.D2L)}
 
 
 class _MethodCompiler:
@@ -174,6 +169,13 @@ class _MethodCompiler:
 
     def _end_stmt(self) -> None:
         self._depth = 0
+
+    def _emit_fixed(self, op: Op) -> None:
+        """Emit an opcode with a fixed stack effect and account for it."""
+        self.asm.emit(op)
+        effect = OPCODES[op].effect
+        self._pop(sum(SLOTS[cat] for cat in effect.pops))
+        self._push(SLOTS[effect.push])
 
     # -- value emission ----------------------------------------------------------
 
@@ -313,25 +315,19 @@ class _MethodCompiler:
             self._pop(1)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignCmpStmt):
-            entry = _CMP_OPS.get(stmt.op)
-            if entry is None:
+            opcode = _CMP_OPS.get(stmt.op)
+            if opcode is None:
                 raise JimpleCompileError(f"unknown compare {stmt.op!r}")
-            opcode, operand_slots = entry
             self._emit_value(stmt.left)
             self._emit_value(stmt.right)
-            self.asm.emit(opcode)
-            self._pop(2 * operand_slots)
-            self._push(1)
+            self._emit_fixed(opcode)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignUnopStmt):
-            entry = _UNARY_OPS.get(stmt.op)
-            if entry is None:
+            opcode = _UNARY_OPS.get(stmt.op)
+            if opcode is None:
                 raise JimpleCompileError(f"unknown unary op {stmt.op!r}")
-            opcode, pops, pushes = entry
             self._emit_value(stmt.src)
-            self.asm.emit(opcode)
-            self._pop(pops)
-            self._push(pushes)
+            self._emit_fixed(opcode)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignNewStmt):
             index = self.pool.class_ref(stmt.class_name.replace(".", "/"))

@@ -11,11 +11,12 @@ the machine reports as *rejected at runtime*.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bytecode.instructions import Instruction, InstructionError
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import CONST, LOAD, OPCODES, STORE, Op
 from repro.classfile.constant_pool import ConstantPoolError, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
 from repro.classfile.methods import MethodInfo
@@ -37,6 +38,7 @@ from repro.errors import (
     NullPointerException,
     StackOverflowError_,
     StepBudgetExceeded,
+    VerifyError,
 )
 from repro.jvm.policy import JvmPolicy
 from repro.runtime.environment import JreEnvironment
@@ -161,8 +163,6 @@ class Interpreter:
         try:
             instructions = code.decoded()
         except InstructionError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"Bad instruction: {exc}") from exc
         by_offset = {instruction.offset: i
                      for i, instruction in enumerate(instructions)}
@@ -194,8 +194,6 @@ class Interpreter:
                 raise StepBudgetExceeded(
                     f"exceeded {self.policy.max_interpreter_steps} steps")
             if index >= len(instructions):
-                from repro.errors import VerifyError
-
                 raise VerifyError("Falling off the end of the code")
             instruction = instructions[index]
             try:
@@ -217,8 +215,6 @@ class Interpreter:
             elif isinstance(outcome, _Jump):
                 target = by_offset.get(outcome.offset)
                 if target is None:
-                    from repro.errors import VerifyError
-
                     raise VerifyError(
                         f"Illegal jump target {outcome.offset}")
                 index = target
@@ -244,7 +240,7 @@ class Interpreter:
                 try:
                     catch_name = self.classfile.constant_pool.get_class_name(
                         handler.catch_type)
-                except Exception:
+                except ConstantPoolError:
                     continue
                 if not (thrown_name == catch_name
                         or self.library.is_subclass_of(thrown_name,
@@ -269,50 +265,37 @@ class Interpreter:
 
     def _pop(self, stack: List[object]) -> object:
         if not stack:
-            from repro.errors import VerifyError
-
             raise VerifyError("Operand stack underflow at runtime")
         return stack.pop()
 
     def _step(self, instruction: Instruction, stack: List[object],
               locals_: Dict[int, object], depth: int):
         op = instruction.op
-        probe(f"interp.op.{instruction.mnemonic}")
+        info = OPCODES[op]
+        probe(f"interp.op.{info.mnemonic}")
         operands = instruction.operands
-        name = op.name
 
-        # Constants.
-        if name.startswith("ICONST"):
-            stack.append(int(name.rsplit("_", 1)[1].replace("M1", "-1")))
-            return _NEXT
-        if op in (Op.BIPUSH, Op.SIPUSH):
-            stack.append(operands["value"])
+        # Constants, local loads and stores, and returns: their family,
+        # value category and shorthand operand come from the opcode table.
+        family = info.family
+        if family is not None:
+            if family == CONST:
+                stack.append(operands["value"] if info.implicit is None
+                             else info.implicit)
+            elif family == LOAD:
+                stack.append(locals_.get(operands.get("index",
+                                                      info.implicit)))
+            elif family == STORE:
+                locals_[operands.get("index", info.implicit)] = \
+                    self._pop(stack)
+            else:  # RETURN
+                return _Return(None if info.cat == "v" else self._pop(stack))
             return _NEXT
         if op is Op.ACONST_NULL:
             stack.append(None)
             return _NEXT
-        if name.startswith(("LCONST", "FCONST", "DCONST")):
-            literal = name.rsplit("_", 1)[1]
-            value = int(literal) if name[0] == "L" else float(literal)
-            stack.append(value)
-            return _NEXT
         if op in (Op.LDC, Op.LDC_W, Op.LDC2_W):
             stack.append(self._load_constant(operands["index"]))
-            return _NEXT
-        # Local loads/stores.
-        if name.split("_")[0] in ("ILOAD", "LLOAD", "FLOAD", "DLOAD",
-                                  "ALOAD") and "ALOAD" != name[1:]:
-            slot = operands.get("index")
-            if slot is None:
-                slot = int(name.rsplit("_", 1)[1])
-            stack.append(locals_.get(slot))
-            return _NEXT
-        if name.split("_")[0] in ("ISTORE", "LSTORE", "FSTORE", "DSTORE",
-                                  "ASTORE") and "ASTORE" != name[1:]:
-            slot = operands.get("index")
-            if slot is None:
-                slot = int(name.rsplit("_", 1)[1])
-            locals_[slot] = self._pop(stack)
             return _NEXT
         if op is Op.IINC:
             slot = operands["index"]
@@ -369,23 +352,23 @@ class Interpreter:
         if result is not None:
             return _NEXT
         # Comparisons & branches.
-        if name.startswith("IF_ICMP"):
+        if op in _IF_ICMP:
             right, left = self._as_int(self._pop(stack)), \
                 self._as_int(self._pop(stack))
-            taken = self._compare(name[len("IF_ICMP"):], left - right)
+            taken = _IF_ICMP[op](left, right)
             return _Jump(operands["target"]) if taken else _NEXT
-        if name.startswith("IF_ACMP"):
+        if op in (Op.IF_ACMPEQ, Op.IF_ACMPNE):
             right, left = self._pop(stack), self._pop(stack)
             same = left is right or left == right
-            taken = same if name.endswith("EQ") else not same
+            taken = same if op is Op.IF_ACMPEQ else not same
             return _Jump(operands["target"]) if taken else _NEXT
         if op in (Op.IFNULL, Op.IFNONNULL):
             value = self._pop(stack)
             taken = (value is None) == (op is Op.IFNULL)
             return _Jump(operands["target"]) if taken else _NEXT
-        if name.startswith("IF"):
+        if op in _IF_ZERO:
             value = self._as_int(self._pop(stack))
-            taken = self._compare(name[2:], value)
+            taken = _IF_ZERO[op](value, 0)
             return _Jump(operands["target"]) if taken else _NEXT
         if op in (Op.GOTO, Op.GOTO_W):
             return _Jump(operands["target"])
@@ -401,12 +384,6 @@ class Interpreter:
                 if match == value:
                     return _Jump(target)
             return _Jump(operands["default"])
-        # Returns.
-        if op is Op.RETURN:
-            return _Return(None)
-        if op in (Op.IRETURN, Op.LRETURN, Op.FRETURN, Op.DRETURN,
-                  Op.ARETURN):
-            return _Return(self._pop(stack))
         # Field access.
         if op is Op.GETSTATIC:
             stack.append(self._getstatic(operands["index"]))
@@ -464,12 +441,12 @@ class Interpreter:
             else:
                 raise ClassCastException("arraylength of non-array")
             return _NEXT
-        if name.endswith("ALOAD"):  # array element loads
+        if op in _ARRAY_LOADS:
             index_value = self._as_int(self._pop(stack))
             array = self._pop(stack)
             stack.append(self._array_get(array, index_value))
             return _NEXT
-        if name.endswith("ASTORE"):
+        if op in _ARRAY_STORES:
             value = self._pop(stack)
             index_value = self._as_int(self._pop(stack))
             array = self._pop(stack)
@@ -493,8 +470,6 @@ class Interpreter:
             return _NEXT
         if op is Op.NOP:
             return _NEXT
-        from repro.errors import VerifyError
-
         raise VerifyError(f"Unsupported opcode {instruction.mnemonic} "
                           "reached at runtime")
 
@@ -524,11 +499,6 @@ class Interpreter:
             return 0.0
         raise ClassCastException(
             f"expected float, found {type(value).__name__}")
-
-    @staticmethod
-    def _compare(suffix: str, value: int) -> bool:
-        return {"EQ": value == 0, "NE": value != 0, "LT": value < 0,
-                "GE": value >= 0, "GT": value > 0, "LE": value <= 0}[suffix]
 
     _ARITH = {
         Op.IADD: lambda a, b: _wrap_int(a + b),
@@ -560,7 +530,7 @@ class Interpreter:
         if op in self._ARITH:
             right = self._pop(stack)
             left = self._pop(stack)
-            if op.name[0] in "IL":
+            if OPCODES[op].effect.push in ("i", "l"):
                 left, right = self._as_int(left), self._as_int(right)
             stack.append(self._ARITH[op](left, right))
             return True
@@ -575,7 +545,7 @@ class Interpreter:
             else:
                 result = abs(left) % abs(right)
                 result = result if left >= 0 else -result
-            wrap = _wrap_int if op.name[0] == "I" else _wrap_long
+            wrap = _wrap_int if op in (Op.IDIV, Op.IREM) else _wrap_long
             stack.append(wrap(result))
             return True
         if op in (Op.FDIV, Op.DDIV, Op.FREM, Op.DREM):
@@ -661,8 +631,6 @@ class Interpreter:
         try:
             entry = pool.entry(index)
         except ConstantPoolError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"ldc of bad constant: {exc}") from exc
         if entry.tag is CpTag.STRING:
             return pool.get_string(index)
@@ -672,8 +640,6 @@ class Interpreter:
         if entry.tag is CpTag.CLASS:
             return JObject("java/lang/Class", {"name": pool.get_class_name(
                 index)}, initialized=True)
-        from repro.errors import VerifyError
-
         raise VerifyError(f"ldc of unloadable constant tag {entry.tag.name}")
 
     # -- fields -----------------------------------------------------------------------------
@@ -683,8 +649,6 @@ class Interpreter:
         try:
             return pool.get_member_ref(index)
         except ConstantPoolError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"bad field reference: {exc}") from exc
 
     def _getstatic(self, index: int) -> object:
@@ -774,8 +738,6 @@ class Interpreter:
         try:
             class_name = pool.get_class_name(index)
         except ConstantPoolError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"new of bad class ref: {exc}") from exc
         probe("interp.new")
         if class_name == self.classfile.name:
@@ -876,14 +838,10 @@ class Interpreter:
         try:
             owner, name, descriptor = pool.get_member_ref(index)
         except ConstantPoolError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"bad method reference: {exc}") from exc
         try:
             parsed = parse_method_descriptor(descriptor)
         except DescriptorError as exc:
-            from repro.errors import VerifyError
-
             raise VerifyError(f"bad method descriptor: {exc}") from exc
         args = [self._pop(stack) for _ in parsed.parameters]
         args.reverse()
@@ -1078,6 +1036,17 @@ def _hashable(value: object) -> object:
     if isinstance(value, (str, int, float, bool, type(None))):
         return value
     return id(value)
+
+
+#: The conditions of ifeq..ifle (an int against zero) and of
+#: if_icmpeq..if_icmple (two ints), in opcode order: eq ne lt ge gt le.
+_CONDITIONS = (operator.eq, operator.ne, operator.lt, operator.ge,
+               operator.gt, operator.le)
+_IF_ZERO = {Op(Op.IFEQ + k): test for k, test in enumerate(_CONDITIONS)}
+_IF_ICMP = {Op(Op.IF_ICMPEQ + k): test for k, test in enumerate(_CONDITIONS)}
+#: iaload..saload and iastore..sastore.
+_ARRAY_LOADS = frozenset(Op(Op.IALOAD + k) for k in range(8))
+_ARRAY_STORES = frozenset(Op(Op.IASTORE + k) for k in range(8))
 
 
 class _Next:

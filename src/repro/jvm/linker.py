@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.classfile.constant_pool import ConstantPoolError
 from repro.classfile.methods import CLASS_INIT, MethodInfo
 from repro.classfile.model import ClassFile
 from repro.coverage.probes import branch, probe
@@ -153,7 +154,7 @@ class Linker:
                 continue
             try:
                 names = exceptions.exception_names(classfile.constant_pool)
-            except Exception as exc:
+            except ConstantPoolError as exc:
                 raise ClassFormatError(
                     f"Broken Exceptions attribute in {classfile.name}: "
                     f"{exc}") from exc

@@ -10,10 +10,10 @@ uninitialized merges, HotSpot does neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.instructions import Instruction, InstructionError
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import ANY, LOAD, NULL, OPCODES, RETURN, STORE, Op
 from repro.classfile.attributes import CodeAttribute
 from repro.classfile.constant_pool import ConstantPool, ConstantPoolError, CpTag
 from repro.classfile.descriptors import (
@@ -68,13 +68,16 @@ _LONG = VType("l")
 _DOUBLE = VType("d")
 _NULL = VType("a", "null")
 
-#: Local-variable load/store mnemonics (excluding array element access).
-_LOCAL_LOAD_NAMES = frozenset(
-    f"{prefix}LOAD{suffix}"
-    for prefix in "ILFDA" for suffix in ("", "_0", "_1", "_2", "_3"))
-_LOCAL_STORE_NAMES = frozenset(
-    f"{prefix}STORE{suffix}"
-    for prefix in "ILFDA" for suffix in ("", "_0", "_1", "_2", "_3"))
+#: The verification type a fixed stack effect pushes for each category.
+_PUSHED = {"i": _INT, "l": _LONG, "f": _FLOAT, "d": _DOUBLE,
+           "a": VType("a"), NULL: _NULL}
+
+#: Every fixed stack effect in the verifier's terms: the categories to
+#: pop, top first (``None`` for any), and the type to push, if any.
+_FIXED = {
+    info.op: (tuple(None if cat == ANY else cat for cat in info.effect.pops),
+              _PUSHED.get(info.effect.push))
+    for info in OPCODES.values() if info.effect is not None}
 
 
 def _vtype_of_descriptor_char(char: str, ref: Optional[str] = None) -> VType:
@@ -98,6 +101,27 @@ def _vtype_of_field_descriptor(descriptor: str) -> VType:
     return VType("a", ftype.name)
 
 
+#: The opcodes whose transfer is more than a fixed stack effect (or whose
+#: effect is not fixed), each with its ``MethodVerifier`` handler.  A
+#: handler takes ``(instruction, stack, locals_)`` and updates the stack
+#: and locals in place.  Every other opcode takes ``_transfer``'s one
+#: fixed-effect path.
+_HANDLERS: Dict[Op, Callable[..., None]] = {}
+
+
+def _handles(*ops: Op):
+    """Register the decorated method as the handler of ``ops``."""
+    def register(handler):
+        _HANDLERS.update(dict.fromkeys(ops, handler))
+        return handler
+    return register
+
+
+def _family(family: str) -> List[Op]:
+    """The opcodes of one :attr:`OpcodeInfo.family`."""
+    return [info.op for info in OPCODES.values() if info.family == family]
+
+
 class MethodVerifier:
     """Verifies one method body."""
 
@@ -113,6 +137,8 @@ class MethodVerifier:
         self.where = (f"{classfile.name}."
                       f"{classfile.method_name(method)}"
                       f"{classfile.method_descriptor(method)}")
+        #: The method's return category, set when dataflow starts.
+        self._return_cat: Optional[str] = None
 
     # -- helpers ------------------------------------------------------------------
 
@@ -318,12 +344,12 @@ class MethodVerifier:
             if handler.catch_type:
                 try:
                     catch_ref = self.pool.get_class_name(handler.catch_type)
-                except Exception:
+                except ConstantPoolError:
                     catch_ref = None
             states[index] = ((VType("a", catch_ref),),
                              self._initial_locals())
             work.append(index)
-        return_cat = self._return_category()
+        self._return_cat = self._return_category()
         visited_budget = len(instructions) * 8 + 64
         steps = 0
         while work:
@@ -336,8 +362,7 @@ class MethodVerifier:
             next_offset = instructions[index + 1].offset \
                 if index + 1 < len(instructions) else None
             next_states = self._transfer(instructions[index], next_offset,
-                                         list(stack), dict(locals_),
-                                         return_cat)
+                                         list(stack), dict(locals_))
             for target_offset, new_stack, new_locals in next_states:
                 if branch("verifier.falloff",
                           self.policy.verify_falloff
@@ -427,120 +452,45 @@ class MethodVerifier:
                 f"(max_locals={self.code.max_locals})")
 
     def _transfer(self, instruction: Instruction, next_offset: Optional[int],
-                  stack: List[VType], locals_: Dict[int, VType],
-                  return_cat: Optional[str]):
-        """Apply one instruction; returns [(next_offset|None, stack, locals)]."""
+                  stack: List[VType], locals_: Dict[int, VType]):
+        """Apply one instruction; returns [(next_offset|None, stack, locals)].
+
+        An opcode with a handler runs it; every other opcode applies its
+        fixed stack effect from the opcode table.  The successors are the
+        branch targets, then the fall-through unless the opcode is
+        terminal.
+        """
         op = instruction.op
-        probe(f"verifier.op.{instruction.mnemonic}")
-        operands = instruction.operands
-        name = op.name
-
-        # Constants ----------------------------------------------------------
-        if name.startswith("ICONST") or op in (Op.BIPUSH, Op.SIPUSH):
-            self._push(stack, _INT)
-        elif name.startswith("LCONST"):
-            self._push(stack, _LONG)
-        elif name.startswith("FCONST"):
-            self._push(stack, _FLOAT)
-        elif name.startswith("DCONST"):
-            self._push(stack, _DOUBLE)
-        elif op is Op.ACONST_NULL:
-            self._push(stack, _NULL)
-        elif op in (Op.LDC, Op.LDC_W, Op.LDC2_W):
-            self._transfer_ldc(op, operands, stack)
-        # Loads/stores --------------------------------------------------------
-        elif name in _LOCAL_LOAD_NAMES:
-            self._transfer_load(op, operands, stack, locals_)
-        elif name in _LOCAL_STORE_NAMES:
-            self._transfer_store(op, operands, stack, locals_)
-        # Field access -----------------------------------------------------------
-        elif op in (Op.GETSTATIC, Op.GETFIELD, Op.PUTSTATIC, Op.PUTFIELD):
-            self._transfer_field(op, operands, stack)
-        # Invocations ---------------------------------------------------------------
-        elif op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC,
-                    Op.INVOKEINTERFACE):
-            self._transfer_invoke(op, operands, stack, locals_)
-        elif op is Op.INVOKEDYNAMIC:
-            raise self._fail("invokedynamic is not supported by this JVM")
-        # Object/array creation ---------------------------------------------------
-        elif op is Op.NEW:
-            entry = self._cp_entry(operands["index"], CpTag.CLASS, what="new")
-            class_name = self.pool.get_class_name(operands["index"])
-            self._resolve_owner(class_name, "new")
-            self._push(stack, VType("a", f"uninit:{class_name}"))
-        elif op is Op.NEWARRAY:
-            self._pop(stack, "i")
-            self._push(stack, VType("a", "[prim"))
-        elif op is Op.ANEWARRAY:
-            self._cp_entry(operands["index"], CpTag.CLASS, what="anewarray")
-            self._pop(stack, "i")
-            self._push(stack, VType("a", "[ref"))
-        elif op is Op.MULTIANEWARRAY:
-            self._cp_entry(operands["index"], CpTag.CLASS,
-                           what="multianewarray")
-            dims = operands.get("dimensions", 0)
-            if branch("verifier.multianewarray_zero_dims", dims == 0):
-                raise self._fail("multianewarray with zero dimensions")
-            for _ in range(dims):
-                self._pop(stack, "i")
-            self._push(stack, VType("a", "[multi"))
-        elif op is Op.ARRAYLENGTH:
-            self._pop(stack, "a")
-            self._push(stack, _INT)
-        # Casts -----------------------------------------------------------------------
-        elif op is Op.CHECKCAST:
-            self._cp_entry(operands["index"], CpTag.CLASS, what="checkcast")
-            self._pop(stack, "a")
-            self._push(stack, VType(
-                "a", self.pool.get_class_name(operands["index"])))
-        elif op is Op.INSTANCEOF:
-            self._cp_entry(operands["index"], CpTag.CLASS, what="instanceof")
-            self._pop(stack, "a")
-            self._push(stack, _INT)
-        # Stack shuffles -----------------------------------------------------------------
-        elif op in (Op.POP, Op.POP2, Op.DUP, Op.DUP_X1, Op.DUP_X2, Op.DUP2,
-                    Op.DUP2_X1, Op.DUP2_X2, Op.SWAP):
-            self._transfer_shuffle(op, stack)
-        # Arithmetic / conversions ----------------------------------------------------------
-        elif op is Op.IINC:
-            self._check_local(operands["index"])
-        elif self._transfer_arith(op, stack):
-            pass
-        # Control flow -------------------------------------------------------------------------
-        elif instruction.info.is_branch:
-            return self._transfer_branch(instruction, stack, locals_,
-                                         next_offset)
-        elif op in (Op.IRETURN, Op.LRETURN, Op.FRETURN, Op.DRETURN,
-                    Op.ARETURN, Op.RETURN):
-            self._transfer_return(op, stack, return_cat)
-            return []
-        elif op is Op.ATHROW:
-            thrown = self._pop(stack, "a")
-            if self.policy.verify_type_assignability and thrown.ref and \
-                    not thrown.ref.startswith(("[", "uninit:", "null")):
-                cls = self.library.find(thrown.ref)
-                if cls is not None and branch(
-                        "verifier.throw_non_throwable",
-                        not self.library.is_throwable(thrown.ref)):
-                    raise self._fail(
-                        f"Can only throw Throwable objects, not {thrown.ref}")
-            return []
-        elif op is Op.RET:
-            return []
-        elif op in (Op.MONITORENTER, Op.MONITOREXIT):
-            self._pop(stack, "a")
-        elif op is Op.NOP:
-            pass
+        info = OPCODES[op]
+        probe(f"verifier.op.{info.mnemonic}")
+        handler = _HANDLERS.get(op)
+        if handler is not None:
+            handler(self, instruction, stack, locals_)
         else:
-            # Array element access and anything else with fixed effects.
-            self._transfer_generic(instruction, stack)
-        return [(next_offset, list(stack), dict(locals_))]
+            fixed = _FIXED.get(op)
+            if fixed is None:
+                raise self._fail(f"Unhandled opcode {op.name.lower()}")
+            expected, pushed = fixed
+            for cat in expected:
+                self._pop(stack, cat)
+            if pushed is not None:
+                self._push(stack, pushed)
+        if info.is_branch:
+            successors = [(target, list(stack), dict(locals_))
+                          for target in instruction.branch_targets()]
+            if not info.is_terminal:
+                successors.append((next_offset, list(stack), dict(locals_)))
+            return successors
+        if info.is_terminal:
+            return []
+        return [(next_offset, stack, locals_)]
 
-    # -- transfer helpers --------------------------------------------------------------------
+    # -- opcode handlers ---------------------------------------------------
 
-    def _transfer_ldc(self, op: Op, operands, stack: List[VType]) -> None:
-        index = operands["index"]
-        if op is Op.LDC2_W:
+    @_handles(Op.LDC, Op.LDC_W, Op.LDC2_W)
+    def _ldc(self, instruction: Instruction, stack, locals_) -> None:
+        index = instruction.operands["index"]
+        if instruction.op is Op.LDC2_W:
             entry = self._cp_entry(index, CpTag.LONG, CpTag.DOUBLE,
                                    what="ldc2_w")
             self._push(stack, _LONG if entry.tag is CpTag.LONG else _DOUBLE)
@@ -556,14 +506,11 @@ class MethodVerifier:
         else:
             self._push(stack, VType("a", "java/lang/Class"))
 
-    _LOAD_CATS = {"I": "i", "L": "l", "F": "f", "D": "d", "A": "a"}
-
-    def _transfer_load(self, op: Op, operands, stack: List[VType],
-                       locals_: Dict[int, VType]) -> None:
-        cat = self._LOAD_CATS[op.name[0]]
-        slot = operands.get("index")
-        if slot is None:
-            slot = int(op.name.rsplit("_", 1)[1])
+    @_handles(*_family(LOAD))
+    def _load(self, instruction: Instruction, stack, locals_) -> None:
+        info = instruction.info
+        cat = info.cat
+        slot = instruction.operands.get("index", info.implicit)
         self._check_local(slot)
         current = locals_.get(slot)
         if branch("verifier.load_undefined_local", current is None):
@@ -578,12 +525,11 @@ class MethodVerifier:
             current = VType(cat)
         self._push(stack, current)
 
-    def _transfer_store(self, op: Op, operands, stack: List[VType],
-                        locals_: Dict[int, VType]) -> None:
-        cat = self._LOAD_CATS[op.name[0]]
-        slot = operands.get("index")
-        if slot is None:
-            slot = int(op.name.rsplit("_", 1)[1])
+    @_handles(*_family(STORE))
+    def _store(self, instruction: Instruction, stack, locals_) -> None:
+        info = instruction.info
+        cat = info.cat
+        slot = instruction.operands.get("index", info.implicit)
         self._check_local(slot)
         item = self._pop(stack)
         if branch("verifier.store_wrong_category", item.cat != cat):
@@ -594,9 +540,16 @@ class MethodVerifier:
         if item.size == 2:
             locals_.pop(slot + 1, None)
 
-    def _transfer_field(self, op: Op, operands, stack: List[VType]) -> None:
+    @_handles(Op.IINC)
+    def _iinc(self, instruction: Instruction, stack, locals_) -> None:
+        self._check_local(instruction.operands["index"])
+
+    @_handles(Op.GETSTATIC, Op.PUTSTATIC, Op.GETFIELD, Op.PUTFIELD)
+    def _field(self, instruction: Instruction, stack, locals_) -> None:
+        op = instruction.op
         owner, name, descriptor = self._member_ref(
-            operands["index"], CpTag.FIELDREF, what="field access")
+            instruction.operands["index"], CpTag.FIELDREF,
+            what="field access")
         try:
             vtype = _vtype_of_field_descriptor(descriptor)
         except DescriptorError as exc:
@@ -637,11 +590,12 @@ class MethodVerifier:
                 f"Incompatible object argument for {what}: {source.ref} "
                 f"is not assignable to {target.ref}")
 
-    def _transfer_invoke(self, op: Op, operands, stack: List[VType],
-                         locals_: Optional[Dict[int, VType]] = None) -> None:
+    @_handles(Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC,
+              Op.INVOKEINTERFACE)
+    def _invoke(self, instruction: Instruction, stack, locals_) -> None:
         tags = (CpTag.METHODREF, CpTag.INTERFACE_METHODREF)
         owner, name, descriptor = self._member_ref(
-            operands["index"], *tags, what="invocation")
+            instruction.operands["index"], *tags, what="invocation")
         try:
             parsed = parse_method_descriptor(descriptor)
         except DescriptorError as exc:
@@ -658,7 +612,7 @@ class MethodVerifier:
                 expected = VType("a", param.name)
             value = self._pop(stack)
             self._check_assignable(value, expected, f"argument of {name}")
-        if op is not Op.INVOKESTATIC:
+        if instruction.op is not Op.INVOKESTATIC:
             receiver = self._pop(stack, "a")
             if name != "<init>" and self.policy.verify_uninitialized_merge \
                     and branch("verifier.uninit_receiver",
@@ -672,10 +626,9 @@ class MethodVerifier:
                 for i, entry in enumerate(stack):
                     if entry == receiver:
                         stack[i] = initialized
-                if locals_ is not None:
-                    for slot, entry in list(locals_.items()):
-                        if entry == receiver:
-                            locals_[slot] = initialized
+                for slot, entry in list(locals_.items()):
+                    if entry == receiver:
+                        locals_[slot] = initialized
         if self.policy.resolve_refs_eagerly and owner != self.classfile.name:
             cls = self.library.find(owner)
             if cls is not None and branch(
@@ -693,7 +646,60 @@ class MethodVerifier:
             else:
                 self._push(stack, VType("a", parsed.return_type.name))
 
-    def _transfer_shuffle(self, op: Op, stack: List[VType]) -> None:
+    @_handles(Op.INVOKEDYNAMIC)
+    def _invokedynamic(self, instruction: Instruction, stack, locals_) -> None:
+        raise self._fail("invokedynamic is not supported by this JVM")
+
+    @_handles(Op.NEW)
+    def _new(self, instruction: Instruction, stack, locals_) -> None:
+        index = instruction.operands["index"]
+        self._cp_entry(index, CpTag.CLASS, what="new")
+        class_name = self.pool.get_class_name(index)
+        self._resolve_owner(class_name, "new")
+        self._push(stack, VType("a", f"uninit:{class_name}"))
+
+    @_handles(Op.NEWARRAY)
+    def _newarray(self, instruction: Instruction, stack, locals_) -> None:
+        self._pop(stack, "i")
+        self._push(stack, VType("a", "[prim"))
+
+    @_handles(Op.ANEWARRAY)
+    def _anewarray(self, instruction: Instruction, stack, locals_) -> None:
+        self._cp_entry(instruction.operands["index"], CpTag.CLASS,
+                       what="anewarray")
+        self._pop(stack, "i")
+        self._push(stack, VType("a", "[ref"))
+
+    @_handles(Op.MULTIANEWARRAY)
+    def _multianewarray(self, instruction: Instruction, stack,
+                        locals_) -> None:
+        operands = instruction.operands
+        self._cp_entry(operands["index"], CpTag.CLASS, what="multianewarray")
+        dims = operands.get("dimensions", 0)
+        if branch("verifier.multianewarray_zero_dims", dims == 0):
+            raise self._fail("multianewarray with zero dimensions")
+        for _ in range(dims):
+            self._pop(stack, "i")
+        self._push(stack, VType("a", "[multi"))
+
+    @_handles(Op.CHECKCAST)
+    def _checkcast(self, instruction: Instruction, stack, locals_) -> None:
+        index = instruction.operands["index"]
+        self._cp_entry(index, CpTag.CLASS, what="checkcast")
+        self._pop(stack, "a")
+        self._push(stack, VType("a", self.pool.get_class_name(index)))
+
+    @_handles(Op.INSTANCEOF)
+    def _instanceof(self, instruction: Instruction, stack, locals_) -> None:
+        self._cp_entry(instruction.operands["index"], CpTag.CLASS,
+                       what="instanceof")
+        self._pop(stack, "a")
+        self._push(stack, _INT)
+
+    @_handles(Op.POP, Op.POP2, Op.DUP, Op.DUP_X1, Op.DUP_X2, Op.DUP2,
+              Op.DUP2_X1, Op.DUP2_X2, Op.SWAP)
+    def _shuffle(self, instruction: Instruction, stack, locals_) -> None:
+        op = instruction.op
         if op is Op.POP:
             item = self._pop(stack)
             if branch("verifier.pop_category2", item.size == 2):
@@ -708,7 +714,7 @@ class MethodVerifier:
                 raise self._fail("dup of a category-2 value")
             stack.append(item)
             self._push(stack, item)
-        elif op is Op.DUP_X1:
+        elif op in (Op.DUP_X1, Op.DUP2_X1, Op.DUP2_X2):
             first = self._pop(stack)
             second = self._pop(stack)
             stack.append(first)
@@ -733,106 +739,37 @@ class MethodVerifier:
                 stack.append(first)
                 stack.append(second)
                 self._push(stack, first)
-        elif op in (Op.DUP2_X1, Op.DUP2_X2):
-            first = self._pop(stack)
-            second = self._pop(stack)
-            stack.append(first)
-            stack.append(second)
-            self._push(stack, first)
-        elif op is Op.SWAP:
+        else:  # SWAP
             first = self._pop(stack)
             second = self._pop(stack)
             stack.append(first)
             self._push(stack, second)
 
-    _ARITH_GROUPS = [
-        # (ops, pops list, push)
-        (("IADD", "ISUB", "IMUL", "IDIV", "IREM", "ISHL", "ISHR", "IUSHR",
-          "IAND", "IOR", "IXOR"), ["i", "i"], _INT),
-        (("LADD", "LSUB", "LMUL", "LDIV", "LREM", "LAND", "LOR", "LXOR"),
-         ["l", "l"], _LONG),
-        (("LSHL", "LSHR", "LUSHR"), ["i", "l"], _LONG),
-        (("FADD", "FSUB", "FMUL", "FDIV", "FREM"), ["f", "f"], _FLOAT),
-        (("DADD", "DSUB", "DMUL", "DDIV", "DREM"), ["d", "d"], _DOUBLE),
-        (("INEG",), ["i"], _INT), (("LNEG",), ["l"], _LONG),
-        (("FNEG",), ["f"], _FLOAT), (("DNEG",), ["d"], _DOUBLE),
-        (("I2L",), ["i"], _LONG), (("I2F",), ["i"], _FLOAT),
-        (("I2D",), ["i"], _DOUBLE), (("L2I",), ["l"], _INT),
-        (("L2F",), ["l"], _FLOAT), (("L2D",), ["l"], _DOUBLE),
-        (("F2I",), ["f"], _INT), (("F2L",), ["f"], _LONG),
-        (("F2D",), ["f"], _DOUBLE), (("D2I",), ["d"], _INT),
-        (("D2L",), ["d"], _LONG), (("D2F",), ["d"], _FLOAT),
-        (("I2B", "I2C", "I2S"), ["i"], _INT),
-        (("LCMP",), ["l", "l"], _INT),
-        (("FCMPL", "FCMPG"), ["f", "f"], _INT),
-        (("DCMPL", "DCMPG"), ["d", "d"], _INT),
-    ]
+    @_handles(Op.ATHROW)
+    def _athrow(self, instruction: Instruction, stack, locals_) -> None:
+        thrown = self._pop(stack, "a")
+        if self.policy.verify_type_assignability and thrown.ref and \
+                not thrown.ref.startswith(("[", "uninit:", "null")):
+            cls = self.library.find(thrown.ref)
+            if cls is not None and branch(
+                    "verifier.throw_non_throwable",
+                    not self.library.is_throwable(thrown.ref)):
+                raise self._fail(
+                    f"Can only throw Throwable objects, not {thrown.ref}")
 
-    def _transfer_arith(self, op: Op, stack: List[VType]) -> bool:
-        for names, pops, push in self._ARITH_GROUPS:
-            if op.name in names:
-                for cat in pops:
-                    self._pop(stack, cat)
-                self._push(stack, push)
-                return True
-        return False
+    @_handles(Op.JSR, Op.JSR_W)
+    def _jsr(self, instruction: Instruction, stack, locals_) -> None:
+        raise self._fail("jsr/ret are not supported by this verifier")
 
-    _ARRAY_LOAD = {"IALOAD": _INT, "BALOAD": _INT, "CALOAD": _INT,
-                   "SALOAD": _INT, "FALOAD": _FLOAT, "LALOAD": _LONG,
-                   "DALOAD": _DOUBLE}
-
-    def _transfer_generic(self, instruction: Instruction,
-                          stack: List[VType]) -> None:
-        name = instruction.op.name
-        if name in self._ARRAY_LOAD:
-            self._pop(stack, "i")
-            self._pop(stack, "a")
-            self._push(stack, self._ARRAY_LOAD[name])
-        elif name == "AALOAD":
-            self._pop(stack, "i")
-            self._pop(stack, "a")
-            self._push(stack, VType("a", None))
-        elif name.endswith("ASTORE"):
-            self._pop(stack)
-            self._pop(stack, "i")
-            self._pop(stack, "a")
-        else:
-            raise self._fail(f"Unhandled opcode {name.lower()}")
-
-    def _transfer_branch(self, instruction: Instruction, stack: List[VType],
-                         locals_: Dict[int, VType],
-                         next_offset: Optional[int]):
-        op = instruction.op
-        name = op.name
-        if name.startswith("IF_ICMP"):
-            self._pop(stack, "i")
-            self._pop(stack, "i")
-        elif name.startswith("IF_ACMP") or op in (Op.IFNULL, Op.IFNONNULL):
-            self._pop(stack, "a")
-            if name.startswith("IF_ACMP"):
-                self._pop(stack, "a")
-        elif name.startswith("IF"):
-            self._pop(stack, "i")
-        elif op in (Op.TABLESWITCH, Op.LOOKUPSWITCH):
-            self._pop(stack, "i")
-        elif op in (Op.JSR, Op.JSR_W):
-            raise self._fail("jsr/ret are not supported by this verifier")
-        successors = []
-        for target in instruction.branch_targets():
-            successors.append((target, list(stack), dict(locals_)))
-        if not instruction.info.is_terminal:
-            successors.append((next_offset, list(stack), dict(locals_)))
-        return successors
-
-    def _transfer_return(self, op: Op, stack: List[VType],
-                         return_cat: Optional[str]) -> None:
-        cat_map = {Op.IRETURN: "i", Op.LRETURN: "l", Op.FRETURN: "f",
-                   Op.DRETURN: "d", Op.ARETURN: "a", Op.RETURN: "v"}
-        actual = cat_map[op]
+    @_handles(*_family(RETURN))
+    def _return(self, instruction: Instruction, stack, locals_) -> None:
+        actual = instruction.info.cat
         if actual != "v":
             self._pop(stack, actual)
-        if self.policy.verify_return_types and return_cat is not None:
-            if branch("verifier.return_type_mismatch", actual != return_cat):
+        expected = self._return_cat
+        if self.policy.verify_return_types and expected is not None:
+            if branch("verifier.return_type_mismatch", actual != expected):
                 raise self._fail(
-                    f"Wrong return type in function (expected {return_cat}, "
+                    f"Wrong return type in function (expected {expected}, "
                     f"found {actual})")
+

@@ -18,6 +18,7 @@ from repro.classfile.attributes import (
     RawAttribute,
     SourceFileAttribute,
 )
+from repro.classfile.constant_pool import CpInfo, CpTag
 from repro.classfile.fields import FieldInfo
 from repro.classfile.model import MAGIC
 from repro.classfile.reader import ReaderOptions
@@ -197,6 +198,24 @@ class TestFormatErrors:
         data[10] = 99
         with pytest.raises(ClassFormatError, match="Unknown constant tag"):
             read_class(bytes(data))
+
+    def test_dangling_pool_reference_rejected(self):
+        # JVMS 4.4: a String names a Utf8 entry; this one names an Integer.
+        classfile = minimal_class()
+        pool = classfile.constant_pool
+        string = pool.string("text")
+        pool.add_at(string, CpInfo(CpTag.STRING, (pool.integer(7),)))
+        with pytest.raises(ClassFormatError,
+                           match="Invalid constant pool index"):
+            read_class(write_class(classfile))
+
+    def test_missing_pool_reference_rejected(self):
+        classfile = minimal_class()
+        pool = classfile.constant_pool
+        nat = pool.name_and_type("f", "I")
+        pool.add_at(nat, CpInfo(CpTag.NAME_AND_TYPE, (pool.utf8("f"), 999)))
+        with pytest.raises(ClassFormatError, match="index 999"):
+            read_class(write_class(classfile))
 
     def test_code_with_zero_length_rejected(self):
         classfile = minimal_class()

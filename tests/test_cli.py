@@ -102,6 +102,27 @@ class TestDifftestCommand:
         empty.mkdir()
         assert main(["difftest", str(empty)]) == 2
 
+    def test_difftest_survives_dangling_pool_reference(self, tmp_path,
+                                                       demo_class, capsys):
+        from repro.classfile.constant_pool import CpInfo, CpTag
+        from repro.classfile.writer import write_class
+        from repro.jimple.to_classfile import compile_class
+
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "Good.class").write_bytes(
+            write_class(compile_class(demo_class)))
+        broken = compile_class(demo_class)
+        pool = broken.constant_pool
+        # The "Completed!" String now names a Class entry, not a Utf8.
+        index = next(i for i, info in pool if info.tag is CpTag.STRING)
+        pool.add_at(index, CpInfo(CpTag.STRING, (broken.this_class,)))
+        (suite / "Broken.class").write_bytes(write_class(broken))
+        assert main(["difftest", str(suite)]) == 0
+        # classes, all_invoked, all_rejected_same_stage, discrepancies
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[1:5] == ["2", "1", "1", "0"]
+
 
 class TestReduceCommand:
     def test_reduce_discrepant_classfile(self, tmp_path, capsys):

@@ -10,11 +10,17 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.classfile.constant_pool import CpInfo, CpTag
 from repro.classfile.reader import ReaderOptions, read_class
+from repro.classfile.writer import write_class
 from repro.core.mutators import MUTATORS
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.errors import JavaError
-from repro.jimple.to_classfile import JimpleCompileError, compile_class_bytes
+from repro.jimple.to_classfile import (
+    JimpleCompileError,
+    compile_class,
+    compile_class_bytes,
+)
 from repro.jvm.outcome import Phase
 from repro.jvm.vendors import all_jvms
 
@@ -59,6 +65,39 @@ def test_jvms_never_crash_on_mutants(seed_index, mutator_index, rng_seed):
         data = compile_class_bytes(mutant)
     except Exception:
         return
+    for jvm in _JVMS:
+        outcome = jvm.run(data)
+        assert outcome.phase in Phase
+        if not outcome.ok:
+            assert outcome.error
+
+
+#: Pool entries that reference other pool entries (JVMS 4.4).
+_REFERRING_TAGS = (CpTag.CLASS, CpTag.STRING, CpTag.METHOD_TYPE,
+                   CpTag.NAME_AND_TYPE, CpTag.FIELDREF, CpTag.METHODREF,
+                   CpTag.INTERFACE_METHODREF)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=len(_SEEDS) - 1),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=400))
+def test_jvms_never_crash_on_dangling_pool_references(seed_index, which,
+                                                      field, target):
+    """One internal pool index of a compiled seed, pointed anywhere (a
+    missing slot or an entry of the wrong kind), is folded into an
+    Outcome by every JVM."""
+    classfile = compile_class(_SEEDS[seed_index])
+    pool = classfile.constant_pool
+    referring = [(index, info) for index, info in pool
+                 if info.tag in _REFERRING_TAGS]
+    index, info = referring[which % len(referring)]
+    value = list(info.value)
+    value[field % len(value)] = target
+    pool.add_at(index, CpInfo(info.tag, tuple(value)))
+    data = write_class(classfile)
     for jvm in _JVMS:
         outcome = jvm.run(data)
         assert outcome.phase in Phase
