@@ -39,6 +39,9 @@ class Assembler:
         #: After :meth:`build`: label name → byte offset in the encoded
         #: code (used to place exception-table entries).
         self.label_offsets: Dict[str, int] = {}
+        #: After :meth:`build`: each instruction's provisional ``offset``
+        #: → where it starts in the encoded code.
+        self.instruction_offsets: Dict[int, int] = {}
 
     def _next_offset(self) -> int:
         # Provisional offsets are just sequence numbers; the encoder
@@ -113,6 +116,7 @@ class Assembler:
                                      for m, t in operands["pairs"]]
         self._pending.clear()
         code, layout = encode_with_layout(self._instructions)
+        self.instruction_offsets = layout
         # A label past the last instruction marks the end of the code.
         self.label_offsets = {
             name: layout.get(position, len(code))

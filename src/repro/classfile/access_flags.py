@@ -35,6 +35,29 @@ class AccessFlags(IntFlag):
     MODULE = 0x8000
 
 
+#: The flag bits as plain ints.  The loader and the member predicates
+#: test these on every member of every class, and ``IntFlag.__and__``
+#: costs some twenty times an int ``&``: convert the stored flags once
+#: with ``int(flags)`` and test these masks.
+ACC_PUBLIC = AccessFlags.PUBLIC.value
+ACC_PRIVATE = AccessFlags.PRIVATE.value
+ACC_PROTECTED = AccessFlags.PROTECTED.value
+ACC_STATIC = AccessFlags.STATIC.value
+ACC_FINAL = AccessFlags.FINAL.value
+ACC_SUPER = AccessFlags.SUPER.value
+ACC_SYNCHRONIZED = AccessFlags.SYNCHRONIZED.value
+ACC_VOLATILE = AccessFlags.VOLATILE.value
+ACC_BRIDGE = AccessFlags.BRIDGE.value
+ACC_TRANSIENT = AccessFlags.TRANSIENT.value
+ACC_VARARGS = AccessFlags.VARARGS.value
+ACC_NATIVE = AccessFlags.NATIVE.value
+ACC_INTERFACE = AccessFlags.INTERFACE.value
+ACC_ABSTRACT = AccessFlags.ABSTRACT.value
+ACC_STRICT = AccessFlags.STRICT.value
+ACC_SYNTHETIC = AccessFlags.SYNTHETIC.value
+ACC_ANNOTATION = AccessFlags.ANNOTATION.value
+ACC_ENUM = AccessFlags.ENUM.value
+
 #: Bits with a defined meaning on a class.
 CLASS_FLAG_MASK = (
     AccessFlags.PUBLIC | AccessFlags.FINAL | AccessFlags.SUPER
@@ -57,8 +80,11 @@ METHOD_FLAG_MASK = (
     | AccessFlags.ABSTRACT | AccessFlags.STRICT | AccessFlags.SYNTHETIC
 )
 
-#: Flags that are mutually exclusive visibility modifiers.
-VISIBILITY_FLAGS = (AccessFlags.PUBLIC, AccessFlags.PRIVATE, AccessFlags.PROTECTED)
+#: The mutually exclusive visibility bits, and how many are set in each
+#: value of them.
+_VISIBILITY_MASK = ACC_PUBLIC | ACC_PRIVATE | ACC_PROTECTED
+_VISIBILITY_COUNT = tuple(bin(bits).count("1")
+                          for bits in range(_VISIBILITY_MASK + 1))
 
 _CLASS_FLAG_NAMES = [
     (AccessFlags.PUBLIC, "ACC_PUBLIC"),
@@ -83,6 +109,6 @@ def flag_names(flags: AccessFlags) -> str:
     return ", ".join(names)
 
 
-def count_visibility_flags(flags: AccessFlags) -> int:
+def count_visibility_flags(flags: int) -> int:
     """How many of public/private/protected are set (valid members have ≤1)."""
-    return sum(1 for bit in VISIBILITY_FLAGS if flags & bit)
+    return _VISIBILITY_COUNT[int(flags) & _VISIBILITY_MASK]

@@ -9,9 +9,10 @@ exploit it to produce malformed pools).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 
 class CpTag(IntEnum):
@@ -66,6 +67,25 @@ class CpInfo:
         return self.tag in WIDE_TAGS
 
 
+#: Tags whose entries are interned by bit pattern.
+_BIT_KEYED = (CpTag.FLOAT, CpTag.DOUBLE)
+
+
+def _intern_key(tag: CpTag, value: CpValue) -> Hashable:
+    """The key an entry is interned under.
+
+    FLOAT and DOUBLE entries are keyed by their bit pattern, not by
+    Python value: ``-0.0 == 0.0`` would fold the two zeros into one
+    entry, and a NaN equals nothing (itself only while it is one Python
+    object), so NaN entries would depend on object identity — which a
+    pickle round trip changes.  ``">d"`` never raises; a float's value
+    is exactly a double.
+    """
+    if tag in _BIT_KEYED:
+        return tag, struct.pack(">d", value)
+    return tag, value
+
+
 class ConstantPoolError(ValueError):
     """Raised on structurally invalid constant-pool access or construction."""
 
@@ -81,7 +101,7 @@ class ConstantPool:
     def __init__(self) -> None:
         self._entries: Dict[int, CpInfo] = {}
         self._next_index = 1
-        self._intern: Dict[Tuple[CpTag, CpValue], int] = {}
+        self._intern: Dict[Hashable, int] = {}
 
     # -- basic container protocol ------------------------------------------
 
@@ -128,8 +148,10 @@ class ConstantPool:
     def add_at(self, index: int, info: CpInfo) -> None:
         """Place ``info`` at an explicit index (used by the binary reader)."""
         self._entries[index] = info
-        key = (info.tag, info.value)
-        self._intern.setdefault(key, index)
+        tag, value = info.tag, info.value
+        self._intern.setdefault(
+            _intern_key(tag, value) if tag in _BIT_KEYED else (tag, value),
+            index)
         advance = index + (2 if info.is_wide else 1)
         if advance > self._next_index:
             self._next_index = advance
@@ -138,8 +160,10 @@ class ConstantPool:
         """Force the declared slot count (reader use; count = slots + 1)."""
         self._next_index = count
 
-    def _interned(self, tag: CpTag, value: CpValue) -> int:
-        key = (tag, value)
+    def _interned(self, tag: CpTag, value: CpValue,
+                  key: Optional[Hashable] = None) -> int:
+        if key is None:
+            key = (tag, value)
         index = self._intern.get(key)
         if index is None:
             index = self.add(CpInfo(tag, value))
@@ -165,16 +189,19 @@ class ConstantPool:
         return self._interned(CpTag.INTEGER, value)
 
     def float_(self, value: float) -> int:
-        """Intern a ``CONSTANT_Float``."""
-        return self._interned(CpTag.FLOAT, value)
+        """Intern a ``CONSTANT_Float`` (keyed by bit pattern)."""
+        return self._interned(CpTag.FLOAT, value,
+                              _intern_key(CpTag.FLOAT, value))
 
     def long(self, value: int) -> int:
         """Intern a ``CONSTANT_Long`` (occupies two slots)."""
         return self._interned(CpTag.LONG, value)
 
     def double(self, value: float) -> int:
-        """Intern a ``CONSTANT_Double`` (occupies two slots)."""
-        return self._interned(CpTag.DOUBLE, value)
+        """Intern a ``CONSTANT_Double`` (occupies two slots; keyed by bit
+        pattern)."""
+        return self._interned(CpTag.DOUBLE, value,
+                              _intern_key(CpTag.DOUBLE, value))
 
     def name_and_type(self, name: str, descriptor: str) -> int:
         """Intern a ``CONSTANT_NameAndType``."""

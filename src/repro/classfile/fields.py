@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.classfile.access_flags import AccessFlags
+from repro.classfile.access_flags import (
+    ACC_FINAL,
+    ACC_PUBLIC,
+    ACC_STATIC,
+    AccessFlags,
+)
 from repro.classfile.attributes import Attribute, find_attribute
 
 
@@ -31,12 +36,12 @@ class FieldInfo:
 
     @property
     def is_static(self) -> bool:
-        return bool(self.access_flags & AccessFlags.STATIC)
+        return bool(int(self.access_flags) & ACC_STATIC)
 
     @property
     def is_final(self) -> bool:
-        return bool(self.access_flags & AccessFlags.FINAL)
+        return bool(int(self.access_flags) & ACC_FINAL)
 
     @property
     def is_public(self) -> bool:
-        return bool(self.access_flags & AccessFlags.PUBLIC)
+        return bool(int(self.access_flags) & ACC_PUBLIC)

@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.classfile.access_flags import AccessFlags
+from repro.classfile.access_flags import (
+    ACC_ABSTRACT,
+    ACC_NATIVE,
+    ACC_PUBLIC,
+    ACC_STATIC,
+    AccessFlags,
+)
 from repro.classfile.attributes import (
     Attribute,
     CodeAttribute,
@@ -52,19 +58,19 @@ class MethodInfo:
 
     @property
     def is_static(self) -> bool:
-        return bool(self.access_flags & AccessFlags.STATIC)
+        return bool(int(self.access_flags) & ACC_STATIC)
 
     @property
     def is_abstract(self) -> bool:
-        return bool(self.access_flags & AccessFlags.ABSTRACT)
+        return bool(int(self.access_flags) & ACC_ABSTRACT)
 
     @property
     def is_native(self) -> bool:
-        return bool(self.access_flags & AccessFlags.NATIVE)
+        return bool(int(self.access_flags) & ACC_NATIVE)
 
     @property
     def is_public(self) -> bool:
-        return bool(self.access_flags & AccessFlags.PUBLIC)
+        return bool(int(self.access_flags) & ACC_PUBLIC)
 
     @property
     def needs_code(self) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.classfile.access_flags import AccessFlags
+from repro.classfile.access_flags import ACC_INTERFACE, AccessFlags
 from repro.classfile.attributes import Attribute, find_attribute
 from repro.classfile.constant_pool import ConstantPool
 from repro.classfile.fields import FieldInfo
@@ -73,7 +73,7 @@ class ClassFile:
 
     @property
     def is_interface(self) -> bool:
-        return bool(self.access_flags & AccessFlags.INTERFACE)
+        return bool(int(self.access_flags) & ACC_INTERFACE)
 
     def attribute(self, name: str) -> Attribute | None:
         """First class attribute called ``name``."""

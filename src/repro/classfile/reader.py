@@ -47,15 +47,11 @@ class ReaderOptions:
         min_supported_major: reject classfiles below this major version.
         reject_trailing_bytes: whether extra bytes after the class
             structure are a format error (HotSpot rejects, GIJ ignores).
-        reject_unknown_cp_tags: whether unknown constant-pool tags are a
-            format error (all real JVMs reject; kept togglable for fuzzing
-            the parser itself).
     """
 
     max_supported_major: int = 52
     min_supported_major: int = 45
     reject_trailing_bytes: bool = True
-    reject_unknown_cp_tags: bool = True
 
     def version_error(self, major: int, minor: int
                       ) -> Optional[UnsupportedClassVersionError]:
@@ -268,11 +264,8 @@ class ClassReader:
             tag_value = cursor.u1()
             known = _CP_TAGS.get(tag_value)
             if known is None:
-                if self.options.reject_unknown_cp_tags:
-                    raise ClassFormatError(
-                        f"Unknown constant tag {tag_value} at index {index}")
-                # Lenient mode: treat the rest of the pool as opaque.
-                break
+                raise ClassFormatError(
+                    f"Unknown constant tag {tag_value} at index {index}")
             tag, site = known
             probe(site)
             info = self._read_cp_entry(cursor, tag)

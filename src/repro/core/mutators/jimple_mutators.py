@@ -17,7 +17,7 @@ kept out of ``MUTATORS`` so the registry stays at the paper's 129;
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import random
 from typing import List, Optional, Tuple
 
@@ -84,7 +84,7 @@ def _duplicate_statement(jclass: JClass, rng: random.Random) -> bool:
     stmt = method.body[index]
     if isinstance(stmt, LabelStmt):
         return False  # duplicate labels never dump
-    method.body.insert(index, copy.deepcopy(stmt))
+    method.body.insert(index, stmt)   # statements are immutable
     return True
 
 
@@ -140,15 +140,17 @@ def _inject_edge_value(jclass: JClass, rng: random.Random) -> bool:
     """Replace one numeric constant with a semantics-edge value."""
     candidates = []
     for method in jclass.methods:
-        for stmt in method.body or []:
+        for index, stmt in enumerate(method.body or []):
             if isinstance(stmt, AssignConstStmt) \
                     and stmt.constant.jtype.name in _EDGE_VALUES:
-                candidates.append(stmt)
+                candidates.append((method.body, index))
     if not candidates:
         return False
-    stmt = rng.choice(candidates)
+    body, index = rng.choice(candidates)
+    stmt = body[index]
     values = _EDGE_VALUES[stmt.constant.jtype.name]
-    stmt.constant = Constant(rng.choice(values), stmt.constant.jtype)
+    body[index] = AssignConstStmt(
+        stmt.local, Constant(rng.choice(values), stmt.constant.jtype))
     return True
 
 
@@ -161,18 +163,18 @@ def _nudge_comparison(jclass: JClass, rng: random.Random) -> bool:
     """
     candidates = []
     for method in jclass.methods:
-        for stmt in method.body or []:
+        for index, stmt in enumerate(method.body or []):
             if isinstance(stmt, (AssignBinopStmt, AssignCmpStmt)):
                 for attr in ("left", "right"):
                     operand = getattr(stmt, attr)
                     if isinstance(operand, Constant) \
                             and isinstance(operand.value, int):
-                        candidates.append((stmt, attr, operand))
+                        candidates.append((method.body, index, attr, operand))
     if not candidates:
         return False
-    stmt, attr, operand = rng.choice(candidates)
-    setattr(stmt, attr, Constant(operand.value + rng.choice((-1, 1)),
-                                 operand.jtype))
+    body, index, attr, operand = rng.choice(candidates)
+    body[index] = dataclasses.replace(body[index], **{attr: Constant(
+        operand.value + rng.choice((-1, 1)), operand.jtype)})
     return True
 
 

@@ -5,10 +5,14 @@ Retyping a local while its uses stay put is the recipe behind the
 paper's M1433982529 (Problem 2): the declared Jimple type drives opcode
 selection, so the resulting bytecode contains genuinely unsafe
 assignments that only deep verifiers catch.
+
+Locals and statements are immutable (a clone shares them with its
+origin), so a rewrite puts a new one at the same list position.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import List, Optional
 
@@ -71,10 +75,11 @@ def _retype(jtype: JType):
         method = _pick_bodied(jclass, rng, with_locals=True)
         if method is None or not method.locals:
             return False
-        local = rng.choice(method.locals)
+        index = rng.randrange(len(method.locals))
+        local = method.locals[index]
         if local.jtype == jtype:
             return False
-        local.jtype = jtype
+        method.locals[index] = JLocal(local.name, jtype)
         return True
     return apply
 
@@ -84,11 +89,13 @@ def _rename_consistently(jclass: JClass, rng: random.Random) -> bool:
     method = _pick_bodied(jclass, rng, with_locals=True)
     if method is None or not method.locals:
         return False
-    local = rng.choice(method.locals)
+    index = rng.randrange(len(method.locals))
+    local = method.locals[index]
     old, new = local.name, fresh_name(rng, "$rn")
-    local.name = new
-    for stmt in method.body or []:
-        _rename_in_stmt(stmt, old, new)
+    method.locals[index] = JLocal(new, local.jtype)
+    body = method.body or []
+    for position, stmt in enumerate(body):
+        body[position] = _rename_in_stmt(stmt, old, new)
     return True
 
 
@@ -97,8 +104,9 @@ def _rename_declaration_only(jclass: JClass, rng: random.Random) -> bool:
     method = _pick_bodied(jclass, rng, with_locals=True)
     if method is None or not method.locals:
         return False
-    local = rng.choice(method.locals)
-    local.name = fresh_name(rng, "$dangling")
+    index = rng.randrange(len(method.locals))
+    method.locals[index] = JLocal(fresh_name(rng, "$dangling"),
+                                  method.locals[index].jtype)
     return True
 
 
@@ -115,24 +123,28 @@ def _swap_types(jclass: JClass, rng: random.Random) -> bool:
     method = _pick_bodied(jclass, rng, with_locals=True)
     if method is None or len(method.locals) < 2:
         return False
-    first, second = rng.sample(method.locals, 2)
-    first.jtype, second.jtype = second.jtype, first.jtype
-    return first.jtype != second.jtype
+    first, second = rng.sample(range(len(method.locals)), 2)
+    local_a, local_b = method.locals[first], method.locals[second]
+    method.locals[first] = JLocal(local_a.name, local_b.jtype)
+    method.locals[second] = JLocal(local_b.name, local_a.jtype)
+    return local_a.jtype != local_b.jtype
 
 
-def _rename_in_stmt(stmt, old: str, new: str) -> None:
-    """Best-effort rename of local references inside one statement."""
-    for attr in ("local", "dst", "src", "base"):
-        if getattr(stmt, attr, None) == old:
-            setattr(stmt, attr, new)
-    for attr in ("left", "right", "value"):
-        if getattr(stmt, attr, None) == old:
-            setattr(stmt, attr, new)
+#: Statement fields that may name a local.
+_LOCAL_FIELDS = ("local", "dst", "src", "base", "left", "right", "value")
+
+
+def _rename_in_stmt(stmt, old: str, new: str):
+    """``stmt`` with its local references renamed (best effort): a new
+    statement, or ``stmt`` itself when it does not mention ``old``."""
+    changes = {attr: new for attr in _LOCAL_FIELDS
+               if getattr(stmt, attr, None) == old}
     invoke = getattr(stmt, "invoke", None)
-    if invoke is not None:
-        if invoke.base == old:
-            invoke.base = new
-        invoke.args = [new if arg == old else arg for arg in invoke.args]
+    if invoke is not None and (invoke.base == old or old in invoke.args):
+        changes["invoke"] = dataclasses.replace(
+            invoke, base=new if invoke.base == old else invoke.base,
+            args=tuple(new if arg == old else arg for arg in invoke.args))
+    return dataclasses.replace(stmt, **changes) if changes else stmt
 
 
 MUTATORS: List[Mutator] = [

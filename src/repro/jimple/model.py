@@ -4,7 +4,10 @@ These play the role of Soot's ``SootClass``/``SootMethod``/``SootField``:
 a symbol-level, mutable view of a class that mutators rewrite and the
 compiler dumps to classfile bytes.  Modifiers are plain lowercase strings
 (``"public"``, ``"static"``, ...) so mutators can introduce contradictory
-combinations a strict JVM must reject.
+combinations a strict JVM must reject.  The lists are mutable; their
+elements — statements, traps and locals — are immutable values that
+clones share, so a mutator edits a body by putting a new element in its
+list.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from repro.jimple.statements import Stmt, Trap, clone_stmt
+from repro.jimple.statements import Stmt, Trap
 from repro.jimple.types import JType, VOID
 
 #: Modifier strings meaningful on a class.
@@ -57,9 +60,9 @@ class FieldSignature:
         return f"{self.jtype} {self.name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class JLocal:
-    """A method-body local variable declaration."""
+    """A method-body local variable declaration (immutable, shared)."""
 
     name: str
     jtype: JType
@@ -129,7 +132,13 @@ class JMethod:
     locals: List[JLocal] = field(default_factory=list)
     body: Optional[List[Stmt]] = None
     raw_code: Optional[object] = None
-    traps: List[object] = field(default_factory=list)
+    traps: List[Trap] = field(default_factory=list)
+
+    #: The compiler's replay template for this method (see
+    #: :func:`repro.jimple.to_classfile.compile_method`).  A per-process
+    #: cache, not a field: equality and repr ignore it, :meth:`clone`
+    #: passes it on by reference, and pickles and deep copies drop it.
+    template = None
 
     def has_modifier(self, modifier: str) -> bool:
         return modifier in self.modifiers
@@ -162,27 +171,36 @@ class JMethod:
         return None
 
     def clone(self) -> "JMethod":
-        """An independently mutable copy of the declaration and body.
+        """A copy whose lists mutate independently of this method's.
 
-        ``raw_code`` is carried by reference: it is an opaque
-        pre-compiled blob the pipeline only re-emits verbatim, never
-        rewrites.
+        The lists are copied; their elements — statements, locals, traps
+        and types — are immutable and shared.  ``raw_code`` is carried by
+        reference too: an opaque pre-compiled blob the pipeline only
+        re-emits verbatim.  So is the compile :attr:`template`, which
+        applies to the copy only while its body, locals and traps are
+        still the very objects the template was made from.
         """
-        return JMethod(
+        dup = JMethod(
             name=self.name,
             return_type=self.return_type,
             parameter_types=list(self.parameter_types),
             modifiers=list(self.modifiers),
             thrown=list(self.thrown),
-            locals=[JLocal(local.name, local.jtype)
-                    for local in self.locals],
-            body=None if self.body is None
-            else [clone_stmt(stmt) for stmt in self.body],
+            locals=list(self.locals),
+            body=None if self.body is None else list(self.body),
             raw_code=self.raw_code,
-            traps=[Trap(trap.begin_label, trap.end_label,
-                        trap.handler_label, trap.exception,
-                        trap.handler_local) for trap in self.traps],
+            traps=list(self.traps),
         )
+        if self.template is not None:
+            dup.template = self.template
+        return dup
+
+    def __getstate__(self):
+        # The template is a per-process cache: pickles (journal frames,
+        # worker payloads) and deep copies carry the fields only.
+        state = self.__dict__.copy()
+        state.pop("template", None)
+        return state
 
 
 @dataclass
@@ -253,14 +271,14 @@ class JClass:
     def clone(self) -> "JClass":
         """A copy safe to mutate independently of the original.
 
-        Structurally rebuilds every mutable layer — member lists, field
-        and method declarations, locals, traps, statements and their
-        invoke/case containers — while sharing the immutable leaves
-        (types, refs, constants, raw code blobs).  Equivalent to
-        ``copy.deepcopy(self)`` for every rewrite the mutators perform,
-        at a fraction of the cost: the clone sits on the fuzzing loop's
-        hottest path (two per iteration — seed copy plus pool
-        feedback).
+        Rebuilds every mutable layer — the member lists, the field and
+        method declarations and each method's lists — and shares the
+        immutable leaves: statements, locals, traps, types and raw code
+        blobs.  Equal to ``copy.deepcopy(self)``, and as safe for every
+        rewrite the mutators perform (they replace statements rather
+        than edit them), at a fraction of the cost: the clone sits on
+        the fuzzing loop's hottest path.  Each method's compile template
+        comes along, so an unchanged method is not compiled again.
         """
         return JClass(
             name=self.name,

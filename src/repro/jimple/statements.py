@@ -6,12 +6,17 @@ letter, ``$`` or ``r``/``i`` prefixes by convention) or :class:`Constant`
 literals.  The language intentionally mirrors the fragments shown in
 Table 2 of the paper: identity statements, field access, invocations,
 assignments, and returns.
+
+Statements are immutable values: every statement class, :class:`InvokeExpr`
+and :class:`Trap` is a frozen dataclass, and the two container operands
+(``InvokeExpr.args``, ``SwitchStmt.cases``) are tuples.  So a cloned method
+body shares its statements with the body it was cloned from, and a mutator
+that rewrites a statement puts a new one at its list position.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.jimple.types import JType
@@ -96,7 +101,7 @@ class Stmt:
         return []
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelStmt(Stmt):
     """A jump target."""
 
@@ -106,13 +111,13 @@ class LabelStmt(Stmt):
         return f"{self.name}:"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NopStmt(Stmt):
     def __str__(self) -> str:
         return "nop"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityStmt(Stmt):
     """``local := @parameter<n>: type`` or ``local := @this: type``."""
 
@@ -133,7 +138,7 @@ class IdentityStmt(Stmt):
         return f"{self.local} := @{self.source}: {self.jtype}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignConstStmt(Stmt):
     """``local = constant``."""
 
@@ -147,7 +152,7 @@ class AssignConstStmt(Stmt):
         return f"{self.local} = {self.constant}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignLocalStmt(Stmt):
     """``dst = src``."""
 
@@ -164,7 +169,7 @@ class AssignLocalStmt(Stmt):
         return f"{self.dst} = {self.src}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignBinopStmt(Stmt):
     """``dst = left <op> right`` over ints (``+ - * / % & | ^``)."""
 
@@ -183,7 +188,7 @@ class AssignBinopStmt(Stmt):
         return f"{self.dst} = {self.left} {self.op} {self.right}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignCmpStmt(Stmt):
     """``dst = left <cmp> right`` — the three-way numeric compares.
 
@@ -207,7 +212,7 @@ class AssignCmpStmt(Stmt):
         return f"{self.dst} = {self.left} {self.op} {self.right}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignUnopStmt(Stmt):
     """``dst = <op> src`` — negation and primitive conversions.
 
@@ -229,7 +234,7 @@ class AssignUnopStmt(Stmt):
         return f"{self.dst} = {self.op} {self.src}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignNewStmt(Stmt):
     """``local = new owner``."""
 
@@ -243,7 +248,7 @@ class AssignNewStmt(Stmt):
         return f"{self.local} = new {self.class_name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignCastStmt(Stmt):
     """``dst = (type) src`` — a checkcast."""
 
@@ -261,7 +266,7 @@ class AssignCastStmt(Stmt):
         return f"{self.dst} = ({self.jtype}) {self.src}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignInstanceOfStmt(Stmt):
     """``dst = src instanceof type``."""
 
@@ -279,7 +284,7 @@ class AssignInstanceOfStmt(Stmt):
         return f"{self.dst} = {self.src} instanceof {self.jtype}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignFieldGetStmt(Stmt):
     """``dst = base.<field>`` or ``dst = <static field>``."""
 
@@ -299,7 +304,7 @@ class AssignFieldGetStmt(Stmt):
         return f"{self.dst} = {self.field_ref}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignFieldPutStmt(Stmt):
     """``base.<field> = value`` or ``<static field> = value``."""
 
@@ -318,7 +323,7 @@ class AssignFieldPutStmt(Stmt):
         return f"{target} = {self.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvokeExpr:
     """An invocation expression.
 
@@ -326,13 +331,17 @@ class InvokeExpr:
         kind: ``"static"``, ``"virtual"``, ``"special"``, or ``"interface"``.
         method: the callee reference.
         base: receiver local (``None`` for static).
-        args: argument values.
+        args: argument values (a list given here is stored as a tuple).
     """
 
     kind: str
     method: MethodRef
     base: Optional[str] = None
-    args: List[Value] = field(default_factory=list)
+    args: Tuple[Value, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.args, tuple):
+            object.__setattr__(self, "args", tuple(self.args))
 
     def locals_read(self) -> List[str]:
         reads = [a for a in self.args if isinstance(a, str)]
@@ -346,7 +355,7 @@ class InvokeExpr:
         return f"{self.kind}invoke {prefix}{self.method}({args})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvokeStmt(Stmt):
     """An invocation whose result (if any) is discarded."""
 
@@ -359,7 +368,7 @@ class InvokeStmt(Stmt):
         return str(self.invoke)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignInvokeStmt(Stmt):
     """``dst = <invocation>``."""
 
@@ -376,7 +385,7 @@ class AssignInvokeStmt(Stmt):
         return f"{self.dst} = {self.invoke}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IfStmt(Stmt):
     """``if local <cond> 0 goto label`` — integer comparison to zero.
 
@@ -394,7 +403,7 @@ class IfStmt(Stmt):
         return f"if {self.local} {self.cond} 0 goto {self.target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GotoStmt(Stmt):
     """``goto label``."""
 
@@ -404,7 +413,7 @@ class GotoStmt(Stmt):
         return f"goto {self.target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReturnStmt(Stmt):
     """``return`` or ``return value``."""
 
@@ -417,7 +426,7 @@ class ReturnStmt(Stmt):
         return "return" if self.value is None else f"return {self.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThrowStmt(Stmt):
     """``throw local``."""
 
@@ -430,17 +439,21 @@ class ThrowStmt(Stmt):
         return f"throw {self.local}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchStmt(Stmt):
     """``switch(local) { case k: goto label; ... default: goto label }``.
 
     Compiled to ``lookupswitch`` (or ``tableswitch`` when the case keys
-    are contiguous).
+    are contiguous).  A list of cases given here is stored as a tuple.
     """
 
     local: str
-    cases: List[Tuple[int, str]]     # (match value, target label)
+    cases: Tuple[Tuple[int, str], ...]   # (match value, target label)
     default: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cases, tuple):
+            object.__setattr__(self, "cases", tuple(self.cases))
 
     def locals_read(self) -> List[str]:
         return [self.local]
@@ -451,7 +464,7 @@ class SwitchStmt(Stmt):
                 f"default: goto {self.default} }}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trap:
     """A Soot-style trap: an exception handler over a labelled range.
 
@@ -479,25 +492,3 @@ class Trap:
 #: Statement classes that end a method body path.
 TERMINAL_STMTS = (ReturnStmt, ThrowStmt, GotoStmt, SwitchStmt)
 
-
-def clone_stmt(stmt: Stmt) -> Stmt:
-    """An independently mutable copy of one statement.
-
-    Statements are flat dataclasses whose operands are either immutable
-    (strings, :class:`Constant`, :class:`MethodRef`, :class:`FieldRef`,
-    :class:`JType` — all frozen) or one level of mutable container:
-    :class:`InvokeExpr` (whose ``args`` list mutators reassign and whose
-    ``base`` they rewrite) and :class:`SwitchStmt.cases`.  A shallow copy
-    plus fresh copies of those two containers is therefore a full
-    isolation boundary, without ``copy.deepcopy``'s recursive memo
-    walk over every shared frozen operand.
-    """
-    if isinstance(stmt, (InvokeStmt, AssignInvokeStmt)):
-        dup = copy.copy(stmt)
-        invoke = stmt.invoke
-        dup.invoke = InvokeExpr(invoke.kind, invoke.method, invoke.base,
-                                list(invoke.args))
-        return dup
-    if isinstance(stmt, SwitchStmt):
-        return SwitchStmt(stmt.local, list(stmt.cases), stmt.default)
-    return copy.copy(stmt)

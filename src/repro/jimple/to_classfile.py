@@ -12,15 +12,19 @@ produced no classfile, exactly as in §3.2 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import operator
+import struct
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.assembler import Assembler
 from repro.bytecode.instructions import InstructionError
 from repro.bytecode.opcodes import OPCODES, SLOTS, Op
+from repro.classfile import access_flags as acc
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.attributes import (
     CodeAttribute,
     ConstantValueAttribute,
+    ExceptionHandler,
     ExceptionsAttribute,
     SourceFileAttribute,
 )
@@ -37,55 +41,56 @@ class JimpleCompileError(Exception):
     """The class cannot be dumped to a classfile (Soot-dump failure analogue)."""
 
 
-#: Modifier string → class-context flag.
+#: Modifier string → class-context flag bit.
 _CLASS_FLAGS = {
-    "public": AccessFlags.PUBLIC,
-    "private": AccessFlags.PRIVATE,
-    "protected": AccessFlags.PROTECTED,
-    "final": AccessFlags.FINAL,
-    "super": AccessFlags.SUPER,
-    "interface": AccessFlags.INTERFACE,
-    "abstract": AccessFlags.ABSTRACT,
-    "synthetic": AccessFlags.SYNTHETIC,
-    "annotation": AccessFlags.ANNOTATION,
-    "enum": AccessFlags.ENUM,
+    "public": acc.ACC_PUBLIC,
+    "private": acc.ACC_PRIVATE,
+    "protected": acc.ACC_PROTECTED,
+    "final": acc.ACC_FINAL,
+    "super": acc.ACC_SUPER,
+    "interface": acc.ACC_INTERFACE,
+    "abstract": acc.ACC_ABSTRACT,
+    "synthetic": acc.ACC_SYNTHETIC,
+    "annotation": acc.ACC_ANNOTATION,
+    "enum": acc.ACC_ENUM,
 }
 
-#: Modifier string → field-context flag.
+#: Modifier string → field-context flag bit.
 _FIELD_FLAGS = {
-    "public": AccessFlags.PUBLIC,
-    "private": AccessFlags.PRIVATE,
-    "protected": AccessFlags.PROTECTED,
-    "static": AccessFlags.STATIC,
-    "final": AccessFlags.FINAL,
-    "volatile": AccessFlags.VOLATILE,
-    "transient": AccessFlags.TRANSIENT,
-    "synthetic": AccessFlags.SYNTHETIC,
-    "enum": AccessFlags.ENUM,
+    "public": acc.ACC_PUBLIC,
+    "private": acc.ACC_PRIVATE,
+    "protected": acc.ACC_PROTECTED,
+    "static": acc.ACC_STATIC,
+    "final": acc.ACC_FINAL,
+    "volatile": acc.ACC_VOLATILE,
+    "transient": acc.ACC_TRANSIENT,
+    "synthetic": acc.ACC_SYNTHETIC,
+    "enum": acc.ACC_ENUM,
 }
 
-#: Modifier string → method-context flag.
+#: Modifier string → method-context flag bit.
 _METHOD_FLAGS = {
-    "public": AccessFlags.PUBLIC,
-    "private": AccessFlags.PRIVATE,
-    "protected": AccessFlags.PROTECTED,
-    "static": AccessFlags.STATIC,
-    "final": AccessFlags.FINAL,
-    "synchronized": AccessFlags.SYNCHRONIZED,
-    "bridge": AccessFlags.BRIDGE,
-    "varargs": AccessFlags.VARARGS,
-    "native": AccessFlags.NATIVE,
-    "abstract": AccessFlags.ABSTRACT,
-    "strictfp": AccessFlags.STRICT,
-    "synthetic": AccessFlags.SYNTHETIC,
+    "public": acc.ACC_PUBLIC,
+    "private": acc.ACC_PRIVATE,
+    "protected": acc.ACC_PROTECTED,
+    "static": acc.ACC_STATIC,
+    "final": acc.ACC_FINAL,
+    "synchronized": acc.ACC_SYNCHRONIZED,
+    "bridge": acc.ACC_BRIDGE,
+    "varargs": acc.ACC_VARARGS,
+    "native": acc.ACC_NATIVE,
+    "abstract": acc.ACC_ABSTRACT,
+    "strictfp": acc.ACC_STRICT,
+    "synthetic": acc.ACC_SYNTHETIC,
 }
 
 
-def _flags(modifiers: List[str], table: Dict[str, AccessFlags]) -> AccessFlags:
-    flags = AccessFlags.NONE
+def _flags(modifiers: List[str], table: Dict[str, int]) -> AccessFlags:
+    """OR the bits as plain ints, then wrap the result once."""
+    bits = 0
     for modifier in modifiers:
-        flags |= table.get(modifier, AccessFlags.NONE)
-    return flags
+        bits |= table.get(modifier, 0)
+    return AccessFlags(bits)
 
 
 #: load/store/return opcode per type category.
@@ -107,10 +112,114 @@ _CMP_OPS = {OPCODES[op].mnemonic: op for op in (
 _UNARY_OPS = {OPCODES[op].mnemonic: op for op in (
     Op.INEG, Op.LNEG, Op.FNEG, Op.DNEG, Op.I2L, Op.L2I, Op.I2B, Op.I2C,
     Op.I2S, Op.F2I, Op.F2L, Op.D2I, Op.D2L)}
+_INVOKE_OPS = {"static": Op.INVOKESTATIC, "virtual": Op.INVOKEVIRTUAL,
+               "special": Op.INVOKESPECIAL, "interface": Op.INVOKEINTERFACE}
+
+#: One constant-pool request: an interning method of
+#: :class:`ConstantPool` and its arguments.
+_Request = Tuple[Callable[..., int], tuple]
+
+
+def _header(method: JMethod) -> tuple:
+    """What a compile reads of a method besides its body, locals and traps."""
+    return (method.name, method.return_type, tuple(method.parameter_types),
+            tuple(method.modifiers), tuple(method.thrown))
+
+
+def _same_objects(items: Sequence[object], kept: tuple) -> bool:
+    return len(items) == len(kept) and all(map(operator.is_, items, kept))
+
+
+class MethodTemplate:
+    """One compiled Jimple method, kept so a later compile can replay it.
+
+    A method's ``method_info`` depends only on the method and on the
+    indices its constant-pool requests get, and each index lands in a
+    u2 place — the compiler emits ``ldc_w``, never ``ldc``, so no index
+    moves the code layout.  So a compile of the same method into another
+    pool makes the same requests in the same order (the pool grows as a
+    fresh compile would grow it) and patches the places.
+
+    The template applies while the method's body, locals and traps are,
+    element for element, the very objects it was made from — they are
+    immutable, so identity means the same content, where equality would
+    call ``Constant(-0.0)`` equal to ``Constant(0.0)`` — and its name,
+    return and parameter types, modifiers and thrown list are equal.
+
+    Attributes:
+        body/locals/traps: the elements the template was made from.
+        header: :func:`_header` of the method.
+        access_flags: the method's flags.
+        requests: the pool requests in the order the compile made them:
+            one per operand, then one per trap that catches a type, one
+            per thrown class, the name and the descriptor.
+        code/max_stack/max_locals: the ``Code`` attribute's fields.
+        operand_offsets: where the operand requests' indices go in
+            ``code`` (the assembler's layout, plus the opcode byte).
+        handlers: per trap, ``(start_pc, end_pc, handler_pc, request)``
+            with the number of its catch-type request, or ``None``.
+    """
+
+    __slots__ = ("body", "locals", "traps", "header", "access_flags",
+                 "requests", "code", "max_stack", "max_locals",
+                 "operand_offsets", "handlers")
+
+    def __init__(self, method: JMethod, access_flags: AccessFlags,
+                 requests: List[_Request], code: bytes, max_stack: int,
+                 max_locals: int, operand_offsets: List[int],
+                 handlers: List[Tuple[int, int, int, Optional[int]]]):
+        self.body = tuple(method.body or ())
+        self.locals = tuple(method.locals)
+        self.traps = tuple(method.traps)
+        self.header = _header(method)
+        self.access_flags = access_flags
+        self.requests = tuple(requests)
+        self.code = code
+        self.max_stack = max_stack
+        self.max_locals = max_locals
+        self.operand_offsets = tuple(operand_offsets)
+        self.handlers = tuple(handlers)
+
+    def fits(self, method: JMethod) -> bool:
+        """Whether compiling ``method`` would repeat this template."""
+        return (method.body is not None
+                and _same_objects(method.body, self.body)
+                and _same_objects(method.locals, self.locals)
+                and _same_objects(method.traps, self.traps)
+                and _header(method) == self.header)
+
+    def request(self, pool: ConstantPool) -> List[int]:
+        """Make the template's pool requests, in order, into ``pool``."""
+        return [request(pool, *args) for request, args in self.requests]
+
+    def instantiate(self, indices: Sequence[int]) -> MethodInfo:
+        """The ``method_info`` whose pool requests got ``indices``."""
+        code = bytearray(self.code)
+        for offset, index in zip(self.operand_offsets, indices):
+            struct.pack_into(">H", code, offset, index)
+        handlers = [ExceptionHandler(start, end, handler,
+                                     0 if catch is None else indices[catch])
+                    for start, end, handler, catch in self.handlers]
+        attributes = [CodeAttribute(max_stack=self.max_stack,
+                                    max_locals=self.max_locals,
+                                    code=bytes(code),
+                                    exception_table=handlers)]
+        thrown = len(self.header[-1])
+        if thrown:
+            attributes.append(
+                ExceptionsAttribute(list(indices[-2 - thrown:-2])))
+        return MethodInfo(access_flags=self.access_flags,
+                          name_index=indices[-2],
+                          descriptor_index=indices[-1],
+                          attributes=attributes)
 
 
 class _MethodCompiler:
-    """Compiles one Jimple method body to a ``Code`` attribute."""
+    """Compiles one Jimple method with a body to a :class:`MethodTemplate`.
+
+    Every constant-pool request goes through :meth:`_request`, which
+    records it and the index it got.
+    """
 
     def __init__(self, jclass: JClass, method: JMethod, pool: ConstantPool):
         self.jclass = jclass
@@ -124,6 +233,10 @@ class _MethodCompiler:
         self.max_stack = 0
         self._depth = 0
         self.next_slot = 0
+        self.requests: List[_Request] = []
+        self.indices: List[int] = []
+        #: The assembler position of each operand request's instruction.
+        self._operand_positions: List[int] = []
         self._assign_slots()
 
     # -- slot allocation -----------------------------------------------------
@@ -157,6 +270,21 @@ class _MethodCompiler:
                 f"{self.jclass.name}.{self.method.name}: reference to "
                 f"undeclared local {name!r}")
         return self.types[name]
+
+    # -- constant pool -------------------------------------------------------------
+
+    def _request(self, request: Callable[..., int], *args: object) -> int:
+        index = request(self.pool, *args)
+        self.requests.append((request, args))
+        self.indices.append(index)
+        return index
+
+    def _emit_pooled(self, op: Op, request: Callable[..., int],
+                     *args: object, **operands: object) -> None:
+        """Emit ``op`` with the index of a pool request as its u2 operand."""
+        index = self._request(request, *args)
+        instruction = self.asm.emit(op, index=index, **operands)
+        self._operand_positions.append(instruction.offset)
 
     # -- stack accounting ------------------------------------------------------
 
@@ -200,19 +328,19 @@ class _MethodCompiler:
             self._push(1)
             return 1
         if isinstance(value, str):
-            self.asm.emit(Op.LDC_W, index=self.pool.string(value))
+            self._emit_pooled(Op.LDC_W, ConstantPool.string, value)
             self._push(1)
             return 1
         if jtype.name == "long":
-            self.asm.emit(Op.LDC2_W, index=self.pool.long(int(value)))
+            self._emit_pooled(Op.LDC2_W, ConstantPool.long, int(value))
             self._push(2)
             return 2
         if jtype.name == "double":
-            self.asm.emit(Op.LDC2_W, index=self.pool.double(float(value)))
+            self._emit_pooled(Op.LDC2_W, ConstantPool.double, float(value))
             self._push(2)
             return 2
         if jtype.name == "float":
-            self.asm.emit(Op.LDC_W, index=self.pool.float_(float(value)))
+            self._emit_pooled(Op.LDC_W, ConstantPool.float_, float(value))
             self._push(1)
             return 1
         int_value = int(value)
@@ -223,7 +351,7 @@ class _MethodCompiler:
         elif -32768 <= int_value <= 32767:
             self.asm.emit(Op.SIPUSH, value=int_value)
         else:
-            self.asm.emit(Op.LDC_W, index=self.pool.integer(int_value))
+            self._emit_pooled(Op.LDC_W, ConstantPool.integer, int_value)
         self._push(1)
         return 1
 
@@ -234,23 +362,20 @@ class _MethodCompiler:
 
     # -- member references ---------------------------------------------------------
 
-    def _field_ref(self, ref: st.FieldRef) -> int:
-        return self.pool.field_ref(ref.owner.replace(".", "/"), ref.name,
-                                   ref.descriptor())
-
-    def _method_ref(self, ref: st.MethodRef) -> int:
-        owner = ref.owner.replace(".", "/")
-        if ref.on_interface:
-            return self.pool.interface_method_ref(owner, ref.name,
-                                                  ref.descriptor())
-        return self.pool.method_ref(owner, ref.name, ref.descriptor())
+    def _emit_field(self, op: Op, ref: st.FieldRef) -> None:
+        self._emit_pooled(op, ConstantPool.field_ref,
+                          ref.owner.replace(".", "/"), ref.name,
+                          ref.descriptor())
 
     # -- statements ------------------------------------------------------------------
 
-    def compile(self) -> CodeAttribute:
-        """Compile the whole body."""
-        assert self.method.body is not None
-        for stmt in self.method.body:
+    def compile(self) -> MethodTemplate:
+        """Compile the whole method, making its pool requests in
+        :class:`MethodTemplate` order (their indices are in
+        :attr:`indices`)."""
+        method = self.method
+        assert method.body is not None
+        for stmt in method.body:
             self._compile_stmt(stmt)
             if not isinstance(stmt, st.LabelStmt):
                 self._end_stmt()
@@ -258,18 +383,23 @@ class _MethodCompiler:
             code = self.asm.build()
         except InstructionError as exc:
             raise JimpleCompileError(
-                f"{self.jclass.name}.{self.method.name}: {exc}") from exc
+                f"{self.jclass.name}.{method.name}: {exc}") from exc
         if not code:
             raise JimpleCompileError(
-                f"{self.jclass.name}.{self.method.name}: empty body")
-        return CodeAttribute(max_stack=max(self.max_stack, 1),
-                             max_locals=max(self.next_slot, 1),
-                             code=code,
-                             exception_table=self._compile_traps())
+                f"{self.jclass.name}.{method.name}: empty body")
+        handlers = self._compile_traps()
+        for name in method.thrown:
+            self._request(ConstantPool.class_ref, name.replace(".", "/"))
+        self._request(ConstantPool.utf8, method.name)
+        self._request(ConstantPool.utf8, method.descriptor())
+        layout = self.asm.instruction_offsets
+        return MethodTemplate(
+            method, _flags(method.modifiers, _METHOD_FLAGS), self.requests,
+            code, max(self.max_stack, 1), max(self.next_slot, 1),
+            [layout[position] + 1 for position in self._operand_positions],
+            handlers)
 
-    def _compile_traps(self):
-        from repro.classfile.attributes import ExceptionHandler
-
+    def _compile_traps(self) -> List[Tuple[int, int, int, Optional[int]]]:
         handlers = []
         for trap in self.method.traps:
             offsets = self.asm.label_offsets
@@ -280,13 +410,14 @@ class _MethodCompiler:
                 raise JimpleCompileError(
                     f"{self.jclass.name}.{self.method.name}: trap "
                     f"references missing label(s) {missing}")
-            catch_type = 0
+            catch = None
             if trap.exception is not None:
-                catch_type = self.pool.class_ref(
-                    trap.exception.replace(".", "/"))
-            handlers.append(ExceptionHandler(
-                offsets[trap.begin_label], offsets[trap.end_label],
-                offsets[trap.handler_label], catch_type))
+                catch = len(self.requests)
+                self._request(ConstantPool.class_ref,
+                              trap.exception.replace(".", "/"))
+            handlers.append((offsets[trap.begin_label],
+                             offsets[trap.end_label],
+                             offsets[trap.handler_label], catch))
         return handlers
 
     def _compile_stmt(self, stmt: st.Stmt) -> None:
@@ -330,38 +461,38 @@ class _MethodCompiler:
             self._emit_fixed(opcode)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignNewStmt):
-            index = self.pool.class_ref(stmt.class_name.replace(".", "/"))
-            self.asm.emit(Op.NEW, index=index)
+            self._emit_pooled(Op.NEW, ConstantPool.class_ref,
+                              stmt.class_name.replace(".", "/"))
             self._push(1)
             self._emit_store(stmt.local)
         elif isinstance(stmt, st.AssignCastStmt):
             self._emit_load(stmt.src)
-            index = self.pool.class_ref(stmt.jtype.internal_name)
-            self.asm.emit(Op.CHECKCAST, index=index)
+            self._emit_pooled(Op.CHECKCAST, ConstantPool.class_ref,
+                              stmt.jtype.internal_name)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignInstanceOfStmt):
             self._emit_load(stmt.src)
-            index = self.pool.class_ref(stmt.jtype.internal_name)
-            self.asm.emit(Op.INSTANCEOF, index=index)
+            self._emit_pooled(Op.INSTANCEOF, ConstantPool.class_ref,
+                              stmt.jtype.internal_name)
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignFieldGetStmt):
             if stmt.base is None:
-                self.asm.emit(Op.GETSTATIC, index=self._field_ref(stmt.field_ref))
+                self._emit_field(Op.GETSTATIC, stmt.field_ref)
                 self._push(max(1, stmt.field_ref.jtype.slots))
             else:
                 self._emit_load(stmt.base)
-                self.asm.emit(Op.GETFIELD, index=self._field_ref(stmt.field_ref))
+                self._emit_field(Op.GETFIELD, stmt.field_ref)
                 self._pop(1)
                 self._push(max(1, stmt.field_ref.jtype.slots))
             self._emit_store(stmt.dst)
         elif isinstance(stmt, st.AssignFieldPutStmt):
             if stmt.base is None:
                 self._emit_value(stmt.value)
-                self.asm.emit(Op.PUTSTATIC, index=self._field_ref(stmt.field_ref))
+                self._emit_field(Op.PUTSTATIC, stmt.field_ref)
             else:
                 self._emit_load(stmt.base)
                 self._emit_value(stmt.value)
-                self.asm.emit(Op.PUTFIELD, index=self._field_ref(stmt.field_ref))
+                self._emit_field(Op.PUTFIELD, stmt.field_ref)
             self._end_stmt()
         elif isinstance(stmt, st.InvokeStmt):
             pushed = self._compile_invoke(stmt.invoke)
@@ -425,20 +556,16 @@ class _MethodCompiler:
         arg_slots = 0
         for arg in invoke.args:
             arg_slots += self._emit_value(arg)
-        index = self._method_ref(invoke.method)
-        kind = invoke.kind
-        if kind == "static":
-            self.asm.emit(Op.INVOKESTATIC, index=index)
-        elif kind == "virtual":
-            self.asm.emit(Op.INVOKEVIRTUAL, index=index)
-        elif kind == "special":
-            self.asm.emit(Op.INVOKESPECIAL, index=index)
-        elif kind == "interface":
-            count = arg_slots + 1
-            self.asm.emit(Op.INVOKEINTERFACE, index=index,
-                          count=count, zero=0)
-        else:
-            raise JimpleCompileError(f"unknown invoke kind {kind!r}")
+        op = _INVOKE_OPS.get(invoke.kind)
+        if op is None:
+            raise JimpleCompileError(f"unknown invoke kind {invoke.kind!r}")
+        ref = invoke.method
+        request = (ConstantPool.interface_method_ref if ref.on_interface
+                   else ConstantPool.method_ref)
+        operands = ({"count": arg_slots + 1, "zero": 0}
+                    if op is Op.INVOKEINTERFACE else {})
+        self._emit_pooled(op, request, ref.owner.replace(".", "/"), ref.name,
+                          ref.descriptor(), **operands)
         self._pop(arg_slots + (0 if invoke.base is None else 1))
         result_slots = invoke.method.return_type.slots
         if result_slots:
@@ -477,13 +604,35 @@ def compile_method(jclass: JClass, method: JMethod,
                    pool: ConstantPool) -> MethodInfo:
     """Compile one method to a ``method_info``.
 
+    A method with a Jimple body is compiled once: the compile is kept
+    as the method's :class:`MethodTemplate` (``method.template``), which
+    :meth:`JMethod.clone` passes on.  A later compile of a method the
+    template still fits replays it into ``pool`` instead — the same
+    requests in the same order, then the indices patched in — and yields
+    the bytes a fresh compile would.  A compile error is never kept (its
+    message names the class).  The template lives only in this process:
+    pickles and deep copies of the method drop it.
+
     Raises:
         JimpleCompileError: when the body cannot be dumped.
     """
+    if method.body is None:
+        return _compile_declaration(jclass, method, pool)
+    template = method.template
+    if template is not None and template.fits(method):
+        indices = template.request(pool)
+    else:
+        compiler = _MethodCompiler(jclass, method, pool)
+        template = method.template = compiler.compile()
+        indices = compiler.indices
+    return template.instantiate(indices)
+
+
+def _compile_declaration(jclass: JClass, method: JMethod,
+                         pool: ConstantPool) -> MethodInfo:
+    """A method without a Jimple body: no ``Code``, or its raw code."""
     attributes = []
-    if method.body is not None:
-        attributes.append(_MethodCompiler(jclass, method, pool).compile())
-    elif method.raw_code is not None:
+    if method.raw_code is not None:
         from repro.jimple.remap import RemapError, remap_code
 
         code_attr, source_pool = method.raw_code  # type: ignore[misc]

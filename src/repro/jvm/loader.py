@@ -11,6 +11,17 @@ from __future__ import annotations
 from typing import Set, Tuple, Union
 
 from repro.classfile.access_flags import (
+    ACC_ABSTRACT,
+    ACC_ANNOTATION,
+    ACC_ENUM,
+    ACC_FINAL,
+    ACC_INTERFACE,
+    ACC_NATIVE,
+    ACC_PRIVATE,
+    ACC_PUBLIC,
+    ACC_STATIC,
+    ACC_SYNCHRONIZED,
+    ACC_VOLATILE,
     AccessFlags,
     count_visibility_flags,
 )
@@ -79,45 +90,44 @@ class Loader:
                      "SUPER", "NATIVE", "INTERFACE", "ABSTRACT", "STRICT",
                      "SYNTHETIC", "ANNOTATION", "ENUM"))
 
-    def _probe_flags(self, prefix: str, flags: AccessFlags) -> None:
+    def _probe_flags(self, prefix: str, flags: int) -> None:
         """One probe per flag bit examined — the per-flag validation lines
         of the real parser."""
-        bits = int(flags)
         for bit, name in self._FLAG_BITS:
-            if bits & bit:
+            if flags & bit:
                 probe(f"{prefix}.{name}")
 
     def _check_class_flags(self, classfile: ClassFile) -> None:
         probe("loader.check_class_flags")
-        self._probe_flags("loader.class_flag", classfile.access_flags)
-        flags = classfile.access_flags
-        is_interface = bool(flags & AccessFlags.INTERFACE)
+        flags = int(classfile.access_flags)
+        self._probe_flags("loader.class_flag", flags)
+        is_interface = bool(flags & ACC_INTERFACE)
         if branch("loader.class_is_interface", is_interface):
             if self.policy.interface_requires_abstract_flag and branch(
                     "loader.interface_missing_abstract",
-                    not flags & AccessFlags.ABSTRACT):
+                    not flags & ACC_ABSTRACT):
                 raise ClassFormatError(
                     f"Interface {classfile.name} must have its "
                     "ACC_ABSTRACT flag set")
             if branch("loader.interface_is_final",
-                      bool(flags & AccessFlags.FINAL)):
+                      bool(flags & ACC_FINAL)):
                 raise ClassFormatError(
                     f"Interface {classfile.name} must not have its "
                     "ACC_FINAL flag set")
             if branch("loader.interface_is_enum",
-                      bool(flags & AccessFlags.ENUM)):
+                      bool(flags & ACC_ENUM)):
                 raise ClassFormatError(
                     f"Interface {classfile.name} must not have its "
                     "ACC_ENUM flag set")
         elif self.policy.reject_final_abstract_class and branch(
                 "loader.class_final_and_abstract",
-                bool(flags & AccessFlags.FINAL)
-                and bool(flags & AccessFlags.ABSTRACT)):
+                bool(flags & ACC_FINAL)
+                and bool(flags & ACC_ABSTRACT)):
             raise ClassFormatError(
                 f"Class {classfile.name} has both ACC_FINAL and "
                 "ACC_ABSTRACT set")
         if branch("loader.annotation_without_interface",
-                  bool(flags & AccessFlags.ANNOTATION) and not is_interface):
+                  bool(flags & ACC_ANNOTATION) and not is_interface):
             raise ClassFormatError(
                 f"Class {classfile.name} has ACC_ANNOTATION without "
                 "ACC_INTERFACE")
@@ -130,7 +140,7 @@ class Loader:
         for field_info in classfile.fields:
             name = classfile.field_name(field_info)
             descriptor = classfile.field_descriptor(field_info)
-            flags = field_info.access_flags
+            flags = int(field_info.access_flags)
             self._probe_flags("loader.field_flag", flags)
             probe(f"loader.field_type.{descriptor[:1] or '?'}")
             if self.policy.check_descriptor_validity and branch(
@@ -147,15 +157,14 @@ class Loader:
                     "visibility flags")
             if self.policy.reject_final_volatile_field and branch(
                     "loader.field_final_volatile",
-                    bool(flags & AccessFlags.FINAL)
-                    and bool(flags & AccessFlags.VOLATILE)):
+                    bool(flags & ACC_FINAL)
+                    and bool(flags & ACC_VOLATILE)):
                 raise ClassFormatError(
                     f"Field {classfile.name}.{name} is both final "
                     "and volatile")
             if classfile.is_interface and self.policy.interface_members_strict:
                 probe("loader.check_interface_field")
-                required = (AccessFlags.PUBLIC | AccessFlags.STATIC
-                            | AccessFlags.FINAL)
+                required = ACC_PUBLIC | ACC_STATIC | ACC_FINAL
                 if branch("loader.interface_field_flags_bad",
                           (flags & required) != required):
                     raise ClassFormatError(
@@ -206,7 +215,7 @@ class Loader:
 
     def _check_one_method(self, classfile: ClassFile, method: MethodInfo,
                           name: str, descriptor: str) -> None:
-        flags = method.access_flags
+        flags = int(method.access_flags)
         self._probe_flags("loader.method_flag", flags)
         probe(f"loader.method_return.{descriptor.rsplit(')', 1)[-1][:1] or '?'}")
         # The descriptor parser has one case per type character.
@@ -226,10 +235,9 @@ class Loader:
                 f"Method {classfile.name}.{name} has conflicting "
                 "visibility flags")
         if branch("loader.abstract_method_bad_flags",
-                  bool(flags & AccessFlags.ABSTRACT) and bool(
-                      flags & (AccessFlags.FINAL | AccessFlags.NATIVE
-                               | AccessFlags.PRIVATE | AccessFlags.STATIC
-                               | AccessFlags.SYNCHRONIZED))
+                  bool(flags & ACC_ABSTRACT) and bool(
+                      flags & (ACC_FINAL | ACC_NATIVE | ACC_PRIVATE
+                               | ACC_STATIC | ACC_SYNCHRONIZED))
                   and name != CLASS_INIT):
             raise ClassFormatError(
                 f"Method {classfile.name}.{name} is abstract but has "
@@ -251,15 +259,15 @@ class Loader:
                 and name not in (INSTANCE_INIT, CLASS_INIT):
             probe("loader.check_interface_method")
             if branch("loader.interface_method_not_public",
-                      not flags & AccessFlags.PUBLIC):
+                      not flags & ACC_PUBLIC):
                 raise ClassFormatError(
                     f"Interface method {classfile.name}.{name} must "
                     "be public")
             static_ok = (classfile.major_version
                          >= self.policy.static_interface_methods_since)
             if branch("loader.interface_method_not_abstract",
-                      not flags & AccessFlags.ABSTRACT
-                      and not (static_ok and flags & AccessFlags.STATIC)):
+                      not flags & ACC_ABSTRACT
+                      and not (static_ok and flags & ACC_STATIC)):
                 raise ClassFormatError(
                     f"Interface method {classfile.name}.{name} must "
                     "be abstract")
@@ -273,10 +281,9 @@ class Loader:
             probe("loader.init_check_skipped")
             return
         probe("loader.check_init_method")
-        flags = method.access_flags
-        forbidden = (AccessFlags.STATIC | AccessFlags.FINAL
-                     | AccessFlags.SYNCHRONIZED | AccessFlags.NATIVE
-                     | AccessFlags.ABSTRACT)
+        flags = int(method.access_flags)
+        forbidden = (ACC_STATIC | ACC_FINAL | ACC_SYNCHRONIZED | ACC_NATIVE
+                     | ACC_ABSTRACT)
         if branch("loader.init_bad_flags", bool(flags & forbidden)):
             raise ClassFormatError(
                 f"Method <init> in class {classfile.name} has illegal "

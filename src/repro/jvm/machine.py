@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.classfile.access_flags import AccessFlags
 from repro.classfile.methods import CLASS_INIT, MethodInfo
 from repro.classfile.model import ClassFile
 from repro.classfile.reader import ParsedClass
@@ -186,7 +185,7 @@ class Jvm:
                 f"{classfile.name.replace('/', '.')}")
         if self.policy.require_public_main and branch(
                 "machine.main_not_public",
-                not main.access_flags & AccessFlags.PUBLIC):
+                not main.is_public):
             raise MainMethodNotFoundError(
                 f"Main method not found in class "
                 f"{classfile.name.replace('/', '.')}")

@@ -196,7 +196,8 @@ class TestFormatErrors:
         data = bytearray(write_class(minimal_class()))
         # constant_pool_count is at offset 8-9; first tag at offset 10.
         data[10] = 99
-        with pytest.raises(ClassFormatError, match="Unknown constant tag"):
+        with pytest.raises(ClassFormatError,
+                           match=r"^Unknown constant tag 99 at index 1$"):
             read_class(bytes(data))
 
     def test_dangling_pool_reference_rejected(self):

@@ -131,3 +131,40 @@ class TestIterationAndDiagnostics:
         pool.set_count(2)
         assert pool.utf8("Code") == 1
         assert len(pool) == 1
+
+
+class TestFloatKeys:
+    """FLOAT and DOUBLE entries are interned by bit pattern."""
+
+    @pytest.mark.parametrize("intern", [ConstantPool.float_,
+                                        ConstantPool.double],
+                             ids=["float", "double"])
+    def test_signed_zeros_get_two_entries(self, intern):
+        pool = ConstantPool()
+        positive = intern(pool, 0.0)
+        negative = intern(pool, -0.0)
+        assert positive != negative
+        assert str(pool.entry(negative).value) == "-0.0"
+        assert intern(pool, -0.0) == negative
+        assert intern(pool, 0.0) == positive
+
+    @pytest.mark.parametrize("intern", [ConstantPool.float_,
+                                        ConstantPool.double],
+                             ids=["float", "double"])
+    def test_nans_share_an_entry_whatever_their_identity(self, intern):
+        # Two NaN objects are not equal and hash by identity; a pickle
+        # round trip turns one NaN object into two.
+        first, second = float("nan"), float("nan")
+        pool = ConstantPool()
+        assert intern(pool, first) == intern(pool, second)
+
+    @pytest.mark.parametrize("tag", [CpTag.FLOAT, CpTag.DOUBLE],
+                             ids=["float", "double"])
+    def test_reader_entries_use_the_same_key(self, tag):
+        pool = ConstantPool()
+        pool.add_at(1, CpInfo(tag, -0.0))
+        pool.set_count(3)
+        intern = (ConstantPool.float_ if tag is CpTag.FLOAT
+                  else ConstantPool.double)
+        assert intern(pool, -0.0) == 1
+        assert intern(pool, 0.0) == 3

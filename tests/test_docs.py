@@ -55,3 +55,21 @@ def test_design_doc_lists_every_bench():
         # Every bench file is referenced from DESIGN.md or EXPERIMENTS.md.
         experiments = (DOC.parent.parent / "EXPERIMENTS.md").read_text()
         assert bench.name in design + experiments, bench.name
+
+
+def test_design_module_map_paths_exist():
+    """Every module path in DESIGN.md's module map names real files."""
+    design = (DOC.parent.parent / "DESIGN.md").read_text()
+    section = design.split("## System inventory (module map)", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    src = DOC.parent.parent / "src"
+    paths = re.findall(r"`(repro/[^`]+)`", section)
+    assert len(paths) > 20
+    for path in paths:
+        match = re.fullmatch(r"(.*)\{(.+)\}(.*)", path)
+        names = ([match.group(1) + name + match.group(3)
+                  for name in match.group(2).split(",")]
+                 if match else [path])
+        for name in names:
+            found = list(src.glob(name))
+            assert found, f"DESIGN.md module map names missing {name}"

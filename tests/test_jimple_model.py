@@ -1,6 +1,9 @@
 """Unit tests for the Jimple class model and builders."""
 
 import copy
+import dataclasses
+
+import pytest
 
 from repro.jimple import ClassBuilder, JClass, JMethod, MethodBuilder
 from repro.jimple.model import FieldSignature, JField, JLocal, MethodSignature
@@ -68,8 +71,9 @@ class TestJClass:
         assert "static" not in original.methods[0].modifiers
 
     def test_clone_matches_deepcopy_and_isolates_body(self):
-        # A class exercising every mutable container the structural
-        # clone must rebuild: invoke args, switch cases, traps, locals.
+        # A class with every kind of body element: an invoke with args,
+        # switch cases, traps and locals.  The clone copies the lists
+        # and shares their elements, which are immutable.
         ref = MethodRef("java.io.PrintStream", "println", VOID, (INT,))
         method = JMethod(
             "m", modifiers=["public", "static"],
@@ -87,17 +91,36 @@ class TestJClass:
         assert clone == copy.deepcopy(original)
 
         cloned = clone.methods[0]
-        cloned.locals[0].name = "y"
-        cloned.body[0].invoke.args.append("x")
-        cloned.body[0].invoke.base = "r9"
-        cloned.body[1].cases.append((3, "L3"))
-        cloned.traps[0].handler_local = "f"
+        for attr in ("body", "locals", "traps", "thrown", "modifiers",
+                     "parameter_types"):
+            assert getattr(cloned, attr) is not getattr(method, attr)
+        assert all(a is b for a, b in zip(cloned.body, method.body))
+        assert cloned.locals[0] is method.locals[0]
+        assert cloned.traps[0] is method.traps[0]
+        # The list arguments were stored as tuples.
+        assert cloned.body[0].invoke.args == ("x",)
+        assert cloned.body[1].cases == ((1, "L1"), (2, "L2"))
+
+        # Every in-place edit the shared elements used to take now raises.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cloned.locals[0].name = "y"
+        with pytest.raises(AttributeError):
+            cloned.body[0].invoke.args.append("x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cloned.body[0].invoke.base = "r9"
+        with pytest.raises(AttributeError):
+            cloned.body[1].cases.append((3, "L3"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cloned.traps[0].handler_local = "f"
+
+        # Edits of the clone's lists leave the original alone.
+        cloned.locals[0] = JLocal("y", INT)
+        cloned.body[2] = ReturnStmt("x")
+        cloned.traps.clear()
         cloned.thrown.append("java.lang.Error")
-        assert method.locals[0].name == "x"
-        assert method.body[0].invoke.args == ["x"]
-        assert method.body[0].invoke.base == "r0"
-        assert method.body[1].cases == [(1, "L1"), (2, "L2")]
-        assert method.traps[0].handler_local == "e"
+        assert method.locals == [JLocal("x", INT)]
+        assert method.body[2] == ReturnStmt()
+        assert len(method.traps) == 1
         assert method.thrown == ["java.lang.Exception"]
 
     def test_clone_shares_raw_code_blob(self):
