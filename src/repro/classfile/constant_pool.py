@@ -10,7 +10,6 @@ exploit it to produce malformed pools).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
@@ -37,10 +36,24 @@ class CpTag(IntEnum):
 #: Tags whose entries occupy two constant-pool slots.
 WIDE_TAGS = (CpTag.LONG, CpTag.DOUBLE)
 
+# Reading ``CpTag.UTF8`` off the enum class costs a slow attribute lookup
+# in CPython; the per-entry paths of the pool, the reader and the writer
+# use these module constants instead.
+_UTF8 = CpTag.UTF8
+_INTEGER = CpTag.INTEGER
+_FLOAT = CpTag.FLOAT
+_LONG = CpTag.LONG
+_DOUBLE = CpTag.DOUBLE
+_CLASS = CpTag.CLASS
+_STRING = CpTag.STRING
+_FIELDREF = CpTag.FIELDREF
+_METHODREF = CpTag.METHODREF
+_INTERFACE_METHODREF = CpTag.INTERFACE_METHODREF
+_NAME_AND_TYPE = CpTag.NAME_AND_TYPE
+
 CpValue = Union[str, int, float, Tuple[int, ...]]
 
 
-@dataclass
 class CpInfo:
     """One constant pool entry.
 
@@ -56,15 +69,38 @@ class CpInfo:
             * ``NAME_AND_TYPE`` — ``(name_index, descriptor_index)``.
             * ``METHOD_HANDLE`` — ``(reference_kind, reference_index)``.
             * ``INVOKE_DYNAMIC`` — ``(bootstrap_index, name_and_type_index)``.
+        is_wide: whether this entry occupies two pool slots; set once,
+            from the tag given at construction.
+
+    Equal when tag and value are, unhashable and with a dataclass-style
+    repr.  Slotted, because the reader builds one per pool entry of
+    every mutant it parses.
     """
 
-    tag: CpTag
-    value: CpValue
+    __slots__ = ("tag", "value", "is_wide")
 
-    @property
-    def is_wide(self) -> bool:
-        """Whether this entry occupies two pool slots."""
-        return self.tag in WIDE_TAGS
+    def __init__(self, tag: CpTag, value: CpValue) -> None:
+        self.tag = tag
+        self.value = value
+        self.is_wide = tag in WIDE_TAGS
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) == (other.tag, other.value)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(tag={self.tag!r}, "
+                f"value={self.value!r})")
+
+    def __reduce__(self):
+        return self.__class__, (self.tag, self.value)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickles written while CpInfo was a dataclass carry a state dict.
+        self.__init__(state["tag"], state["value"])  # type: ignore[misc]
 
 
 #: Tags whose entries are interned by bit pattern.
@@ -96,12 +132,39 @@ class ConstantPool:
     Entries are stored sparsely in a dict because ``Long``/``Double`` leave
     holes at the slot following them — reading a hole is a format error,
     which the reader surfaces as ``ClassFormatError``.
+
+    The dict is kept in index order, so iteration never sorts: appends
+    land past every index, and only an :meth:`add_at` below the end marks
+    the order stale, for the next pass to restore once.  A pool the
+    reader built has no intern map until something interns into it
+    (:meth:`_intern_map`).
     """
 
     def __init__(self) -> None:
         self._entries: Dict[int, CpInfo] = {}
         self._next_index = 1
-        self._intern: Dict[Hashable, int] = {}
+        self._intern: Optional[Dict[Hashable, int]] = {}
+        #: Whether ``_entries`` is in index order.  ``_next_index`` lies
+        #: past every index, so :meth:`add` keeps the order.
+        self._ordered = True
+
+    @classmethod
+    def parsed(cls, entries: Dict[int, CpInfo], count: int) -> "ConstantPool":
+        """The pool the reader parsed: ``entries`` in index order, and the
+        declared ``constant_pool_count``.  Its intern map waits for the
+        first intern."""
+        pool = cls.__new__(cls)
+        pool._entries = entries
+        pool._next_index = count
+        pool._intern = None
+        pool._ordered = True
+        return pool
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        if "_ordered" not in state:
+            # Pickled before the order flag: restore index order once.
+            self._ordered = False
 
     # -- basic container protocol ------------------------------------------
 
@@ -111,8 +174,10 @@ class ConstantPool:
 
     def __iter__(self) -> Iterator[Tuple[int, CpInfo]]:
         """Iterate ``(index, entry)`` pairs in index order, skipping holes."""
-        for index in sorted(self._entries):
-            yield index, self._entries[index]
+        if not self._ordered:
+            self._entries = dict(sorted(self._entries.items()))
+            self._ordered = True
+        return iter(list(self._entries.items()))
 
     def __contains__(self, index: int) -> bool:
         return index in self._entries
@@ -120,17 +185,19 @@ class ConstantPool:
     def entry(self, index: int) -> CpInfo:
         """Return the entry at ``index``.
 
+        A present entry is returned before any other check.
+
         Raises:
             ConstantPoolError: for out-of-range indices or wide-entry holes.
         """
+        info = self._entries.get(index)
+        if info is not None:
+            return info
         if not isinstance(index, int) or index <= 0 or index >= self._next_index:
             raise ConstantPoolError(f"constant pool index {index} out of range "
                                     f"(count={self._next_index})")
-        info = self._entries.get(index)
-        if info is None:
-            raise ConstantPoolError(f"constant pool index {index} is the unusable "
-                                    "slot after a long/double entry")
-        return info
+        raise ConstantPoolError(f"constant pool index {index} is the unusable "
+                                "slot after a long/double entry")
 
     def maybe_entry(self, index: int) -> Optional[CpInfo]:
         """Like :meth:`entry` but returning ``None`` instead of raising."""
@@ -146,85 +213,94 @@ class ConstantPool:
         return index
 
     def add_at(self, index: int, info: CpInfo) -> None:
-        """Place ``info`` at an explicit index (used by the binary reader)."""
-        self._entries[index] = info
-        tag, value = info.tag, info.value
-        self._intern.setdefault(
-            _intern_key(tag, value) if tag in _BIT_KEYED else (tag, value),
-            index)
+        """Place ``info`` at an explicit index, interning it unless its
+        key is already interned."""
+        self._intern_map().setdefault(_intern_key(info.tag, info.value), index)
+        entries = self._entries
+        if index < self._next_index and index not in entries:
+            self._ordered = False
+        entries[index] = info
         advance = index + (2 if info.is_wide else 1)
         if advance > self._next_index:
             self._next_index = advance
 
-    def set_count(self, count: int) -> None:
-        """Force the declared slot count (reader use; count = slots + 1)."""
-        self._next_index = count
+    def _intern_map(self) -> Dict[Hashable, int]:
+        """The intern map, built on first use for a parsed pool: each key
+        maps to its lowest index, as placing the entries in index order
+        would have left it."""
+        intern = self._intern
+        if intern is None:
+            intern = self._intern = {}
+            for index, info in self:
+                intern.setdefault(_intern_key(info.tag, info.value), index)
+        return intern
 
     def _interned(self, tag: CpTag, value: CpValue,
                   key: Optional[Hashable] = None) -> int:
         if key is None:
             key = (tag, value)
-        index = self._intern.get(key)
+        intern = self._intern
+        if intern is None:
+            intern = self._intern_map()
+        index = intern.get(key)
         if index is None:
             index = self.add(CpInfo(tag, value))
-            self._intern[key] = index
+            intern[key] = index
         return index
 
     # -- typed interning helpers --------------------------------------------
 
     def utf8(self, text: str) -> int:
         """Intern a ``CONSTANT_Utf8`` entry and return its index."""
-        return self._interned(CpTag.UTF8, text)
+        return self._interned(_UTF8, text)
 
     def class_ref(self, internal_name: str) -> int:
         """Intern a ``CONSTANT_Class`` for ``internal_name`` (slash form)."""
-        return self._interned(CpTag.CLASS, (self.utf8(internal_name),))
+        return self._interned(_CLASS, (self.utf8(internal_name),))
 
     def string(self, text: str) -> int:
         """Intern a ``CONSTANT_String`` literal."""
-        return self._interned(CpTag.STRING, (self.utf8(text),))
+        return self._interned(_STRING, (self.utf8(text),))
 
     def integer(self, value: int) -> int:
         """Intern a ``CONSTANT_Integer``."""
-        return self._interned(CpTag.INTEGER, value)
+        return self._interned(_INTEGER, value)
 
     def float_(self, value: float) -> int:
         """Intern a ``CONSTANT_Float`` (keyed by bit pattern)."""
-        return self._interned(CpTag.FLOAT, value,
-                              _intern_key(CpTag.FLOAT, value))
+        return self._interned(_FLOAT, value, _intern_key(_FLOAT, value))
 
     def long(self, value: int) -> int:
         """Intern a ``CONSTANT_Long`` (occupies two slots)."""
-        return self._interned(CpTag.LONG, value)
+        return self._interned(_LONG, value)
 
     def double(self, value: float) -> int:
         """Intern a ``CONSTANT_Double`` (occupies two slots; keyed by bit
         pattern)."""
-        return self._interned(CpTag.DOUBLE, value,
-                              _intern_key(CpTag.DOUBLE, value))
+        return self._interned(_DOUBLE, value, _intern_key(_DOUBLE, value))
 
     def name_and_type(self, name: str, descriptor: str) -> int:
         """Intern a ``CONSTANT_NameAndType``."""
         return self._interned(
-            CpTag.NAME_AND_TYPE, (self.utf8(name), self.utf8(descriptor)))
+            _NAME_AND_TYPE, (self.utf8(name), self.utf8(descriptor)))
 
     def field_ref(self, class_name: str, name: str, descriptor: str) -> int:
         """Intern a ``CONSTANT_Fieldref``."""
         return self._interned(
-            CpTag.FIELDREF,
+            _FIELDREF,
             (self.class_ref(class_name), self.name_and_type(name, descriptor)))
 
     def method_ref(self, class_name: str, name: str, descriptor: str) -> int:
         """Intern a ``CONSTANT_Methodref``."""
         return self._interned(
-            CpTag.METHODREF,
+            _METHODREF,
             (self.class_ref(class_name), self.name_and_type(name, descriptor)))
 
     def interface_method_ref(self, class_name: str, name: str,
                              descriptor: str) -> int:
         """Intern a ``CONSTANT_InterfaceMethodref``."""
         return self._interned(
-            CpTag.INTERFACE_METHODREF,
+            _INTERFACE_METHODREF,
             (self.class_ref(class_name), self.name_and_type(name, descriptor)))
 
     # -- typed accessors -----------------------------------------------------
@@ -240,30 +316,35 @@ class ConstantPool:
 
     def get_utf8(self, index: int) -> str:
         """Read a ``CONSTANT_Utf8`` string."""
-        return self._expect(index, CpTag.UTF8).value  # type: ignore[return-value]
+        info = self._entries.get(index)
+        if info is None or info.tag is not _UTF8:
+            info = self._expect(index, _UTF8)
+        return info.value  # type: ignore[return-value]
 
     def get_class_name(self, index: int) -> str:
         """Read the internal name behind a ``CONSTANT_Class``."""
-        info = self._expect(index, CpTag.CLASS)
+        info = self._entries.get(index)
+        if info is None or info.tag is not _CLASS:
+            info = self._expect(index, _CLASS)
         (utf8_index,) = info.value  # type: ignore[misc]
         return self.get_utf8(utf8_index)
 
     def get_string(self, index: int) -> str:
         """Read the text behind a ``CONSTANT_String``."""
-        info = self._expect(index, CpTag.STRING)
+        info = self._expect(index, _STRING)
         (utf8_index,) = info.value  # type: ignore[misc]
         return self.get_utf8(utf8_index)
 
     def get_name_and_type(self, index: int) -> Tuple[str, str]:
         """Read ``(name, descriptor)`` behind a ``CONSTANT_NameAndType``."""
-        info = self._expect(index, CpTag.NAME_AND_TYPE)
+        info = self._expect(index, _NAME_AND_TYPE)
         name_index, desc_index = info.value  # type: ignore[misc]
         return self.get_utf8(name_index), self.get_utf8(desc_index)
 
     def get_member_ref(self, index: int) -> Tuple[str, str, str]:
         """Read ``(class, name, descriptor)`` behind any member reference."""
-        info = self._expect(index, CpTag.FIELDREF, CpTag.METHODREF,
-                            CpTag.INTERFACE_METHODREF)
+        info = self._expect(index, _FIELDREF, _METHODREF,
+                            _INTERFACE_METHODREF)
         class_index, nat_index = info.value  # type: ignore[misc]
         name, descriptor = self.get_name_and_type(nat_index)
         return self.get_class_name(class_index), name, descriptor
@@ -274,9 +355,9 @@ class ConstantPool:
         """All internal class names the pool mentions via ``CONSTANT_Class``."""
         names = []
         for _, info in self:
-            if info.tag is CpTag.CLASS:
+            if info.tag is _CLASS:
                 (utf8_index,) = info.value  # type: ignore[misc]
                 entry = self.maybe_entry(utf8_index)
-                if entry is not None and entry.tag is CpTag.UTF8:
+                if entry is not None and entry.tag is _UTF8:
                     names.append(entry.value)  # type: ignore[arg-type]
         return names

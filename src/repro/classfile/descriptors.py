@@ -7,6 +7,7 @@ e.g. ``(Ljava/lang/String;I)V`` for a method taking a ``String`` and an
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -138,8 +139,14 @@ class MethodDescriptor:
         return f"({params}){ret}"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_method_descriptor(descriptor: str) -> MethodDescriptor:
     """Parse a method descriptor such as ``([Ljava/lang/String;)V``.
+
+    Successful parses are memoized: the verifier, the interpreter and the
+    loader's validity check parse the same few descriptors over and over,
+    and the result (frozen, of tuples) can be shared.  A malformed
+    descriptor raises on every call and is never cached.
 
     Raises:
         DescriptorError: when the descriptor is malformed.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.classfile.access_flags import AccessFlags
 from repro.classfile.attributes import (
@@ -30,7 +30,13 @@ from repro.classfile.attributes import (
     RawAttribute,
     SourceFileAttribute,
 )
-from repro.classfile.constant_pool import ConstantPool, ConstantPoolError, CpInfo, CpTag
+from repro.classfile.constant_pool import (
+    WIDE_TAGS,
+    ConstantPool,
+    ConstantPoolError,
+    CpInfo,
+    CpTag,
+)
 from repro.classfile.fields import FieldInfo
 from repro.coverage.probes import probe
 from repro.classfile.methods import MethodInfo
@@ -115,57 +121,93 @@ class ParsedClass:
         return self.classfile
 
 
+def _truncated(count: int, offset: int, end: int) -> ClassFormatError:
+    """The error for a read of ``count`` bytes at ``offset`` past ``end``."""
+    return ClassFormatError(
+        f"Truncated class file (wanted {count} bytes at offset {offset}, "
+        f"have {end - offset})")
+
+
+def _short_field(sizes: Tuple[int, ...], offset: int,
+                 end: int) -> ClassFormatError:
+    """The error a field-by-field read of ``sizes`` at ``offset`` meets:
+    the first field that runs past ``end`` is the one reported."""
+    for size in sizes:
+        if offset + size > end:
+            return _truncated(size, offset, end)
+        offset += size
+    raise AssertionError("the fields fit")  # pragma: no cover
+
+
+class _Layout:
+    """Consecutive big-endian fields read with one ``unpack_from``."""
+
+    __slots__ = ("unpack", "size", "sizes")
+
+    def __init__(self, fmt: str):
+        compiled = struct.Struct(fmt)
+        self.unpack = compiled.unpack_from
+        self.size = compiled.size
+        self.sizes = tuple(struct.calcsize(">" + code) for code in fmt[1:])
+
+
+_U2 = _Layout(">H")
+_U4 = _Layout(">I")
+_VERSION = _Layout(">HH")
+_MEMBER_HEADER = _Layout(">HHH")
+_CODE_HEADER = _Layout(">HHI")
+_HANDLER = _Layout(">HHHH")
+
+
 class _ByteCursor:
-    """A bounds-checked big-endian byte cursor."""
+    """A bounds-checked big-endian byte cursor.
+
+    Each read checks the bounds once and unpacks at an offset, without
+    slicing.  A short read raises the ``ClassFormatError`` a
+    field-by-field read would: the first field that does not fit, at its
+    offset.
+    """
+
+    __slots__ = ("data", "pos", "end")
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
+        self.data = data
+        self.pos = 0
+        self.end = len(data)
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self.end - self.pos
 
-    def _take(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            raise ClassFormatError(
-                f"Truncated class file (wanted {count} bytes at offset "
-                f"{self._pos}, have {self.remaining})")
-        chunk = self._data[self._pos:self._pos + count]
-        self._pos += count
-        return chunk
-
-    def u1(self) -> int:
-        return self._take(1)[0]
+    def fields(self, layout: _Layout) -> Tuple[int, ...]:
+        pos = self.pos
+        stop = pos + layout.size
+        if stop > self.end:
+            raise _short_field(layout.sizes, pos, self.end)
+        self.pos = stop
+        return layout.unpack(self.data, pos)
 
     def u2(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
+        return self.fields(_U2)[0]
 
-    def u4(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def s4(self) -> int:
-        return struct.unpack(">i", self._take(4))[0]
-
-    def s8(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
-    def f4(self) -> float:
-        return struct.unpack(">f", self._take(4))[0]
-
-    def f8(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
+    def u2s(self, count: int) -> List[int]:
+        """``count`` consecutive u2 values."""
+        pos = self.pos
+        stop = pos + 2 * count
+        if stop > self.end:
+            # The first u2 that does not fit.
+            raise _truncated(2, pos + (self.end - pos) // 2 * 2, self.end)
+        self.pos = stop
+        return list(struct.unpack_from(f">{count}H", self.data, pos))
 
     def raw(self, count: int) -> bytes:
-        return self._take(count)
+        pos = self.pos
+        stop = pos + count
+        if stop > self.end:
+            raise _truncated(count, pos, self.end)
+        self.pos = stop
+        return self.data[pos:stop]
 
-
-#: Tag byte → (tag, its coverage site), built once for every pool entry.
-_CP_TAGS = {int(tag): (tag, f"reader.cp.{tag.name.lower()}") for tag in CpTag}
 
 #: The kinds of entry each tag's internal references must name (JVMS §4.4).
 _CP_REFERENCES = {
@@ -176,6 +218,37 @@ _CP_REFERENCES = {
                      CpTag.INTERFACE_METHODREF),
                     (CpTag.CLASS, CpTag.NAME_AND_TYPE)),
 }
+
+#: Each non-Utf8 tag's payload fields.
+_CP_PAYLOADS = {
+    CpTag.INTEGER: ">i", CpTag.FLOAT: ">f", CpTag.LONG: ">q",
+    CpTag.DOUBLE: ">d", CpTag.CLASS: ">H", CpTag.STRING: ">H",
+    CpTag.METHOD_TYPE: ">H", CpTag.FIELDREF: ">HH", CpTag.METHODREF: ">HH",
+    CpTag.INTERFACE_METHODREF: ">HH", CpTag.NAME_AND_TYPE: ">HH",
+    CpTag.INVOKE_DYNAMIC: ">HH", CpTag.METHOD_HANDLE: ">BH",
+}
+
+#: Tag byte → (tag, coverage site, payload layout, whether the payload is
+#: one number rather than a tuple of indices, slots taken, the entry
+#: kinds its references need).  Utf8 has no layout: a length, then text.
+_CP_TAGS = {
+    int(tag): (tag, f"reader.cp.{tag.name.lower()}",
+               _Layout(_CP_PAYLOADS[tag]) if tag in _CP_PAYLOADS else None,
+               tag in (CpTag.INTEGER, CpTag.FLOAT, CpTag.LONG, CpTag.DOUBLE),
+               2 if tag in WIDE_TAGS else 1,
+               _CP_REFERENCES.get(tag))
+    for tag in CpTag
+}
+
+# Reading ``CpTag.CLASS`` off the enum class is a slow attribute lookup
+# in CPython; the per-member checks use these.
+_CLASS = CpTag.CLASS
+_UTF8 = CpTag.UTF8
+
+#: Attribute name → its coverage site; any other name is ``other``.
+_ATTR_SITES = {name: f"reader.attr.{name}"
+               for name in ("Code", "Exceptions", "ConstantValue",
+                            "SourceFile")}
 
 
 class ClassReader:
@@ -195,12 +268,11 @@ class ClassReader:
         cursor = _ByteCursor(data)
         major = minor = None
         try:
-            magic = cursor.u4()
+            (magic,) = cursor.fields(_U4)
             if magic != MAGIC:
                 raise ClassFormatError(
                     f"Incompatible magic value {magic:#010x} in class file")
-            minor = cursor.u2()
-            major = cursor.u2()
+            minor, major = cursor.fields(_VERSION)
             version_error = self.options.version_error(major, minor)
             if version_error is not None:
                 return ParsedClass(major, minor, None, version_error)
@@ -211,25 +283,25 @@ class ClassReader:
 
     def _read_body(self, cursor: _ByteCursor, major: int,
                    minor: int) -> ClassFile:
-        pool = self._read_constant_pool(cursor)
-        access_flags = AccessFlags(cursor.u2())
-        this_class = cursor.u2()
-        super_class = cursor.u2()
+        pool = _read_constant_pool(cursor)
+        flags, this_class, super_class = cursor.fields(_MEMBER_HEADER)
         self._check_class_index(pool, this_class, "this_class", allow_zero=False)
         self._check_class_index(pool, super_class, "super_class", allow_zero=True)
 
-        interfaces = [cursor.u2() for _ in range(cursor.u2())]
+        interfaces = cursor.u2s(cursor.u2())
         for index in interfaces:
             self._check_class_index(pool, index, "interface", allow_zero=False)
 
-        fields = [self._read_field(cursor, pool) for _ in range(cursor.u2())]
-        methods = [self._read_method(cursor, pool) for _ in range(cursor.u2())]
+        fields = [self._read_member(cursor, pool, FieldInfo, "field")
+                  for _ in range(cursor.u2())]
+        methods = [self._read_member(cursor, pool, MethodInfo, "method")
+                   for _ in range(cursor.u2())]
         attributes = self._read_attributes(cursor, pool)
         return ClassFile(
             minor_version=minor,
             major_version=major,
             constant_pool=pool,
-            access_flags=access_flags,
+            access_flags=AccessFlags(flags),
             this_class=this_class,
             super_class=super_class,
             interfaces=interfaces,
@@ -250,73 +322,9 @@ class ClassReader:
             info = pool.entry(index)
         except ConstantPoolError as exc:
             raise ClassFormatError(f"Invalid {what} index: {exc}") from exc
-        if info.tag is not CpTag.CLASS:
+        if info.tag is not _CLASS:
             raise ClassFormatError(
                 f"{what} index {index} is a {info.tag.name}, not a Class")
-
-    def _read_constant_pool(self, cursor: _ByteCursor) -> ConstantPool:
-        count = cursor.u2()
-        if count == 0:
-            raise ClassFormatError("Illegal constant pool count 0")
-        pool = ConstantPool()
-        index = 1
-        while index < count:
-            tag_value = cursor.u1()
-            known = _CP_TAGS.get(tag_value)
-            if known is None:
-                raise ClassFormatError(
-                    f"Unknown constant tag {tag_value} at index {index}")
-            tag, site = known
-            probe(site)
-            info = self._read_cp_entry(cursor, tag)
-            pool.add_at(index, info)
-            index += 2 if info.is_wide else 1
-        pool.set_count(count)
-        self._check_pool_references(pool)
-        return pool
-
-    @staticmethod
-    def _check_pool_references(pool: ConstantPool) -> None:
-        """Every internal reference names an entry of the kind its tag
-        needs, as HotSpot's ``parse_constant_pool`` checks before any
-        entry is used: no later pool access can then dangle."""
-        for index, info in pool:
-            wanted = _CP_REFERENCES.get(info.tag)
-            if wanted is None:
-                continue
-            for target, tag in zip(info.value, wanted):
-                entry = pool.maybe_entry(target)
-                if entry is None or entry.tag is not tag:
-                    raise ClassFormatError(
-                        f"Invalid constant pool index {target} in class "
-                        f"file ({info.tag.name} entry {index} needs "
-                        f"{tag.name})")
-
-    def _read_cp_entry(self, cursor: _ByteCursor, tag: CpTag) -> CpInfo:
-        if tag is CpTag.UTF8:
-            length = cursor.u2()
-            raw = cursor.raw(length)
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ClassFormatError(f"Malformed UTF-8 constant: {exc}") from exc
-            return CpInfo(tag, text)
-        if tag is CpTag.INTEGER:
-            return CpInfo(tag, cursor.s4())
-        if tag is CpTag.FLOAT:
-            return CpInfo(tag, cursor.f4())
-        if tag is CpTag.LONG:
-            return CpInfo(tag, cursor.s8())
-        if tag is CpTag.DOUBLE:
-            return CpInfo(tag, cursor.f8())
-        if tag in (CpTag.CLASS, CpTag.STRING, CpTag.METHOD_TYPE):
-            return CpInfo(tag, (cursor.u2(),))
-        if tag in (CpTag.FIELDREF, CpTag.METHODREF, CpTag.INTERFACE_METHODREF,
-                   CpTag.NAME_AND_TYPE, CpTag.INVOKE_DYNAMIC):
-            return CpInfo(tag, (cursor.u2(), cursor.u2()))
-        if tag is CpTag.METHOD_HANDLE:
-            return CpInfo(tag, (cursor.u1(), cursor.u2()))
-        raise ClassFormatError(f"Unhandled constant tag {tag}")  # pragma: no cover
 
     def _read_member_name(self, pool: ConstantPool, index: int,
                           what: str) -> None:
@@ -324,27 +332,19 @@ class ClassReader:
             info = pool.entry(index)
         except ConstantPoolError as exc:
             raise ClassFormatError(f"Invalid {what} name index: {exc}") from exc
-        if info.tag is not CpTag.UTF8:
+        if info.tag is not _UTF8:
             raise ClassFormatError(
                 f"{what} name index {index} is a {info.tag.name}, not Utf8")
 
-    def _read_field(self, cursor: _ByteCursor, pool: ConstantPool) -> FieldInfo:
-        flags = AccessFlags(cursor.u2())
-        name_index = cursor.u2()
-        descriptor_index = cursor.u2()
-        self._read_member_name(pool, name_index, "field")
-        self._read_member_name(pool, descriptor_index, "field descriptor")
+    def _read_member(self, cursor: _ByteCursor, pool: ConstantPool,
+                     kind, what: str):
+        """One field or method (``kind`` is its info class)."""
+        flags, name_index, descriptor_index = cursor.fields(_MEMBER_HEADER)
+        self._read_member_name(pool, name_index, what)
+        self._read_member_name(pool, descriptor_index, f"{what} descriptor")
         attributes = self._read_attributes(cursor, pool)
-        return FieldInfo(flags, name_index, descriptor_index, attributes)
-
-    def _read_method(self, cursor: _ByteCursor, pool: ConstantPool) -> MethodInfo:
-        flags = AccessFlags(cursor.u2())
-        name_index = cursor.u2()
-        descriptor_index = cursor.u2()
-        self._read_member_name(pool, name_index, "method")
-        self._read_member_name(pool, descriptor_index, "method descriptor")
-        attributes = self._read_attributes(cursor, pool)
-        return MethodInfo(flags, name_index, descriptor_index, attributes)
+        return kind(AccessFlags(flags), name_index, descriptor_index,
+                    attributes)
 
     def _read_attributes(self, cursor: _ByteCursor,
                          pool: ConstantPool) -> List[Attribute]:
@@ -358,36 +358,25 @@ class ClassReader:
             name = pool.get_utf8(name_index)
         except ConstantPoolError as exc:
             raise ClassFormatError(f"Invalid attribute name index: {exc}") from exc
-        length = cursor.u4()
+        (length,) = cursor.fields(_U4)
         body = cursor.raw(length)
-        try:
-            return self._decode_attribute(name, body, pool)
-        except ClassFormatError:
-            raise
-        except Exception as exc:
-            raise ClassFormatError(
-                f"Malformed {name} attribute: {exc}") from exc
+        return self._decode_attribute(name, body, pool)
 
     def _decode_attribute(self, name: str, body: bytes,
                           pool: ConstantPool) -> Attribute:
-        known = ("Code", "Exceptions", "ConstantValue", "SourceFile")
-        probe(f"reader.attr.{name if name in known else 'other'}")
+        probe(_ATTR_SITES.get(name, "reader.attr.other"))
         inner = _ByteCursor(body)
         if name == "Code":
-            max_stack = inner.u2()
-            max_locals = inner.u2()
-            code_length = inner.u4()
+            max_stack, max_locals, code_length = inner.fields(_CODE_HEADER)
             if code_length == 0:
                 raise ClassFormatError("Code attribute with zero-length code")
             code = inner.raw(code_length)
-            table = [
-                ExceptionHandler(inner.u2(), inner.u2(), inner.u2(), inner.u2())
-                for _ in range(inner.u2())
-            ]
+            table = [ExceptionHandler(*inner.fields(_HANDLER))
+                     for _ in range(inner.u2())]
             nested = self._read_attributes(inner, pool)
             return CodeAttribute(max_stack, max_locals, code, table, nested)
         if name == "Exceptions":
-            indices = [inner.u2() for _ in range(inner.u2())]
+            indices = inner.u2s(inner.u2())
             for index in indices:
                 self._check_class_index(pool, index, "exception", allow_zero=False)
             return ExceptionsAttribute(indices)
@@ -402,6 +391,76 @@ class ClassReader:
                     f"SourceFile attribute has length {len(body)}, expected 2")
             return SourceFileAttribute(inner.u2())
         return RawAttribute(name=name, data=body)
+
+
+def _read_constant_pool(cursor: _ByteCursor) -> ConstantPool:
+    """Parse the pool in one loop: per entry, a tag-table lookup, its
+    probe, one bounds check and one ``unpack_from``.  Then check every
+    internal reference (:func:`_check_pool_references`)."""
+    count = cursor.u2()
+    if count == 0:
+        raise ClassFormatError("Illegal constant pool count 0")
+    data, pos, end = cursor.data, cursor.pos, cursor.end
+    tags = _CP_TAGS
+    unpack_u2 = _U2.unpack
+    entries = {}
+    referring = []
+    index = 1
+    while index < count:
+        if pos >= end:
+            raise _truncated(1, pos, end)
+        tag_value = data[pos]
+        known = tags.get(tag_value)
+        if known is None:
+            raise ClassFormatError(
+                f"Unknown constant tag {tag_value} at index {index}")
+        tag, site, layout, scalar, slots, wanted = known
+        probe(site)
+        pos += 1
+        if layout is None:  # Utf8: a u2 length, then the bytes
+            if pos + 2 > end:
+                raise _truncated(2, pos, end)
+            length = unpack_u2(data, pos)[0]
+            pos += 2
+            stop = pos + length
+            if stop > end:
+                raise _truncated(length, pos, end)
+            try:
+                value = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ClassFormatError(
+                    f"Malformed UTF-8 constant: {exc}") from exc
+            pos = stop
+        else:
+            stop = pos + layout.size
+            if stop > end:
+                raise _short_field(layout.sizes, pos, end)
+            value = layout.unpack(data, pos)
+            if scalar:
+                value = value[0]
+            pos = stop
+        info = entries[index] = CpInfo(tag, value)
+        if wanted is not None:
+            referring.append((index, info, wanted))
+        index += slots
+    cursor.pos = pos
+    _check_pool_references(entries, referring)
+    return ConstantPool.parsed(entries, count)
+
+
+def _check_pool_references(entries, referring) -> None:
+    """Every internal reference names an entry of the kind its tag needs,
+    as HotSpot's ``parse_constant_pool`` checks before any entry is
+    used: no later pool access can then dangle.  ``referring`` lists
+    ``(index, entry, wanted tags)`` in index order."""
+    for index, info, wanted in referring:
+        for target, tag in zip(info.value, wanted):
+            entry = entries.get(target)
+            if entry is None or entry.tag is not tag:
+                raise ClassFormatError(
+                    f"Invalid constant pool index {target} in class "
+                    f"file ({info.tag.name} entry {index} needs "
+                    f"{tag.name})")
 
 
 def read_class(data: bytes, options: ReaderOptions | None = None) -> ClassFile:

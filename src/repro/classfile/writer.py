@@ -19,34 +19,64 @@ from repro.classfile.attributes import (
     RawAttribute,
     SourceFileAttribute,
 )
-from repro.classfile.constant_pool import ConstantPool, CpInfo, CpTag
-from repro.classfile.fields import FieldInfo
-from repro.classfile.methods import MethodInfo
+from repro.classfile.constant_pool import ConstantPool, CpTag
 from repro.classfile.model import MAGIC, ClassFile
 
 
+_U2 = struct.Struct(">H")
+_U4 = struct.Struct(">I")
+_HEADER = struct.Struct(">IHH")
+_THREE_U2 = struct.Struct(">HHH")
+_ATTRIBUTE_HEADER = struct.Struct(">HI")
+_CODE_HEADER = struct.Struct(">HHI")
+_HANDLER = struct.Struct(">HHHH")
+
+#: Tag → (its entry's packer, tag byte included, and how the value is
+#: packed).  Utf8's packer writes the tag and length; the bytes follow.
+_TEXT, _INT32, _INT64, _FLOAT, _INDICES = range(5)
+_CP_PACKERS = {
+    CpTag.UTF8: (struct.Struct(">BH").pack, _TEXT),
+    CpTag.INTEGER: (struct.Struct(">Bi").pack, _INT32),
+    CpTag.FLOAT: (struct.Struct(">Bf").pack, _FLOAT),
+    CpTag.LONG: (struct.Struct(">Bq").pack, _INT64),
+    CpTag.DOUBLE: (struct.Struct(">Bd").pack, _FLOAT),
+    **dict.fromkeys((CpTag.CLASS, CpTag.STRING, CpTag.METHOD_TYPE),
+                    (struct.Struct(">BH").pack, _INDICES)),
+    CpTag.METHOD_HANDLE: (struct.Struct(">BBH").pack, _INDICES),
+    **dict.fromkeys((CpTag.FIELDREF, CpTag.METHODREF,
+                     CpTag.INTERFACE_METHODREF, CpTag.NAME_AND_TYPE,
+                     CpTag.INVOKE_DYNAMIC),
+                    (struct.Struct(">BHH").pack, _INDICES)),
+}
+
+
 class ClassWriter:
-    """Serializes a :class:`ClassFile` to classfile bytes."""
+    """Serializes a :class:`ClassFile` to classfile bytes.
+
+    Every section is appended to one buffer; an attribute's length is
+    patched in after its body is written.
+    """
 
     def write(self, classfile: ClassFile) -> bytes:
         """Serialize ``classfile``, returning the binary image."""
         self._intern_attribute_names(classfile)
-        out = bytearray()
-        out += struct.pack(">IHH", MAGIC, classfile.minor_version,
-                           classfile.major_version)
-        out += self._constant_pool(classfile.constant_pool)
-        out += struct.pack(">HHH", int(classfile.access_flags) & 0xFFFF,
-                           classfile.this_class, classfile.super_class)
-        out += struct.pack(">H", len(classfile.interfaces))
+        pool = classfile.constant_pool
+        out = bytearray(_HEADER.pack(MAGIC, classfile.minor_version,
+                                     classfile.major_version))
+        self._constant_pool(pool, out)
+        out += _THREE_U2.pack(int(classfile.access_flags) & 0xFFFF,
+                                classfile.this_class, classfile.super_class)
+        out += _U2.pack(len(classfile.interfaces))
         for index in classfile.interfaces:
-            out += struct.pack(">H", index)
-        out += struct.pack(">H", len(classfile.fields))
-        for field_info in classfile.fields:
-            out += self._member(field_info, classfile.constant_pool)
-        out += struct.pack(">H", len(classfile.methods))
-        for method in classfile.methods:
-            out += self._member(method, classfile.constant_pool)
-        out += self._attributes(classfile.attributes, classfile.constant_pool)
+            out += _U2.pack(index)
+        for members in (classfile.fields, classfile.methods):
+            out += _U2.pack(len(members))
+            for member in members:
+                out += _THREE_U2.pack(
+                    int(member.access_flags) & 0xFFFF, member.name_index,
+                    member.descriptor_index)
+                self._attributes(member.attributes, pool, out)
+        self._attributes(classfile.attributes, pool, out)
         return bytes(out)
 
     # -- sections ---------------------------------------------------------------
@@ -69,77 +99,60 @@ class ClassWriter:
         for member in (*classfile.fields, *classfile.methods):
             visit(member.attributes)
 
-    def _constant_pool(self, pool: ConstantPool) -> bytes:
-        out = bytearray(struct.pack(">H", len(pool) + 1))
+    @staticmethod
+    def _constant_pool(pool: ConstantPool, out: bytearray) -> None:
+        """Append the pool count and every entry, one ``pack`` each."""
+        out += _U2.pack(len(pool) + 1)
+        packers = _CP_PACKERS
         for _, info in pool:
-            out += self._cp_entry(info)
-        return bytes(out)
+            tag = info.tag
+            value = info.value
+            pack, kind = packers[tag]
+            if kind == _INDICES:
+                out += pack(tag, *value)
+            elif kind == _TEXT:
+                raw = str(value).encode("utf-8")
+                out += pack(tag, len(raw))
+                out += raw
+            elif kind == _FLOAT:
+                out += pack(tag, float(value))
+            elif kind == _INT32:
+                out += pack(tag, _clamp_s32(int(value)))
+            else:
+                out += pack(tag, _clamp_s64(int(value)))
 
-    def _cp_entry(self, info: CpInfo) -> bytes:
-        tag = info.tag
-        out = bytearray([int(tag)])
-        if tag is CpTag.UTF8:
-            raw = str(info.value).encode("utf-8")
-            out += struct.pack(">H", len(raw)) + raw
-        elif tag is CpTag.INTEGER:
-            out += struct.pack(">i", _clamp_s32(int(info.value)))
-        elif tag is CpTag.FLOAT:
-            out += struct.pack(">f", float(info.value))
-        elif tag is CpTag.LONG:
-            out += struct.pack(">q", _clamp_s64(int(info.value)))
-        elif tag is CpTag.DOUBLE:
-            out += struct.pack(">d", float(info.value))
-        elif tag in (CpTag.CLASS, CpTag.STRING, CpTag.METHOD_TYPE):
-            (index,) = info.value  # type: ignore[misc]
-            out += struct.pack(">H", index)
-        elif tag is CpTag.METHOD_HANDLE:
-            kind, index = info.value  # type: ignore[misc]
-            out += struct.pack(">BH", kind, index)
-        else:  # two-u2 payloads
-            first, second = info.value  # type: ignore[misc]
-            out += struct.pack(">HH", first, second)
-        return bytes(out)
-
-    def _member(self, member: FieldInfo | MethodInfo,
-                pool: ConstantPool) -> bytes:
-        out = bytearray(struct.pack(
-            ">HHH", int(member.access_flags) & 0xFFFF,
-            member.name_index, member.descriptor_index))
-        out += self._attributes(member.attributes, pool)
-        return bytes(out)
-
-    def _attributes(self, attributes: List[Attribute],
-                    pool: ConstantPool) -> bytes:
-        out = bytearray(struct.pack(">H", len(attributes)))
+    def _attributes(self, attributes: List[Attribute], pool: ConstantPool,
+                    out: bytearray) -> None:
+        out += _U2.pack(len(attributes))
         for attr in attributes:
-            body = self._attribute_body(attr, pool)
-            out += struct.pack(">HI", pool.utf8(attr.name), len(body))
-            out += body
-        return bytes(out)
+            start = len(out)
+            out += _ATTRIBUTE_HEADER.pack(pool.utf8(attr.name), 0)
+            self._attribute_body(attr, pool, out)
+            _U4.pack_into(out, start + 2, len(out) - start - 6)
 
-    def _attribute_body(self, attr: Attribute, pool: ConstantPool) -> bytes:
+    def _attribute_body(self, attr: Attribute, pool: ConstantPool,
+                        out: bytearray) -> None:
         if isinstance(attr, CodeAttribute):
-            out = bytearray(struct.pack(
-                ">HHI", attr.max_stack, attr.max_locals, len(attr.code)))
+            out += _CODE_HEADER.pack(attr.max_stack, attr.max_locals,
+                                     len(attr.code))
             out += attr.code
-            out += struct.pack(">H", len(attr.exception_table))
+            out += _U2.pack(len(attr.exception_table))
             for handler in attr.exception_table:
-                out += struct.pack(">HHHH", handler.start_pc, handler.end_pc,
-                                   handler.handler_pc, handler.catch_type)
-            out += self._attributes(attr.attributes, pool)
-            return bytes(out)
-        if isinstance(attr, ExceptionsAttribute):
-            out = bytearray(struct.pack(">H", len(attr.exception_indices)))
+                out += _HANDLER.pack(handler.start_pc, handler.end_pc,
+                                     handler.handler_pc, handler.catch_type)
+            self._attributes(attr.attributes, pool, out)
+        elif isinstance(attr, ExceptionsAttribute):
+            out += _U2.pack(len(attr.exception_indices))
             for index in attr.exception_indices:
-                out += struct.pack(">H", index)
-            return bytes(out)
-        if isinstance(attr, ConstantValueAttribute):
-            return struct.pack(">H", attr.constant_index)
-        if isinstance(attr, SourceFileAttribute):
-            return struct.pack(">H", attr.sourcefile_index)
-        if isinstance(attr, RawAttribute):
-            return attr.data
-        raise TypeError(f"unserializable attribute {type(attr).__name__}")
+                out += _U2.pack(index)
+        elif isinstance(attr, ConstantValueAttribute):
+            out += _U2.pack(attr.constant_index)
+        elif isinstance(attr, SourceFileAttribute):
+            out += _U2.pack(attr.sourcefile_index)
+        elif isinstance(attr, RawAttribute):
+            out += attr.data
+        else:
+            raise TypeError(f"unserializable attribute {type(attr).__name__}")
 
 
 def _clamp_s32(value: int) -> int:

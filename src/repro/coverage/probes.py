@@ -10,21 +10,26 @@ Probes are zero-cost when no collector is active, so the four non-reference
 JVMs run uninstrumented — matching the paper, where only the reference
 HotSpot 9 build was compiled with ``--enable-native-coverage``.
 
-One module-global slot holds the active collector.  Every JVM run
-happens in a process's main thread (the serial engine) or in a worker
-process of its own, so at most one collector is ever in scope per
-process, and a probe without one costs a single global test.
+Module globals hold the active collector and its two count dicts, which
+the probes update in place.  Every JVM run happens in a process's main
+thread (the serial engine) or in a worker process of its own, so at most
+one collector is ever in scope per process, and a probe without one
+costs a single global test.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.coverage.tracefile import Tracefile
 
 #: The collector in scope in this process, if any.
 _ACTIVE: Optional["CoverageCollector"] = None
+
+#: The active collector's count dicts, which the probes write directly:
+#: a hit is one Python frame.  ``None`` when no collector is in scope.
+_STATEMENTS: Optional[Dict[str, int]] = None
+_BRANCHES: Optional[Dict[Tuple[str, bool], int]] = None
 
 
 class CoverageCollector:
@@ -36,33 +41,31 @@ class CoverageCollector:
         with collector:
             jvm.run(classfile_bytes)
         trace = collector.tracefile()
+
+    Its counts are plain dicts in first-hit order, so the tracefile's
+    sites (and the ids the interner gives them) come in the order the
+    run first reached them.
     """
 
     def __init__(self) -> None:
-        self._statements: Counter = Counter()
-        self._branches: Counter = Counter()
-
-    # -- recording -------------------------------------------------------------
-
-    def hit_statement(self, site: str) -> None:
-        self._statements[site] += 1
-
-    def hit_branch(self, site: str, taken: bool) -> None:
-        self._branches[(site, taken)] += 1
+        self._statements: Dict[str, int] = {}
+        self._branches: Dict[Tuple[str, bool], int] = {}
 
     # -- context management ------------------------------------------------------
 
     def __enter__(self) -> "CoverageCollector":
-        global _ACTIVE
+        global _ACTIVE, _STATEMENTS, _BRANCHES
         if _ACTIVE is not None:
             raise RuntimeError("a CoverageCollector is already active "
                                "in this process")
         _ACTIVE = self
+        _STATEMENTS = self._statements
+        _BRANCHES = self._branches
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _ACTIVE
-        _ACTIVE = None
+        global _ACTIVE, _STATEMENTS, _BRANCHES
+        _ACTIVE = _STATEMENTS = _BRANCHES = None
 
     # -- results --------------------------------------------------------------------
 
@@ -79,8 +82,9 @@ def active_collector() -> Optional[CoverageCollector]:
 
 def probe(site: str) -> None:
     """Record a statement hit at ``site`` (no-op without a collector)."""
-    if _ACTIVE is not None:
-        _ACTIVE.hit_statement(site)
+    statements = _STATEMENTS
+    if statements is not None:
+        statements[site] = statements.get(site, 0) + 1
 
 
 def branch(site: str, taken: bool) -> bool:
@@ -91,6 +95,8 @@ def branch(site: str, taken: bool) -> bool:
         if branch("linker.super_is_final", super_cls.is_final):
             raise VerifyError(...)
     """
-    if _ACTIVE is not None:
-        _ACTIVE.hit_branch(site, bool(taken))
+    branches = _BRANCHES
+    if branches is not None:
+        key = (site, True if taken else False)
+        branches[key] = branches.get(key, 0) + 1
     return taken

@@ -18,6 +18,16 @@ from repro.classfile.descriptors import (
 #: Java primitive name → descriptor char.
 PRIMITIVE_DESCRIPTORS = {name: char for char, name in BASE_TYPES.items()}
 
+#: Type name → load/store/return category; every other name is ``a``.
+_CATEGORIES = {"int": "i", "boolean": "i", "byte": "i", "char": "i",
+               "short": "i", "long": "l", "float": "f", "double": "d"}
+
+#: Type name → local-variable slots; every other name takes one.
+_SLOTS = {"long": 2, "double": 2, "void": 0}
+
+#: The names that are not reference types: the primitives and void.
+_NON_REFERENCE = frozenset(PRIMITIVE_DESCRIPTORS) | {"void"}
+
 
 @dataclass(frozen=True)
 class JType:
@@ -56,18 +66,16 @@ class JType:
 
     @property
     def is_primitive(self) -> bool:
-        return not self.is_array and self.name in PRIMITIVE_DESCRIPTORS
+        return self.name in PRIMITIVE_DESCRIPTORS
 
     @property
     def is_reference(self) -> bool:
-        return not self.is_void and not self.is_primitive
+        return self.name not in _NON_REFERENCE
 
     @property
     def slots(self) -> int:
         """Local-variable slots this type occupies (2 for long/double)."""
-        if self.name in ("long", "double"):
-            return 2
-        return 0 if self.is_void else 1
+        return _SLOTS.get(self.name, 1)
 
     @property
     def internal_name(self) -> str:
@@ -82,11 +90,7 @@ class JType:
     #: ``i``, ``l``, ``f``, ``d``, ``a``.
     @property
     def category(self) -> str:
-        if self.is_array or self.is_reference:
-            return "a"
-        return {"int": "i", "boolean": "i", "byte": "i", "char": "i",
-                "short": "i", "long": "l", "float": "f",
-                "double": "d"}.get(self.name, "a")
+        return _CATEGORIES.get(self.name, "a")
 
     def __str__(self) -> str:
         return self.name

@@ -272,7 +272,7 @@ class Interpreter:
               locals_: Dict[int, object], depth: int):
         op = instruction.op
         info = OPCODES[op]
-        probe(f"interp.op.{info.mnemonic}")
+        probe(_OP_SITES[op])
         operands = instruction.operands
 
         # Constants, local loads and stores, and returns: their family,
@@ -1037,6 +1037,9 @@ def _hashable(value: object) -> object:
         return value
     return id(value)
 
+
+#: Opcode → its ``interp.op.*`` coverage site, built once.
+_OP_SITES = {op: f"interp.op.{info.mnemonic}" for op, info in OPCODES.items()}
 
 #: The conditions of ifeq..ifle (an int against zero) and of
 #: if_icmpeq..if_icmple (two ints), in opcode order: eq ne lt ge gt le.

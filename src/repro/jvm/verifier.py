@@ -101,6 +101,9 @@ def _vtype_of_field_descriptor(descriptor: str) -> VType:
     return VType("a", ftype.name)
 
 
+#: Opcode → its ``verifier.op.*`` coverage site, built once.
+_OP_SITES = {op: f"verifier.op.{info.mnemonic}" for op, info in OPCODES.items()}
+
 #: The opcodes whose transfer is more than a fixed stack effect (or whose
 #: effect is not fixed), each with its ``MethodVerifier`` handler.  A
 #: handler takes ``(instruction, stack, locals_)`` and updates the stack
@@ -462,7 +465,7 @@ class MethodVerifier:
         """
         op = instruction.op
         info = OPCODES[op]
-        probe(f"verifier.op.{info.mnemonic}")
+        probe(_OP_SITES[op])
         handler = _HANDLERS.get(op)
         if handler is not None:
             handler(self, instruction, stack, locals_)

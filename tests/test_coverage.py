@@ -50,6 +50,54 @@ class TestCollector:
         assert result.br == 2
         assert result.statements["a"] == 2
 
+    def test_counts_keep_first_hit_order(self):
+        collector = CoverageCollector()
+        with collector:
+            for site in ("b", "a", "b", "c", "a", "b"):
+                probe(site)
+            assert branch("y", 0) == 0
+            assert branch("x", "yes") == "yes"
+            branch("y", False)
+            branch("x", True)
+            branch("y", 1)
+        result = collector.tracefile()
+        assert list(result.statements.items()) == [("b", 3), ("a", 2),
+                                                   ("c", 1)]
+        assert list(result.branches.items()) == [
+            (("y", False), 2), (("x", True), 2), (("y", True), 1)]
+
+    def test_hits_outside_the_collector_are_dropped(self):
+        first = CoverageCollector()
+        with first:
+            probe("in")
+        probe("out")
+        branch("out", True)
+        second = CoverageCollector()
+        with second:
+            probe("again")
+        assert first.tracefile().statements == {"in": 1}
+        assert second.tracefile().statements == {"again": 1}
+        assert second.tracefile().branches == {}
+
+    def test_probes_write_the_collector_dicts(self):
+        from repro.coverage import probes
+
+        assert not hasattr(CoverageCollector, "hit_statement")
+        assert not hasattr(CoverageCollector, "hit_branch")
+        collector = CoverageCollector()
+        with collector:
+            assert probes._STATEMENTS is collector._statements
+            assert probes._BRANCHES is collector._branches
+        assert probes._STATEMENTS is None and probes._BRANCHES is None
+
+    def test_opcode_sites_built_once_per_opcode(self):
+        from repro.bytecode.opcodes import OPCODES
+        from repro.jvm import interpreter, verifier
+
+        for op, info in OPCODES.items():
+            assert verifier._OP_SITES[op] == f"verifier.op.{info.mnemonic}"
+            assert interpreter._OP_SITES[op] == f"interp.op.{info.mnemonic}"
+
     def test_nested_collectors_rejected(self):
         with CoverageCollector():
             with pytest.raises(RuntimeError):

@@ -102,3 +102,23 @@ class TestMethodDescriptors:
 
 def test_object_descriptor_helper():
     assert object_descriptor("java/lang/Object") == "Ljava/lang/Object;"
+
+
+class TestMethodDescriptorMemo:
+    def test_successful_parses_are_shared(self):
+        descriptor = "(JLjava/lang/String;[[D)Ljava/lang/Object;"
+        first = parse_method_descriptor(descriptor)
+        assert parse_method_descriptor(descriptor) is first
+        assert first.parameter_slots == 4
+
+    def test_errors_raise_every_time_and_are_never_cached(self):
+        parse_method_descriptor.cache_clear()
+        for _ in range(3):
+            with pytest.raises(DescriptorError,
+                               match=r"missing return type in '\(I\)'"):
+                parse_method_descriptor("(I)")
+        info = parse_method_descriptor.cache_info()
+        assert info.hits == 0 and info.currsize == 0
+
+    def test_memo_is_bounded(self):
+        assert parse_method_descriptor.cache_info().maxsize == 4096

@@ -5,6 +5,7 @@ import pytest
 from repro.classfile.descriptors import DescriptorError
 from repro.jimple.types import (
     INT,
+    PRIMITIVE_DESCRIPTORS,
     JType,
     STRING,
     VOID,
@@ -85,3 +86,35 @@ class TestConversions:
     def test_jtype_descriptor_method(self):
         assert JType("java.util.Map").descriptor() == "Ljava/util/Map;"
         assert JType("short[]").descriptor() == "[S"
+
+
+class TestDerivedPropertiesAreTableLookups:
+    """``category``, ``slots``, ``is_reference`` and ``is_primitive``
+    agree with their definitions on every kind of name."""
+
+    NAMES = ["int", "boolean", "byte", "char", "short", "long", "float",
+             "double", "void", "java.lang.String", "int[]", "long[]",
+             "double[][]", "void[]", "Demo", "", "[]"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_definition(self, name):
+        jtype = JType(name)
+        is_array = name.endswith("[]")
+        is_primitive = not is_array and name in PRIMITIVE_DESCRIPTORS
+        is_reference = name != "void" and not is_primitive
+        assert jtype.is_primitive == is_primitive
+        assert jtype.is_reference == is_reference
+        assert jtype.slots == (2 if name in ("long", "double")
+                               else 0 if name == "void" else 1)
+        assert jtype.category == (
+            "a" if is_array or is_reference
+            else {"int": "i", "boolean": "i", "byte": "i", "char": "i",
+                  "short": "i", "long": "l", "float": "f",
+                  "double": "d"}.get(name, "a"))
+
+    def test_no_new_field(self):
+        import dataclasses
+        import pickle
+
+        assert [f.name for f in dataclasses.fields(JType)] == ["name"]
+        assert pickle.loads(pickle.dumps(JType("long"))).slots == 2

@@ -11,7 +11,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.classfile.constant_pool import CpInfo, CpTag
-from repro.classfile.reader import ReaderOptions, read_class
+from repro.classfile.reader import ReaderOptions, parse_class, read_class
 from repro.classfile.writer import write_class
 from repro.core.mutators import MUTATORS
 from repro.corpus import CorpusConfig, generate_corpus
@@ -100,6 +100,42 @@ def test_jvms_never_crash_on_dangling_pool_references(seed_index, which,
     data = write_class(classfile)
     for jvm in _JVMS:
         outcome = jvm.run(data)
+        assert outcome.phase in Phase
+        if not outcome.ok:
+            assert outcome.error
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=len(_SEEDS) - 1),
+       st.integers(min_value=0, max_value=len(MUTATORS) - 1),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2 ** 16),
+                          st.integers(min_value=1, max_value=255)),
+                max_size=3),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)))
+def test_damaged_mutants_never_raise(seed_index, mutator_index, rng_seed,
+                                     flips, cut):
+    """A mutant with bytes flipped or cut short is a verdict, never an
+    exception: ``parse_class`` returns its format error, and no vendor
+    run raises.  Every short read is a ``ClassFormatError`` on its own,
+    so the reader needs no catch-all around attributes."""
+    rng = random.Random(rng_seed)
+    mutant = _SEEDS[seed_index].clone()
+    try:
+        MUTATORS[mutator_index](mutant, rng)
+        data = bytearray(compile_class_bytes(mutant))
+    except Exception:
+        return
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    damaged = bytes(data)
+    parsed = parse_class(damaged)
+    assert (parsed.classfile is None) != (parsed.error is None)
+    for jvm in _JVMS:
+        outcome = jvm.run(damaged)
         assert outcome.phase in Phase
         if not outcome.ok:
             assert outcome.error

@@ -1,13 +1,30 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+import dataclasses
+import random
+import struct
 
-from repro.classfile.constant_pool import ConstantPool
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.classfile.access_flags import AccessFlags
+from repro.classfile.attributes import (
+    CodeAttribute,
+    ConstantValueAttribute,
+    ExceptionHandler,
+    ExceptionsAttribute,
+    RawAttribute,
+    SourceFileAttribute,
+)
+from repro.classfile.constant_pool import ConstantPool, CpInfo, CpTag
 from repro.classfile.descriptors import (
     parse_field_descriptor,
     parse_method_descriptor,
 )
-from repro.classfile.writer import _clamp_s32, _clamp_s64
+from repro.classfile.fields import FieldInfo
+from repro.classfile.methods import MethodInfo
+from repro.classfile.model import ClassFile
+from repro.classfile.reader import ReaderOptions, read_class
+from repro.classfile.writer import _clamp_s32, _clamp_s64, write_class
 from repro.coverage.tracefile import Tracefile, merge
 from repro.coverage.uniqueness import StBrUniqueness, StUniqueness, TrUniqueness
 
@@ -298,3 +315,142 @@ def test_acceptance_probability_bounds(count, p):
     down = selector.acceptance_probability(first, last)
     assert up == 1.0
     assert 0.0 < down <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Classfile round trips: read(write(cf)) == cf and write(read(b)) == b
+# ---------------------------------------------------------------------------
+
+_ANY_VERSION = ReaderOptions(max_supported_major=0xFFFF, min_supported_major=0)
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_u2 = st.integers(min_value=0, max_value=0xFFFF)
+_name = st.from_regex(r"[A-Za-z][A-Za-z0-9_/]{0,10}", fullmatch=True)
+
+
+@st.composite
+def _classfiles(draw):
+    """A class whose pool mixes every tag the writer emits, with members
+    and every attribute kind; every reference the reader checks is
+    valid, and every attribute name is already interned."""
+    pool = ConstantPool()
+    this_class = pool.class_ref(draw(_name))
+    super_class = draw(st.one_of(st.just(0), _name.map(pool.class_ref)))
+    interfaces = draw(st.lists(_name.map(pool.class_ref), max_size=3))
+    for kind in draw(st.lists(st.integers(min_value=0, max_value=9),
+                              max_size=16)):
+        if kind == 0:
+            pool.utf8(draw(_text))
+        elif kind == 1:
+            pool.integer(draw(st.integers(-2 ** 31, 2 ** 31 - 1)))
+        elif kind == 2:
+            pool.float_(draw(st.floats(width=32, allow_nan=False)))
+        elif kind == 3:
+            pool.long(draw(st.integers(-2 ** 63, 2 ** 63 - 1)))
+        elif kind == 4:
+            pool.double(draw(st.floats(allow_nan=False)))
+        elif kind == 5:
+            pool.string(draw(_text))
+        elif kind == 6:
+            pool.method_ref(draw(_name), draw(_name), "()V")
+        elif kind == 7:
+            pool.interface_method_ref(draw(_name), draw(_name), "(I)J")
+        elif kind == 8:
+            pool.add(CpInfo(CpTag.METHOD_HANDLE,
+                            (draw(st.integers(1, 9)), draw(_u2))))
+            pool.add(CpInfo(CpTag.METHOD_TYPE, (pool.utf8("()V"),)))
+        else:
+            pool.add(CpInfo(CpTag.INVOKE_DYNAMIC,
+                            (draw(_u2), pool.name_and_type("x", "()V"))))
+
+    def attributes(in_code=False):
+        chosen = []
+        for kind in draw(st.lists(st.integers(0, 4), max_size=3)):
+            if kind == 0 and not in_code:
+                chosen.append(CodeAttribute(
+                    draw(_u2), draw(_u2), draw(st.binary(min_size=1,
+                                                         max_size=24)),
+                    [ExceptionHandler(*draw(st.tuples(_u2, _u2, _u2, _u2)))
+                     for _ in range(draw(st.integers(0, 2)))],
+                    attributes(in_code=True)))
+            elif kind == 1:
+                chosen.append(ExceptionsAttribute(
+                    draw(st.lists(_name.map(pool.class_ref), max_size=2))))
+            elif kind == 2:
+                chosen.append(ConstantValueAttribute(draw(_u2)))
+            elif kind == 3:
+                chosen.append(SourceFileAttribute(draw(_u2)))
+            else:
+                chosen.append(RawAttribute(
+                    draw(st.sampled_from(["LineNumberTable", "Custom",
+                                          "Deprecated"])),
+                    draw(st.binary(max_size=12))))
+        for attr in chosen:
+            pool.utf8(attr.name)
+        return chosen
+
+    def members(kind):
+        return [kind(AccessFlags(draw(_u2)), pool.utf8(draw(_name)),
+                     pool.utf8(draw(st.sampled_from(["I", "()V", "[J"]))),
+                     attributes())
+                for _ in range(draw(st.integers(0, 3)))]
+
+    fields = members(FieldInfo)
+    methods = members(MethodInfo)
+    return ClassFile(minor_version=draw(_u2), major_version=draw(_u2),
+                     constant_pool=pool,
+                     access_flags=AccessFlags(draw(_u2)),
+                     this_class=this_class, super_class=super_class,
+                     interfaces=interfaces, fields=fields, methods=methods,
+                     attributes=attributes())
+
+
+def _pool_state(pool):
+    """A pool's slot count and entries, floats by bit pattern."""
+    return len(pool), [
+        (index, info.tag,
+         struct.pack(">d", info.value) if isinstance(info.value, float)
+         else info.value)
+        for index, info in pool]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_classfiles())
+def test_read_of_write_is_the_class(classfile):
+    before = _pool_state(classfile.constant_pool)
+    restored = read_class(write_class(classfile), _ANY_VERSION)
+    assert _pool_state(classfile.constant_pool) == before
+    assert _pool_state(restored.constant_pool) == before
+    assert dataclasses.replace(restored, constant_pool=None) == \
+        dataclasses.replace(classfile, constant_pool=None)
+
+
+def _mutant_seeds():
+    from repro.corpus import CorpusConfig, generate_corpus
+
+    return generate_corpus(CorpusConfig(count=16, seed=7))
+
+
+_MUTANT_SEEDS = _mutant_seeds()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=len(_MUTANT_SEEDS) - 1),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
+                max_size=4),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_write_of_read_is_the_bytes(seed_index, chain, rng_seed):
+    """Mutant bytes, read and written again, are the same bytes."""
+    from repro.core.mutators import MUTATORS
+    from repro.jimple.to_classfile import compile_class_bytes
+
+    rng = random.Random(rng_seed)
+    mutant = _MUTANT_SEEDS[seed_index].clone()
+    try:
+        for pick in chain:
+            MUTATORS[pick % len(MUTATORS)](mutant, rng)
+        data = compile_class_bytes(mutant)
+    except Exception:
+        return  # a failed iteration, which the fuzzers count
+    assert write_class(read_class(data, _ANY_VERSION)) == data
