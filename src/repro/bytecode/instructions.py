@@ -1,18 +1,24 @@
 """Generic bytecode codec: ``bytes`` ↔ ``[Instruction]``.
 
+Each opcode gets one layout at import, built from its operand kinds
+(:data:`~repro.bytecode.opcodes.OPERAND_FIELDS`), so a fixed-layout
+instruction is decoded, sized and encoded with one table lookup and one
+``unpack_from`` or ``pack``; only ``tableswitch``/``lookupswitch`` keep
+code of their own.
+
 Decoding is bounds-checked and raises :class:`InstructionError` on
 truncated or unknown opcodes — the simulated verifier converts that into a
-``VerifyError``/``ClassFormatError`` according to vendor policy.
+``VerifyError``/``ClassFormatError`` according to vendor policy.  Encoding
+raises it for an operand that does not fit its field.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.bytecode import opcodes as ops
-from repro.bytecode.opcodes import OPCODES, Op, OpcodeInfo
+from repro.bytecode.opcodes import OPCODES, OPERAND_FIELDS, Op, OpcodeInfo
 
 
 class InstructionError(ValueError):
@@ -66,6 +72,31 @@ class Instruction:
         return f"{self.offset}: {self.mnemonic} {extra}".rstrip()
 
 
+def _layout(info: OpcodeInfo) -> tuple:
+    """``(op, fixed, names, branch, wide)`` for one opcode: the ``Struct``
+    of its fixed operand bytes (``None`` for the variable-length switches
+    and the ``wide`` prefix), the operand names it fills in order, whether
+    the one operand is a relative branch ``target``, and the ``Struct`` of
+    its ``wide`` form, if any."""
+    parts = [OPERAND_FIELDS.get(kind) for kind in info.operands]
+    if None in parts:
+        return info.op, None, (), False, None
+    fixed = struct.Struct(">" + "".join(part.codes for part in parts))
+    names = tuple(name for part in parts for name in part.names)
+    wide = parts[0].wide if parts else None
+    return (info.op, fixed, names, names == ("target",),
+            wide and struct.Struct(">" + wide))
+
+
+#: Opcode byte → its layout, ``None`` for an unknown opcode.
+_LAYOUTS: List[Optional[tuple]] = [
+    _layout(OPCODES[code]) if code in OPCODES else None for code in range(256)]
+
+#: Operands an encoder may leave out: invokeinterface's and
+#: invokedynamic's trailing bytes.
+_DEFAULTS = {"count": 1, "zero": 0}
+
+
 def decode_code(code: bytes) -> List[Instruction]:
     """Decode a full ``Code`` array into instructions.
 
@@ -73,11 +104,28 @@ def decode_code(code: bytes) -> List[Instruction]:
         InstructionError: on unknown opcodes or truncated operands.
     """
     instructions: List[Instruction] = []
+    append = instructions.append
     pos = 0
     length = len(code)
     while pos < length:
-        instruction, pos = _decode_one(code, pos)
-        instructions.append(instruction)
+        layout = _LAYOUTS[code[pos]]
+        if layout is None:
+            raise InstructionError(
+                f"unknown opcode {code[pos]:#04x} at offset {pos}")
+        op, fixed, names, branch, _ = layout
+        if fixed is None:
+            instruction, pos = _decode_variable(code, pos, op)
+        else:
+            stop = pos + 1 + fixed.size
+            if stop > length:
+                raise _truncated(op, pos + 1, length)
+            operands = dict(zip(names, fixed.unpack_from(code, pos + 1))) \
+                if names else {}
+            if branch:
+                operands["target"] += pos
+            instruction = Instruction(pos, op, operands)
+            pos = stop
+        append(instruction)
     return instructions
 
 
@@ -87,90 +135,44 @@ def _need(code: bytes, pos: int, count: int) -> None:
             f"truncated instruction at offset {pos} (need {count} bytes)")
 
 
-def _decode_one(code: bytes, pos: int) -> Tuple[Instruction, int]:
-    start = pos
-    opcode = code[pos]
-    pos += 1
-    info = OPCODES.get(opcode)
-    if info is None:
-        raise InstructionError(f"unknown opcode {opcode:#04x} at offset {start}")
-    operands: Dict[str, object] = {}
-    for kind in info.operands:
-        if kind == ops.S1:
-            _need(code, pos, 1)
-            operands["value"] = struct.unpack_from(">b", code, pos)[0]
-            pos += 1
-        elif kind == ops.S2:
-            _need(code, pos, 2)
-            operands["value"] = struct.unpack_from(">h", code, pos)[0]
-            pos += 2
-        elif kind == ops.U1:
-            _need(code, pos, 1)
-            operands["value"] = code[pos]
-            pos += 1
-        elif kind == ops.ATYPE:
-            _need(code, pos, 1)
-            operands["value"] = code[pos]
-            pos += 1
-        elif kind in (ops.U2, ops.CP2):
-            _need(code, pos, 2)
-            operands["index"] = struct.unpack_from(">H", code, pos)[0]
-            pos += 2
-        elif kind in (ops.LOCAL1, ops.CP1):
-            _need(code, pos, 1)
-            operands["index"] = code[pos]
-            pos += 1
-        elif kind == ops.BRANCH2:
-            _need(code, pos, 2)
-            rel = struct.unpack_from(">h", code, pos)[0]
-            operands["target"] = start + rel
-            pos += 2
-        elif kind == ops.BRANCH4:
-            _need(code, pos, 4)
-            rel = struct.unpack_from(">i", code, pos)[0]
-            operands["target"] = start + rel
-            pos += 4
-        elif kind == ops.IINC:
-            _need(code, pos, 2)
-            operands["index"] = code[pos]
-            operands["const"] = struct.unpack_from(">b", code, pos + 1)[0]
-            pos += 2
-        elif kind == ops.INVOKEINTERFACE:
-            _need(code, pos, 2)
-            operands["count"] = code[pos]
-            operands["zero"] = code[pos + 1]
-            pos += 2
-        elif kind == ops.INVOKEDYNAMIC:
-            _need(code, pos, 2)
-            operands["zero"] = struct.unpack_from(">H", code, pos)[0]
-            pos += 2
-        elif kind == ops.MULTIANEWARRAY:
-            _need(code, pos, 3)
-            operands["index"] = struct.unpack_from(">H", code, pos)[0]
-            operands["dimensions"] = code[pos + 2]
-            pos += 3
-        elif kind == ops.SWITCH:
-            pos = _decode_switch(code, start, pos, info.op, operands)
-        elif kind == ops.WIDE:
-            return _decode_wide(code, start, pos)
-        else:  # pragma: no cover - table is closed
-            raise InstructionError(f"unhandled operand kind {kind}")
-    return Instruction(start, info.op, operands), pos
+def _truncated(op: Op, pos: int, length: int) -> InstructionError:
+    """The error a kind-by-kind read of ``op``'s operands at ``pos`` meets:
+    the first operand that runs past ``length`` is the one reported."""
+    for kind in OPCODES[op].operands:
+        size = struct.calcsize(">" + OPERAND_FIELDS[kind].codes)
+        if pos + size > length:
+            break
+        pos += size
+    return InstructionError(
+        f"truncated instruction at offset {pos} (need {size} bytes)")
 
 
-def _decode_switch(code: bytes, start: int, pos: int, op: Op,
-                   operands: Dict[str, object]) -> int:
+def _decode_variable(code: bytes, start: int,
+                     op: Op) -> Tuple[Instruction, int]:
+    """Decode a switch or a ``wide``-prefixed instruction at ``start``."""
+    pos = start + 1
+    if op is Op.WIDE_PREFIX:
+        _need(code, pos, 1)
+        modified = _LAYOUTS[code[pos]]
+        if modified is None or modified[4] is None:
+            raise InstructionError(
+                f"wide prefix modifies unsupported opcode {code[pos]:#04x} "
+                f"at {start}")
+        op, _, names, _, wide = modified
+        _need(code, pos + 1, wide.size)
+        operands = dict(zip(names, wide.unpack_from(code, pos + 1)))
+        operands["wide"] = True
+        return Instruction(start, op, operands), pos + 1 + wide.size
     # Padding to 4-byte alignment relative to method start.
     pad = (4 - ((start + 1) % 4)) % 4
     _need(code, pos, pad)
     pos += pad
     _need(code, pos, 4)
-    operands["default"] = start + struct.unpack_from(">i", code, pos)[0]
+    default = start + struct.unpack_from(">i", code, pos)[0]
     pos += 4
     if op is Op.TABLESWITCH:
         _need(code, pos, 8)
-        low = struct.unpack_from(">i", code, pos)[0]
-        high = struct.unpack_from(">i", code, pos + 4)[0]
+        low, high = struct.unpack_from(">ii", code, pos)
         pos += 8
         if high < low:
             raise InstructionError(
@@ -180,58 +182,24 @@ def _decode_switch(code: bytes, start: int, pos: int, op: Op,
             raise InstructionError(
                 f"tableswitch at {start} has implausible span {count}")
         _need(code, pos, 4 * count)
-        targets = [start + struct.unpack_from(">i", code, pos + 4 * i)[0]
-                   for i in range(count)]
-        pos += 4 * count
-        operands["low"] = low
-        operands["high"] = high
-        operands["targets"] = targets
-    else:  # lookupswitch
-        _need(code, pos, 4)
-        npairs = struct.unpack_from(">i", code, pos)[0]
-        pos += 4
-        if npairs < 0:
-            raise InstructionError(
-                f"lookupswitch at {start} has negative npairs {npairs}")
-        _need(code, pos, 8 * npairs)
-        pairs = []
-        targets = []
-        for i in range(npairs):
-            match = struct.unpack_from(">i", code, pos + 8 * i)[0]
-            target = start + struct.unpack_from(">i", code, pos + 8 * i + 4)[0]
-            pairs.append((match, target))
-            targets.append(target)
-        pos += 8 * npairs
-        operands["pairs"] = pairs
-        operands["targets"] = targets
-    return pos
-
-
-#: Opcodes the ``wide`` prefix widens to a two-byte local index: those
-#: with a one-byte local operand (xload, xstore, ret).
-_WIDE_LOCALS = frozenset(code for code, info in OPCODES.items()
-                         if ops.LOCAL1 in info.operands)
-
-
-def _decode_wide(code: bytes, start: int, pos: int) -> Tuple[Instruction, int]:
-    _need(code, pos, 1)
-    modified = code[pos]
-    pos += 1
-    if modified in _WIDE_LOCALS:
-        _need(code, pos, 2)
-        index = struct.unpack_from(">H", code, pos)[0]
-        pos += 2
-        return Instruction(start, OPCODES[modified].op,
-                           {"index": index, "wide": True}), pos
-    if modified == int(Op.IINC):
-        _need(code, pos, 4)
-        index = struct.unpack_from(">H", code, pos)[0]
-        const = struct.unpack_from(">h", code, pos + 2)[0]
-        pos += 4
-        return Instruction(start, Op.IINC,
-                           {"index": index, "const": const, "wide": True}), pos
-    raise InstructionError(
-        f"wide prefix modifies unsupported opcode {modified:#04x} at {start}")
+        targets = [start + delta
+                   for delta in struct.unpack_from(f">{count}i", code, pos)]
+        operands = {"default": default, "low": low, "high": high,
+                    "targets": targets}
+        return Instruction(start, op, operands), pos + 4 * count
+    _need(code, pos, 4)
+    npairs = struct.unpack_from(">i", code, pos)[0]
+    pos += 4
+    if npairs < 0:
+        raise InstructionError(
+            f"lookupswitch at {start} has negative npairs {npairs}")
+    _need(code, pos, 8 * npairs)
+    words = struct.unpack_from(f">{2 * npairs}i", code, pos)
+    pairs = [(match, start + delta)
+             for match, delta in zip(words[::2], words[1::2])]
+    operands = {"default": default, "pairs": pairs,
+                "targets": [target for _, target in pairs]}
+    return Instruction(start, op, operands), pos + 8 * npairs
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +214,8 @@ def encode_code(instructions: List[Instruction]) -> bytes:
     layout.  Two passes handle the alignment-dependent switch padding.
 
     Raises:
-        InstructionError: when a branch target does not name an instruction.
+        InstructionError: when a branch target does not name an
+            instruction, or an operand does not fit its field.
     """
     return encode_with_layout(instructions)[0]
 
@@ -263,7 +232,8 @@ def encode_with_layout(instructions: List[Instruction]
     pos = 0
     for instruction in instructions:
         new_offsets[instruction.offset] = pos
-        pos += _encoded_size(instruction, pos)
+        head, fields = _fields(instruction, pos)
+        pos += len(head) + fields.size
     # Pass 2: emit with remapped targets.
     out = bytearray()
     for instruction in instructions:
@@ -271,26 +241,24 @@ def encode_with_layout(instructions: List[Instruction]
     return bytes(out), new_offsets
 
 
-def _encoded_size(instruction: Instruction, pos: int) -> int:
-    op = instruction.op
-    if instruction.operands.get("wide"):
-        return 6 if op is Op.IINC else 4
-    if op is Op.TABLESWITCH:
+def _fields(instruction: Instruction,
+            pos: int) -> Tuple[bytes, struct.Struct]:
+    """The bytes before an instruction's operands, and the ``Struct`` of
+    the operands (a switch's: padding to 4-byte alignment relative to the
+    method start, then 32-bit words)."""
+    op, fixed, _, _, wide = _LAYOUTS[instruction.op]
+    operands = instruction.operands
+    if operands.get("wide"):
+        if wide is None:
+            raise InstructionError(f"{instruction.mnemonic} at "
+                                   f"{instruction.offset} has no wide form")
+        return bytes((Op.WIDE_PREFIX, op)), wide
+    if fixed is None:
         pad = (4 - ((pos + 1) % 4)) % 4
-        count = len(instruction.operands["targets"])  # type: ignore[arg-type]
-        return 1 + pad + 12 + 4 * count
-    if op is Op.LOOKUPSWITCH:
-        pad = (4 - ((pos + 1) % 4)) % 4
-        count = len(instruction.operands["pairs"])  # type: ignore[arg-type]
-        return 1 + pad + 8 + 8 * count
-    size = 1
-    for kind in instruction.info.operands:
-        size += {ops.S1: 1, ops.U1: 1, ops.ATYPE: 1, ops.LOCAL1: 1,
-                 ops.CP1: 1, ops.S2: 2, ops.U2: 2, ops.CP2: 2,
-                 ops.BRANCH2: 2, ops.BRANCH4: 4, ops.IINC: 2,
-                 ops.INVOKEINTERFACE: 2, ops.INVOKEDYNAMIC: 2,
-                 ops.MULTIANEWARRAY: 3}[kind]
-    return size
+        words = (3 + len(operands["targets"]) if op is Op.TABLESWITCH  # type: ignore[arg-type]
+                 else 2 + 2 * len(operands["pairs"]))  # type: ignore[arg-type]
+        fixed = struct.Struct(f">{pad}x{words}i")
+    return bytes((op,)), fixed
 
 
 def _map_target(target: int, new_offsets: Dict[int, int]) -> int:
@@ -301,60 +269,27 @@ def _map_target(target: int, new_offsets: Dict[int, int]) -> int:
 
 def _encode_one(instruction: Instruction, pos: int,
                 new_offsets: Dict[int, int]) -> bytes:
-    op = instruction.op
+    head, fields = _fields(instruction, pos)
+    op, fixed, names, branch, _ = _LAYOUTS[instruction.op]
     operands = instruction.operands
-    if operands.get("wide"):
-        out = bytearray([int(Op.WIDE_PREFIX), int(op)])
-        out += struct.pack(">H", operands["index"])
-        if op is Op.IINC:
-            out += struct.pack(">h", operands["const"])
-        return bytes(out)
-    out = bytearray([int(op)])
-    if op in (Op.TABLESWITCH, Op.LOOKUPSWITCH):
-        pad = (4 - ((pos + 1) % 4)) % 4
-        out += b"\x00" * pad
-        default = _map_target(operands["default"], new_offsets)  # type: ignore[arg-type]
-        out += struct.pack(">i", default - pos)
+    if branch:
+        values = [_map_target(operands["target"], new_offsets) - pos]  # type: ignore[arg-type]
+    elif fixed is not None:
+        values = [operands.get(name, _DEFAULTS.get(name)) for name in names]
+    else:
+        values = [_map_target(operands["default"], new_offsets) - pos]  # type: ignore[arg-type]
         if op is Op.TABLESWITCH:
-            out += struct.pack(">ii", operands["low"], operands["high"])
-            for target in operands["targets"]:  # type: ignore[union-attr]
-                out += struct.pack(">i", _map_target(target, new_offsets) - pos)
+            values += (operands["low"], operands["high"])
+            values += [_map_target(target, new_offsets) - pos
+                       for target in operands["targets"]]  # type: ignore[union-attr]
         else:
-            pairs = operands["pairs"]  # type: ignore[assignment]
-            out += struct.pack(">i", len(pairs))  # type: ignore[arg-type]
-            for match, target in pairs:  # type: ignore[union-attr]
-                out += struct.pack(
-                    ">ii", match, _map_target(target, new_offsets) - pos)
-        return bytes(out)
-    for kind in instruction.info.operands:
-        if kind == ops.S1:
-            out += struct.pack(">b", operands["value"])
-        elif kind == ops.S2:
-            out += struct.pack(">h", operands["value"])
-        elif kind in (ops.U1, ops.ATYPE):
-            out += struct.pack(">B", operands["value"])
-        elif kind in (ops.U2, ops.CP2):
-            out += struct.pack(">H", operands["index"])
-        elif kind in (ops.LOCAL1, ops.CP1):
-            out += struct.pack(">B", operands["index"])
-        elif kind == ops.BRANCH2:
-            delta = _map_target(operands["target"], new_offsets) - pos  # type: ignore[arg-type]
-            if not -0x8000 <= delta < 0x8000:
-                raise InstructionError(f"branch delta {delta} exceeds 16 bits")
-            out += struct.pack(">h", delta)
-        elif kind == ops.BRANCH4:
-            delta = _map_target(operands["target"], new_offsets) - pos  # type: ignore[arg-type]
-            out += struct.pack(">i", delta)
-        elif kind == ops.IINC:
-            out += struct.pack(">Bb", operands["index"], operands["const"])
-        elif kind == ops.INVOKEINTERFACE:
-            out += struct.pack(">BB", operands.get("count", 1),
-                               operands.get("zero", 0))
-        elif kind == ops.INVOKEDYNAMIC:
-            out += struct.pack(">H", operands.get("zero", 0))
-        elif kind == ops.MULTIANEWARRAY:
-            out += struct.pack(">HB", operands["index"],
-                               operands["dimensions"])
-        else:  # pragma: no cover - table is closed
-            raise InstructionError(f"unhandled operand kind {kind}")
-    return bytes(out)
+            values.append(len(operands["pairs"]))  # type: ignore[arg-type]
+            for match, target in operands["pairs"]:  # type: ignore[union-attr]
+                values += (match, _map_target(target, new_offsets) - pos)
+    try:
+        return head + fields.pack(*values)
+    except struct.error:
+        raise InstructionError(
+            f"branch delta {values[0]} exceeds {8 * fields.size} bits"
+            if branch else f"{instruction.mnemonic} at {instruction.offset}: "
+            f"operands {values} do not fit its fields") from None

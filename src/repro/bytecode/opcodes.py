@@ -6,10 +6,12 @@ const/load/store/return opcodes their value category and the implicit
 slot or constant of each ``xload_n``/``xstore_n``/``xconst_n`` shorthand.
 This table is the one place that says what an opcode does: the verifier,
 the interpreter, the Jimple lifter and the compiler read it rather than
-parse mnemonics.  Operand layouts are expressed as a tuple of operand kinds
-so one generic codec (:mod:`repro.bytecode.instructions`) can decode and
-encode every instruction, including the variable-length
-``tableswitch``/``lookupswitch`` and ``wide``-prefixed forms.
+parse mnemonics.  An opcode's operands are a tuple of operand kinds, and
+:data:`OPERAND_FIELDS` gives each fixed-width kind its bytes, the operand
+names they fill and their ``wide`` form, so one generic codec
+(:mod:`repro.bytecode.instructions`) decodes, sizes and encodes every
+instruction from a layout built once per opcode; only the variable-length
+``tableswitch``/``lookupswitch`` keep code of their own.
 """
 
 from __future__ import annotations
@@ -18,39 +20,54 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-# Operand kinds -------------------------------------------------------------
-#: one signed byte
+# Operand kinds: each fixed-width kind is laid out by OPERAND_FIELDS;
+# SWITCH (the tableswitch/lookupswitch payload) and WIDE (the prefix that
+# modifies the next instruction) are the variable-length ones.
 S1 = "s1"
-#: one signed short
 S2 = "s2"
-#: one unsigned byte
-U1 = "u1"
-#: one unsigned short (constant-pool index or local slot)
-U2 = "u2"
-#: signed 16-bit branch offset
-BRANCH2 = "branch2"
-#: signed 32-bit branch offset (goto_w / jsr_w)
-BRANCH4 = "branch4"
-#: unsigned byte local-variable slot
-LOCAL1 = "local1"
-#: unsigned byte constant-pool index (ldc)
-CP1 = "cp1"
-#: unsigned short constant-pool index
-CP2 = "cp2"
-#: variable-length switch payload
-SWITCH = "switch"
-#: the iinc pair (local slot u1, const s1)
-IINC = "iinc"
-#: invokeinterface extras (count u1, zero u1)
-INVOKEINTERFACE = "invokeinterface"
-#: invokedynamic trailing zeros
-INVOKEDYNAMIC = "invokedynamic"
-#: multianewarray (cp u2, dims u1)
-MULTIANEWARRAY = "multianewarray"
-#: newarray primitive-type code u1
 ATYPE = "atype"
-#: the wide prefix (modifies the following instruction)
+LOCAL1 = "local1"
+CP1 = "cp1"
+CP2 = "cp2"
+BRANCH2 = "branch2"
+BRANCH4 = "branch4"
+IINC = "iinc"
+INVOKEINTERFACE = "invokeinterface"
+INVOKEDYNAMIC = "invokedynamic"
+MULTIANEWARRAY = "multianewarray"
+SWITCH = "switch"
 WIDE = "wide"
+
+
+class OperandFields(NamedTuple):
+    """How one fixed-width operand kind sits in the bytecode.
+
+    Attributes:
+        codes: its big-endian :mod:`struct` codes.
+        names: the operand names the codes fill, in order.
+        wide: the codes under the ``wide`` prefix; ``None`` where the
+            prefix cannot modify the kind.
+    """
+
+    codes: str
+    names: Tuple[str, ...]
+    wide: Optional[str] = None
+
+
+OPERAND_FIELDS: Dict[str, OperandFields] = {
+    S1: OperandFields("b", ("value",)),
+    S2: OperandFields("h", ("value",)),
+    ATYPE: OperandFields("B", ("value",)),
+    LOCAL1: OperandFields("B", ("index",), wide="H"),
+    CP1: OperandFields("B", ("index",)),
+    CP2: OperandFields("H", ("index",)),
+    BRANCH2: OperandFields("h", ("target",)),
+    BRANCH4: OperandFields("i", ("target",)),
+    IINC: OperandFields("Bb", ("index", "const"), wide="Hh"),
+    INVOKEINTERFACE: OperandFields("BB", ("count", "zero")),
+    INVOKEDYNAMIC: OperandFields("H", ("zero",)),
+    MULTIANEWARRAY: OperandFields("HB", ("index", "dimensions")),
+}
 
 
 class Op(IntEnum):
@@ -430,3 +447,8 @@ def _build_table() -> Dict[int, OpcodeInfo]:
 
 #: Opcode byte → :class:`OpcodeInfo` for every standard opcode.
 OPCODES: Dict[int, OpcodeInfo] = _build_table()
+
+#: Opcodes whose ``index`` operand is a constant-pool index.
+POOL_INDEX_OPS = frozenset(
+    info.op for info in OPCODES.values()
+    if {CP1, CP2, MULTIANEWARRAY} & set(info.operands))

@@ -12,7 +12,7 @@ import hashlib
 from typing import List
 
 from repro.bytecode.instructions import InstructionError, decode_code
-from repro.bytecode.opcodes import CP1, CP2, MULTIANEWARRAY, OPCODES
+from repro.bytecode.opcodes import POOL_INDEX_OPS
 from repro.classfile.access_flags import flag_names
 from repro.classfile.attributes import (
     CodeAttribute,
@@ -27,11 +27,6 @@ from repro.classfile.descriptors import (
     parse_method_descriptor,
 )
 from repro.classfile.model import ClassFile
-
-#: Mnemonics whose ``index`` operand is a constant-pool index.
-_CP_OPS = {info.mnemonic for info in OPCODES.values()
-           if {CP1, CP2, MULTIANEWARRAY} & set(info.operands)}
-
 
 def _safe(fn, fallback="?"):
     try:
@@ -190,11 +185,11 @@ def _render_code(pool: ConstantPool, code: CodeAttribute) -> List[str]:
         operand_text = ""
         comment = ""
         operands = instruction.operands
-        if "index" in operands:
-            operand_text = f" #{operands['index']}" \
-                if instruction.mnemonic in _CP_OPS else f" {operands['index']}"
-            if instruction.mnemonic in _CP_OPS:
-                comment = _describe_constant(pool, operands["index"])
+        if instruction.op in POOL_INDEX_OPS:
+            operand_text = f" #{operands['index']}"
+            comment = _describe_constant(pool, operands["index"])
+        elif "index" in operands:
+            operand_text = f" {operands['index']}"
         elif "value" in operands:
             operand_text = f" {operands['value']}"
         elif "target" in operands:

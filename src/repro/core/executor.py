@@ -66,9 +66,6 @@ class ExecutorStats:
         cache_misses: differential-run outcomes that had to execute.
         trace_hits: reference runs served from the tracefile cache.
         trace_misses: reference runs that had to execute.
-        trace_outcome_only: the split-lookup subset of ``trace_misses``
-            where a differential run had cached the outcome (reused)
-            but no trace.
         batches: ``run_differential`` calls.
         batch_seconds: wall-clock spent inside ``run_differential``.
         ref_batches: ``run_reference_many`` calls.
@@ -87,7 +84,6 @@ class ExecutorStats:
     cache_misses: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
-    trace_outcome_only: int = 0
     batches: int = 0
     batch_seconds: float = 0.0
     ref_batches: int = 0
@@ -124,8 +120,6 @@ class ExecutorStats:
             cache_misses=self.cache_misses - earlier.cache_misses,
             trace_hits=self.trace_hits - earlier.trace_hits,
             trace_misses=self.trace_misses - earlier.trace_misses,
-            trace_outcome_only=self.trace_outcome_only
-            - earlier.trace_outcome_only,
             batches=self.batches - earlier.batches,
             batch_seconds=self.batch_seconds - earlier.batch_seconds,
             ref_batches=self.ref_batches - earlier.ref_batches,
@@ -153,7 +147,6 @@ class ExecutorStats:
         self.cache_misses += other.cache_misses
         self.trace_hits += other.trace_hits
         self.trace_misses += other.trace_misses
-        self.trace_outcome_only += other.trace_outcome_only
         self.batches += other.batches
         self.batch_seconds += other.batch_seconds
         self.ref_batches += other.ref_batches
@@ -178,9 +171,7 @@ class ExecutorStats:
             + (f" ({self.cache_hits / lookups:.0%} hit rate)"
                if lookups else ""),
             f"tracefile cache: {self.trace_hits} hits / "
-            f"{self.trace_misses} misses"
-            + (f" ({self.trace_outcome_only} outcome-only)"
-               if self.trace_outcome_only else ""),
+            f"{self.trace_misses} misses",
         ]
         if self.ref_batches:
             lines.append(f"reference batches: {self.ref_batches} "
@@ -218,10 +209,9 @@ class OutcomeCache:
     Outcomes and traces live in separate stores joined by key: a
     reference run's ``put_trace`` populates *both*, so its outcome also
     serves later differential lookups.  A differential run caches the
-    outcome alone, so the same bytes can reach a later reference lookup
-    with an outcome but no trace.  ``get_trace`` reports that split
-    state explicitly instead of as a plain miss, so the caller re-runs
-    only for coverage and still reuses the cached outcome.
+    outcome alone; a later reference lookup of the same bytes is a miss
+    and re-runs for coverage, and since ``Jvm.run`` is a pure function of
+    the bytes and the vendor, the re-run's outcome is the cached one.
     """
 
     def __init__(self) -> None:
@@ -248,23 +238,14 @@ class OutcomeCache:
             self._outcomes[(digest, vendor)] = outcome
 
     def get_trace(self, digest: str, vendor: str
-                  ) -> Optional[Tuple[Outcome, Optional[Tracefile]]]:
-        """The split reference lookup.
-
-        Returns ``(outcome, trace)`` on a full hit, ``(outcome, None)``
-        when only a differential run cached the outcome (the caller must
-        re-run for coverage yet can keep the outcome), and ``None`` on a
-        full miss.
-        """
+                  ) -> Optional[Tuple[Outcome, Tracefile]]:
+        """``(outcome, trace)`` of a reference run, or ``None``."""
         with self._lock:
             key = (digest, vendor)
-            outcome = self._outcomes.get(key)
-            if outcome is None:
-                return None
             trace = self._traces.get(key)
             if trace is None:
-                return outcome, None
-            return outcome, trace
+                return None
+            return self._outcomes[key], trace
 
     def put_trace(self, digest: str, vendor: str, outcome: Outcome,
                   trace: Tracefile) -> None:
@@ -337,10 +318,6 @@ class _ExecutorInstruments:
     def cache_lookup(self, store: str, hit: bool) -> None:
         self._cache.labels(store=store,
                            result="hit" if hit else "miss").inc()
-
-    def cache_outcome_only(self) -> None:
-        """A trace miss whose outcome was still cached (split lookup)."""
-        self._cache.labels(store="trace", result="outcome_only").inc()
 
     def worker_run(self, warm: bool) -> None:
         (self._worker_warm if warm else self._worker_cold).inc()
@@ -425,31 +402,19 @@ class Executor:
         priming across algorithms, pool re-runs) is a lookup.
         """
         digest = classfile_digest(data) if self.cache is not None else ""
-        outcome_hint: Optional[Outcome] = None
         if self.cache is not None:
             cached = self.cache.get_trace(digest, jvm.name)
-            if cached is not None and cached[1] is not None:
-                with self._stats_lock:
-                    self.stats.trace_hits += 1
-                if self._observe is not None:
-                    self._observe.cache_lookup("trace", True)
-                return cached
-            if cached is not None:
-                # Split lookup: a differential run cached the outcome
-                # only — re-run for coverage, keep the outcome.
-                outcome_hint = cached[0]
             with self._stats_lock:
-                self.stats.trace_misses += 1
-                if outcome_hint is not None:
-                    self.stats.trace_outcome_only += 1
+                if cached is not None:
+                    self.stats.trace_hits += 1
+                else:
+                    self.stats.trace_misses += 1
             if self._observe is not None:
-                self._observe.cache_lookup("trace", False)
-                if outcome_hint is not None:
-                    self._observe.cache_outcome_only()
+                self._observe.cache_lookup("trace", cached is not None)
+            if cached is not None:
+                return cached
         with self._reference_lock:
             outcome, trace, elapsed = self._reference_execute(jvm, data)
-        if outcome_hint is not None:
-            outcome = outcome_hint
         with self._stats_lock:
             self.stats.record_run(jvm.name, elapsed)
         if self._observe is not None:
@@ -502,36 +467,28 @@ class Executor:
         #: digest → every position in this batch awaiting its result.
         positions: Dict[str, List[int]] = {}
         misses: List[Tuple[str, bytes]] = []
-        #: digest → cached outcome without a trace (split lookup): the
-        #: re-run collects coverage, the outcome is reused.
-        outcome_hints: Dict[str, Outcome] = {}
         if self.cache is not None:
             hits = 0
             for position, data in enumerate(items):
                 digest = classfile_digest(data)
                 cached = self.cache.get_trace(digest, jvm.name)
-                if cached is not None and cached[1] is not None:
+                if cached is not None:
                     results[position] = cached
                     hits += 1
                 elif digest in positions:
                     positions[digest].append(position)
                     hits += 1
                 else:
-                    if cached is not None:
-                        outcome_hints[digest] = cached[0]
                     positions[digest] = [position]
                     misses.append((digest, data))
             with self._stats_lock:
                 self.stats.trace_hits += hits
                 self.stats.trace_misses += len(misses)
-                self.stats.trace_outcome_only += len(outcome_hints)
             if self._observe is not None:
                 for _ in range(hits):
                     self._observe.cache_lookup("trace", True)
                 for _ in misses:
                     self._observe.cache_lookup("trace", False)
-                for _ in outcome_hints:
-                    self._observe.cache_outcome_only()
         else:
             for position, data in enumerate(items):
                 digest = classfile_digest(data)
@@ -545,7 +502,6 @@ class Executor:
                 jvm, [data for _, data in misses])
             for (digest, _), (outcome, trace, seconds) in zip(
                     misses, executed):
-                outcome = outcome_hints.get(digest, outcome)
                 with self._stats_lock:
                     self.stats.record_run(jvm.name, seconds)
                 if self._observe is not None:
@@ -570,17 +526,17 @@ class Executor:
         with self._reference_lock:
             return [self._reference_execute(jvm, data) for data in batch]
 
-    # -- generic CPU-bound fan-out ------------------------------------------------
+    # -- in-process map -------------------------------------------------------------
 
     def map_many(self, fn, items: Sequence) -> List:
-        """Apply a pure function to every item, returning input order.
+        """Apply ``fn`` to every item in the calling process, in input
+        order, on every engine.
 
-        The generic fan-out hook for the speculative pipeline's
-        CPU-bound non-JVM stages (mutant compile + classfile dump).
-        ``fn`` must be a module-level, side-effect-free function of one
-        argument, with both argument and result picklable — the process
-        backend runs it in worker processes.  The serial fallback is an
-        in-order loop.
+        The fuzzing pipeline compiles and dumps each round's mutants
+        through it.  Compiles stay in the fuzzing process, where each
+        clone's compile template lives; only reference runs fan out.  It
+        is kept as the one call that the benchmark's ``executor.map``
+        span wraps.
         """
         return [fn(item) for item in items]
 
@@ -719,7 +675,6 @@ class ProcessExecutor(Executor):
         self._ref_pool: Optional[futures.ProcessPoolExecutor] = None
         self._ref_pool_key: Optional[bytes] = None
         self._ref_pool_id: Optional[int] = None
-        self._map_pool: Optional[futures.ProcessPoolExecutor] = None
 
     def _ensure_pool(self, jvms: List[Jvm]) -> futures.ProcessPoolExecutor:
         # Identity fingerprint first: the common case is the same JVM
@@ -826,16 +781,6 @@ class ProcessExecutor(Executor):
             executed.append((outcome, trace, seconds))
         return executed
 
-    def map_many(self, fn, items):
-        # A dedicated initializer-free pool: the differential and
-        # reference pools are keyed on pickled JVM configurations, and a
-        # generic fan-out must not force either into existence.
-        if self._map_pool is None:
-            self._map_pool = futures.ProcessPoolExecutor(
-                max_workers=self.jobs)
-        pending = [self._map_pool.submit(fn, item) for item in items]
-        return [task.result() for task in pending]
-
     def _shutdown_ref_pool(self) -> None:
         """Stop the reference workers.
 
@@ -856,9 +801,6 @@ class ProcessExecutor(Executor):
             self._pool_key = None
             self._pool_ids = None
         self._shutdown_ref_pool()
-        if self._map_pool is not None:
-            self._map_pool.shutdown(wait=True)
-            self._map_pool = None
 
 
 # ---------------------------------------------------------------------------

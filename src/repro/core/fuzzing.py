@@ -22,15 +22,16 @@ pipeline**, every algorithm runs in rounds of ``batch`` iterations:
 1. *speculate* — draw ``batch`` mutator selections from the selector and
    apply them against the round's (frozen) seed pool (the only
    RNG-consuming stage, so it stays sequential);
-2. *fan out* — compile and dump the round's mutant drafts through
-   :meth:`~repro.core.executor.Executor.map_many`, then run the
-   resulting classfiles on the reference JVM in one
-   :meth:`~repro.core.executor.Executor.run_reference_many` bulk call,
-   which short-circuits per item through the content-addressed tracefile
-   cache and parallelises the misses on the process backend (its
-   **persistent workers** keep the reference JVM warm across rounds and
-   pickle each run's tracefile back; the parent re-keys it onto its own
-   interned ids, equal to the tracefile a serial run collects — see
+2. *fan out* — compile and dump the round's mutant drafts in the fuzzing
+   process (:meth:`~repro.core.executor.Executor.map_many` is an in-order
+   loop on every engine, so each clone replays its origin's compile
+   template), then run the resulting classfiles on the reference JVM in
+   one :meth:`~repro.core.executor.Executor.run_reference_many` bulk
+   call, which short-circuits per item through the content-addressed
+   tracefile cache and parallelises the misses on the process backend
+   (its **persistent workers** keep the reference JVM warm across rounds
+   and pickle each run's tracefile back; the parent re-keys it onto its
+   own interned ids, equal to the tracefile a serial run collects — see
    :mod:`repro.core.worker`);
 3. *replay acceptance* — uniqueness checks, seed-pool feedback, MCMC
    ``record_success`` and telemetry fire sequentially in batch-index
@@ -212,10 +213,10 @@ def _dump_mutant(mutant: JClass
     """Compile and serialize one mutant: ``(None, bytes)`` on success,
     ``(discard category, None)`` on failure.
 
-    A pure module-level function of the draft alone, so the speculative
-    pipeline can fan it out through ``Executor.map_many`` (including to
-    worker processes).  Only the dump failures Soot's writer exhibits —
-    :class:`JimpleCompileError` from the compiler and ``struct.error``
+    A function of the draft alone, which the speculative pipeline maps
+    over a round's drafts in the fuzzing process.  Only the dump failures
+    Soot's writer exhibits — :class:`JimpleCompileError` from the compiler
+    (an operand that does not fit its field included) and ``struct.error``
     overflows from the binary writer — are swallowed; anything else is a
     genuine compiler/writer bug and propagates.
     """
@@ -445,11 +446,11 @@ class _FuzzEngine:
                     ) -> List[Optional[GeneratedClass]]:
         """Compile and dump one round of drafts, aligned with the input.
 
-        The pure (RNG-free) half of the iterations: live drafts fan out
-        through the executor's :meth:`~repro.core.executor.Executor.map_many`
-        — worker processes on the process backend — and compile/dump
-        failures are recorded in batch-index order when the results are
-        stitched back, keeping discard bookkeeping deterministic.
+        The pure (RNG-free) half of the iterations: live drafts compile
+        and dump in this process, in order, through the executor's
+        :meth:`~repro.core.executor.Executor.map_many` on every engine,
+        and compile/dump failures are recorded in batch-index order,
+        keeping discard bookkeeping deterministic.
         """
         pending = [(position, mutator, draft)
                    for position, (mutator, draft) in enumerate(drafts)

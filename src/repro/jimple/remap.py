@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bytecode import opcodes as opk
-from repro.bytecode.instructions import Instruction, decode_code, encode_code
+from repro.bytecode.instructions import (
+    Instruction,
+    InstructionError,
+    decode_code,
+    encode_code,
+)
+from repro.bytecode.opcodes import POOL_INDEX_OPS
 from repro.classfile.attributes import CodeAttribute, ExceptionHandler
 from repro.classfile.constant_pool import ConstantPool, CpInfo, CpTag
 
@@ -66,31 +71,28 @@ def transfer_constant(source: ConstantPool, target: ConstantPool,
     raise RemapError(f"cannot transfer constant tag {tag.name}")
 
 
-def _cp_operand_kinds(instruction: Instruction) -> bool:
-    """Whether this instruction's ``index`` operand is a constant-pool index."""
-    kinds = instruction.info.operands
-    return any(kind in (opk.CP1, opk.CP2, opk.MULTIANEWARRAY)
-               for kind in kinds)
-
-
 def remap_code(code: CodeAttribute, source: ConstantPool,
                target: ConstantPool) -> CodeAttribute:
     """Rewrite ``code`` so its constant-pool operands index into ``target``.
 
     Raises:
-        RemapError: when the bytecode cannot be decoded or a constant
-            cannot be transferred.
+        RemapError: when the bytecode cannot be decoded, a constant
+            cannot be transferred, or a transferred index does not fit its
+            operand (an ``ldc`` past entry 255).
     """
     try:
         instructions: List[Instruction] = decode_code(code.code)
     except Exception as exc:
         raise RemapError(f"undecodable bytecode: {exc}") from exc
     for instruction in instructions:
-        if "index" in instruction.operands and _cp_operand_kinds(instruction):
+        if instruction.op in POOL_INDEX_OPS:
             old_index = instruction.operands["index"]
             instruction.operands["index"] = transfer_constant(
                 source, target, old_index)  # type: ignore[arg-type]
-    new_bytes = encode_code(instructions)
+    try:
+        new_bytes = encode_code(instructions)
+    except InstructionError as exc:
+        raise RemapError(f"unencodable bytecode: {exc}") from exc
     if new_bytes != code.code and code.exception_table:
         # Offsets may have shifted; exception-table pcs would dangle.  The
         # encoder is deterministic, so this only happens when constants

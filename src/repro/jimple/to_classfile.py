@@ -307,17 +307,25 @@ class _MethodCompiler:
 
     # -- value emission ----------------------------------------------------------
 
+    def _emit_local(self, op: Op, slot: int) -> None:
+        """Emit a load or store of ``slot``: ``wide`` past slot 255, as
+        javac does."""
+        if slot > 0xFF:
+            self.asm.emit(op, index=slot, wide=True)
+        else:
+            self.asm.emit(op, index=slot)
+
     def _emit_load(self, name: str) -> int:
         """Load local ``name``; returns pushed slot count."""
         jtype = self._type(name)
-        self.asm.emit(_LOAD_OPS[jtype.category], index=self._slot(name))
+        self._emit_local(_LOAD_OPS[jtype.category], self._slot(name))
         slots = max(1, jtype.slots)
         self._push(slots)
         return slots
 
     def _emit_store(self, name: str) -> None:
         jtype = self._type(name)
-        self.asm.emit(_STORE_OPS[jtype.category], index=self._slot(name))
+        self._emit_local(_STORE_OPS[jtype.category], self._slot(name))
         self._pop(max(1, jtype.slots))
 
     def _emit_constant(self, constant: st.Constant) -> int:
@@ -544,8 +552,7 @@ class _MethodCompiler:
                 f"{self.jclass.name}.{self.method.name}: identity for "
                 f"missing parameter {index}")
         ptype = self.method.parameter_types[index]
-        self.asm.emit(_LOAD_OPS[ptype.category],
-                      index=self.param_slots[index])
+        self._emit_local(_LOAD_OPS[ptype.category], self.param_slots[index])
         self._push(max(1, ptype.slots))
         self._emit_store(stmt.local)
 

@@ -261,6 +261,39 @@ class TestEncode:
         with pytest.raises(InstructionError, match="not an instruction"):
             encode_code([instruction])
 
+    def test_wide_local_encodes_with_the_prefix(self):
+        code = encode_code([Instruction(0, Op.ISTORE,
+                                        {"index": 300, "wide": True})])
+        assert code == bytes([int(Op.WIDE_PREFIX), int(Op.ISTORE), 1, 44])
+        (instruction,) = decode_code(code)
+        assert instruction.operands == {"index": 300, "wide": True}
+
+    def test_wide_on_an_opcode_without_a_wide_form_rejected(self):
+        instruction = Instruction(0, Op.BIPUSH, {"value": 1, "wide": True})
+        with pytest.raises(InstructionError, match="no wide form"):
+            encode_code([instruction])
+
+    @pytest.mark.parametrize("op, operands", [
+        (Op.ILOAD, {"index": 256}),
+        (Op.SIPUSH, {"value": 0x8000}),
+        (Op.LDC, {"index": -1}),
+        (Op.INVOKEINTERFACE, {"index": 1, "count": 256}),
+        (Op.IINC, {"index": 1, "const": 128}),
+        (Op.IINC, {"index": 1, "const": -0x8001, "wide": True}),
+    ])
+    def test_operand_that_does_not_fit_rejected(self, op, operands):
+        with pytest.raises(InstructionError, match="do not fit"):
+            encode_code([Instruction(0, op, operands)])
+
+    def test_branch_delta_past_16_bits_rejected(self):
+        instructions = [Instruction(0, Op.GOTO, {"target": 2}),
+                        Instruction(1, Op.TABLESWITCH, {
+                            "default": 0, "low": 0, "high": 9999,
+                            "targets": [0] * 10000}),
+                        Instruction(2, Op.RETURN)]
+        with pytest.raises(InstructionError, match="exceeds 16 bits"):
+            encode_code(instructions)
+
 
 class TestAssembler:
     def test_duplicate_label_rejected(self):
@@ -273,6 +306,12 @@ class TestAssembler:
         asm = Assembler()
         asm.branch(Op.GOTO, "nowhere")
         with pytest.raises(InstructionError, match="undefined"):
+            asm.build()
+
+    def test_bipush_out_of_range_is_an_instruction_error(self):
+        asm = Assembler()
+        asm.emit(Op.BIPUSH, value=200)
+        with pytest.raises(InstructionError, match="bipush"):
             asm.build()
 
     def test_forward_and_backward_branches(self):

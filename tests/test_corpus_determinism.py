@@ -3,14 +3,16 @@
 The seed-pool, checkpoint, and distillation layers all assume the
 corpus generator is a pure function of its config — the same
 ``CorpusConfig`` must yield the same compiled bytes whether the corpus
-is built twice in one process or fanned out across process workers.
+is built twice in one process or in fresh worker processes (a service
+leg generates its corpus in a subprocess).
 """
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core.executor import ProcessExecutor, SerialExecutor
+from repro.core.executor import SerialExecutor
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.jimple.to_classfile import compile_class_bytes
 
@@ -49,13 +51,12 @@ class TestCorpusDeterminism:
         assert all(result == inline for result in mapped)
 
     def test_process_backend_matches_inline(self):
-        """The pipeline's process fan-out must see the same bytes the
-        serial loop would — generation cannot depend on process state."""
+        """Worker processes must see the same bytes the parent would —
+        generation cannot depend on process state."""
         inline = corpus_digests(15, 9)
         try:
-            with ProcessExecutor(jobs=2) as engine:
-                mapped = engine.map_many(corpus_digests_for,
-                                         [(15, 9)] * 2)
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                mapped = list(pool.map(corpus_digests_for, [(15, 9)] * 2))
         except (OSError, futures_broken()) as exc:  # pragma: no cover
             pytest.skip(f"process pool unavailable: {exc}")
         assert all(result == inline for result in mapped)

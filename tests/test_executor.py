@@ -141,7 +141,7 @@ class TestOutcomeCache:
 
 
 class TestOutcomeCacheSplitLookup:
-    """get_trace distinguishes outcome-only entries from full misses."""
+    """get_trace is a full hit or a miss: an outcome alone is a miss."""
 
     def test_put_trace_serves_outcome_lookups(self, suite):
         from repro.coverage.tracefile import Tracefile
@@ -154,30 +154,31 @@ class TestOutcomeCacheSplitLookup:
         assert cache.get_trace("d", "v") == (outcome, Tracefile())
 
     def test_outcome_without_trace_reads_as_split(self):
+        """The split state, an outcome cached without a trace, reads as
+        a miss."""
         from repro.jvm.outcome import Outcome
 
         cache = OutcomeCache()
-        outcome = Outcome(phase=0)
-        cache.put_outcome("d", "v", outcome)
-        assert cache.get_trace("d", "v") == (outcome, None)
+        cache.put_outcome("d", "v", Outcome(phase=0))
+        assert cache.get_trace("d", "v") is None
         assert cache.get_trace("other", "v") is None
 
     def test_reference_rerun_reuses_cached_outcome(self, suite):
+        """A reference lookup of bytes that a differential run cached
+        re-runs for coverage, and the re-run's outcome is the cached
+        one."""
         engine = SerialExecutor(cache=OutcomeCache())
         jvm = reference_jvm()
         _, data = suite[0]
-        digest = classfile_digest(data)
-        first_outcome, _ = engine.run_reference(jvm, data)
-        # Drop the trace: the state a differential run of the same bytes
-        # leaves behind (outcome cached, no coverage).
-        engine.cache._traces.clear()
+        (differential,) = engine.run_differential([jvm], [("c", data)])
+        # The differential run cached the outcome alone: the reference
+        # lookup misses and re-runs for coverage.
         outcome, trace = engine.run_reference(jvm, data)
-        assert outcome == first_outcome
+        assert outcome == differential.outcomes[0]
         assert trace.stmt > 0
-        assert engine.stats.trace_outcome_only == 1
-        assert engine.stats.trace_misses == 2
-        assert "outcome-only" in engine.stats.format()
-        # The re-run restored the trace: next lookup is a full hit.
+        assert engine.stats.trace_misses == 1
+        assert "outcome-only" not in engine.stats.format()
+        # The re-run stored the trace: next lookup is a full hit.
         engine.run_reference(jvm, data)
         assert engine.stats.trace_hits == 1
 
@@ -185,11 +186,28 @@ class TestOutcomeCacheSplitLookup:
         engine = SerialExecutor(cache=OutcomeCache())
         jvm = reference_jvm()
         batch = [data for _, data in suite[:3]]
-        first = engine.run_reference_many(jvm, batch)
-        engine.cache._traces.clear()
+        differential = engine.run_differential(
+            [jvm], [(str(n), data) for n, data in enumerate(batch)])
         again = engine.run_reference_many(jvm, batch)
-        assert [o for o, _ in again] == [o for o, _ in first]
-        assert engine.stats.trace_outcome_only == 3
+        assert [o for o, _ in again] == \
+            [result.outcomes[0] for result in differential]
+        assert engine.stats.trace_misses == 3
+
+    def test_status_counts_a_split_lookup_once(self, suite):
+        """/status's trace hit rate: a lookup after a differential run is
+        one miss, and the next lookup one hit."""
+        from repro.observe import StatusTracker, Telemetry
+
+        telemetry = Telemetry()
+        engine = SerialExecutor(cache=OutcomeCache(), telemetry=telemetry)
+        jvm = reference_jvm()
+        _, data = suite[0]
+        engine.run_differential([jvm], [("c", data)])
+        engine.run_reference(jvm, data)
+        engine.run_reference(jvm, data)
+        trace = StatusTracker(telemetry.registry).snapshot()[
+            "executor"]["caches"]["trace"]
+        assert trace == {"lookups": {"miss": 1, "hit": 1}, "hit_rate": 0.5}
 
 
 class TestExecutorStats:

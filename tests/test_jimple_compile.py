@@ -126,6 +126,40 @@ class TestCompile:
         code = compile_class(builder.build()).methods[0].code
         assert code.max_locals >= 6  # 2 + 2 params + 2 local
 
+    def test_locals_past_slot_255_compile_wide(self):
+        """A main with 300 int locals loads and stores its last ones with
+        ``wide``, and every vendor runs it to the same output."""
+        from repro.jvm.vendors import all_jvms
+
+        builder = ClassBuilder("ManyLocals")
+        builder.default_init()
+        args = JType("java.lang.String[]")
+        main = MethodBuilder("main", VOID, [args], ["public", "static"])
+        main.local("args", args)
+        main.identity("args", "parameter0", args)
+        for slot in range(300):
+            main.local(f"i{slot}", INT)
+        main.const("i299", 7)
+        main.stmt(AssignBinopStmt("i0", "i299", "-", Constant(7, INT)))
+        main.if_zero("i0", "!=", "bad")
+        main.println("wide locals ok")
+        main.ret()
+        main.label("bad")
+        main.println("wide locals wrong", stream_local="$r2")
+        main.ret()
+        builder.method(main.build())
+        data = compile_class_bytes(builder.build())
+        code = read_class(data).methods[1].code
+        wide = [i for i in decode_code(code.code) if i.operands.get("wide")]
+        assert {i.op for i in wide} == {Op.ISTORE, Op.ILOAD, Op.ASTORE,
+                                        Op.ALOAD}
+        # Slot 0 holds the parameter, 1 its local, 2-301 the ints.
+        assert min(i.operands["index"] for i in wide) == 301
+        assert code.max_locals == 304
+        for outcome in (jvm.run(data) for jvm in all_jvms()):
+            assert outcome.ok, outcome.brief()
+            assert outcome.output == ("wide locals ok",)
+
     def test_constant_value_field(self):
         builder = ClassBuilder("Consts")
         builder.field("LIMIT", INT, ["public", "static", "final"],

@@ -293,6 +293,40 @@ def test_assembler_label_offsets_match_decoded_layout(rng_seed, from_corpus,
             _label_offsets_by_decoding(compiler.asm, code)
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.booleans(),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4))
+def test_compiled_bodies_reencode_to_their_bytes(rng_seed, from_corpus,
+                                                 mutations):
+    """``encode_code(decode_code(b)) == b`` for every method body the
+    compiler emits, on generated classes and on their mutants."""
+    from repro.bytecode import decode_code, encode_code
+    from repro.core.mutators import MUTATORS
+    from repro.corpus import CorpusConfig, generate_corpus
+    from repro.jimple.to_classfile import JimpleCompileError, compile_class
+
+    rng = random.Random(rng_seed)
+    if from_corpus:
+        (jclass,) = generate_corpus(CorpusConfig(count=1, seed=rng_seed))
+    else:
+        jclass = _switch_trap_class(rng)
+    for choice in mutations:
+        try:
+            MUTATORS[choice % len(MUTATORS)](jclass, rng)
+        except Exception:
+            return  # a crashed rewrite is a discarded iteration
+    try:
+        classfile = compile_class(jclass)
+    except JimpleCompileError:
+        return  # a dump failure: no bytes
+    for method in classfile.methods:
+        if method.code is not None:
+            code = method.code.code
+            assert encode_code(decode_code(code)) == code
+
+
 # ---------------------------------------------------------------------------
 # MCMC invariants
 # ---------------------------------------------------------------------------

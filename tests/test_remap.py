@@ -109,3 +109,16 @@ class TestRemapCode:
         remapped = remap_code(code, source, ConstantPool())
         (iload, _, _) = decode_code(remapped.code)
         assert iload.operands["index"] == 3
+
+    def test_ldc_index_past_255_is_a_remap_error(self):
+        """An ``ldc`` whose constant lands past entry 255 of the target
+        pool has no encoding: the transfer fails as a ``RemapError``."""
+        source, target = ConstantPool(), ConstantPool()
+        asm = Assembler()
+        asm.emit(Op.LDC, index=source.integer(7))
+        asm.emit(Op.POP)
+        asm.emit(Op.RETURN)
+        for number in range(300):
+            target.utf8(f"filler{number}")
+        with pytest.raises(RemapError, match="unencodable"):
+            remap_code(CodeAttribute(1, 1, asm.build()), source, target)
