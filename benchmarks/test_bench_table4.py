@@ -68,6 +68,6 @@ def test_bench_table4_generation(benchmark, campaign, seed_corpus,
     def one_iteration():
         generated = engine.mutate_once(mutator_by_name("method.rename"))
         if generated is not None:
-            engine.run_on_reference(generated)
+            engine.collect_coverage([generated])
 
     benchmark(one_iteration)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import IntFlag
+from typing import List
 
 
 class AccessFlags(IntFlag):
@@ -58,54 +59,76 @@ ACC_SYNTHETIC = AccessFlags.SYNTHETIC.value
 ACC_ANNOTATION = AccessFlags.ANNOTATION.value
 ACC_ENUM = AccessFlags.ENUM.value
 
-#: Bits with a defined meaning on a class.
-CLASS_FLAG_MASK = (
-    AccessFlags.PUBLIC | AccessFlags.FINAL | AccessFlags.SUPER
-    | AccessFlags.INTERFACE | AccessFlags.ABSTRACT | AccessFlags.SYNTHETIC
-    | AccessFlags.ANNOTATION | AccessFlags.ENUM | AccessFlags.MODULE
-)
-
-#: Bits with a defined meaning on a field.
-FIELD_FLAG_MASK = (
-    AccessFlags.PUBLIC | AccessFlags.PRIVATE | AccessFlags.PROTECTED
-    | AccessFlags.STATIC | AccessFlags.FINAL | AccessFlags.VOLATILE
-    | AccessFlags.TRANSIENT | AccessFlags.SYNTHETIC | AccessFlags.ENUM
-)
-
-#: Bits with a defined meaning on a method.
-METHOD_FLAG_MASK = (
-    AccessFlags.PUBLIC | AccessFlags.PRIVATE | AccessFlags.PROTECTED
-    | AccessFlags.STATIC | AccessFlags.FINAL | AccessFlags.SYNCHRONIZED
-    | AccessFlags.BRIDGE | AccessFlags.VARARGS | AccessFlags.NATIVE
-    | AccessFlags.ABSTRACT | AccessFlags.STRICT | AccessFlags.SYNTHETIC
-)
-
 #: The mutually exclusive visibility bits, and how many are set in each
 #: value of them.
 _VISIBILITY_MASK = ACC_PUBLIC | ACC_PRIVATE | ACC_PROTECTED
 _VISIBILITY_COUNT = tuple(bin(bits).count("1")
                           for bits in range(_VISIBILITY_MASK + 1))
 
-_CLASS_FLAG_NAMES = [
-    (AccessFlags.PUBLIC, "ACC_PUBLIC"),
-    (AccessFlags.PRIVATE, "ACC_PRIVATE"),
-    (AccessFlags.PROTECTED, "ACC_PROTECTED"),
-    (AccessFlags.STATIC, "ACC_STATIC"),
-    (AccessFlags.FINAL, "ACC_FINAL"),
-    (AccessFlags.SUPER, "ACC_SUPER"),
-    (AccessFlags.NATIVE, "ACC_NATIVE"),
-    (AccessFlags.INTERFACE, "ACC_INTERFACE"),
-    (AccessFlags.ABSTRACT, "ACC_ABSTRACT"),
-    (AccessFlags.STRICT, "ACC_STRICT"),
-    (AccessFlags.SYNTHETIC, "ACC_SYNTHETIC"),
-    (AccessFlags.ANNOTATION, "ACC_ANNOTATION"),
-    (AccessFlags.ENUM, "ACC_ENUM"),
-]
+#: One ``(bit, modifier)`` table per context, in bit order: each flag
+#: with a meaning there and its Jimple modifier string.  The compiler
+#: reads a table one way, the lifter the other, and the disassembler
+#: prints the same bits under javap's ``ACC_`` names.  A class keeps
+#: ``private`` and ``protected``: mutators set them, and JVMs must see
+#: them.
+CLASS_FLAGS = (
+    (ACC_PUBLIC, "public"),
+    (ACC_PRIVATE, "private"),
+    (ACC_PROTECTED, "protected"),
+    (ACC_FINAL, "final"),
+    (ACC_SUPER, "super"),
+    (ACC_INTERFACE, "interface"),
+    (ACC_ABSTRACT, "abstract"),
+    (ACC_SYNTHETIC, "synthetic"),
+    (ACC_ANNOTATION, "annotation"),
+    (ACC_ENUM, "enum"),
+)
+FIELD_FLAGS = (
+    (ACC_PUBLIC, "public"),
+    (ACC_PRIVATE, "private"),
+    (ACC_PROTECTED, "protected"),
+    (ACC_STATIC, "static"),
+    (ACC_FINAL, "final"),
+    (ACC_VOLATILE, "volatile"),
+    (ACC_TRANSIENT, "transient"),
+    (ACC_SYNTHETIC, "synthetic"),
+    (ACC_ENUM, "enum"),
+)
+METHOD_FLAGS = (
+    (ACC_PUBLIC, "public"),
+    (ACC_PRIVATE, "private"),
+    (ACC_PROTECTED, "protected"),
+    (ACC_STATIC, "static"),
+    (ACC_FINAL, "final"),
+    (ACC_SYNCHRONIZED, "synchronized"),
+    (ACC_BRIDGE, "bridge"),
+    (ACC_VARARGS, "varargs"),
+    (ACC_NATIVE, "native"),
+    (ACC_ABSTRACT, "abstract"),
+    (ACC_STRICT, "strictfp"),
+    (ACC_SYNTHETIC, "synthetic"),
+)
 
 
-def flag_names(flags: AccessFlags) -> str:
-    """Render ``flags`` like ``javap`` does: ``ACC_PUBLIC, ACC_STATIC``."""
-    names = [name for bit, name in _CLASS_FLAG_NAMES if flags & bit]
+def modifiers(flags: int, table) -> List[str]:
+    """The modifiers of the bits set in ``flags``, per a context's table."""
+    flags = int(flags)
+    return [modifier for bit, modifier in table if flags & bit]
+
+
+def flag_names(flags: int, table) -> str:
+    """Render ``flags`` like ``javap`` does: ``ACC_PUBLIC, ACC_STATIC``,
+    then each bit without a meaning in the context in hex, highest
+    first (``0x200``)."""
+    # javap spells the strictfp bit ACC_STRICT.
+    names = ["ACC_STRICT" if modifier == "strictfp"
+             else f"ACC_{modifier.upper()}"
+             for modifier in modifiers(flags, table)]
+    rest = int(flags) & ~sum(bit for bit, _ in table)
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        names.append(f"{bit:#x}")
+        rest ^= bit
     return ", ".join(names)
 
 

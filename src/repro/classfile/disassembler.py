@@ -13,7 +13,7 @@ from typing import List
 
 from repro.bytecode.instructions import InstructionError, decode_code
 from repro.bytecode.opcodes import POOL_INDEX_OPS
-from repro.classfile.access_flags import flag_names
+from repro.classfile import access_flags as acc
 from repro.classfile.attributes import (
     CodeAttribute,
     ConstantValueAttribute,
@@ -96,12 +96,11 @@ def _method_signature(classfile: ClassFile, method) -> str:
         ret = parsed.return_type.java_name if parsed.return_type else "void"
     except DescriptorError:
         params, ret = "?", "?"
-    modifiers = flag_names(method.access_flags).replace(
-        "ACC_", "").lower().replace(",", "")
+    words = " ".join(acc.modifiers(method.access_flags, acc.METHOD_FLAGS))
     if name == "<clinit>":
         rendered = f"{{}};" if not params else f"({params});"
-        return f"{modifiers} {rendered}".strip()
-    return f"{modifiers} {ret} {name}({params});".strip()
+        return f"{words} {rendered}".strip()
+    return f"{words} {ret} {name}({params});".strip()
 
 
 def disassemble(classfile: ClassFile, data: bytes = b"",
@@ -116,7 +115,8 @@ def disassemble(classfile: ClassFile, data: bytes = b"",
     lines.append(f"{kind} {_safe(lambda: classfile.name)}")
     lines.append(f"  minor version: {classfile.minor_version}")
     lines.append(f"  major version: {classfile.major_version}")
-    lines.append(f"  flags: {flag_names(classfile.access_flags)}")
+    lines.append("  flags: "
+                 + acc.flag_names(classfile.access_flags, acc.CLASS_FLAGS))
     super_name = _safe(lambda: classfile.super_name, None)
     if super_name:
         lines.append(f"  super: {super_name}")
@@ -138,11 +138,12 @@ def disassemble(classfile: ClassFile, data: bytes = b"",
             java_type = parse_field_descriptor(descriptor).java_name
         except DescriptorError:
             java_type = descriptor
-        modifiers = flag_names(field_info.access_flags).replace(
-            "ACC_", "").lower().replace(",", "")
-        lines.append(f"  {modifiers} {java_type} {name};".replace("  ", " "))
+        words = " ".join(acc.modifiers(field_info.access_flags,
+                                       acc.FIELD_FLAGS))
+        lines.append(f"  {words} {java_type} {name};".replace("  ", " "))
         lines.append(f"    descriptor: {descriptor}")
-        lines.append(f"    flags: {flag_names(field_info.access_flags)}")
+        lines.append("    flags: " + acc.flag_names(
+            field_info.access_flags, acc.FIELD_FLAGS))
         constant = field_info.attribute("ConstantValue")
         if isinstance(constant, ConstantValueAttribute):
             lines.append(
@@ -153,7 +154,8 @@ def disassemble(classfile: ClassFile, data: bytes = b"",
         lines.append(f"  {_method_signature(classfile, method)}")
         lines.append("    descriptor: "
                      + _safe(lambda: classfile.method_descriptor(method)))
-        lines.append(f"    flags: {flag_names(method.access_flags)}")
+        lines.append("    flags: " + acc.flag_names(
+            method.access_flags, acc.METHOD_FLAGS))
         code = method.code
         if isinstance(code, CodeAttribute):
             lines.append("    Code:")

@@ -36,10 +36,10 @@ import pickle
 import threading
 import time
 from concurrent import futures
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.classfile.reader import ParsedClass, parse_class
+from repro.classfile.reader import parse_class
 from repro.core import worker
 from repro.coverage.probes import CoverageCollector
 from repro.coverage.tracefile import Tracefile
@@ -114,46 +114,22 @@ class ExecutorStats:
 
     def since(self, earlier: "ExecutorStats") -> "ExecutorStats":
         """The delta accumulated after ``earlier`` was snapshotted."""
-        delta = ExecutorStats(
-            runs=self.runs - earlier.runs,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            cache_misses=self.cache_misses - earlier.cache_misses,
-            trace_hits=self.trace_hits - earlier.trace_hits,
-            trace_misses=self.trace_misses - earlier.trace_misses,
-            batches=self.batches - earlier.batches,
-            batch_seconds=self.batch_seconds - earlier.batch_seconds,
-            ref_batches=self.ref_batches - earlier.ref_batches,
-            ref_batch_seconds=self.ref_batch_seconds
-            - earlier.ref_batch_seconds,
-            warm_runs=self.warm_runs - earlier.warm_runs,
-            cold_runs=self.cold_runs - earlier.cold_runs,
-            worker_recycles=self.worker_recycles
-            - earlier.worker_recycles,
-        )
+        delta = ExecutorStats(**{
+            name: getattr(self, name) - getattr(earlier, name)
+            for name in _COUNTERS})
         for vendor, runs in self.vendor_runs.items():
             diff = runs - earlier.vendor_runs.get(vendor, 0)
             if diff:
                 delta.vendor_runs[vendor] = diff
-        for vendor, seconds in self.vendor_seconds.items():
-            diff = seconds - earlier.vendor_seconds.get(vendor, 0.0)
-            if vendor in delta.vendor_runs:
-                delta.vendor_seconds[vendor] = diff
+                delta.vendor_seconds[vendor] = \
+                    self.vendor_seconds.get(vendor, 0.0) \
+                    - earlier.vendor_seconds.get(vendor, 0.0)
         return delta
 
     def add(self, other: "ExecutorStats") -> None:
         """Fold ``other``'s counters into this one (for merging phases)."""
-        self.runs += other.runs
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.trace_hits += other.trace_hits
-        self.trace_misses += other.trace_misses
-        self.batches += other.batches
-        self.batch_seconds += other.batch_seconds
-        self.ref_batches += other.ref_batches
-        self.ref_batch_seconds += other.ref_batch_seconds
-        self.warm_runs += other.warm_runs
-        self.cold_runs += other.cold_runs
-        self.worker_recycles += other.worker_recycles
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for vendor, runs in other.vendor_runs.items():
             self.vendor_runs[vendor] = self.vendor_runs.get(vendor, 0) + runs
         for vendor, seconds in other.vendor_seconds.items():
@@ -193,6 +169,11 @@ class ExecutorStats:
                     f"{self.vendor_seconds.get(vendor, 0.0):>8.3f}  "
                     f"{self.vendor_mean_ms(vendor):>8.3f}")
         return "\n".join(lines)
+
+
+#: The scalar counters, which ``since`` and ``add`` fold field by field.
+_COUNTERS = tuple(f.name for f in fields(ExecutorStats)
+                  if f.name not in ("vendor_runs", "vendor_seconds"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +296,10 @@ class _ExecutorInstruments:
     def record_reference(self, seconds: float) -> None:
         self._reference_seconds.observe(seconds)
 
-    def cache_lookup(self, store: str, hit: bool) -> None:
-        self._cache.labels(store=store,
-                           result="hit" if hit else "miss").inc()
+    def cache_lookup(self, store: str, hit: bool, count: int = 1) -> None:
+        if count:
+            self._cache.labels(store=store,
+                               result="hit" if hit else "miss").inc(count)
 
     def worker_run(self, warm: bool) -> None:
         (self._worker_warm if warm else self._worker_cold).inc()
@@ -367,20 +349,13 @@ class Executor:
 
     # -- single runs --------------------------------------------------------------
 
-    def run_one(self, jvm: Jvm, data: bytes,
-                digest: Optional[str] = None) -> Outcome:
+    def run_one(self, jvm: Jvm, data: bytes) -> Outcome:
         """Run one classfile on one JVM, through the cache when enabled."""
-        if self.cache is None:
-            return self._execute(jvm, data)
-        digest = digest or classfile_digest(data)
-        outcome = self._cached_outcome(digest, jvm)
-        if outcome is None:
-            outcome = self._execute(jvm, data)
-            self.cache.put_outcome(digest, jvm.name, outcome)
-        return outcome
+        return self._run_classfile([jvm], "", data).outcomes[0]
 
     def _cached_outcome(self, digest: str, jvm: Jvm) -> Optional[Outcome]:
-        """One counted outcome-cache lookup."""
+        """One counted outcome-cache lookup: the only one, on every
+        engine, for every vendor."""
         cached = self.cache.get_outcome(digest, jvm.name)
         with self._stats_lock:
             if cached is not None:
@@ -391,74 +366,43 @@ class Executor:
             self._observe.cache_lookup("outcome", cached is not None)
         return cached
 
-    def run_reference(self, jvm: Jvm, data: bytes
-                      ) -> Tuple[Outcome, Tracefile]:
-        """Run on the (instrumented) reference JVM, collecting coverage.
-
-        Reference runs always execute in the calling thread — the fuzzing
-        loop is sequential by construction (each acceptance decision
-        feeds the next iteration's seed pool) — but they share the
-        content-addressed cache, so re-running the same bytes (seed
-        priming across algorithms, pool re-runs) is a lookup.
-        """
-        digest = classfile_digest(data) if self.cache is not None else ""
-        if self.cache is not None:
-            cached = self.cache.get_trace(digest, jvm.name)
-            with self._stats_lock:
-                if cached is not None:
-                    self.stats.trace_hits += 1
-                else:
-                    self.stats.trace_misses += 1
-            if self._observe is not None:
-                self._observe.cache_lookup("trace", cached is not None)
-            if cached is not None:
-                return cached
-        with self._reference_lock:
-            outcome, trace, elapsed = self._reference_execute(jvm, data)
+    def _record_run(self, vendor: str, seconds: float) -> None:
+        """Count one actual execution in the stats and the registry."""
         with self._stats_lock:
-            self.stats.record_run(jvm.name, elapsed)
+            self.stats.record_run(vendor, seconds)
         if self._observe is not None:
-            self._observe.record_run(jvm.name, elapsed)
-            self._observe.record_reference(elapsed)
-        if self.cache is not None:
-            self.cache.put_trace(digest, jvm.name, outcome, trace)
-        return outcome, trace
+            self._observe.record_run(vendor, seconds)
 
-    @staticmethod
-    def _reference_execute(jvm: Jvm, data: bytes
-                           ) -> Tuple[Outcome, Tracefile, float]:
-        """One instrumented run: collector scope + timing, no bookkeeping."""
-        collector = CoverageCollector()
-        started = time.perf_counter()
-        with collector:
-            outcome = jvm.run(data)
-        elapsed = time.perf_counter() - started
-        return outcome, collector.tracefile(), elapsed
+    # -- reference runs -----------------------------------------------------------
 
     def run_reference_many(self, jvm: Jvm, batch: Sequence[bytes]
                            ) -> List[Tuple[Outcome, Tracefile]]:
-        """Run a batch of classfiles on the reference JVM, in input order.
+        """Run classfiles on the (instrumented) reference JVM, collecting
+        coverage; ``(outcome, trace)`` pairs in input order.
 
-        The bulk counterpart of :meth:`run_reference` for the speculative
-        fuzzing pipeline: every item is first short-circuited through the
-        content-addressed tracefile cache, and only the misses are handed
-        to the backend's :meth:`_run_reference_batch` fan-out (a
-        dedicated reference worker pool for the process engine, an
-        in-order loop for the serial one).
+        The one reference path: the fuzzing loop primes its seed corpus
+        with one call and runs each round's mutants with one call per
+        round.  Every item is first short-circuited through the
+        content-addressed tracefile cache, so re-running the same bytes
+        (seed priming across algorithms, pool re-runs) is a lookup, and
+        only the misses are handed to the backend's
+        :meth:`_run_reference_batch` fan-out (a dedicated reference
+        worker pool for the process engine, an in-order loop in the
+        calling thread for the serial one).
 
         Results are deterministic and bit-identical across engines for a
         fixed input batch — ``Jvm.run`` is a pure function of the bytes,
         and results are stitched back in submit order.
 
         Identical classfiles *within* one batch are deduplicated by
-        digest: each distinct miss executes exactly once and every
-        duplicate position is filled from that single ``(outcome,
-        trace)`` pair — so duplicates share one :class:`Tracefile`
-        instance (one set of cached interned views, and on the
-        process backend one pickled trace crossing the pool boundary
-        instead of one per position).  Duplicate positions count as
-        ``trace_hits``: they are served without an execution, exactly
-        like a cache hit.
+        digest, with or without a cache: each distinct miss executes
+        exactly once and every duplicate position is filled from that
+        single ``(outcome, trace)`` pair — so duplicates share one
+        :class:`Tracefile` instance (one set of cached interned views,
+        and on the process backend one pickled trace crossing the pool
+        boundary instead of one per position).  With a cache, duplicate
+        positions count as ``trace_hits``: they are served without an
+        execution, exactly like a cache hit.
         """
         items = list(batch)
         started = time.perf_counter()
@@ -467,45 +411,34 @@ class Executor:
         #: digest → every position in this batch awaiting its result.
         positions: Dict[str, List[int]] = {}
         misses: List[Tuple[str, bytes]] = []
+        hits = 0
+        for position, data in enumerate(items):
+            digest = classfile_digest(data)
+            cached = self.cache.get_trace(digest, jvm.name) \
+                if self.cache is not None else None
+            if cached is not None:
+                results[position] = cached
+                hits += 1
+            elif digest in positions:
+                positions[digest].append(position)
+                hits += 1
+            else:
+                positions[digest] = [position]
+                misses.append((digest, data))
         if self.cache is not None:
-            hits = 0
-            for position, data in enumerate(items):
-                digest = classfile_digest(data)
-                cached = self.cache.get_trace(digest, jvm.name)
-                if cached is not None:
-                    results[position] = cached
-                    hits += 1
-                elif digest in positions:
-                    positions[digest].append(position)
-                    hits += 1
-                else:
-                    positions[digest] = [position]
-                    misses.append((digest, data))
             with self._stats_lock:
                 self.stats.trace_hits += hits
                 self.stats.trace_misses += len(misses)
             if self._observe is not None:
-                for _ in range(hits):
-                    self._observe.cache_lookup("trace", True)
-                for _ in misses:
-                    self._observe.cache_lookup("trace", False)
-        else:
-            for position, data in enumerate(items):
-                digest = classfile_digest(data)
-                if digest in positions:
-                    positions[digest].append(position)
-                else:
-                    positions[digest] = [position]
-                    misses.append((digest, data))
+                self._observe.cache_lookup("trace", True, hits)
+                self._observe.cache_lookup("trace", False, len(misses))
         if misses:
             executed = self._run_reference_batch(
                 jvm, [data for _, data in misses])
             for (digest, _), (outcome, trace, seconds) in zip(
                     misses, executed):
-                with self._stats_lock:
-                    self.stats.record_run(jvm.name, seconds)
+                self._record_run(jvm.name, seconds)
                 if self._observe is not None:
-                    self._observe.record_run(jvm.name, seconds)
                     self._observe.record_reference(seconds)
                 if self.cache is not None:
                     self.cache.put_trace(digest, jvm.name, outcome, trace)
@@ -522,9 +455,20 @@ class Executor:
 
     def _run_reference_batch(self, jvm: Jvm, batch: List[bytes]
                              ) -> List[Tuple[Outcome, Tracefile, float]]:
-        """Execute the cache-missing items; in-order serial fallback."""
+        """Execute the cache-missing items in the calling thread, in order.
+
+        The lock keeps one coverage collector active at a time.
+        """
+        executed = []
         with self._reference_lock:
-            return [self._reference_execute(jvm, data) for data in batch]
+            for data in batch:
+                collector = CoverageCollector()
+                started = time.perf_counter()
+                with collector:
+                    outcome = jvm.run(data)
+                executed.append((outcome, collector.tracefile(),
+                                 time.perf_counter() - started))
+        return executed
 
     # -- in-process map -------------------------------------------------------------
 
@@ -579,21 +523,13 @@ class Executor:
             if outcome is None:
                 if parsed is None:
                     parsed = parse_class(data)
-                outcome = self._execute(jvm, parsed)
+                started = time.perf_counter()
+                outcome = jvm.run(parsed)
+                self._record_run(jvm.name, time.perf_counter() - started)
                 if digest is not None:
                     self.cache.put_outcome(digest, jvm.name, outcome)
             outcomes.append(outcome)
         return DifferentialResult(outcomes=outcomes, label=label)
-
-    def _execute(self, jvm: Jvm, data: Union[bytes, ParsedClass]) -> Outcome:
-        started = time.perf_counter()
-        outcome = jvm.run(data)
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self.stats.record_run(jvm.name, elapsed)
-        if self._observe is not None:
-            self._observe.record_run(jvm.name, elapsed)
-        return outcome
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -628,15 +564,17 @@ def _process_worker_init(blob: bytes) -> None:
     _WORKER_JVMS = pickle.loads(blob)
 
 
-def _process_worker_run(data: bytes
+def _process_worker_run(data: bytes, vendors: Sequence[int]
                         ) -> Tuple[List[Outcome], List[float]]:
-    # One parse shared by every vendor; timings are per-vendor runs.
+    """Run ``data`` on the worker's JVMs at positions ``vendors`` (those
+    whose outcome the parent did not find cached): one parse shared by
+    them all, and each run's outcome and seconds in that order."""
     parsed = parse_class(data)
     outcomes: List[Outcome] = []
     timings: List[float] = []
-    for jvm in _WORKER_JVMS:
+    for index in vendors:
         started = time.perf_counter()
-        outcomes.append(jvm.run(parsed))
+        outcomes.append(_WORKER_JVMS[index].run(parsed))
         timings.append(time.perf_counter() - started)
     return outcomes, timings
 
@@ -645,11 +583,13 @@ class ProcessExecutor(Executor):
     """Process-pool engine: real CPU parallelism for CPU-bound runs.
 
     The JVM list is pickled once and installed in each worker by the pool
-    initializer; tasks ship only classfile bytes and return picklable
-    outcomes plus per-vendor timings.  The pool is rebuilt when a batch
-    arrives with a different JVM configuration — detected by object
-    identity first, so the steady state (the same JVM list every batch)
-    never re-pickles anything.
+    initializer.  The parent looks every vendor's outcome up in the cache
+    first, exactly as the serial engine does; a task ships a classfile's
+    bytes with the positions of the vendors that missed, and returns
+    their picklable outcomes plus per-vendor timings.  The pool is
+    rebuilt when a batch arrives with a different JVM configuration —
+    detected by object identity first, so the steady state (the same
+    JVM list every batch) never re-pickles anything.
 
     The reference path runs on persistent workers (see
     :mod:`repro.core.worker`): warm reference JVMs, recycled every
@@ -696,48 +636,29 @@ class ProcessExecutor(Executor):
 
     def _run_batch(self, jvms, batch):
         pool = self._ensure_pool(jvms)
-        # (label, digest, future-or-None, cached outcomes) in submit order.
-        pending: List[Tuple[str, Optional[str],
-                            Optional[futures.Future],
-                            Optional[List[Outcome]]]] = []
+        # (label, digest, outcomes with None at each miss, the missed
+        # positions, their task or None) in submit order.
+        pending = []
         for label, data in batch:
-            digest = cached = None
-            if self.cache is not None:
-                digest = classfile_digest(data)
-                found = [self.cache.get_outcome(digest, jvm.name)
-                         for jvm in jvms]
-                # A classfile is a hit only when every vendor outcome is
-                # present — partial entries re-run everywhere.
-                if all(outcome is not None for outcome in found):
-                    cached = found
-            with self._stats_lock:
-                if cached is not None:
-                    self.stats.cache_hits += len(jvms)
-                elif self.cache is not None:
-                    self.stats.cache_misses += len(jvms)
-            if self._observe is not None and self.cache is not None:
-                for _ in jvms:
-                    self._observe.cache_lookup("outcome",
-                                               cached is not None)
-            task = None if cached is not None \
-                else pool.submit(_process_worker_run, data)
-            pending.append((label, digest, task, cached))
+            digest = classfile_digest(data) if self.cache is not None \
+                else None
+            outcomes = [self._cached_outcome(digest, jvm)
+                        if digest is not None else None for jvm in jvms]
+            missed = [index for index, outcome in enumerate(outcomes)
+                      if outcome is None]
+            task = pool.submit(_process_worker_run, data, missed) \
+                if missed else None
+            pending.append((label, digest, outcomes, missed, task))
         results = []
-        for label, digest, task, cached in pending:
-            if cached is not None:
-                outcomes = cached
-            else:
-                outcomes, timings = task.result()
-                with self._stats_lock:
-                    for jvm, seconds in zip(jvms, timings):
-                        self.stats.record_run(jvm.name, seconds)
-                if self._observe is not None:
-                    for jvm, seconds in zip(jvms, timings):
-                        self._observe.record_run(jvm.name, seconds)
-                if self.cache is not None:
-                    for jvm, outcome in zip(jvms, outcomes):
-                        self.cache.put_outcome(digest, jvm.name, outcome)
-            results.append(DifferentialResult(outcomes=list(outcomes),
+        for label, digest, outcomes, missed, task in pending:
+            if task is not None:
+                for index, outcome, seconds in zip(missed, *task.result()):
+                    name = jvms[index].name
+                    outcomes[index] = outcome
+                    self._record_run(name, seconds)
+                    if digest is not None:
+                        self.cache.put_outcome(digest, name, outcome)
+            results.append(DifferentialResult(outcomes=outcomes,
                                               label=label))
         return results
 

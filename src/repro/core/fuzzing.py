@@ -487,16 +487,9 @@ class _FuzzEngine:
         return GeneratedClass(draft.jclass.name, draft.jclass, data,
                               mutator.name, parent=draft.parent_label)
 
-    def run_on_reference(self, generated: GeneratedClass) -> Tracefile:
-        """Execute on the reference JVM, collecting coverage."""
-        _, trace = self.executor.run_reference(self.reference,
-                                               generated.data)
-        generated.tracefile = trace
-        return trace
-
     def collect_coverage(self, batch: List[GeneratedClass]) -> None:
         """Fan the batch's reference-JVM coverage runs out in one bulk
-        call, attaching each tracefile to its mutant (input order)."""
+        call, attaching each tracefile to its class (input order)."""
         if not batch:
             return
         results = self.executor.run_reference_many(
@@ -504,24 +497,27 @@ class _FuzzEngine:
         for generated, (_, trace) in zip(batch, results):
             generated.tracefile = trace
 
-    def prime_pool(self):
-        """Yield ``(placeholder, trace)`` for each compilable corpus seed.
+    def prime_pool(self) -> List[Tracefile]:
+        """The reference trace of each compilable corpus seed, in order.
 
         Seeds the acceptance state with the seed corpus's own coverage so
         accepted mutants are unique w.r.t. the whole suite (TestClasses
         starts = Seeds, Algorithm 1 line 5).  Only the original-seed
         prefix of the pool is primed: on a fresh run that is the whole
         pool, and on a resumed run the accepted mutants' coverage is
-        replayed separately from their checkpointed tracefiles.
+        replayed separately from their checkpointed tracefiles.  Every
+        seed compiles first; then one bulk reference call runs them all.
         """
+        seeds = []
         for entry in self.pool.entries[:self.pool.seed_count]:
             try:
                 data = write_class(compile_class(entry.jclass))
             except (JimpleCompileError, struct.error):
                 continue
             entry.size = len(data)
-            placeholder = GeneratedClass(entry.label, entry.jclass, data)
-            yield placeholder, self.run_on_reference(placeholder)
+            seeds.append(GeneratedClass(entry.label, entry.jclass, data))
+        self.collect_coverage(seeds)
+        return [seed.tracefile for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +652,7 @@ def _run_pipeline(result: FuzzResult, engine: _FuzzEngine, selector,
         start_index, start_round, start_elapsed = restore_run(
             checkpoint_state, result, engine, selector)
     if policy.needs_coverage and start_index < iterations:
-        for _, trace in engine.prime_pool():
+        for trace in engine.prime_pool():
             policy.prime(trace)
             engine.pool.absorb(trace)
         for generated in result.test_classes:

@@ -14,15 +14,23 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bytecode.instructions import Instruction, InstructionError, decode_code
 from repro.bytecode.opcodes import CONST, LOAD, RETURN, STORE, Op
-from repro.classfile.access_flags import AccessFlags
+from repro.classfile import access_flags as acc
 from repro.classfile.attributes import ConstantValueAttribute
-from repro.classfile.constant_pool import ConstantPool, CpTag
+from repro.classfile.constant_pool import ConstantPool, ConstantPoolError, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
 from repro.classfile.model import ClassFile
 from repro.jimple import statements as st
 from repro.jimple import to_classfile
 from repro.jimple.model import JClass, JField, JLocal, JMethod
-from repro.jimple.types import INT, JType, descriptor_to_java
+from repro.jimple.types import (
+    DOUBLE,
+    FLOAT,
+    INT,
+    LONG,
+    OBJECT,
+    JType,
+    descriptor_to_java,
+)
 
 
 class JimpleLiftError(Exception):
@@ -33,47 +41,6 @@ class _BodyLiftError(Exception):
     """Internal: this body needs the raw-code fallback."""
 
 
-_CLASS_MODIFIERS = [
-    (AccessFlags.PUBLIC, "public"),
-    (AccessFlags.FINAL, "final"),
-    (AccessFlags.SUPER, "super"),
-    (AccessFlags.INTERFACE, "interface"),
-    (AccessFlags.ABSTRACT, "abstract"),
-    (AccessFlags.SYNTHETIC, "synthetic"),
-    (AccessFlags.ANNOTATION, "annotation"),
-    (AccessFlags.ENUM, "enum"),
-]
-
-_FIELD_MODIFIERS = [
-    (AccessFlags.PUBLIC, "public"),
-    (AccessFlags.PRIVATE, "private"),
-    (AccessFlags.PROTECTED, "protected"),
-    (AccessFlags.STATIC, "static"),
-    (AccessFlags.FINAL, "final"),
-    (AccessFlags.VOLATILE, "volatile"),
-    (AccessFlags.TRANSIENT, "transient"),
-    (AccessFlags.SYNTHETIC, "synthetic"),
-    (AccessFlags.ENUM, "enum"),
-]
-
-_METHOD_MODIFIERS = [
-    (AccessFlags.PUBLIC, "public"),
-    (AccessFlags.PRIVATE, "private"),
-    (AccessFlags.PROTECTED, "protected"),
-    (AccessFlags.STATIC, "static"),
-    (AccessFlags.FINAL, "final"),
-    (AccessFlags.SYNCHRONIZED, "synchronized"),
-    (AccessFlags.NATIVE, "native"),
-    (AccessFlags.ABSTRACT, "abstract"),
-    (AccessFlags.STRICT, "strictfp"),
-    (AccessFlags.SYNTHETIC, "synthetic"),
-]
-
-
-def _modifiers(flags: AccessFlags, table) -> List[str]:
-    return [name for bit, name in table if flags & bit]
-
-
 def lift_class(classfile: ClassFile) -> JClass:
     """Lift ``classfile`` into a :class:`JClass`.
 
@@ -81,23 +48,22 @@ def lift_class(classfile: ClassFile) -> JClass:
         JimpleLiftError: when even the structural skeleton is unreadable
             (dangling this/super indices, unparseable descriptors).
     """
-    pool = classfile.constant_pool
     try:
         name = classfile.name.replace("/", ".")
         super_name = classfile.super_name
-    except Exception as exc:
+    except ConstantPoolError as exc:
         raise JimpleLiftError(f"unreadable class header: {exc}") from exc
     jclass = JClass(
         name=name,
         superclass=super_name.replace("/", ".") if super_name else None,
-        modifiers=_modifiers(classfile.access_flags, _CLASS_MODIFIERS),
+        modifiers=acc.modifiers(classfile.access_flags, acc.CLASS_FLAGS),
         major_version=classfile.major_version,
         minor_version=classfile.minor_version,
     )
     try:
         jclass.interfaces = [n.replace("/", ".")
                              for n in classfile.interface_names]
-    except Exception as exc:
+    except ConstantPoolError as exc:
         raise JimpleLiftError(f"unreadable interfaces: {exc}") from exc
     for field_info in classfile.fields:
         jclass.fields.append(_lift_field(classfile, field_info))
@@ -111,7 +77,7 @@ def _lift_field(classfile: ClassFile, field_info) -> JField:
     try:
         name = classfile.field_name(field_info)
         jtype = JType(descriptor_to_java(classfile.field_descriptor(field_info)))
-    except Exception as exc:
+    except (ConstantPoolError, DescriptorError) as exc:
         raise JimpleLiftError(f"unreadable field: {exc}") from exc
     constant_value = None
     attr = field_info.attribute("ConstantValue")
@@ -123,8 +89,8 @@ def _lift_field(classfile: ClassFile, field_info) -> JField:
             elif entry.tag in (CpTag.INTEGER, CpTag.FLOAT, CpTag.LONG,
                                CpTag.DOUBLE):
                 constant_value = entry.value
-    return JField(name, jtype, _modifiers(field_info.access_flags,
-                                          _FIELD_MODIFIERS), constant_value)
+    return JField(name, jtype, acc.modifiers(field_info.access_flags,
+                                             acc.FIELD_FLAGS), constant_value)
 
 
 def _lift_method(classfile: ClassFile, method_info) -> JMethod:
@@ -133,21 +99,21 @@ def _lift_method(classfile: ClassFile, method_info) -> JMethod:
         name = classfile.method_name(method_info)
         descriptor = classfile.method_descriptor(method_info)
         parsed = parse_method_descriptor(descriptor)
-    except (DescriptorError, Exception) as exc:
+    except (ConstantPoolError, DescriptorError) as exc:
         raise JimpleLiftError(f"unreadable method: {exc}") from exc
     method = JMethod(
         name=name,
         return_type=(JType(parsed.return_type.java_name)
                      if parsed.return_type else JType("void")),
         parameter_types=[JType(p.java_name) for p in parsed.parameters],
-        modifiers=_modifiers(method_info.access_flags, _METHOD_MODIFIERS),
+        modifiers=acc.modifiers(method_info.access_flags, acc.METHOD_FLAGS),
     )
     exceptions = method_info.exceptions
     if exceptions is not None:
         try:
             method.thrown = [n.replace("/", ".")
                              for n in exceptions.exception_names(pool)]
-        except Exception:
+        except ConstantPoolError:
             method.thrown = []
     code = method_info.code
     if code is None:
@@ -181,6 +147,9 @@ _StackItem = Union[st.Constant, str, Tuple[str, object]]
 #: back.
 _BINOP_OPS = {op: symbol for symbol, op in to_classfile._BINOPS.items()}
 _IF_OPS = {op: cond for cond, op in to_classfile._IF_OPS.items()}
+
+#: Store opcode category → the type of a local that such a store fills.
+_STORE_TYPES = {"i": INT, "l": LONG, "f": FLOAT, "d": DOUBLE, "a": OBJECT}
 
 
 class _BodyLifter:
@@ -266,7 +235,7 @@ class _BodyLifter:
                     on_interface: bool = False):
         try:
             owner, name, descriptor = self.pool.get_member_ref(index)
-        except Exception as exc:
+        except ConstantPoolError as exc:
             raise _BodyLiftError(f"bad member ref: {exc}") from exc
         owner_dotted = owner.replace("/", ".")
         if is_field:
@@ -286,13 +255,8 @@ class _BodyLifter:
             tuple(JType(p.java_name) for p in parsed.parameters),
             on_interface=on_interface)
 
-    def _store(self, slot: int) -> None:
+    def _store(self, slot: int, cat: str) -> None:
         item = self._pop()
-        if isinstance(self.param_slots.get(slot), (int, str)) \
-                and slot not in self.slot_names:
-            # Storing over a parameter slot: treat it as a fresh local that
-            # shadows the parameter, as Jimple renaming would.
-            pass
         jtype = self._value_type(item)
         if isinstance(item, tuple):
             kind, payload = item
@@ -335,6 +299,11 @@ class _BodyLifter:
                 self.local_types[name] = INT
             else:  # pragma: no cover - closed set
                 raise _BodyLiftError(f"unliftable expression {kind}")
+        if self.local_types[name].category != cat:
+            # The store opcode, not the stored value, says what the slot
+            # holds: an ``istore`` of a reference must recompile as an
+            # ``istore``, or the verifier's verdict on it is lost.
+            self.local_types[name] = _STORE_TYPES[cat]
 
     # -- the evaluator ----------------------------------------------------------
 
@@ -357,7 +326,8 @@ class _BodyLifter:
         elif info.family == LOAD:
             self._lift_load(operands.get("index", info.implicit))  # type: ignore[arg-type]
         elif info.family == STORE:
-            self._store(operands.get("index", info.implicit))  # type: ignore[arg-type]
+            self._store(operands.get("index", info.implicit),  # type: ignore[arg-type]
+                        info.cat)
         elif op in _BINOP_OPS:
             right = self._pop_value()
             left = self._pop_value()
@@ -429,7 +399,7 @@ class _BodyLifter:
     def _class_name(self, index: int) -> str:
         try:
             return self.pool.get_class_name(index).replace("/", ".")
-        except Exception as exc:
+        except ConstantPoolError as exc:
             raise _BodyLiftError(f"bad class ref: {exc}") from exc
 
     def _lift_ldc(self, index: int) -> None:

@@ -18,19 +18,6 @@ from typing import List, Optional, Set, Tuple
 from repro.jimple.statements import Stmt, Trap
 from repro.jimple.types import JType, VOID
 
-#: Modifier strings meaningful on a class.
-CLASS_MODIFIERS = ("public", "private", "protected", "final", "abstract",
-                   "interface", "enum", "annotation", "synthetic", "super")
-
-#: Modifier strings meaningful on a field.
-FIELD_MODIFIERS = ("public", "private", "protected", "static", "final",
-                   "volatile", "transient", "synthetic", "enum")
-
-#: Modifier strings meaningful on a method.
-METHOD_MODIFIERS = ("public", "private", "protected", "static", "final",
-                    "synchronized", "bridge", "varargs", "native", "abstract",
-                    "strictfp", "synthetic")
-
 
 @dataclass(frozen=True)
 class MethodSignature:

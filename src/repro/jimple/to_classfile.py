@@ -41,48 +41,10 @@ class JimpleCompileError(Exception):
     """The class cannot be dumped to a classfile (Soot-dump failure analogue)."""
 
 
-#: Modifier string → class-context flag bit.
-_CLASS_FLAGS = {
-    "public": acc.ACC_PUBLIC,
-    "private": acc.ACC_PRIVATE,
-    "protected": acc.ACC_PROTECTED,
-    "final": acc.ACC_FINAL,
-    "super": acc.ACC_SUPER,
-    "interface": acc.ACC_INTERFACE,
-    "abstract": acc.ACC_ABSTRACT,
-    "synthetic": acc.ACC_SYNTHETIC,
-    "annotation": acc.ACC_ANNOTATION,
-    "enum": acc.ACC_ENUM,
-}
-
-#: Modifier string → field-context flag bit.
-_FIELD_FLAGS = {
-    "public": acc.ACC_PUBLIC,
-    "private": acc.ACC_PRIVATE,
-    "protected": acc.ACC_PROTECTED,
-    "static": acc.ACC_STATIC,
-    "final": acc.ACC_FINAL,
-    "volatile": acc.ACC_VOLATILE,
-    "transient": acc.ACC_TRANSIENT,
-    "synthetic": acc.ACC_SYNTHETIC,
-    "enum": acc.ACC_ENUM,
-}
-
-#: Modifier string → method-context flag bit.
-_METHOD_FLAGS = {
-    "public": acc.ACC_PUBLIC,
-    "private": acc.ACC_PRIVATE,
-    "protected": acc.ACC_PROTECTED,
-    "static": acc.ACC_STATIC,
-    "final": acc.ACC_FINAL,
-    "synchronized": acc.ACC_SYNCHRONIZED,
-    "bridge": acc.ACC_BRIDGE,
-    "varargs": acc.ACC_VARARGS,
-    "native": acc.ACC_NATIVE,
-    "abstract": acc.ACC_ABSTRACT,
-    "strictfp": acc.ACC_STRICT,
-    "synthetic": acc.ACC_SYNTHETIC,
-}
+#: Modifier string → flag bit, per context.
+_CLASS_FLAGS, _FIELD_FLAGS, _METHOD_FLAGS = (
+    {modifier: bit for bit, modifier in table}
+    for table in (acc.CLASS_FLAGS, acc.FIELD_FLAGS, acc.METHOD_FLAGS))
 
 
 def _flags(modifiers: List[str], table: Dict[str, int]) -> AccessFlags:

@@ -94,3 +94,33 @@ class TestDisassembler:
             AccessFlags.PUBLIC, pool.utf8("m"), pool.utf8("()V"), [code]))
         text = disassemble(classfile)
         assert "<dangling>" in text
+
+    def test_member_flags_named_per_context(self):
+        """Each context reads its own meaning of a shared bit, as javap
+        does: 0x0020 is ACC_SYNCHRONIZED on a method (ACC_SUPER only on
+        a class), 0x0040 and 0x0080 are ACC_VOLATILE and ACC_TRANSIENT
+        on a field but ACC_BRIDGE and ACC_VARARGS on a method."""
+        builder = ClassBuilder("Flagged")
+        builder.field("counter", INT, ["private", "volatile", "transient"])
+        method = MethodBuilder("m", modifiers=[
+            "public", "synchronized", "bridge", "varargs"])
+        method.ret()
+        builder.method(method.build())
+        text = render(builder.build())
+        assert "flags: ACC_PUBLIC, ACC_SUPER" in text
+        assert "    flags: ACC_PRIVATE, ACC_VOLATILE, ACC_TRANSIENT" in text
+        assert "private volatile transient int counter;" in text
+        assert ("    flags: ACC_PUBLIC, ACC_SYNCHRONIZED, ACC_BRIDGE, "
+                "ACC_VARARGS") in text
+        assert "public synchronized bridge varargs void m();" in text
+        assert "ACC_SUPER" not in text.split("{", 1)[1]
+
+    def test_bits_without_a_meaning_print_in_hex(self):
+        """A bit the context gives no meaning is shown, not dropped,
+        in hex after the named flags, highest first, as javap does."""
+        from repro.classfile import access_flags as acc
+
+        assert acc.flag_names(0x0201 | 0x4000, acc.METHOD_FLAGS) == \
+            "ACC_PUBLIC, 0x4000, 0x200"
+        assert acc.flag_names(0x0808, acc.CLASS_FLAGS) == "0x800, 0x8"
+        assert acc.flag_names(0, acc.FIELD_FLAGS) == ""

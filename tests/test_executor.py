@@ -79,6 +79,27 @@ class TestDeterminism:
             harness = DifferentialHarness(executor=engine)
             assert harness.run_many(suite) == serial_results
 
+    def test_engines_count_the_same_work(self, suite, serial_results):
+        """Both engines look each vendor's outcome up once and run only
+        the misses: a reference run's cached outcome serves the
+        reference vendor's later differential lookup on either."""
+        seen = []
+        for engine in (SerialExecutor(cache=OutcomeCache()),
+                       ProcessExecutor(jobs=2, cache=OutcomeCache())):
+            with engine:
+                engine.run_reference_many(
+                    reference_jvm(), [data for _, data in suite[:3]])
+                results = engine.run_differential(all_jvms(), suite[:4])
+            stats = engine.stats
+            seen.append((results, stats.runs, stats.cache_hits,
+                         stats.cache_misses, stats.vendor_runs))
+        assert seen[0] == seen[1]
+        results, runs, hits, misses, vendor_runs = seen[0]
+        lookups = 4 * len(all_jvms())
+        assert results == serial_results[:4]
+        assert (runs, hits, misses) == (lookups, 3, lookups - 3)
+        assert vendor_runs[reference_jvm().name] == 4
+
 
 def futures_broken():
     from concurrent.futures.process import BrokenProcessPool
@@ -109,15 +130,16 @@ class TestOutcomeCache:
         engine = SerialExecutor(cache=OutcomeCache())
         jvm = reference_jvm()
         _, data = suite[0]
-        first = engine.run_reference(jvm, data)
-        second = engine.run_reference(jvm, data)
+        first = engine.run_reference_many(jvm, [data])[0]
+        second = engine.run_reference_many(jvm, [data])[0]
         assert first == second
         assert engine.stats.trace_hits == 1
         assert engine.stats.trace_misses == 1
 
     def test_uncached_reference_still_collects(self, suite):
         engine = SerialExecutor()
-        outcome, trace = engine.run_reference(reference_jvm(), suite[0][1])
+        outcome, trace = engine.run_reference_many(
+            reference_jvm(), [suite[0][1]])[0]
         assert trace.stmt > 0
 
     def test_process_batch_cache_hits(self, suite):
@@ -173,13 +195,13 @@ class TestOutcomeCacheSplitLookup:
         (differential,) = engine.run_differential([jvm], [("c", data)])
         # The differential run cached the outcome alone: the reference
         # lookup misses and re-runs for coverage.
-        outcome, trace = engine.run_reference(jvm, data)
+        outcome, trace = engine.run_reference_many(jvm, [data])[0]
         assert outcome == differential.outcomes[0]
         assert trace.stmt > 0
         assert engine.stats.trace_misses == 1
         assert "outcome-only" not in engine.stats.format()
         # The re-run stored the trace: next lookup is a full hit.
-        engine.run_reference(jvm, data)
+        engine.run_reference_many(jvm, [data])
         assert engine.stats.trace_hits == 1
 
     def test_batch_rerun_reuses_cached_outcome(self, suite):
@@ -203,8 +225,8 @@ class TestOutcomeCacheSplitLookup:
         jvm = reference_jvm()
         _, data = suite[0]
         engine.run_differential([jvm], [("c", data)])
-        engine.run_reference(jvm, data)
-        engine.run_reference(jvm, data)
+        engine.run_reference_many(jvm, [data])
+        engine.run_reference_many(jvm, [data])
         trace = StatusTracker(telemetry.registry).snapshot()[
             "executor"]["caches"]["trace"]
         assert trace == {"lookups": {"miss": 1, "hit": 1}, "hit_rate": 0.5}

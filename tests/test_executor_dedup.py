@@ -58,7 +58,8 @@ class TestSerialDedup:
         a, b, c = classfiles[:3]
         batch = [a, b, a, c, b, a]
         results = engine.run_reference_many(jvm, batch)
-        baseline = {bytes_: SerialExecutor().run_reference(jvm, bytes_)
+        baseline = {bytes_: SerialExecutor().run_reference_many(
+                        jvm, [bytes_])[0]
                     for bytes_ in (a, b, c)}
         assert results == [baseline[bytes_] for bytes_ in batch]
         assert engine.stats.runs == 3

@@ -4,7 +4,12 @@ import pytest
 
 from repro.bytecode import Op, decode_code
 from repro.classfile import read_class, write_class
-from repro.classfile.access_flags import AccessFlags
+from repro.classfile.access_flags import (
+    CLASS_FLAGS,
+    FIELD_FLAGS,
+    METHOD_FLAGS,
+    AccessFlags,
+)
 from repro.jimple import (
     ClassBuilder,
     MethodBuilder,
@@ -228,6 +233,55 @@ class TestLift:
         assert "AssignBinopStmt" in kinds
         assert "IfStmt" in kinds
         assert "LabelStmt" in kinds
+
+    @pytest.mark.parametrize("table, declare, member", [
+        (CLASS_FLAGS, lambda builder, modifier:
+            builder.jclass.modifiers.append(modifier), lambda c: c),
+        (FIELD_FLAGS, lambda builder, modifier:
+            builder.field("f", INT, [modifier]), lambda c: c.fields[0]),
+        (METHOD_FLAGS, lambda builder, modifier: builder.method(
+            MethodBuilder("m", modifiers=[modifier]).ret().build()),
+         lambda c: c.methods[0]),
+    ], ids=["class", "field", "method"])
+    def test_every_flag_survives_lift_and_compile(self, table, declare,
+                                                  member):
+        """Each context's flag table holds every bit that lifts and
+        compiles back, so a mutant keeps every modifier it was given."""
+        for _, modifier in table:
+            builder = ClassBuilder("Flags", modifiers=["public", "super"])
+            declare(builder, modifier)
+            data = compile_class_bytes(builder.build())
+            lifted = lift_class(read_class(data))
+            assert modifier in member(lifted).modifiers, modifier
+            assert compile_class_bytes(lifted) == data, modifier
+
+    def test_store_opcode_types_the_lifted_local(self):
+        """A parameter loaded with ``aload`` and stored with ``istore``
+        lifts to an int local: the recompiled class stores it with
+        ``istore`` again, so every vendor keeps its verdict."""
+        from repro.jvm.vendors import all_jvms
+
+        builder = ClassBuilder("Retyped")
+        builder.default_init()
+        method = MethodBuilder("m", VOID, [JType("java.lang.Object")],
+                               ["public", "static"])
+        method.local("i", INT)
+        method.identity("i", "parameter0", JType("java.lang.Object"))
+        method.ret()
+        builder.method(method.build())
+        builder.main_printing()
+        data = compile_class_bytes(builder.build())
+        code = read_class(data).find_method("m").code.code
+        assert [i.op for i in decode_code(code)] == \
+            [Op.ALOAD, Op.ISTORE, Op.RETURN]
+        lifted = lift_class(read_class(data))
+        assert [(local.name, local.jtype) for local in
+                lifted.find_method("m").locals] == [("l1", INT)]
+        again = compile_class_bytes(lifted)
+        verdicts = [[(o.phase, o.error) for o in map(jvm.run, (data, again))]
+                    for jvm in all_jvms()]
+        assert all(before == after for before, after in verdicts)
+        assert any(before[1] == "VerifyError" for before, _ in verdicts)
 
     def test_unliftable_body_carried_raw(self):
         # Hand-assemble a body using an opcode the lifter does not model

@@ -301,7 +301,8 @@ class TestSharedParse:
         assert DifferentialHarness(jvms).run_one(data, name).outcomes \
             == alone
         monkeypatch.setattr(executor_module, "_WORKER_JVMS", jvms)
-        outcomes, timings = executor_module._process_worker_run(data)
+        outcomes, timings = executor_module._process_worker_run(
+            data, range(len(jvms)))
         assert outcomes == alone and len(timings) == len(jvms)
 
     def test_messages_follow_each_vendors_range(self):
@@ -341,13 +342,14 @@ class TestSharedParse:
 
     def test_version_rejected_reference_run_records_no_reader_site(self):
         engine = SerialExecutor()
-        outcome, trace = engine.run_reference(
-            reference_jvm(), with_major(demo_bytes(), 54))
+        outcome, trace = engine.run_reference_many(
+            reference_jvm(), [with_major(demo_bytes(), 54)])[0]
         assert outcome.error == UCVE
         assert "loader.parse" in trace.statements
         assert not [site for site in trace.statements
                     if site.startswith("reader.")]
-        _, loaded = engine.run_reference(reference_jvm(), demo_bytes())
+        ((_, loaded),) = engine.run_reference_many(reference_jvm(),
+                                                   [demo_bytes()])
         assert any(site.startswith("reader.") for site in loaded.statements)
 
     def test_read_class_applies_its_options(self):

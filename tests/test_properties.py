@@ -327,6 +327,55 @@ def test_compiled_bodies_reencode_to_their_bytes(rng_seed, from_corpus,
             assert encode_code(decode_code(code)) == code
 
 
+def _retype_mutators():
+    from repro.core.mutators import MUTATORS
+
+    return [mutator for mutator in MUTATORS if ".retype_" in mutator.name]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.booleans(),
+       st.lists(st.one_of(st.sampled_from(_retype_mutators()),
+                          st.integers(min_value=0, max_value=10 ** 6)),
+                max_size=3))
+def test_lift_compile_keeps_every_verdict(rng_seed, execution, mutations):
+    """``compile(lift(read(b)))`` keeps every vendor's (phase, error) on
+    generated classes and their mutants, the retypes among them, and a
+    second round returns the same bytes.  ``repro reduce`` and triage
+    minimization lift first, so a verdict lost here is a lost bug."""
+    from repro.classfile.reader import read_class
+    from repro.core.mutators import MUTATORS
+    from repro.corpus import CorpusConfig, generate_corpus
+    from repro.jimple.from_classfile import lift_class
+    from repro.jimple.to_classfile import JimpleCompileError, compile_class_bytes
+    from repro.jvm.vendors import all_jvms
+
+    rng = random.Random(rng_seed)
+    (jclass,) = generate_corpus(CorpusConfig(
+        count=1, seed=rng_seed, exec_fraction=1.0 if execution else 0.0))
+    for mutator in mutations:
+        if isinstance(mutator, int):
+            mutator = MUTATORS[mutator % len(MUTATORS)]
+        try:
+            mutator(jclass, rng)
+        except Exception:
+            return  # a crashed rewrite is a discarded iteration
+    try:
+        data = compile_class_bytes(jclass)
+    except (JimpleCompileError, struct.error):
+        return  # a dump failure: no bytes
+
+    def verdicts(classfile):
+        return [(outcome.phase, outcome.error)
+                for outcome in (jvm.run(classfile) for jvm in all_jvms())]
+
+    once = compile_class_bytes(lift_class(read_class(data)))
+    assert verdicts(once) == verdicts(data)
+    assert compile_class_bytes(lift_class(read_class(once))) == once
+
+
 # ---------------------------------------------------------------------------
 # MCMC invariants
 # ---------------------------------------------------------------------------
