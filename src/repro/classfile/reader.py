@@ -17,7 +17,7 @@ classfile, and each vendor's outcome is the one its own parse would give.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.classfile.access_flags import AccessFlags
@@ -90,6 +90,9 @@ class ParsedClass:
             outside the reader's range stops the parse before the body,
             so this is then that version error.
         trailing: bytes left after the class structure.
+        verified: the vendors' verification outcomes on this parse (see
+            :meth:`repro.jvm.linker.Linker.verify_method`); pickles and
+            copies carry an empty one.
     """
 
     major: Optional[int]
@@ -97,6 +100,10 @@ class ParsedClass:
     classfile: Optional[ClassFile]
     error: Optional[ClassFormatError]
     trailing: int = 0
+    verified: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "verified": {}}
 
     def accept(self, options: ReaderOptions) -> ClassFile:
         """Apply one vendor's policy: the class it loads, or its error.

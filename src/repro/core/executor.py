@@ -637,11 +637,19 @@ class ProcessExecutor(Executor):
     def _run_batch(self, jvms, batch):
         pool = self._ensure_pool(jvms)
         # (label, digest, outcomes with None at each miss, the missed
-        # positions, their task or None) in submit order.
+        # positions, their task or None) in submit order.  A repeated
+        # digest is looked up once its first occurrence has run, as on the
+        # serial engine (outcomes None until then): every vendor hits.
         pending = []
+        seen = set()
         for label, data in batch:
             digest = classfile_digest(data) if self.cache is not None \
                 else None
+            if digest in seen:
+                pending.append((label, digest, None, (), None))
+                continue
+            if digest is not None:
+                seen.add(digest)
             outcomes = [self._cached_outcome(digest, jvm)
                         if digest is not None else None for jvm in jvms]
             missed = [index for index, outcome in enumerate(outcomes)
@@ -651,7 +659,10 @@ class ProcessExecutor(Executor):
             pending.append((label, digest, outcomes, missed, task))
         results = []
         for label, digest, outcomes, missed, task in pending:
-            if task is not None:
+            if outcomes is None:
+                outcomes = [self._cached_outcome(digest, jvm)
+                            for jvm in jvms]
+            elif task is not None:
                 for index, outcome, seconds in zip(missed, *task.result()):
                     name = jvms[index].name
                     outcomes[index] = outcome

@@ -8,22 +8,25 @@ bytecode verification of method bodies.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import copy
+from typing import Dict, Optional
 
+from repro.classfile.attributes import CodeAttribute
 from repro.classfile.constant_pool import ConstantPoolError
 from repro.classfile.methods import CLASS_INIT, MethodInfo
 from repro.classfile.model import ClassFile
-from repro.coverage.probes import branch, probe
+from repro.coverage.probes import active_collector, branch, probe
 from repro.errors import (
     ClassCircularityError,
     ClassFormatError,
     IllegalAccessError,
     IncompatibleClassChangeError,
+    JavaError,
     NoClassDefFoundError,
     VerifyError,
 )
 from repro.jvm.policy import JvmPolicy
-from repro.jvm.verifier import MethodVerifier
+from repro.jvm.verifier import MethodVerifier, verifier_config
 from repro.runtime.environment import JreEnvironment
 
 
@@ -64,7 +67,7 @@ class Linker:
                 raise ClassCircularityError(classfile.name.replace("/", "."))
             self._find_class(name, classfile.name)
 
-    def link(self, classfile: ClassFile) -> None:
+    def link(self, classfile: ClassFile, verified: Optional[Dict]) -> None:
         """Run the linking phase (hierarchy constraints + verification).
 
         Raises:
@@ -77,7 +80,7 @@ class Linker:
         self._check_interfaces(classfile)
         if self.policy.resolve_thrown_exceptions:
             self._resolve_thrown(classfile)
-        self._verify_methods(classfile)
+        self._verify_methods(classfile, verified)
 
     # -- hierarchy ------------------------------------------------------------------
 
@@ -168,7 +171,8 @@ class Linker:
 
     # -- verification ------------------------------------------------------------------
 
-    def _verify_methods(self, classfile: ClassFile) -> None:
+    def _verify_methods(self, classfile: ClassFile,
+                        verified: Optional[Dict]) -> None:
         probe("linker.verify_methods")
         for method in classfile.methods:
             name = classfile.method_name(method)
@@ -183,8 +187,7 @@ class Linker:
             if code is None:
                 continue
             probe("linker.verify_one")
-            MethodVerifier(classfile, method, code, self.policy,
-                           self.library).verify()
+            self.verify_method(classfile, method, code, verified)
 
     def _check_code_shape(self, classfile: ClassFile, method: MethodInfo,
                           name: str) -> None:
@@ -203,11 +206,39 @@ class Linker:
                 f"method={name}{descriptor}")
 
     def verify_single_method(self, classfile: ClassFile,
-                             method: MethodInfo) -> None:
+                             method: MethodInfo,
+                             verified: Optional[Dict]) -> None:
         """Verify one method on demand (lazy-verification vendors)."""
         code = method.code
         if code is None:
             return
         probe("linker.verify_on_demand")
-        MethodVerifier(classfile, method, code, self.policy,
-                       self.library).verify()
+        self.verify_method(classfile, method, code, verified)
+
+    def verify_method(self, classfile: ClassFile, method: MethodInfo,
+                      code: CodeAttribute,
+                      verified: Optional[Dict]) -> None:
+        """Verify ``method``, or replay its outcome from ``verified``, a
+        shared parse's map of (verifier configuration, method) to ``None``
+        ("passed") or the :class:`JavaError` raised; a hit raises a copy.
+        Only consulted with no coverage collector active, so a collector
+        records every probe; any other exception propagates every time.
+        """
+        key = None
+        if verified is not None and active_collector() is None:
+            key = (verifier_config(self.policy, self.library), id(method))
+            if key in verified:
+                error = verified[key]
+                if error is not None:
+                    raise copy.copy(error)
+                return
+        try:
+            MethodVerifier(classfile, method, code, self.policy,
+                           self.library).verify()
+        except JavaError as exc:
+            if key is not None:
+                # A copy holds no traceback, so the memo keeps no frame.
+                verified[key] = copy.copy(exc)
+            raise
+        if key is not None:
+            verified[key] = None

@@ -58,12 +58,16 @@ class Jvm:
 
         ``data`` may instead be a :class:`ParsedClass` shared by every
         vendor that runs the same bytes; the outcome is the same.  A
-        shared parse is read-only here, so one serves any number of runs.
+        shared parse is read-only here, so one serves any number of runs,
+        except for :attr:`ParsedClass.verified`, which lets HotSpot 7, 8
+        and 9 verify each method once between them when no coverage
+        collector is active.  A run on bytes verifies every method itself.
 
         Never raises: every error is folded into the returned
         :class:`Outcome`.
         """
         probe("machine.run")
+        verified = data.verified if isinstance(data, ParsedClass) else None
         # Each startup phase runs inside an ambient telemetry span (a
         # shared no-op object when no telemetry is active), so per-phase
         # latency histograms and jvm_phase events fall out of every run.
@@ -80,12 +84,12 @@ class Jvm:
             try:
                 if self.policy.member_checks_at_linking:
                     self.loader.run_format_checks(classfile)
-                self.linker.link(classfile)
+                self.linker.link(classfile, verified)
             except JavaError as exc:
                 return self._rejected(Phase.LINKING, exc)
         interpreter = Interpreter(
             classfile, self.policy, self.environment,
-            on_demand_verify=self._on_demand_verify())
+            on_demand_verify=self._on_demand_verify(verified))
         # Phase 3: initialization.
         with ambient_phase_span(self.name, "initialization"):
             try:
@@ -120,12 +124,12 @@ class Jvm:
         return Outcome(phase, error=error.simple_name, message=error.message,
                        output=output, jvm_name=self.name)
 
-    def _on_demand_verify(self):
+    def _on_demand_verify(self, verified: Optional[dict]):
         if self.policy.eager_method_verification:
             return None
 
         def verify(classfile: ClassFile, method: MethodInfo) -> None:
-            self.linker.verify_single_method(classfile, method)
+            self.linker.verify_single_method(classfile, method, verified)
 
         return verify
 

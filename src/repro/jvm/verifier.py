@@ -9,6 +9,7 @@ uninitialized merges, HotSpot does neither.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -123,6 +124,26 @@ def _handles(*ops: Op):
 def _family(family: str) -> List[Op]:
     """The opcodes of one :attr:`OpcodeInfo.family`."""
     return [info.op for info in OPCODES.values() if info.family == family]
+
+
+#: Every :class:`JvmPolicy` field :class:`MethodVerifier` reads (a test
+#: scans this module for a read the tuple omits).
+VERIFIER_POLICY_FIELDS = (
+    "strict_stack_shapes", "verify_type_assignability",
+    "verify_uninitialized_merge", "verify_return_types", "verify_max_stack",
+    "verify_max_locals", "verify_branch_targets", "verify_falloff",
+    "verify_cp_references", "resolve_refs_eagerly")
+
+_verifier_policy = operator.attrgetter(*VERIFIER_POLICY_FIELDS)
+
+
+def verifier_config(policy: JvmPolicy, library: ClassLibrary) -> tuple:
+    """What a method's verification outcome depends on besides the method:
+    the policy fields above, and the library only when the policy lets the
+    verifier consult it.  HotSpot 7, 8 and 9 share one configuration."""
+    consulted = policy.verify_type_assignability \
+        or policy.resolve_refs_eagerly
+    return _verifier_policy(policy), library if consulted else None
 
 
 class MethodVerifier:

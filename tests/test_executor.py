@@ -100,6 +100,30 @@ class TestDeterminism:
         assert (runs, hits, misses) == (lookups, 3, lookups - 3)
         assert vendor_runs[reference_jvm().name] == 4
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_engines_count_a_repeat_in_one_batch_alike(self, suite,
+                                                       serial_results,
+                                                       cached):
+        """A classfile listed twice in one batch runs once per vendor
+        with a cache; its second occurrence is five hits on either
+        engine."""
+        (label, data), jvms = suite[0], all_jvms()
+        seen = []
+        for engine in (SerialExecutor(cache=OutcomeCache() if cached
+                                      else None),
+                       ProcessExecutor(jobs=2, cache=OutcomeCache()
+                                       if cached else None)):
+            with engine:
+                results = engine.run_differential(
+                    jvms, [("a", data), ("b", data)])
+            stats = engine.stats
+            seen.append(([r.outcomes for r in results], stats.runs,
+                         stats.cache_hits, stats.cache_misses))
+        assert seen[0] == seen[1]
+        outcomes, runs, hits, misses = seen[0]
+        assert outcomes == [serial_results[0].outcomes] * 2
+        assert (runs, hits, misses) == ((5, 5, 5) if cached else (10, 0, 0))
+
 
 def futures_broken():
     from concurrent.futures.process import BrokenProcessPool

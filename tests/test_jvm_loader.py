@@ -1,8 +1,12 @@
-"""Unit tests for the loading phase's format checks, and for the parse
-and decode that every vendor running one classfile shares."""
+"""Unit tests for the loading phase's format checks, and for the parse,
+decode and verification that every vendor running one classfile shares."""
 
+import copy
 import pickle
 import random
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +18,23 @@ from repro.classfile.writer import write_class
 from repro.cli import main
 from repro.core import executor as executor_module
 from repro.core.difftest import DifferentialHarness
-from repro.core.executor import SerialExecutor, make_executor
+from repro.core.executor import ProcessExecutor, SerialExecutor, make_executor
 from repro.corpus.templates import switch_shape, trap_shape
-from repro.errors import ClassFormatError, UnsupportedClassVersionError
+from repro.coverage.probes import CoverageCollector
+from repro.errors import (
+    ClassFormatError,
+    JavaError,
+    UnsupportedClassVersionError,
+)
 from repro.jimple import ClassBuilder, MethodBuilder, compile_class
 from repro.jimple.types import INT, JType, VOID
+from repro.jvm import verifier as verifier_module
+from repro.jvm.linker import Linker
 from repro.jvm.loader import Loader
 from repro.jvm.policy import JvmPolicy
+from repro.jvm.verifier import VERIFIER_POLICY_FIELDS, MethodVerifier
 from repro.jvm.vendors import all_jvms, make_gij, reference_jvm
+from tests.test_vendor_golden import vendor_suite
 
 
 def load(jclass, **policy_overrides):
@@ -438,3 +451,178 @@ class TestSharedDecode:
             with pytest.raises(InstructionError, match="unknown opcode"):
                 code.decoded()
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# One verification per method per verifier configuration
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fixture_suite():
+    """The 286 classfiles every vendor's golden runs are pinned on."""
+    return vendor_suite()
+
+
+def verdict(outcome):
+    return outcome.phase, outcome.error, outcome.message, outcome.output
+
+
+def count_verifications(monkeypatch):
+    calls = []
+    real = MethodVerifier.verify
+
+    def verify(self):
+        calls.append(self.where)
+        return real(self)
+
+    monkeypatch.setattr(MethodVerifier, "verify", verify)
+    return calls
+
+
+def trace_of(jvm, data):
+    collector = CoverageCollector()
+    with collector:
+        jvm.run(data)
+    trace = collector.tracefile()
+    return trace.statements, trace.branches
+
+
+class _NoLibrary:
+    """A library the verifier must not consult."""
+
+    def find(self, name):
+        raise AssertionError(f"the verifier consulted the library: {name}")
+
+    is_subclass_of = is_throwable = find
+
+
+def verification_outcome(classfile, method, policy, library):
+    try:
+        MethodVerifier(classfile, method, method.code, policy,
+                       library).verify()
+    except JavaError as exc:
+        return type(exc), exc.message
+    return None
+
+
+class TestSharedVerification:
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_every_vendor_keeps_its_own_verdict(self, fixture_suite, engine):
+        jvms = all_jvms()
+        alone = [[verdict(jvm.run(data)) for jvm in jvms]
+                 for _, data in fixture_suite]
+        with (SerialExecutor() if engine == "serial"
+              else ProcessExecutor(jobs=2)) as executor:
+            results = executor.run_differential(jvms, fixture_suite)
+        assert [[verdict(outcome) for outcome in result.outcomes]
+                for result in results] == alone
+
+    def test_the_hotspots_verify_each_method_once(self, monkeypatch,
+                                                  tmp_path):
+        calls = count_verifications(monkeypatch)
+        data = switch_trap_bytes()
+        parsed = parse_class(data)
+        per_vendor = []
+        for jvm in all_jvms():
+            before = len(calls)
+            assert jvm.run(parsed).ok
+            per_vendor.append(len(calls) - before)
+        # <init>, work and main: hotspot7 verifies them for all three
+        # hotspots, lazy j9 only main, and gij (its own library) all.
+        assert per_vendor == [3, 0, 0, 1, 3]
+        path = tmp_path / "Shapes.class"
+        path.write_bytes(data)
+        monkeypatch.setattr(executor_module, "_WORKER_JVMS", all_jvms())
+        for five_vendor_run in (
+                lambda: SerialExecutor().run_differential(
+                    all_jvms(), [("Shapes", data)]),
+                lambda: DifferentialHarness(all_jvms()).run_one(data),
+                lambda: executor_module._process_worker_run(data, range(5)),
+                lambda: main(["run", str(path)])):
+            calls.clear()
+            five_vendor_run()
+            assert len(calls) == 7
+        # A run on bytes never consults a memo.
+        calls.clear()
+        for jvm in all_jvms():
+            jvm.run(data)
+        assert len(calls) == 13
+
+    def test_a_hit_raises_a_copy_of_the_missed_error(self, fixture_suite,
+                                                     monkeypatch):
+        raised = []
+        real = Linker.verify_method
+
+        def verify_method(self, *args):
+            try:
+                real(self, *args)
+            except JavaError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(Linker, "verify_method", verify_method)
+        hotspot8, hotspot9 = all_jvms()[1:3]
+        for _, data in fixture_suite:
+            parsed = parse_class(data)
+            outcome = hotspot8.run(parsed)
+            if raised:
+                break
+        calls = count_verifications(monkeypatch)
+        assert verdict(hotspot9.run(parsed)) == verdict(outcome)
+        assert not calls
+        miss, hit = raised
+        assert type(hit) is type(miss) and hit.message == miss.message
+        assert vars(hit) == vars(miss)
+        (stored,) = [error for error in parsed.verified.values() if error]
+        assert len({id(miss), id(hit), id(stored)}) == 3
+
+    def test_a_memo_hit_never_reaches_coverage(self, fixture_suite):
+        jvms = all_jvms()
+        for _, data in fixture_suite:
+            shared = parse_class(data)
+            for jvm in jvms[:3]:
+                jvm.run(shared)
+            for jvm in jvms:
+                assert trace_of(jvm, shared) == \
+                    trace_of(jvm, parse_class(data))
+
+    def test_copies_and_pickles_drop_the_memo(self):
+        parsed = parse_class(switch_trap_bytes())
+        for jvm in all_jvms():
+            jvm.run(parsed)
+        assert parsed.verified
+        for other in (copy.copy(parsed), copy.deepcopy(parsed),
+                      pickle.loads(pickle.dumps(parsed))):
+            assert other.verified == {}
+        assert copy.copy(parsed).classfile is parsed.classfile
+
+    def test_the_key_names_every_policy_field_the_verifier_reads(self):
+        source = Path(verifier_module.__file__).read_text()
+        read = set(re.findall(r"\bpolicy\.(\w+)", source))
+        assert read == set(VERIFIER_POLICY_FIELDS)
+        assert read <= {field.name for field in fields(JvmPolicy)}
+
+    def test_the_hotspots_never_consult_their_library(self, fixture_suite):
+        """Why the library may stay out of the hotspots' key: a library
+        that raises when consulted changes none of their outcomes, while
+        gij, whose key holds its library, does consult it."""
+        hotspots, gij = all_jvms()[:3], make_gij()
+        consulted = 0
+        for _, data in fixture_suite:
+            classfile = parse_class(data).classfile
+            if classfile is None:
+                continue
+            for method in classfile.methods:
+                if method.code is None:
+                    continue
+                for jvm in hotspots:
+                    assert verification_outcome(
+                        classfile, method, jvm.policy, _NoLibrary()) == \
+                        verification_outcome(classfile, method, jvm.policy,
+                                             jvm.linker.library)
+                try:
+                    verification_outcome(classfile, method, gij.policy,
+                                         _NoLibrary())
+                except AssertionError:
+                    consulted += 1
+        assert consulted
