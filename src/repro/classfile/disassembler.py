@@ -20,7 +20,11 @@ from repro.classfile.attributes import (
     ExceptionsAttribute,
     SourceFileAttribute,
 )
-from repro.classfile.constant_pool import ConstantPool, CpTag
+from repro.classfile.constant_pool import (
+    ConstantPool,
+    ConstantPoolError,
+    CpTag,
+)
 from repro.classfile.descriptors import (
     DescriptorError,
     parse_field_descriptor,
@@ -28,10 +32,13 @@ from repro.classfile.descriptors import (
 )
 from repro.classfile.model import ClassFile
 
+
 def _safe(fn, fallback="?"):
+    """``fn()``, or ``fallback`` when the pool behind it is broken; any
+    other exception is a bug here and propagates."""
     try:
         return fn()
-    except Exception:
+    except (ConstantPoolError, DescriptorError):
         return fallback
 
 

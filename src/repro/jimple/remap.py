@@ -18,7 +18,11 @@ from repro.bytecode.instructions import (
 )
 from repro.bytecode.opcodes import POOL_INDEX_OPS
 from repro.classfile.attributes import CodeAttribute, ExceptionHandler
-from repro.classfile.constant_pool import ConstantPool, CpInfo, CpTag
+from repro.classfile.constant_pool import (
+    ConstantPool,
+    ConstantPoolError,
+    CpTag,
+)
 
 
 class RemapError(Exception):
@@ -36,7 +40,7 @@ def transfer_constant(source: ConstantPool, target: ConstantPool,
     """
     try:
         info = source.entry(index)
-    except Exception as exc:
+    except ConstantPoolError as exc:
         raise RemapError(f"dangling constant pool index {index}: {exc}") from exc
     tag = info.tag
     try:
@@ -64,9 +68,7 @@ def transfer_constant(source: ConstantPool, target: ConstantPool,
             if tag is CpTag.METHODREF:
                 return target.method_ref(owner, name, descriptor)
             return target.interface_method_ref(owner, name, descriptor)
-    except RemapError:
-        raise
-    except Exception as exc:
+    except ConstantPoolError as exc:
         raise RemapError(f"broken constant at index {index}: {exc}") from exc
     raise RemapError(f"cannot transfer constant tag {tag.name}")
 
@@ -82,7 +84,7 @@ def remap_code(code: CodeAttribute, source: ConstantPool,
     """
     try:
         instructions: List[Instruction] = decode_code(code.code)
-    except Exception as exc:
+    except InstructionError as exc:
         raise RemapError(f"undecodable bytecode: {exc}") from exc
     for instruction in instructions:
         if instruction.op in POOL_INDEX_OPS:

@@ -57,13 +57,11 @@ class Linker:
                 raise ClassFormatError(
                     f"Class {classfile.name} has no superclass")
             return
-        if self.policy.check_class_circularity and branch(
-                "linker.super_is_self", super_name == classfile.name):
+        if branch("linker.super_is_self", super_name == classfile.name):
             raise ClassCircularityError(classfile.name.replace("/", "."))
         self._find_class(super_name, classfile.name)
         for name in classfile.interface_names:
-            if self.policy.check_class_circularity and branch(
-                    "linker.interface_is_self", name == classfile.name):
+            if branch("linker.interface_is_self", name == classfile.name):
                 raise ClassCircularityError(classfile.name.replace("/", "."))
             self._find_class(name, classfile.name)
 
@@ -124,13 +122,11 @@ class Linker:
                     f"Interface {classfile.name} has superclass other than "
                     "java/lang/Object")
             return
-        if self.policy.check_super_not_interface and branch(
-                "linker.super_is_interface", super_cls.is_interface):
+        if branch("linker.super_is_interface", super_cls.is_interface):
             raise IncompatibleClassChangeError(
                 f"class {classfile.name.replace('/', '.')} has interface "
                 f"{super_name.replace('/', '.')} as super class")
-        if self.policy.check_final_superclass and branch(
-                "linker.super_is_final", super_cls.is_final):
+        if branch("linker.super_is_final", super_cls.is_final):
             raise VerifyError(
                 f"Cannot inherit from final class "
                 f"{super_name.replace('/', '.')}")
@@ -142,8 +138,7 @@ class Linker:
             if cls is None or name == classfile.name:
                 continue  # handled during creation & loading
             self._check_access(cls, f"class {classfile.name}")
-            if self.policy.check_interfaces_are_interfaces and branch(
-                    "linker.implements_non_interface", not cls.is_interface):
+            if branch("linker.implements_non_interface", not cls.is_interface):
                 raise IncompatibleClassChangeError(
                     f"class {classfile.name.replace('/', '.')} tried to "
                     f"implement class {name.replace('/', '.')} as interface")
@@ -192,8 +187,6 @@ class Linker:
     def _check_code_shape(self, classfile: ClassFile, method: MethodInfo,
                           name: str) -> None:
         """Code-presence check for vendors that defer it to linking."""
-        if not self.policy.check_code_presence:
-            return
         if self.policy.code_presence_checked_at_loading:
             return  # already done by the loader
         probe("linker.check_code_presence")

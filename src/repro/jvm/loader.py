@@ -36,6 +36,9 @@ from repro.coverage.probes import branch, probe
 from repro.errors import ClassFormatError
 from repro.jvm.policy import JvmPolicy
 
+#: The classfile version from which interface methods may be static (Java 8).
+STATIC_INTERFACE_METHODS_SINCE = 52
+
 
 class Loader:
     """Parses and format-checks classfile bytes per one vendor's policy."""
@@ -59,7 +62,6 @@ class Loader:
         probe("loader.parse")
         options = ReaderOptions(
             max_supported_major=self.policy.max_class_version,
-            min_supported_major=self.policy.min_class_version,
             reject_trailing_bytes=self.policy.reject_trailing_bytes,
         )
         parsed = data if isinstance(data, ParsedClass) \
@@ -119,10 +121,8 @@ class Loader:
                 raise ClassFormatError(
                     f"Interface {classfile.name} must not have its "
                     "ACC_ENUM flag set")
-        elif self.policy.reject_final_abstract_class and branch(
-                "loader.class_final_and_abstract",
-                bool(flags & ACC_FINAL)
-                and bool(flags & ACC_ABSTRACT)):
+        elif branch("loader.class_final_and_abstract",
+                    bool(flags & ACC_FINAL) and bool(flags & ACC_ABSTRACT)):
             raise ClassFormatError(
                 f"Class {classfile.name} has both ACC_FINAL and "
                 "ACC_ABSTRACT set")
@@ -143,9 +143,8 @@ class Loader:
             flags = int(field_info.access_flags)
             self._probe_flags("loader.field_flag", flags)
             probe(f"loader.field_type.{descriptor[:1] or '?'}")
-            if self.policy.check_descriptor_validity and branch(
-                    "loader.field_descriptor_invalid",
-                    not is_valid_field_descriptor(descriptor)):
+            if branch("loader.field_descriptor_invalid",
+                      not is_valid_field_descriptor(descriptor)):
                 raise ClassFormatError(
                     f"Field {classfile.name}.{name} has invalid "
                     f"descriptor {descriptor!r}")
@@ -222,9 +221,8 @@ class Loader:
         for char in set(descriptor.partition(")")[0]):
             if char in "IJFDZBCSL[":
                 probe(f"loader.param_type.{char}")
-        if self.policy.check_descriptor_validity and branch(
-                "loader.method_descriptor_invalid",
-                not is_valid_method_descriptor(descriptor)):
+        if branch("loader.method_descriptor_invalid",
+                  not is_valid_method_descriptor(descriptor)):
             raise ClassFormatError(
                 f"Method {classfile.name}.{name} has invalid "
                 f"descriptor {descriptor!r}")
@@ -247,9 +245,8 @@ class Loader:
         is_initializer = self._is_initializer(classfile, method, name)
         if branch("loader.method_is_clinit", name == CLASS_INIT):
             probe("loader.clinit_seen")
-            if is_initializer and self.policy.check_code_presence and branch(
-                    "loader.clinit_missing_code",
-                    method.code is None):
+            if is_initializer and branch("loader.clinit_missing_code",
+                                         method.code is None):
                 # J9's message: "no Code attribute specified...
                 # method=<clinit>()V, pc=0".
                 raise ClassFormatError(
@@ -264,15 +261,14 @@ class Loader:
                     f"Interface method {classfile.name}.{name} must "
                     "be public")
             static_ok = (classfile.major_version
-                         >= self.policy.static_interface_methods_since)
+                         >= STATIC_INTERFACE_METHODS_SINCE)
             if branch("loader.interface_method_not_abstract",
                       not flags & ACC_ABSTRACT
                       and not (static_ok and flags & ACC_STATIC)):
                 raise ClassFormatError(
                     f"Interface method {classfile.name}.{name} must "
                     "be abstract")
-        if self.policy.check_code_presence:
-            self._check_code_presence(classfile, method, name, descriptor)
+        self._check_code_presence(classfile, method, name, descriptor)
 
     def _check_instance_init(self, classfile: ClassFile, method: MethodInfo,
                              descriptor: str) -> None:

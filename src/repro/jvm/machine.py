@@ -151,8 +151,6 @@ class Jvm:
     def _initialize(self, classfile: ClassFile,
                     interpreter: Interpreter) -> tuple:
         probe("machine.initialize")
-        if not self.policy.run_class_initializer:
-            return ()
         initializer = self._class_initializer(classfile)
         if branch("machine.has_clinit", initializer is not None):
             try:

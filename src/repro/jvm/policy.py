@@ -1,10 +1,13 @@
 """Vendor behaviour policies.
 
-Every way the simulated JVMs may legitimately differ is a field here.
-The axes mirror the divergences the paper documents:
+Every way the simulated JVMs may legitimately differ is a field here,
+and every field is such a way: each one differs across the five vendors
+(``repro.jvm.vendors.all_jvms``) except the interpreter's step budget.
+A check that every vendor runs is unconditional in the phase code, not
+a field.  The axes mirror the divergences the paper documents:
 
-* Problem 1 — ``<clinit>`` handling (``clinit_requires_static``,
-  ``treat_nonstatic_clinit_as_ordinary``);
+* Problem 1 — ``<clinit>`` handling (``treat_nonstatic_clinit_as_ordinary``,
+  ``code_presence_checked_at_loading``);
 * Problem 2 — verification timing and depth (``eager_method_verification``,
   ``verify_type_assignability``, ``verify_uninitialized_merge``,
   ``strict_stack_shapes``);
@@ -22,19 +25,14 @@ from dataclasses import dataclass
 
 @dataclass
 class JvmPolicy:
-    """Behavioural switches for one simulated JVM implementation."""
+    """One simulated JVM implementation's position on every axis on which
+    the vendors differ, plus the interpreter's step budget."""
 
     # -- creation & loading (format checking) --------------------------------
     #: Highest classfile major version accepted.
     max_class_version: int = 52
-    #: Lowest classfile major version accepted.
-    min_class_version: int = 45
     #: Extra bytes after the class structure are a ClassFormatError.
     reject_trailing_bytes: bool = True
-    #: Field/method descriptors must parse (ClassFormatError otherwise).
-    check_descriptor_validity: bool = True
-    #: A class may not be both final and abstract.
-    reject_final_abstract_class: bool = True
     #: An interface must carry ACC_ABSTRACT (JVMS §4.1, version ≥ 50 rule).
     interface_requires_abstract_flag: bool = True
     #: An interface's superclass must be java/lang/Object (GIJ misses this).
@@ -42,8 +40,6 @@ class JvmPolicy:
     #: Interface methods must be public (and, pre-52, abstract); interface
     #: fields must be public static final (GIJ misses this).
     interface_members_strict: bool = True
-    #: Classfile version from which static interface methods are legal.
-    static_interface_methods_since: int = 52
     #: At most one of public/private/protected per member.
     reject_conflicting_visibility: bool = True
     #: A field may not be both final and volatile.
@@ -61,9 +57,6 @@ class JvmPolicy:
     #: When False the JVM still treats any ``<clinit>`` as the initializer
     #: and format-checks it accordingly (J9's behaviour — Problem 1).
     treat_nonstatic_clinit_as_ordinary: bool = True
-    #: Abstract/native methods must not have a Code attribute; concrete
-    #: methods must have exactly one.
-    check_code_presence: bool = True
     #: Whether the missing-Code check happens during loading (True, J9
     #: style: ClassFormatError) or during linking (False, HotSpot style).
     code_presence_checked_at_loading: bool = False
@@ -74,14 +67,6 @@ class JvmPolicy:
     member_checks_at_linking: bool = False
 
     # -- linking: hierarchy ----------------------------------------------------
-    #: Reject extending a final class (VerifyError).
-    check_final_superclass: bool = True
-    #: Reject a superclass that is an interface (IncompatibleClassChangeError).
-    check_super_not_interface: bool = True
-    #: Reject implementing a non-interface (IncompatibleClassChangeError).
-    check_interfaces_are_interfaces: bool = True
-    #: Detect a class being its own (transitive) superclass.
-    check_class_circularity: bool = True
     #: Resolve and access-check classes named in ``throws`` clauses during
     #: linking (HotSpot does; J9 and GIJ do not — Problem 3).
     resolve_thrown_exceptions: bool = False
@@ -102,26 +87,10 @@ class JvmPolicy:
     #: Reject merging initialized with uninitialized object types
     #: (GIJ reports this; HotSpot does not — Problem 2).
     verify_uninitialized_merge: bool = False
-    #: Return instruction must match the method descriptor.
-    verify_return_types: bool = True
-    #: Computed operand-stack use must stay within declared max_stack.
-    verify_max_stack: bool = True
-    #: Local accesses must stay within declared max_locals.
-    verify_max_locals: bool = True
-    #: Branch targets must land on instruction starts.
-    verify_branch_targets: bool = True
-    #: Execution must not fall off the end of the code array.
-    verify_falloff: bool = True
-    #: Constant-pool operands of instructions must have the right tag.
-    verify_cp_references: bool = True
     #: Resolve field/method references against the library at verification
     #: time (eager resolution shifts NoSuchMethod/NoClassDef errors from
     #: runtime to linking).
     resolve_refs_eagerly: bool = False
-
-    # -- initialization -------------------------------------------------------------
-    #: Execute <clinit> during initialization.
-    run_class_initializer: bool = True
 
     # -- invocation & execution -------------------------------------------------------
     #: ``main`` must be declared static.

@@ -49,7 +49,6 @@ def make_hotspot7() -> Jvm:
     """HotSpot for Java 7 (release 1.7.0)."""
     policy = _hotspot_policy(
         max_class_version=51,
-        static_interface_methods_since=52,
         check_restricted_access=False,
     )
     return Jvm("hotspot7", policy, build_environment(7))
@@ -104,7 +103,6 @@ def make_gij() -> Jvm:
     """GNU GIJ 5.1.0 — conforms to Java 1.5.0 but accepts version 51."""
     policy = JvmPolicy(
         max_class_version=51,                  # "can process version 51"
-        min_class_version=45,
         reject_trailing_bytes=False,
         eager_method_verification=True,
         strict_stack_shapes=False,

@@ -130,9 +130,7 @@ def _family(family: str) -> List[Op]:
 #: scans this module for a read the tuple omits).
 VERIFIER_POLICY_FIELDS = (
     "strict_stack_shapes", "verify_type_assignability",
-    "verify_uninitialized_merge", "verify_return_types", "verify_max_stack",
-    "verify_max_locals", "verify_branch_targets", "verify_falloff",
-    "verify_cp_references", "resolve_refs_eagerly")
+    "verify_uninitialized_merge", "resolve_refs_eagerly")
 
 _verifier_policy = operator.attrgetter(*VERIFIER_POLICY_FIELDS)
 
@@ -245,8 +243,7 @@ class MethodVerifier:
             raise ClassFormatError(
                 f"Bad constant pool index for {what} in {self.where}: "
                 f"{exc}") from exc
-        if self.policy.verify_cp_references and branch(
-                "verifier.cp_tag_mismatch", entry.tag not in tags):
+        if branch("verifier.cp_tag_mismatch", entry.tag not in tags):
             raise ClassFormatError(
                 f"Constant pool entry {index} for {what} has tag "
                 f"{entry.tag.name} in {self.where}")
@@ -297,8 +294,6 @@ class MethodVerifier:
 
     def _check_branch_targets(self, instructions: Sequence[Instruction],
                               starts: set) -> None:
-        if not self.policy.verify_branch_targets:
-            return
         probe("verifier.check_branch_targets")
         for instruction in instructions:
             for target in instruction.branch_targets():
@@ -346,9 +341,7 @@ class MethodVerifier:
                 vtype = VType("a", param.name)
             locals_[slot] = vtype
             slot += vtype.size
-        if branch("verifier.args_exceed_locals",
-                  self.policy.verify_max_locals
-                  and slot > self.code.max_locals):
+        if branch("verifier.args_exceed_locals", slot > self.code.max_locals):
             raise self._fail("Arguments can't fit into locals")
         return locals_
 
@@ -388,9 +381,7 @@ class MethodVerifier:
             next_states = self._transfer(instructions[index], next_offset,
                                          list(stack), dict(locals_))
             for target_offset, new_stack, new_locals in next_states:
-                if branch("verifier.falloff",
-                          self.policy.verify_falloff
-                          and target_offset is None):
+                if branch("verifier.falloff", target_offset is None):
                     raise self._fail("Falling off the end of the code")
                 if target_offset is None:
                     continue
@@ -460,17 +451,14 @@ class MethodVerifier:
 
     def _push(self, stack: List[VType], item: VType) -> None:
         stack.append(item)
-        if self.policy.verify_max_stack:
-            depth = sum(entry.size for entry in stack)
-            if branch("verifier.stack_overflow",
-                      depth > self.code.max_stack):
-                raise self._fail(
-                    f"Exceeding stack size (max_stack={self.code.max_stack})")
+        depth = sum(entry.size for entry in stack)
+        if branch("verifier.stack_overflow", depth > self.code.max_stack):
+            raise self._fail(
+                f"Exceeding stack size (max_stack={self.code.max_stack})")
 
     def _check_local(self, slot: int) -> None:
-        if self.policy.verify_max_locals and branch(
-                "verifier.local_out_of_range",
-                slot >= max(self.code.max_locals, 0)):
+        if branch("verifier.local_out_of_range",
+                  slot >= max(self.code.max_locals, 0)):
             raise self._fail(
                 f"Local variable index {slot} out of range "
                 f"(max_locals={self.code.max_locals})")
@@ -791,9 +779,9 @@ class MethodVerifier:
         if actual != "v":
             self._pop(stack, actual)
         expected = self._return_cat
-        if self.policy.verify_return_types and expected is not None:
-            if branch("verifier.return_type_mismatch", actual != expected):
-                raise self._fail(
-                    f"Wrong return type in function (expected {expected}, "
-                    f"found {actual})")
+        if expected is not None and branch(
+                "verifier.return_type_mismatch", actual != expected):
+            raise self._fail(
+                f"Wrong return type in function (expected {expected}, "
+                f"found {actual})")
 

@@ -1,5 +1,8 @@
 """Tests for the javap-style disassembler."""
 
+import pytest
+
+from repro.classfile.constant_pool import ConstantPool
 from repro.classfile.disassembler import disassemble
 from repro.classfile.reader import read_class
 from repro.classfile.writer import write_class
@@ -94,6 +97,19 @@ class TestDisassembler:
             AccessFlags.PUBLIC, pool.utf8("m"), pool.utf8("()V"), [code]))
         text = disassemble(classfile)
         assert "<dangling>" in text
+
+    def test_a_non_pool_exception_propagates(self, demo_class,
+                                             monkeypatch):
+        """A broken pool renders as ``?``; a bug in a pool helper raises
+        instead of printing as one."""
+        classfile = compile_class(demo_class)
+
+        def python_bug(self, index):
+            raise TypeError("a bug in the simulator")
+
+        monkeypatch.setattr(ConstantPool, "get_class_name", python_bug)
+        with pytest.raises(TypeError, match="a bug in the simulator"):
+            disassemble(classfile)
 
     def test_member_flags_named_per_context(self):
         """Each context reads its own meaning of a shared bit, as javap

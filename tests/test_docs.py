@@ -1,5 +1,7 @@
 """Documentation consistency: the policy matrix must match the code."""
 
+import contextlib
+import io
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -25,20 +27,30 @@ def doc_rows():
 
 
 def test_every_policy_field_documented(doc_rows):
-    documented = set(doc_rows)
-    actual = {f.name for f in fields(JvmPolicy)}
-    assert actual <= documented, actual - documented
+    """Each field has a row, and each row a field."""
+    assert set(doc_rows) == {f.name for f in fields(JvmPolicy)}
 
 
 def test_documented_values_match_vendors(doc_rows):
     jvms = {jvm.name: jvm.policy for jvm in all_jvms()}
     order = ("hotspot7", "hotspot8", "hotspot9", "j9", "gij")
     for field_name, cells in doc_rows.items():
-        if field_name not in {f.name for f in fields(JvmPolicy)}:
-            continue
         for vendor, cell in zip(order, cells):
             assert cell == str(getattr(jvms[vendor], field_name)), \
                 f"{field_name} for {vendor}: doc says {cell}"
+
+
+def test_the_matrix_snippet_prints_the_value_columns():
+    """The doc's snippet prints each row's field and five value cells."""
+    text = DOC.read_text()
+    snippet = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(snippet, {})
+    lines = printed.getvalue().splitlines()
+    rows = [line for line in text.splitlines() if line.startswith("| `")]
+    assert len(rows) == len(lines)
+    assert [row[:len(line)] for row, line in zip(rows, lines)] == lines
 
 
 def test_readme_mentions_core_entry_points():

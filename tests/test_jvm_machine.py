@@ -17,20 +17,13 @@ from repro.jimple.statements import (
     ThrowStmt,
 )
 from repro.jimple.types import INT, JType, VOID
-from repro.jvm.machine import Jvm
 from repro.jvm.outcome import Phase
-from repro.jvm.policy import JvmPolicy
 from repro.jvm.vendors import make_gij, make_hotspot8, make_j9
-from repro.runtime.environment import build_environment
 
 
 def run_on(jclass, jvm=None):
     jvm = jvm or make_hotspot8()
     return jvm.run(write_class(compile_class(jclass)))
-
-
-def custom_jvm(**policy_overrides):
-    return Jvm("custom", JvmPolicy(**policy_overrides), build_environment(8))
 
 
 class TestPhases:
@@ -166,15 +159,6 @@ class TestInitialization:
         outcome = run_on(self._clinit_class(body))
         assert outcome.phase is Phase.INITIALIZATION
         assert outcome.error == "NoClassDefFoundError"
-
-    def test_initializer_can_be_disabled(self):
-        def body(clinit):
-            clinit.println("clinit ran")
-            clinit.ret()
-        outcome = run_on(self._clinit_class(body),
-                         custom_jvm(run_class_initializer=False))
-        assert outcome.ok
-        assert outcome.output == ("main ran",)
 
     def test_statics_persist_from_clinit_to_main(self):
         builder = ClassBuilder("Statics")

@@ -2,6 +2,8 @@
 examples must reproduce mechanically from policy + environment differences.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.classfile.writer import write_class
@@ -9,6 +11,7 @@ from repro.jimple import ClassBuilder, MethodBuilder, compile_class
 from repro.jimple.statements import InvokeExpr, InvokeStmt, MethodRef
 from repro.jimple.types import INT, JType, VOID
 from repro.jvm.outcome import Phase
+from repro.jvm.policy import JvmPolicy
 from repro.jvm.vendors import (
     REFERENCE_JVM_NAME,
     all_jvms,
@@ -32,6 +35,11 @@ def codes(outcomes):
             ("hotspot7", "hotspot8", "hotspot9", "j9", "gij")]
 
 
+#: The policy fields that may hold one value on all five vendors: budgets
+#: of the harness, not behaviour of a JVM.
+BUDGET_FIELDS = ["max_interpreter_steps"]
+
+
 class TestVendorSetup:
     def test_five_jvms_in_paper_order(self):
         names = [jvm.name for jvm in all_jvms()]
@@ -45,6 +53,16 @@ class TestVendorSetup:
         assert make_hotspot8().policy.max_class_version == 52
         assert make_hotspot9().policy.max_class_version == 53
         assert make_gij().policy.max_class_version == 51
+
+    def test_every_policy_field_is_a_vendor_axis(self):
+        """A field that no vendor turns guards a check every vendor runs,
+        which belongs in the phase code unconditionally; so a new field
+        arrives with the vendor that turns it, or as a budget."""
+        policies = [jvm.policy for jvm in all_jvms()]
+        unturned = [field.name for field in fields(JvmPolicy)
+                    if len({getattr(policy, field.name)
+                            for policy in policies}) == 1]
+        assert unturned == BUDGET_FIELDS
 
     def test_valid_class_agrees_everywhere(self, demo_bytes):
         for jvm in all_jvms():

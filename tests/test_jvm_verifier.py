@@ -134,10 +134,6 @@ class TestReturnTypes:
             asm.emit(Op.IRETURN)
         verify(build, descriptor="()I")
 
-    def test_return_check_can_be_disabled(self):
-        verify(lambda asm, pool: asm.emit(Op.RETURN), descriptor="()I",
-               verify_return_types=False)
-
 
 class TestStackShapes:
     def _merge_mismatch(self, asm, pool):

@@ -1,5 +1,7 @@
 """Direct coverage of policy toggles not exercised elsewhere: each axis
-must actually change observable behaviour when flipped."""
+must actually change observable behaviour when flipped.  The checks that
+every vendor runs have no toggle; their five-vendor verdicts are pinned
+instead."""
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.jimple.types import INT, JType
 from repro.jvm.machine import Jvm
 from repro.jvm.outcome import Phase
 from repro.jvm.policy import JvmPolicy
+from repro.jvm.vendors import all_jvms
 from repro.runtime.environment import build_environment
 
 
@@ -29,86 +32,6 @@ class TestLoadingToggles:
         strict = jvm_with(reject_trailing_bytes=True).run(data)
         assert strict.phase is Phase.LOADING
         lenient = jvm_with(reject_trailing_bytes=False).run(data)
-        assert lenient.ok
-
-    def test_descriptor_validity_toggle(self):
-        builder = ClassBuilder("BadDesc")
-        builder.main_printing()
-        jclass = builder.build()
-        data = write_class(compile_class(jclass))
-        # Corrupt the field descriptor Utf8 in the compiled bytes:
-        # build a class with a field, then patch its descriptor.
-        builder = ClassBuilder("BadDesc2")
-        builder.field("x", INT)
-        builder.main_printing()
-        classfile = compile_class(builder.build())
-        # Point the field's descriptor at a non-descriptor Utf8.
-        bogus = classfile.constant_pool.utf8("not-a-descriptor")
-        classfile.fields[0].descriptor_index = bogus
-        data = write_class(classfile)
-        strict = jvm_with(check_descriptor_validity=True,
-                          member_checks_at_linking=False).run(data)
-        assert strict.phase is Phase.LOADING
-        assert strict.error == "ClassFormatError"
-        lenient = jvm_with(check_descriptor_validity=False,
-                           eager_method_verification=False).run(data)
-        assert lenient.ok
-
-    def test_circularity_toggle(self):
-        builder = ClassBuilder("Self", superclass="Self")
-        builder.main_printing()
-        data = write_class(compile_class(builder.build()))
-        checking = jvm_with(check_class_circularity=True).run(data)
-        assert checking.error == "ClassCircularityError"
-        # With the check off, resolution proceeds and the lookup simply
-        # fails to find the (self-named) class in the library.
-        ignoring = jvm_with(check_class_circularity=False).run(data)
-        assert ignoring.error == "NoClassDefFoundError"
-
-
-class TestLinkingToggles:
-    def _final_super(self):
-        builder = ClassBuilder("SubStr", superclass="java.lang.String")
-        builder.default_init()
-        builder.main_printing()
-        return write_class(compile_class(builder.build()))
-
-    def test_final_superclass_toggle(self):
-        data = self._final_super()
-        assert jvm_with(check_final_superclass=True).run(data).error == \
-            "VerifyError"
-        assert jvm_with(check_final_superclass=False).run(data).ok
-
-    def test_super_not_interface_toggle(self):
-        builder = ClassBuilder("SubIface", superclass="java.lang.Runnable")
-        builder.default_init()
-        builder.main_printing()
-        data = write_class(compile_class(builder.build()))
-        strict = jvm_with(check_super_not_interface=True).run(data)
-        assert strict.error == "IncompatibleClassChangeError"
-        assert jvm_with(check_super_not_interface=False).run(data).ok
-
-    def test_interfaces_are_interfaces_toggle(self):
-        builder = ClassBuilder("ImplClass")
-        builder.implements("java.lang.String")
-        builder.default_init()
-        builder.main_printing()
-        data = write_class(compile_class(builder.build()))
-        strict = jvm_with(check_interfaces_are_interfaces=True).run(data)
-        assert strict.error == "IncompatibleClassChangeError"
-        assert jvm_with(check_interfaces_are_interfaces=False).run(data).ok
-
-    def test_verify_max_stack_toggle(self):
-        builder = ClassBuilder("DeepStack")
-        builder.default_init()
-        builder.main_printing()
-        classfile = compile_class(builder.build())
-        main = classfile.main_method()
-        main.code.max_stack = 1   # the println sequence needs 2
-        data = write_class(classfile)
-        strict = jvm_with(verify_max_stack=True).run(data)
-        assert strict.error == "VerifyError"
-        lenient = jvm_with(verify_max_stack=False).run(data)
         assert lenient.ok
 
 
@@ -144,3 +67,71 @@ class TestExecutionToggles:
         assert jvm_with(allow_interface_main=True).run(data).ok
         refused = jvm_with(allow_interface_main=False).run(data)
         assert refused.phase is Phase.RUNTIME
+
+
+def bad_field_descriptor():
+    builder = ClassBuilder("BadDesc")
+    builder.field("x", INT)
+    builder.main_printing()
+    classfile = compile_class(builder.build())
+    # Point the field's descriptor at a non-descriptor Utf8.
+    bogus = classfile.constant_pool.utf8("not-a-descriptor")
+    classfile.fields[0].descriptor_index = bogus
+    return write_class(classfile)
+
+
+def plain_class(name, superclass="java.lang.Object", interfaces=(),
+                init=True):
+    builder = ClassBuilder(name, superclass=superclass)
+    builder.implements(*interfaces)
+    if init:
+        builder.default_init()
+    builder.main_printing()
+    return write_class(compile_class(builder.build()))
+
+
+def shallow_main():
+    builder = ClassBuilder("DeepStack")
+    builder.default_init()
+    builder.main_printing()
+    classfile = compile_class(builder.build())
+    classfile.main_method().code.max_stack = 1   # the println needs 2
+    return write_class(classfile)
+
+
+LOADING, LINKING, RUNTIME = Phase.LOADING, Phase.LINKING, Phase.RUNTIME
+
+#: Case → (classfile, error, message fragment, phase per vendor in
+#: ``all_jvms()`` order: hotspot7, hotspot8, hotspot9, j9, gij).
+EVERY_VENDOR_CHECKS = {
+    "descriptor_validity": (
+        bad_field_descriptor, "ClassFormatError", "invalid descriptor",
+        (LINKING, LINKING, LINKING, LOADING, LINKING)),
+    "circularity": (
+        lambda: plain_class("Self", superclass="Self", init=False),
+        "ClassCircularityError", "Self", (LOADING,) * 5),
+    "final_superclass": (
+        lambda: plain_class("SubStr", superclass="java.lang.String"),
+        "VerifyError", "Cannot inherit from final class", (LINKING,) * 5),
+    "super_not_interface": (
+        lambda: plain_class("SubIface", superclass="java.lang.Runnable"),
+        "IncompatibleClassChangeError", "as super class", (LINKING,) * 5),
+    "interfaces_are_interfaces": (
+        lambda: plain_class("ImplClass", interfaces=["java.lang.String"]),
+        "IncompatibleClassChangeError", "as interface", (LINKING,) * 5),
+    "max_stack": (
+        shallow_main, "VerifyError", "Exceeding stack size",
+        (LINKING, LINKING, LINKING, RUNTIME, LINKING)),
+}
+
+
+class TestChecksEveryVendorRuns:
+    @pytest.mark.parametrize("case", sorted(EVERY_VENDOR_CHECKS))
+    def test_every_vendor_runs_the_check(self, case):
+        build, error, fragment, phases = EVERY_VENDOR_CHECKS[case]
+        data = build()
+        outcomes = [jvm.run(data) for jvm in all_jvms()]
+        assert [(o.phase, o.error) for o in outcomes] == \
+            [(phase, error) for phase in phases]
+        for outcome in outcomes:
+            assert fragment in outcome.message, outcome.brief()

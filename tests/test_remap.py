@@ -5,7 +5,12 @@ import pytest
 from repro.bytecode import Assembler, Op, decode_code
 from repro.classfile.attributes import CodeAttribute, ExceptionHandler
 from repro.classfile.constant_pool import ConstantPool
+from repro.jimple import remap
 from repro.jimple.remap import RemapError, remap_code, transfer_constant
+
+
+def python_bug(*args, **kwargs):
+    raise TypeError("a bug in the simulator, not a broken classfile")
 
 
 class TestTransferConstant:
@@ -53,6 +58,15 @@ class TestTransferConstant:
         with pytest.raises(RemapError, match="dangling"):
             transfer_constant(source, target, 42)
 
+    def test_a_non_pool_exception_propagates(self, monkeypatch):
+        """Only a broken pool is a RemapError; a bug in a pool helper is
+        not dressed up as one."""
+        source, target = ConstantPool(), ConstantPool()
+        index = source.class_ref("java/lang/Thread")
+        monkeypatch.setattr(ConstantPool, "get_class_name", python_bug)
+        with pytest.raises(TypeError, match="a bug in the simulator"):
+            transfer_constant(source, target, index)
+
 
 class TestRemapCode:
     def test_code_rewritten_to_target_indices(self):
@@ -97,6 +111,12 @@ class TestRemapCode:
     def test_undecodable_code_rejected(self):
         code = CodeAttribute(1, 1, b"\xfd")
         with pytest.raises(RemapError, match="undecodable"):
+            remap_code(code, ConstantPool(), ConstantPool())
+
+    def test_a_non_instruction_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(remap, "decode_code", python_bug)
+        code = CodeAttribute(1, 1, bytes([Op.RETURN]))
+        with pytest.raises(TypeError, match="a bug in the simulator"):
             remap_code(code, ConstantPool(), ConstantPool())
 
     def test_local_indices_untouched(self):
