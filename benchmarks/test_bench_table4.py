@@ -66,7 +66,9 @@ def test_bench_table4_generation(benchmark, campaign, seed_corpus,
                          [mutator_by_name("method.rename")])
 
     def one_iteration():
-        generated = engine.mutate_once(mutator_by_name("method.rename"))
+        mutator = mutator_by_name("method.rename")
+        [generated] = engine.dump_drafts(
+            [(mutator, engine.mutate_draft(mutator))])
         if generated is not None:
             engine.collect_coverage([generated])
 

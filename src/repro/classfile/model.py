@@ -60,6 +60,11 @@ class ClassFile:
         return self.constant_pool.get_class_name(self.this_class)
 
     @property
+    def java_name(self) -> str:
+        """This class's binary name (dot-separated), as JVMs print it."""
+        return self.name.replace("/", ".")
+
+    @property
     def super_name(self) -> Optional[str]:
         """The superclass internal name, or ``None`` when ``super_class`` is 0."""
         if self.super_class == 0:

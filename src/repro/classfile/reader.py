@@ -65,11 +65,13 @@ class ReaderOptions:
         if major > self.max_supported_major:
             return UnsupportedClassVersionError(
                 f"Unsupported major.minor version {major}.{minor} "
-                f"(max supported {self.max_supported_major}.0)")
+                f"(max supported {self.max_supported_major}.0)",
+                site="reader.version_too_new")
         if major < self.min_supported_major:
             return UnsupportedClassVersionError(
                 f"Unsupported major.minor version {major}.{minor} "
-                f"(min supported {self.min_supported_major}.0)")
+                f"(min supported {self.min_supported_major}.0)",
+                site="reader.version_too_old")
         return None
 
 
@@ -124,7 +126,8 @@ class ParsedClass:
             raise self.error.with_traceback(None)
         if self.trailing and options.reject_trailing_bytes:
             raise ClassFormatError(
-                f"Extra bytes at the end of class file ({self.trailing} left)")
+                f"Extra bytes at the end of class file ({self.trailing} left)",
+                site="reader.trailing_bytes")
         return self.classfile
 
 
@@ -132,7 +135,7 @@ def _truncated(count: int, offset: int, end: int) -> ClassFormatError:
     """The error for a read of ``count`` bytes at ``offset`` past ``end``."""
     return ClassFormatError(
         f"Truncated class file (wanted {count} bytes at offset {offset}, "
-        f"have {end - offset})")
+        f"have {end - offset})", site="reader.truncated")
 
 
 def _short_field(sizes: Tuple[int, ...], offset: int,
@@ -257,6 +260,10 @@ _ATTR_SITES = {name: f"reader.attr.{name}"
                for name in ("Code", "Exceptions", "ConstantValue",
                             "SourceFile")}
 
+#: The attributes whose body is one u2 pool index, by name.
+_INDEX_ATTRIBUTES = {"ConstantValue": ConstantValueAttribute,
+                     "SourceFile": SourceFileAttribute}
+
 
 class ClassReader:
     """Parses classfile bytes into a :class:`ParsedClass`."""
@@ -278,7 +285,8 @@ class ClassReader:
             (magic,) = cursor.fields(_U4)
             if magic != MAGIC:
                 raise ClassFormatError(
-                    f"Incompatible magic value {magic:#010x} in class file")
+                    f"Incompatible magic value {magic:#010x} in class file",
+                    site="reader.bad_magic")
             minor, major = cursor.fields(_VERSION)
             version_error = self.options.version_error(major, minor)
             if version_error is not None:
@@ -324,24 +332,29 @@ class ClassReader:
         if index == 0:
             if allow_zero:
                 return
-            raise ClassFormatError(f"Invalid {what} constant pool index 0")
+            raise ClassFormatError(f"Invalid {what} constant pool index 0",
+                                   site="reader.class_index_zero")
         try:
             info = pool.entry(index)
         except ConstantPoolError as exc:
-            raise ClassFormatError(f"Invalid {what} index: {exc}") from exc
+            raise ClassFormatError(f"Invalid {what} index: {exc}",
+                                   site="reader.class_index_bad") from exc
         if info.tag is not _CLASS:
             raise ClassFormatError(
-                f"{what} index {index} is a {info.tag.name}, not a Class")
+                f"{what} index {index} is a {info.tag.name}, not a Class",
+                site="reader.class_index_not_class")
 
     def _read_member_name(self, pool: ConstantPool, index: int,
                           what: str) -> None:
         try:
             info = pool.entry(index)
         except ConstantPoolError as exc:
-            raise ClassFormatError(f"Invalid {what} name index: {exc}") from exc
+            raise ClassFormatError(f"Invalid {what} name index: {exc}",
+                                   site="reader.member_name_bad") from exc
         if info.tag is not _UTF8:
             raise ClassFormatError(
-                f"{what} name index {index} is a {info.tag.name}, not Utf8")
+                f"{what} name index {index} is a {info.tag.name}, not Utf8",
+                site="reader.member_name_not_utf8")
 
     def _read_member(self, cursor: _ByteCursor, pool: ConstantPool,
                      kind, what: str):
@@ -364,7 +377,8 @@ class ClassReader:
         try:
             name = pool.get_utf8(name_index)
         except ConstantPoolError as exc:
-            raise ClassFormatError(f"Invalid attribute name index: {exc}") from exc
+            raise ClassFormatError(f"Invalid attribute name index: {exc}",
+                                   site="reader.attribute_name_bad") from exc
         (length,) = cursor.fields(_U4)
         body = cursor.raw(length)
         return self._decode_attribute(name, body, pool)
@@ -376,7 +390,8 @@ class ClassReader:
         if name == "Code":
             max_stack, max_locals, code_length = inner.fields(_CODE_HEADER)
             if code_length == 0:
-                raise ClassFormatError("Code attribute with zero-length code")
+                raise ClassFormatError("Code attribute with zero-length code",
+                                       site="reader.code_empty")
             code = inner.raw(code_length)
             table = [ExceptionHandler(*inner.fields(_HANDLER))
                      for _ in range(inner.u2())]
@@ -387,16 +402,12 @@ class ClassReader:
             for index in indices:
                 self._check_class_index(pool, index, "exception", allow_zero=False)
             return ExceptionsAttribute(indices)
-        if name == "ConstantValue":
+        if name in _INDEX_ATTRIBUTES:
             if len(body) != 2:
                 raise ClassFormatError(
-                    f"ConstantValue attribute has length {len(body)}, expected 2")
-            return ConstantValueAttribute(inner.u2())
-        if name == "SourceFile":
-            if len(body) != 2:
-                raise ClassFormatError(
-                    f"SourceFile attribute has length {len(body)}, expected 2")
-            return SourceFileAttribute(inner.u2())
+                    f"{name} attribute has length {len(body)}, expected 2",
+                    site="reader.attribute_length")
+            return _INDEX_ATTRIBUTES[name](inner.u2())
         return RawAttribute(name=name, data=body)
 
 
@@ -406,7 +417,8 @@ def _read_constant_pool(cursor: _ByteCursor) -> ConstantPool:
     internal reference (:func:`_check_pool_references`)."""
     count = cursor.u2()
     if count == 0:
-        raise ClassFormatError("Illegal constant pool count 0")
+        raise ClassFormatError("Illegal constant pool count 0",
+                               site="reader.cp_count_zero")
     data, pos, end = cursor.data, cursor.pos, cursor.end
     tags = _CP_TAGS
     unpack_u2 = _U2.unpack
@@ -420,7 +432,8 @@ def _read_constant_pool(cursor: _ByteCursor) -> ConstantPool:
         known = tags.get(tag_value)
         if known is None:
             raise ClassFormatError(
-                f"Unknown constant tag {tag_value} at index {index}")
+                f"Unknown constant tag {tag_value} at index {index}",
+                site="reader.cp_unknown_tag")
         tag, site, layout, scalar, slots, wanted = known
         probe(site)
         pos += 1
@@ -435,8 +448,8 @@ def _read_constant_pool(cursor: _ByteCursor) -> ConstantPool:
             try:
                 value = data[pos:stop].decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ClassFormatError(
-                    f"Malformed UTF-8 constant: {exc}") from exc
+                raise ClassFormatError(f"Malformed UTF-8 constant: {exc}",
+                                       site="reader.cp_bad_utf8") from exc
             pos = stop
         else:
             stop = pos + layout.size
@@ -467,7 +480,7 @@ def _check_pool_references(entries, referring) -> None:
                 raise ClassFormatError(
                     f"Invalid constant pool index {target} in class "
                     f"file ({info.tag.name} entry {index} needs "
-                    f"{tag.name})")
+                    f"{tag.name})", site="reader.cp_bad_reference")
 
 
 def read_class(data: bytes, options: ReaderOptions | None = None) -> ClassFile:

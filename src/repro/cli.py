@@ -549,6 +549,8 @@ def _cmd_run(args) -> int:
         print(outcome.brief())
         if outcome.message:
             print(f"    {outcome.message}")
+        if not outcome.ok:
+            print(f"    site: {outcome.site}")
         for line in outcome.output:
             print(f"    > {line}")
     return 0 if worst == 0 else 1

@@ -470,23 +470,6 @@ class _FuzzEngine:
                     parent=draft.parent_label)
         return results
 
-    def mutate_once(self, mutator: Mutator) -> Optional[GeneratedClass]:
-        """One full iteration body: mutate a pool member and dump it.
-
-        Returns ``None`` when the mutation was inapplicable or the mutant
-        could not be dumped to a classfile; each discarded iteration is
-        counted under its failure category in :attr:`discards`.
-        """
-        draft = self.mutate_draft(mutator)
-        if draft.jclass is None:
-            return None
-        category, data = _dump_mutant(draft.jclass)
-        if data is None:
-            self._discard(category, mutator.name)
-            return None
-        return GeneratedClass(draft.jclass.name, draft.jclass, data,
-                              mutator.name, parent=draft.parent_label)
-
     def collect_coverage(self, batch: List[GeneratedClass]) -> None:
         """Fan the batch's reference-JVM coverage runs out in one bulk
         call, attaching each tracefile to its class (input order)."""

@@ -5,6 +5,8 @@ The paper collects GCOV/LCOV statement and branch coverage over HotSpot's
 role: every named call to :func:`probe` is one *statement site* (a fixed
 code location in the pipeline), and every call to :func:`branch` is one
 *branch site* whose taken/not-taken outcomes are recorded separately.
+A :func:`check` is a branch site that raises when taken, and the error
+it raises carries the site's name.
 
 Probes are zero-cost when no collector is active, so the four non-reference
 JVMs run uninstrumented — matching the paper, where only the reference
@@ -19,7 +21,7 @@ costs a single global test.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.coverage.tracefile import Tracefile
 
@@ -92,11 +94,28 @@ def branch(site: str, taken: bool) -> bool:
 
     Usage::
 
-        if branch("linker.super_is_final", super_cls.is_final):
-            raise VerifyError(...)
+        if branch("interp.fcmp_nan", left != left or right != right):
+            stack.append(nan_result)
     """
     branches = _BRANCHES
     if branches is not None:
         key = (site, True if taken else False)
         branches[key] = branches.get(key, 0) + 1
     return taken
+
+
+def check(site: str, failed: bool, error: Callable[..., Exception],
+          message: str, *args: object) -> None:
+    """Record the branch probe ``site`` as :func:`branch` does and, when
+    ``failed``, raise ``error(message.format(*args), site=site)``.
+
+    ``args`` are evaluated on every pass, so pass what is at hand and let
+    the message read the rest: ``"{.name}"`` with ``classfile`` reads
+    ``classfile.name`` only when the check fails.
+    """
+    branches = _BRANCHES
+    if branches is not None:
+        key = (site, True if failed else False)
+        branches[key] = branches.get(key, 0) + 1
+    if failed:
+        raise error(message.format(*args), site=site)

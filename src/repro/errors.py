@@ -15,14 +15,17 @@ class JavaError(Exception):
 
     Attributes:
         message: human-readable detail, mirroring a real JVM's message.
+        site: the name of the check that raised it: the probe site of a
+            :func:`repro.coverage.probes.check`, or a name without a probe.
     """
 
     #: Fully-qualified Java name of the error class.
     java_name = "java.lang.Throwable"
 
-    def __init__(self, message: str = ""):
+    def __init__(self, message: str = "", site: str | None = None):
         super().__init__(message)
         self.message = message
+        self.site = site
 
     @property
     def simple_name(self) -> str:
@@ -179,12 +182,6 @@ class StackOverflowError_(JavaError):
     """The interpreter's call depth budget was exhausted."""
 
     java_name = "java.lang.StackOverflowError"
-
-
-class OutOfMemoryError_(JavaError):
-    """The simulated heap was exhausted."""
-
-    java_name = "java.lang.OutOfMemoryError"
 
 
 class StepBudgetExceeded(JavaError):

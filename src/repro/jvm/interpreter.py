@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.bytecode.instructions import Instruction, InstructionError
@@ -21,7 +22,7 @@ from repro.classfile.constant_pool import ConstantPoolError, CpTag
 from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
 from repro.classfile.methods import MethodInfo
 from repro.classfile.model import ClassFile
-from repro.coverage.probes import branch, probe
+from repro.coverage.probes import branch, check, probe
 from repro.errors import (
     AbstractMethodError,
     ArithmeticException,
@@ -43,18 +44,19 @@ from repro.errors import (
 from repro.jvm.policy import JvmPolicy
 from repro.runtime.environment import JreEnvironment
 
-#: Backwards-compatible alias: the budget error used to be defined here
-#: (with the misleading ``Timeout`` error name) before it moved into the
-#: :mod:`repro.errors` taxonomy as :class:`~repro.errors.StepBudgetExceeded`.
-ExecutionBudgetExceeded = StepBudgetExceeded
-
 
 class UserThrowable(JavaError):
     """A user-level object thrown by ``athrow``."""
 
-    def __init__(self, class_name: str, message: str = ""):
-        super().__init__(message)
+    def __init__(self, class_name: str, message: str = "",
+                 site: Optional[str] = None):
+        super().__init__(message, site)
         self.java_name = class_name.replace("/", ".")
+
+
+#: The error ``String.charAt`` throws out of range.
+_STRING_INDEX_ERROR = partial(UserThrowable,
+                              "java.lang.StringIndexOutOfBoundsException")
 
 
 @dataclass
@@ -142,16 +144,18 @@ class Interpreter:
         """Interpret ``method`` of the test class and return its result."""
         probe("interp.invoke_method")
         if depth > 64:
-            raise StackOverflowError_("recursion too deep")
+            raise StackOverflowError_("recursion too deep",
+                                      site="interp.recursion_too_deep")
         if self._on_demand_verify is not None:
             key = (method.name_index, method.descriptor_index)
             if key not in self._verified:
                 self._verified.add(key)
                 self._on_demand_verify(self.classfile, method)
         if branch("interp.method_abstract", method.is_abstract):
-            raise AbstractMethodError(
-                f"{self.classfile.name}."
-                f"{self.classfile.method_name(method)}")
+            # The message's name lookup stays off the passing path.
+            name = self.classfile.method_name(method)
+            raise AbstractMethodError(f"{self.classfile.name}.{name}",
+                                      site="interp.method_abstract")
         code = method.code
         if branch("interp.method_missing_code", code is None):
             if method.is_native:
@@ -159,11 +163,13 @@ class Interpreter:
                     self._return_descriptor(method))
             raise ClassFormatError(
                 f"Absent Code attribute in method "
-                f"{self.classfile.method_name(method)}")
+                f"{self.classfile.method_name(method)}",
+                site="interp.method_missing_code")
         try:
             instructions = code.decoded()
         except InstructionError as exc:
-            raise VerifyError(f"Bad instruction: {exc}") from exc
+            raise VerifyError(f"Bad instruction: {exc}",
+                              site="interp.bad_instruction") from exc
         by_offset = {instruction.offset: i
                      for i, instruction in enumerate(instructions)}
         locals_: Dict[int, object] = {}
@@ -187,14 +193,14 @@ class Interpreter:
              code, depth: int) -> object:
         stack: List[object] = []
         index = 0
+        budget = self.policy.max_interpreter_steps
         while True:
             self.steps += 1
-            if branch("interp.budget_exceeded",
-                      self.steps > self.policy.max_interpreter_steps):
-                raise StepBudgetExceeded(
-                    f"exceeded {self.policy.max_interpreter_steps} steps")
+            check("interp.budget_exceeded", self.steps > budget,
+                  StepBudgetExceeded, "exceeded {} steps", budget)
             if index >= len(instructions):
-                raise VerifyError("Falling off the end of the code")
+                raise VerifyError("Falling off the end of the code",
+                                  site="interp.falloff")
             instruction = instructions[index]
             try:
                 outcome = self._step(instruction, stack, locals_, depth)
@@ -215,8 +221,8 @@ class Interpreter:
             elif isinstance(outcome, _Jump):
                 target = by_offset.get(outcome.offset)
                 if target is None:
-                    raise VerifyError(
-                        f"Illegal jump target {outcome.offset}")
+                    raise VerifyError(f"Illegal jump target {outcome.offset}",
+                                      site="interp.jump_target_bad")
                 index = target
             else:  # _Return
                 return outcome.value
@@ -265,7 +271,8 @@ class Interpreter:
 
     def _pop(self, stack: List[object]) -> object:
         if not stack:
-            raise VerifyError("Operand stack underflow at runtime")
+            raise VerifyError("Operand stack underflow at runtime",
+                              site="interp.stack_underflow")
         return stack.pop()
 
     def _step(self, instruction: Instruction, stack: List[object],
@@ -406,40 +413,43 @@ class Interpreter:
             self._invoke(op, operands["index"], stack, depth)
             return _NEXT
         if op is Op.INVOKEDYNAMIC:
-            raise NoSuchMethodError("invokedynamic is unsupported")
+            raise NoSuchMethodError("invokedynamic is unsupported",
+                                    site="interp.invokedynamic")
         # Object model.
         if op is Op.NEW:
             stack.append(self._new(operands["index"]))
             return _NEXT
         if op is Op.NEWARRAY:
             length = self._as_int(self._pop(stack))
-            if branch("interp.negative_array", length < 0):
-                raise NegativeArraySizeException(str(length))
+            check("interp.negative_array", length < 0,
+                  NegativeArraySizeException, "{}", length)
             stack.append(JArray("prim", [0] * length))
             return _NEXT
         if op is Op.ANEWARRAY:
             length = self._as_int(self._pop(stack))
-            if branch("interp.negative_array_ref", length < 0):
-                raise NegativeArraySizeException(str(length))
+            check("interp.negative_array_ref", length < 0,
+                  NegativeArraySizeException, "{}", length)
             stack.append(JArray("ref", [None] * length))
             return _NEXT
         if op is Op.MULTIANEWARRAY:
             dims = operands["dimensions"]
             sizes = [self._as_int(self._pop(stack)) for _ in range(dims)]
             if any(size < 0 for size in sizes):
-                raise NegativeArraySizeException(str(min(sizes)))
+                raise NegativeArraySizeException(
+                    str(min(sizes)), site="interp.negative_array_multi")
             stack.append(JArray("multi", [None] * (sizes[-1] if sizes else 0)))
             return _NEXT
         if op is Op.ARRAYLENGTH:
             array = self._pop(stack)
-            if branch("interp.arraylength_null", array is None):
-                raise NullPointerException("arraylength of null")
+            check("interp.arraylength_null", array is None,
+                  NullPointerException, "arraylength of null")
             if isinstance(array, JArray):
                 stack.append(len(array.values))
             elif isinstance(array, list):
                 stack.append(len(array))
             else:
-                raise ClassCastException("arraylength of non-array")
+                raise ClassCastException("arraylength of non-array",
+                                         site="interp.arraylength_non_array")
             return _NEXT
         if op in _ARRAY_LOADS:
             index_value = self._as_int(self._pop(stack))
@@ -465,13 +475,13 @@ class Interpreter:
             self._throw(self._pop(stack))
         if op in (Op.MONITORENTER, Op.MONITOREXIT):
             receiver = self._pop(stack)
-            if branch("interp.monitor_null", receiver is None):
-                raise NullPointerException("monitor operation on null")
+            check("interp.monitor_null", receiver is None,
+                  NullPointerException, "monitor operation on null")
             return _NEXT
         if op is Op.NOP:
             return _NEXT
         raise VerifyError(f"Unsupported opcode {instruction.mnemonic} "
-                          "reached at runtime")
+                          "reached at runtime", site="interp.unhandled_opcode")
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -485,7 +495,8 @@ class Interpreter:
             return 0
         if isinstance(value, float):
             return int(value)
-        raise ClassCastException(f"expected int, found {type(value).__name__}")
+        raise ClassCastException(f"expected int, found {type(value).__name__}",
+                                 site="interp.not_an_int")
 
     @staticmethod
     def _as_float(value: object) -> float:
@@ -498,7 +509,8 @@ class Interpreter:
         if value is None:
             return 0.0
         raise ClassCastException(
-            f"expected float, found {type(value).__name__}")
+            f"expected float, found {type(value).__name__}",
+            site="interp.not_a_float")
 
     _ARITH = {
         Op.IADD: lambda a, b: _wrap_int(a + b),
@@ -537,8 +549,8 @@ class Interpreter:
         if op in (Op.IDIV, Op.IREM, Op.LDIV, Op.LREM):
             right = self._as_int(self._pop(stack))
             left = self._as_int(self._pop(stack))
-            if branch("interp.div_by_zero", right == 0):
-                raise ArithmeticException("/ by zero")
+            check("interp.div_by_zero", right == 0, ArithmeticException,
+                  "/ by zero")
             if op in (Op.IDIV, Op.LDIV):
                 quotient = abs(left) // abs(right)
                 result = quotient if (left < 0) == (right < 0) else -quotient
@@ -631,7 +643,8 @@ class Interpreter:
         try:
             entry = pool.entry(index)
         except ConstantPoolError as exc:
-            raise VerifyError(f"ldc of bad constant: {exc}") from exc
+            raise VerifyError(f"ldc of bad constant: {exc}",
+                              site="interp.ldc_bad_constant") from exc
         if entry.tag is CpTag.STRING:
             return pool.get_string(index)
         if entry.tag in (CpTag.INTEGER, CpTag.FLOAT, CpTag.LONG,
@@ -640,7 +653,8 @@ class Interpreter:
         if entry.tag is CpTag.CLASS:
             return JObject("java/lang/Class", {"name": pool.get_class_name(
                 index)}, initialized=True)
-        raise VerifyError(f"ldc of unloadable constant tag {entry.tag.name}")
+        raise VerifyError(f"ldc of unloadable constant tag {entry.tag.name}",
+                          site="interp.ldc_unloadable")
 
     # -- fields -----------------------------------------------------------------------------
 
@@ -649,7 +663,8 @@ class Interpreter:
         try:
             return pool.get_member_ref(index)
         except ConstantPoolError as exc:
-            raise VerifyError(f"bad field reference: {exc}") from exc
+            raise VerifyError(f"bad field reference: {exc}",
+                              site="interp.field_ref_bad") from exc
 
     def _getstatic(self, index: int) -> object:
         owner, name, descriptor = self._field_target(index)
@@ -667,13 +682,12 @@ class Interpreter:
                     return _default_for_descriptor(descriptor)
             return self.statics.get(name, _default_for_descriptor(descriptor))
         cls = self.library.find(owner)
-        if branch("interp.getstatic_missing_class", cls is None):
-            raise NoClassDefFoundError(owner.replace("/", "."))
+        check("interp.getstatic_missing_class", cls is None,
+              NoClassDefFoundError, "{}", owner.replace("/", "."))
         if owner == "java/lang/System" and name in ("out", "err"):
             return _PrintStream(name, self.output)
-        member = cls.find_field(name)
-        if branch("interp.getstatic_missing_field", member is None):
-            raise NoSuchFieldError(f"{owner.replace('/', '.')}.{name}")
+        check("interp.getstatic_missing_field", cls.find_field(name) is None,
+              NoSuchFieldError, "{}.{}", owner.replace("/", "."), name)
         return _default_for_descriptor(descriptor)
 
     def _putstatic(self, index: int, value: object) -> None:
@@ -688,15 +702,15 @@ class Interpreter:
                 self._clinit_written.add(name)
             self.statics[name] = value
             return
-        cls = self.library.find(owner)
-        if branch("interp.putstatic_missing_class", cls is None):
-            raise NoClassDefFoundError(owner.replace("/", "."))
+        check("interp.putstatic_missing_class",
+              self.library.find(owner) is None, NoClassDefFoundError, "{}",
+              owner.replace("/", "."))
         # Writes to library statics are accepted and discarded.
 
     def _getfield(self, index: int, receiver: object) -> object:
         owner, name, descriptor = self._field_target(index)
-        if branch("interp.getfield_null", receiver is None):
-            raise NullPointerException(f"reading field {name} of null")
+        check("interp.getfield_null", receiver is None, NullPointerException,
+              "reading field {} of null", name)
         if isinstance(receiver, JObject):
             return receiver.fields.get(
                 name, _default_for_descriptor(descriptor))
@@ -704,31 +718,33 @@ class Interpreter:
 
     def _putfield(self, index: int, receiver: object, value: object) -> None:
         owner, name, _ = self._field_target(index)
-        if branch("interp.putfield_null", receiver is None):
-            raise NullPointerException(f"writing field {name} of null")
+        check("interp.putfield_null", receiver is None, NullPointerException,
+              "writing field {} of null", name)
         if isinstance(receiver, JObject):
             receiver.fields[name] = value
 
     # -- arrays -------------------------------------------------------------------------------
 
     def _array_get(self, array: object, index: int) -> object:
-        if branch("interp.array_null", array is None):
-            raise NullPointerException("array access on null")
+        check("interp.array_null", array is None, NullPointerException,
+              "array access on null")
         values = array.values if isinstance(array, JArray) else array
         if not isinstance(values, list):
-            raise ClassCastException("array access on non-array")
-        if branch("interp.array_oob", not 0 <= index < len(values)):
-            raise ArrayIndexOutOfBoundsException(str(index))
+            raise ClassCastException("array access on non-array",
+                                     site="interp.array_non_array")
+        check("interp.array_oob", not 0 <= index < len(values),
+              ArrayIndexOutOfBoundsException, "{}", index)
         return values[index]
 
     def _array_set(self, array: object, index: int, value: object) -> None:
-        if branch("interp.array_store_null", array is None):
-            raise NullPointerException("array store on null")
+        check("interp.array_store_null", array is None, NullPointerException,
+              "array store on null")
         values = array.values if isinstance(array, JArray) else array
         if not isinstance(values, list):
-            raise ClassCastException("array store on non-array")
-        if branch("interp.array_store_oob", not 0 <= index < len(values)):
-            raise ArrayIndexOutOfBoundsException(str(index))
+            raise ClassCastException("array store on non-array",
+                                     site="interp.array_store_non_array")
+        check("interp.array_store_oob", not 0 <= index < len(values),
+              ArrayIndexOutOfBoundsException, "{}", index)
         values[index] = value
 
     # -- object model -----------------------------------------------------------------------------
@@ -738,16 +754,17 @@ class Interpreter:
         try:
             class_name = pool.get_class_name(index)
         except ConstantPoolError as exc:
-            raise VerifyError(f"new of bad class ref: {exc}") from exc
+            raise VerifyError(f"new of bad class ref: {exc}",
+                              site="interp.new_ref_bad") from exc
         probe("interp.new")
         if class_name == self.classfile.name:
             return JObject(class_name)
         cls = self.library.find(class_name)
-        if branch("interp.new_missing_class", cls is None):
-            raise NoClassDefFoundError(class_name.replace("/", "."))
-        if branch("interp.new_abstract",
-                  cls.is_interface or cls.is_abstract):
-            raise InstantiationError(class_name.replace("/", "."))
+        dotted = class_name.replace("/", ".")
+        check("interp.new_missing_class", cls is None, NoClassDefFoundError,
+              "{}", dotted)
+        check("interp.new_abstract", cls.is_interface or cls.is_abstract,
+              InstantiationError, "{}", dotted)
         return JObject(class_name)
 
     def _class_of(self, value: object) -> Optional[str]:
@@ -801,15 +818,14 @@ class Interpreter:
         if source is None:
             return
         if target.startswith("["):
-            if branch("interp.cast_to_array", not isinstance(value, JArray)):
-                raise ClassCastException(
-                    f"{source.replace('/', '.')} cannot be cast to array")
+            check("interp.cast_to_array", not isinstance(value, JArray),
+                  ClassCastException, "{} cannot be cast to array",
+                  source.replace("/", "."))
             return
-        if branch("interp.cast_fails",
-                  not self._is_assignable_runtime(source, target)):
-            raise ClassCastException(
-                f"{source.replace('/', '.')} cannot be cast to "
-                f"{target.replace('/', '.')}")
+        check("interp.cast_fails",
+              not self._is_assignable_runtime(source, target),
+              ClassCastException, "{} cannot be cast to {}",
+              source.replace("/", "."), target.replace("/", "."))
 
     def _instance_of(self, index: int, value: object) -> bool:
         if value is None:
@@ -822,13 +838,13 @@ class Interpreter:
 
     def _throw(self, value: object) -> None:
         probe("interp.athrow")
-        if branch("interp.throw_null", value is None):
-            raise NullPointerException("throw of null")
+        check("interp.throw_null", value is None, NullPointerException,
+              "throw of null")
         class_name = self._class_of(value) or "java/lang/Object"
         message = ""
         if isinstance(value, JObject):
             message = str(value.fields.get("message", ""))
-        raise UserThrowable(class_name, message)
+        raise UserThrowable(class_name, message, site="interp.athrow")
 
     # -- invocation -----------------------------------------------------------------------------------
 
@@ -838,20 +854,22 @@ class Interpreter:
         try:
             owner, name, descriptor = pool.get_member_ref(index)
         except ConstantPoolError as exc:
-            raise VerifyError(f"bad method reference: {exc}") from exc
+            raise VerifyError(f"bad method reference: {exc}",
+                              site="interp.method_ref_bad") from exc
         try:
             parsed = parse_method_descriptor(descriptor)
         except DescriptorError as exc:
-            raise VerifyError(f"bad method descriptor: {exc}") from exc
+            raise VerifyError(f"bad method descriptor: {exc}",
+                              site="interp.method_descriptor_bad") from exc
         args = [self._pop(stack) for _ in parsed.parameters]
         args.reverse()
         receiver = None
         if op is not Op.INVOKESTATIC:
             receiver = self._pop(stack)
-            if branch("interp.invoke_on_null",
-                      receiver is None and name != "<init>"):
-                raise NullPointerException(
-                    f"invoking {name} on a null object reference")
+            check("interp.invoke_on_null",
+                  receiver is None and name != "<init>",
+                  NullPointerException,
+                  "invoking {} on a null object reference", name)
         probe("interp.invoke")
         if owner == self.classfile.name:
             result = self._invoke_self(name, descriptor, receiver, args,
@@ -866,9 +884,8 @@ class Interpreter:
                      receiver: Optional[object], args: List[object],
                      depth: int) -> object:
         method = self.classfile.find_method(name, descriptor)
-        if branch("interp.self_method_missing", method is None):
-            raise NoSuchMethodError(
-                f"{self.classfile.name.replace('/', '.')}.{name}{descriptor}")
+        check("interp.self_method_missing", method is None, NoSuchMethodError,
+              "{.java_name}.{}{}", self.classfile, name, descriptor)
         if isinstance(receiver, JObject) and name == "<init>":
             receiver.initialized = True
         return self.invoke_method(method, args, receiver, depth + 1)
@@ -878,8 +895,8 @@ class Interpreter:
                         args: List[object]) -> object:
         probe("interp.invoke_library")
         cls = self.library.find(owner)
-        if branch("interp.library_class_missing", cls is None):
-            raise NoClassDefFoundError(owner.replace("/", "."))
+        check("interp.library_class_missing", cls is None,
+              NoClassDefFoundError, "{}", owner.replace("/", "."))
         intrinsic = self._intrinsic(owner, name, descriptor, receiver, args)
         if intrinsic is not _NO_INTRINSIC:
             return intrinsic
@@ -890,9 +907,9 @@ class Interpreter:
                 break
             current = self.library.find(current.superclass) \
                 if current.superclass else None
-        if branch("interp.library_method_missing", current is None):
-            raise NoSuchMethodError(
-                f"{owner.replace('/', '.')}.{name}{descriptor}")
+        check("interp.library_method_missing", current is None,
+              NoSuchMethodError, "{}.{}{}", owner.replace("/", "."), name,
+              descriptor)
         if isinstance(receiver, JObject) and name == "<init>":
             receiver.initialized = True
         return _default_for_descriptor(descriptor.rsplit(")", 1)[-1])
@@ -939,27 +956,26 @@ class Interpreter:
                     return 1 if receiver == other else 0
                 if name == "compareTo":
                     other = args[0] if args else None
-                    if branch("interp.compareto_null",
-                              not isinstance(other, str)):
-                        raise NullPointerException("String.compareTo")
+                    check("interp.compareto_null",
+                          not isinstance(other, str), NullPointerException,
+                          "String.compareTo")
                     for ours, theirs in zip(receiver, other):
                         if ours != theirs:
                             return _wrap_int(ord(ours) - ord(theirs))
                     return _wrap_int(len(receiver) - len(other))
                 # charAt
                 char_index = self._as_int(args[0]) if args else 0
-                if branch("interp.charat_oob",
-                          not 0 <= char_index < len(receiver)):
-                    raise UserThrowable(
-                        "java.lang.StringIndexOutOfBoundsException",
-                        f"String index out of range: {char_index}")
+                check("interp.charat_oob", not 0 <= char_index < len(receiver),
+                      _STRING_INDEX_ERROR,
+                      "String index out of range: {}", char_index)
                 return ord(receiver[char_index])
         if owner == "java/lang/Integer" and name == "parseInt" and args:
             try:
                 return _wrap_int(int(str(args[0])))
             except ValueError:
                 raise UserThrowable("java.lang.NumberFormatException",
-                                    str(args[0])) from None
+                                    str(args[0]),
+                                    site="interp.parse_int") from None
         if owner == "java/lang/Integer" and name == "valueOf" and args:
             boxed = JObject("java/lang/Integer", initialized=True)
             boxed.fields["value"] = self._as_int(args[0])
@@ -970,10 +986,10 @@ class Interpreter:
         if owner == "java/util/ResourceBundle" and name == "getBundle" \
                 and args:
             bundle = str(args[0])
-            if branch("interp.resource_missing",
-                      bundle not in self.environment.resources):
-                raise MissingResourceException(
-                    f"Can't find bundle for base name {bundle}")
+            check("interp.resource_missing",
+                  bundle not in self.environment.resources,
+                  MissingResourceException,
+                  "Can't find bundle for base name {}", bundle)
             return JObject("java/util/ResourceBundle",
                            {"name": bundle}, initialized=True)
         if owner == "java/util/Random" and name == "nextInt" and args:

@@ -15,7 +15,7 @@ from repro.classfile.attributes import CodeAttribute
 from repro.classfile.constant_pool import ConstantPoolError
 from repro.classfile.methods import CLASS_INIT, MethodInfo
 from repro.classfile.model import ClassFile
-from repro.coverage.probes import active_collector, branch, probe
+from repro.coverage.probes import active_collector, branch, check, probe
 from repro.errors import (
     ClassCircularityError,
     ClassFormatError,
@@ -52,18 +52,19 @@ class Linker:
         """
         probe("linker.resolve_hierarchy")
         super_name = classfile.super_name
+        this_name = classfile.name
         if branch("linker.no_superclass", super_name is None):
-            if classfile.name != "java/lang/Object":
-                raise ClassFormatError(
-                    f"Class {classfile.name} has no superclass")
+            if this_name != "java/lang/Object":
+                raise ClassFormatError(f"Class {this_name} has no superclass",
+                                       site="linker.no_superclass")
             return
-        if branch("linker.super_is_self", super_name == classfile.name):
-            raise ClassCircularityError(classfile.name.replace("/", "."))
-        self._find_class(super_name, classfile.name)
+        check("linker.super_is_self", super_name == this_name,
+              ClassCircularityError, "{.java_name}", classfile)
+        self._find_class(super_name, this_name)
         for name in classfile.interface_names:
-            if branch("linker.interface_is_self", name == classfile.name):
-                raise ClassCircularityError(classfile.name.replace("/", "."))
-            self._find_class(name, classfile.name)
+            check("linker.interface_is_self", name == this_name,
+                  ClassCircularityError, "{.java_name}", classfile)
+            self._find_class(name, this_name)
 
     def link(self, classfile: ClassFile, verified: Optional[Dict]) -> None:
         """Run the linking phase (hierarchy constraints + verification).
@@ -89,21 +90,20 @@ class Linker:
             else "<default>"
         probe(f"linker.resolve_package.{package}")
         cls = self.library.find(internal_name)
-        if branch("linker.class_missing", cls is None):
-            raise NoClassDefFoundError(
-                f"{internal_name.replace('/', '.')} "
-                f"(referenced from {referer})")
+        check("linker.class_missing", cls is None, NoClassDefFoundError,
+              "{} (referenced from {})", internal_name.replace("/", "."),
+              referer)
         return cls
 
-    def _check_access(self, cls, what: str) -> None:
+    def _check_access(self, cls, referer: str, *args: object) -> None:
+        """Access to ``cls`` from ``referer``, a template ``args`` fill."""
         if not self.policy.check_restricted_access:
             return
         probe("linker.check_access")
-        if branch("linker.restricted_class",
-                  cls.restricted or cls.is_synthetic or not cls.is_public):
-            raise IllegalAccessError(
-                f"tried to access class {cls.name.replace('/', '.')} "
-                f"from {what}")
+        check("linker.restricted_class",
+              cls.restricted or cls.is_synthetic or not cls.is_public,
+              IllegalAccessError, "tried to access class {} from " + referer,
+              cls.name.replace("/", "."), *args)
 
     def _check_superclass(self, classfile: ClassFile) -> None:
         probe("linker.check_superclass")
@@ -113,23 +113,20 @@ class Linker:
         super_cls = self.library.find(super_name)
         if super_cls is None:
             return  # handled during creation & loading
-        self._check_access(super_cls, f"class {classfile.name}")
+        self._check_access(super_cls, "class {.name}", classfile)
         if branch("linker.class_is_interface_check", classfile.is_interface):
-            if self.policy.interface_superclass_must_be_object and branch(
-                    "linker.interface_super_not_object",
-                    super_name != "java/lang/Object"):
-                raise ClassFormatError(
-                    f"Interface {classfile.name} has superclass other than "
-                    "java/lang/Object")
+            if self.policy.interface_superclass_must_be_object:
+                check("linker.interface_super_not_object",
+                      super_name != "java/lang/Object", ClassFormatError,
+                      "Interface {.name} has superclass other than "
+                      "java/lang/Object", classfile)
             return
-        if branch("linker.super_is_interface", super_cls.is_interface):
-            raise IncompatibleClassChangeError(
-                f"class {classfile.name.replace('/', '.')} has interface "
-                f"{super_name.replace('/', '.')} as super class")
-        if branch("linker.super_is_final", super_cls.is_final):
-            raise VerifyError(
-                f"Cannot inherit from final class "
-                f"{super_name.replace('/', '.')}")
+        dotted_super = super_name.replace("/", ".")
+        check("linker.super_is_interface", super_cls.is_interface,
+              IncompatibleClassChangeError, "class {.java_name} has interface "
+              "{} as super class", classfile, dotted_super)
+        check("linker.super_is_final", super_cls.is_final, VerifyError,
+              "Cannot inherit from final class {}", dotted_super)
 
     def _check_interfaces(self, classfile: ClassFile) -> None:
         probe("linker.check_interfaces")
@@ -137,15 +134,16 @@ class Linker:
             cls = self.library.find(name)
             if cls is None or name == classfile.name:
                 continue  # handled during creation & loading
-            self._check_access(cls, f"class {classfile.name}")
-            if branch("linker.implements_non_interface", not cls.is_interface):
-                raise IncompatibleClassChangeError(
-                    f"class {classfile.name.replace('/', '.')} tried to "
-                    f"implement class {name.replace('/', '.')} as interface")
+            self._check_access(cls, "class {.name}", classfile)
+            check("linker.implements_non_interface", not cls.is_interface,
+                  IncompatibleClassChangeError,
+                  "class {.java_name} tried to implement class {} as "
+                  "interface", classfile, name.replace("/", "."))
 
     def _resolve_thrown(self, classfile: ClassFile) -> None:
         """Resolve and access-check ``throws`` clauses (Problem 3)."""
         probe("linker.resolve_thrown")
+        this_name = classfile.name
         for method in classfile.methods:
             exceptions = method.exceptions
             if exceptions is None:
@@ -154,15 +152,15 @@ class Linker:
                 names = exceptions.exception_names(classfile.constant_pool)
             except ConstantPoolError as exc:
                 raise ClassFormatError(
-                    f"Broken Exceptions attribute in {classfile.name}: "
-                    f"{exc}") from exc
+                    f"Broken Exceptions attribute in {this_name}: {exc}",
+                    site="linker.exceptions_bad") from exc
+            method_name = classfile.method_name(method)
             for name in names:
-                if name == classfile.name:
+                if name == this_name:
                     continue
-                cls = self._find_class(name, classfile.name)
-                self._check_access(
-                    cls, f"throws clause of {classfile.name}."
-                         f"{classfile.method_name(method)}")
+                cls = self._find_class(name, this_name)
+                self._check_access(cls, "throws clause of {}.{}", this_name,
+                                   method_name)
 
     # -- verification ------------------------------------------------------------------
 
@@ -196,7 +194,8 @@ class Linker:
             raise ClassFormatError(
                 f"Absent Code attribute in method that is not native or "
                 f"abstract in class file {classfile.name}, "
-                f"method={name}{descriptor}")
+                f"method={name}{descriptor}",
+                site="linker.concrete_without_code")
 
     def verify_single_method(self, classfile: ClassFile,
                              method: MethodInfo,

@@ -32,7 +32,7 @@ from repro.classfile.descriptors import (
 from repro.classfile.methods import CLASS_INIT, INSTANCE_INIT, MethodInfo
 from repro.classfile.model import ClassFile
 from repro.classfile.reader import ClassReader, ParsedClass, ReaderOptions
-from repro.coverage.probes import branch, probe
+from repro.coverage.probes import branch, check, probe
 from repro.errors import ClassFormatError
 from repro.jvm.policy import JvmPolicy
 
@@ -105,32 +105,25 @@ class Loader:
         self._probe_flags("loader.class_flag", flags)
         is_interface = bool(flags & ACC_INTERFACE)
         if branch("loader.class_is_interface", is_interface):
-            if self.policy.interface_requires_abstract_flag and branch(
-                    "loader.interface_missing_abstract",
-                    not flags & ACC_ABSTRACT):
-                raise ClassFormatError(
-                    f"Interface {classfile.name} must have its "
-                    "ACC_ABSTRACT flag set")
-            if branch("loader.interface_is_final",
-                      bool(flags & ACC_FINAL)):
-                raise ClassFormatError(
-                    f"Interface {classfile.name} must not have its "
-                    "ACC_FINAL flag set")
-            if branch("loader.interface_is_enum",
-                      bool(flags & ACC_ENUM)):
-                raise ClassFormatError(
-                    f"Interface {classfile.name} must not have its "
-                    "ACC_ENUM flag set")
-        elif branch("loader.class_final_and_abstract",
-                    bool(flags & ACC_FINAL) and bool(flags & ACC_ABSTRACT)):
-            raise ClassFormatError(
-                f"Class {classfile.name} has both ACC_FINAL and "
-                "ACC_ABSTRACT set")
-        if branch("loader.annotation_without_interface",
-                  bool(flags & ACC_ANNOTATION) and not is_interface):
-            raise ClassFormatError(
-                f"Class {classfile.name} has ACC_ANNOTATION without "
-                "ACC_INTERFACE")
+            if self.policy.interface_requires_abstract_flag:
+                check("loader.interface_missing_abstract",
+                      not flags & ACC_ABSTRACT, ClassFormatError, "Interface "
+                      "{.name} must have its ACC_ABSTRACT flag set", classfile)
+            check("loader.interface_is_final", flags & ACC_FINAL,
+                  ClassFormatError, "Interface {.name} must not have its "
+                  "ACC_FINAL flag set", classfile)
+            check("loader.interface_is_enum", flags & ACC_ENUM,
+                  ClassFormatError, "Interface {.name} must not have its "
+                  "ACC_ENUM flag set", classfile)
+        else:
+            check("loader.class_final_and_abstract",
+                  flags & ACC_FINAL and flags & ACC_ABSTRACT, ClassFormatError,
+                  "Class {.name} has both ACC_FINAL and ACC_ABSTRACT set",
+                  classfile)
+        check("loader.annotation_without_interface",
+              flags & ACC_ANNOTATION and not is_interface, ClassFormatError,
+              "Class {.name} has ACC_ANNOTATION without ACC_INTERFACE",
+              classfile)
 
     # -- field checks ------------------------------------------------------------
 
@@ -143,38 +136,32 @@ class Loader:
             flags = int(field_info.access_flags)
             self._probe_flags("loader.field_flag", flags)
             probe(f"loader.field_type.{descriptor[:1] or '?'}")
-            if branch("loader.field_descriptor_invalid",
-                      not is_valid_field_descriptor(descriptor)):
-                raise ClassFormatError(
-                    f"Field {classfile.name}.{name} has invalid "
-                    f"descriptor {descriptor!r}")
-            if self.policy.reject_conflicting_visibility and branch(
-                    "loader.field_visibility_conflict",
-                    count_visibility_flags(flags) > 1):
-                raise ClassFormatError(
-                    f"Field {classfile.name}.{name} has conflicting "
-                    "visibility flags")
-            if self.policy.reject_final_volatile_field and branch(
-                    "loader.field_final_volatile",
-                    bool(flags & ACC_FINAL)
-                    and bool(flags & ACC_VOLATILE)):
-                raise ClassFormatError(
-                    f"Field {classfile.name}.{name} is both final "
-                    "and volatile")
+            check("loader.field_descriptor_invalid",
+                  not is_valid_field_descriptor(descriptor), ClassFormatError,
+                  "Field {.name}.{} has invalid descriptor {!r}", classfile,
+                  name, descriptor)
+            if self.policy.reject_conflicting_visibility:
+                check("loader.field_visibility_conflict",
+                      count_visibility_flags(flags) > 1, ClassFormatError,
+                      "Field {.name}.{} has conflicting visibility flags",
+                      classfile, name)
+            if self.policy.reject_final_volatile_field:
+                check("loader.field_final_volatile",
+                      flags & ACC_FINAL and flags & ACC_VOLATILE,
+                      ClassFormatError, "Field {.name}.{} is both final and "
+                      "volatile", classfile, name)
             if classfile.is_interface and self.policy.interface_members_strict:
                 probe("loader.check_interface_field")
                 required = ACC_PUBLIC | ACC_STATIC | ACC_FINAL
-                if branch("loader.interface_field_flags_bad",
-                          (flags & required) != required):
-                    raise ClassFormatError(
-                        f"Interface field {classfile.name}.{name} must be "
-                        "public static final")
+                check("loader.interface_field_flags_bad",
+                      (flags & required) != required, ClassFormatError,
+                      "Interface field {.name}.{} must be public static "
+                      "final", classfile, name)
             key = (name, descriptor)
-            if self.policy.reject_duplicate_fields and branch(
-                    "loader.duplicate_field", key in seen):
-                raise ClassFormatError(
-                    f"Duplicate field name&signature in class file "
-                    f"{classfile.name}: {name} {descriptor}")
+            if self.policy.reject_duplicate_fields:
+                check("loader.duplicate_field", key in seen, ClassFormatError,
+                      "Duplicate field name&signature in class file "
+                      "{.name}: {} {}", classfile, name, descriptor)
             seen.add(key)
 
     # -- method checks --------------------------------------------------------------
@@ -187,16 +174,16 @@ class Loader:
             descriptor = classfile.method_descriptor(method)
             self._check_one_method(classfile, method, name, descriptor)
             key = (name, descriptor)
-            if self.policy.reject_duplicate_methods and branch(
-                    "loader.duplicate_method", key in seen):
-                raise ClassFormatError(
-                    f"Duplicate method name&signature in class file "
-                    f"{classfile.name}: {name}{descriptor}")
+            if self.policy.reject_duplicate_methods:
+                check("loader.duplicate_method", key in seen, ClassFormatError,
+                      "Duplicate method name&signature in class file "
+                      "{.name}: {}{}", classfile, name, descriptor)
             seen.add(key)
 
-    def _is_initializer(self, classfile: ClassFile, method: MethodInfo,
-                        name: str) -> bool:
-        """Whether ``<clinit>`` is treated as the class initializer.
+    def is_initializer(self, classfile: ClassFile, method: MethodInfo,
+                       name: str) -> bool:
+        """Whether ``method``, called ``name``, is the class initializer,
+        which the loader format-checks and the machine runs.
 
         The SE 8 erratum (Problem 1): in version ≥ 51 classfiles a
         ``<clinit>`` without ACC_STATIC is "of no consequence" — an
@@ -221,53 +208,46 @@ class Loader:
         for char in set(descriptor.partition(")")[0]):
             if char in "IJFDZBCSL[":
                 probe(f"loader.param_type.{char}")
-        if branch("loader.method_descriptor_invalid",
-                  not is_valid_method_descriptor(descriptor)):
-            raise ClassFormatError(
-                f"Method {classfile.name}.{name} has invalid "
-                f"descriptor {descriptor!r}")
-        if self.policy.reject_conflicting_visibility and branch(
-                "loader.method_visibility_conflict",
-                count_visibility_flags(flags) > 1):
-            raise ClassFormatError(
-                f"Method {classfile.name}.{name} has conflicting "
-                "visibility flags")
-        if branch("loader.abstract_method_bad_flags",
-                  bool(flags & ACC_ABSTRACT) and bool(
-                      flags & (ACC_FINAL | ACC_NATIVE | ACC_PRIVATE
-                               | ACC_STATIC | ACC_SYNCHRONIZED))
-                  and name != CLASS_INIT):
-            raise ClassFormatError(
-                f"Method {classfile.name}.{name} is abstract but has "
-                "conflicting flags")
+        check("loader.method_descriptor_invalid",
+              not is_valid_method_descriptor(descriptor), ClassFormatError,
+              "Method {.name}.{} has invalid descriptor {!r}", classfile,
+              name, descriptor)
+        if self.policy.reject_conflicting_visibility:
+            check("loader.method_visibility_conflict",
+                  count_visibility_flags(flags) > 1, ClassFormatError,
+                  "Method {.name}.{} has conflicting visibility flags",
+                  classfile, name)
+        check("loader.abstract_method_bad_flags",
+              flags & ACC_ABSTRACT and flags & (
+                  ACC_FINAL | ACC_NATIVE | ACC_PRIVATE | ACC_STATIC
+                  | ACC_SYNCHRONIZED) and name != CLASS_INIT, ClassFormatError,
+              "Method {.name}.{} is abstract but has conflicting flags",
+              classfile, name)
         if branch("loader.method_is_init", name == INSTANCE_INIT):
             self._check_instance_init(classfile, method, descriptor)
-        is_initializer = self._is_initializer(classfile, method, name)
         if branch("loader.method_is_clinit", name == CLASS_INIT):
             probe("loader.clinit_seen")
-            if is_initializer and branch("loader.clinit_missing_code",
-                                         method.code is None):
+            if self.is_initializer(classfile, method, name):
                 # J9's message: "no Code attribute specified...
                 # method=<clinit>()V, pc=0".
-                raise ClassFormatError(
-                    f"no Code attribute specified in class "
-                    f"{classfile.name}, method={name}{descriptor}, pc=0")
+                check("loader.clinit_missing_code", method.code is None,
+                      ClassFormatError, "no Code attribute specified in "
+                      "class {.name}, method={}{}, pc=0", classfile, name,
+                      descriptor)
         if classfile.is_interface and self.policy.interface_members_strict \
                 and name not in (INSTANCE_INIT, CLASS_INIT):
             probe("loader.check_interface_method")
-            if branch("loader.interface_method_not_public",
-                      not flags & ACC_PUBLIC):
-                raise ClassFormatError(
-                    f"Interface method {classfile.name}.{name} must "
-                    "be public")
+            check("loader.interface_method_not_public",
+                  not flags & ACC_PUBLIC, ClassFormatError,
+                  "Interface method {.name}.{} must be public", classfile,
+                  name)
             static_ok = (classfile.major_version
                          >= STATIC_INTERFACE_METHODS_SINCE)
-            if branch("loader.interface_method_not_abstract",
-                      not flags & ACC_ABSTRACT
-                      and not (static_ok and flags & ACC_STATIC)):
-                raise ClassFormatError(
-                    f"Interface method {classfile.name}.{name} must "
-                    "be abstract")
+            check("loader.interface_method_not_abstract",
+                  not flags & ACC_ABSTRACT
+                  and not (static_ok and flags & ACC_STATIC), ClassFormatError,
+                  "Interface method {.name}.{} must be abstract", classfile,
+                  name)
         self._check_code_presence(classfile, method, name, descriptor)
 
     def _check_instance_init(self, classfile: ClassFile, method: MethodInfo,
@@ -280,28 +260,24 @@ class Loader:
         flags = int(method.access_flags)
         forbidden = (ACC_STATIC | ACC_FINAL | ACC_SYNCHRONIZED | ACC_NATIVE
                      | ACC_ABSTRACT)
-        if branch("loader.init_bad_flags", bool(flags & forbidden)):
-            raise ClassFormatError(
-                f"Method <init> in class {classfile.name} has illegal "
-                "modifiers (must not be static, final, synchronized, "
-                "native or abstract)")
-        if branch("loader.init_bad_return", not descriptor.endswith(")V")):
-            raise ClassFormatError(
-                f"Method <init> in class {classfile.name} must return void")
+        check("loader.init_bad_flags", flags & forbidden, ClassFormatError,
+              "Method <init> in class {.name} has illegal modifiers (must "
+              "not be static, final, synchronized, native or abstract)",
+              classfile)
+        check("loader.init_bad_return", not descriptor.endswith(")V"),
+              ClassFormatError, "Method <init> in class {.name} must return "
+              "void", classfile)
 
     def _check_code_presence(self, classfile: ClassFile, method: MethodInfo,
                              name: str, descriptor: str) -> None:
         probe("loader.check_code_presence")
         has_code = method.code is not None
-        if branch("loader.abstract_with_code",
-                  not method.needs_code and has_code):
-            raise ClassFormatError(
-                f"Code attribute in native or abstract method "
-                f"{classfile.name}.{name}{descriptor}")
-        if self.policy.code_presence_checked_at_loading and branch(
-                "loader.concrete_without_code",
-                method.needs_code and not has_code):
-            raise ClassFormatError(
-                f"Absent Code attribute in method that is not native or "
-                f"abstract in class file {classfile.name}, "
-                f"method={name}{descriptor}")
+        check("loader.abstract_with_code", not method.needs_code and has_code,
+              ClassFormatError, "Code attribute in native or abstract method "
+              "{.name}.{}{}", classfile, name, descriptor)
+        if self.policy.code_presence_checked_at_loading:
+            check("loader.concrete_without_code",
+                  method.needs_code and not has_code, ClassFormatError,
+                  "Absent Code attribute in method that is not native or "
+                  "abstract in class file {.name}, method={}{}", classfile,
+                  name, descriptor)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.classfile.methods import CLASS_INIT, MethodInfo
+from repro.classfile.methods import MethodInfo
 from repro.classfile.model import ClassFile
 from repro.classfile.reader import ParsedClass
-from repro.coverage.probes import branch, probe
+from repro.coverage.probes import branch, check, probe
 from repro.errors import (
     ExceptionInInitializerError,
     JavaError,
@@ -122,7 +122,7 @@ class Jvm:
         # Each error class has its own construction/reporting lines.
         probe(f"machine.error.{error.simple_name}")
         return Outcome(phase, error=error.simple_name, message=error.message,
-                       output=output, jvm_name=self.name)
+                       output=output, jvm_name=self.name, site=error.site)
 
     def _on_demand_verify(self, verified: Optional[dict]):
         if self.policy.eager_method_verification:
@@ -138,14 +138,9 @@ class Jvm:
         """The method run during initialization, under this vendor's
         reading of the ``<clinit>`` rules (Problem 1)."""
         for method in classfile.methods:
-            if classfile.method_name(method) != CLASS_INIT:
-                continue
-            if method.is_static:
+            if self.loader.is_initializer(classfile, method,
+                                          classfile.method_name(method)):
                 return method
-            if classfile.major_version >= 51 and \
-                    self.policy.treat_nonstatic_clinit_as_ordinary:
-                continue  # "of no consequence": an ordinary method
-            return method
         return None
 
     def _initialize(self, classfile: ClassFile,
@@ -163,32 +158,28 @@ class Jvm:
                 if exc.simple_name in ("NoClassDefFoundError",):
                     raise
                 raise ExceptionInInitializerError(
-                    f"{exc.simple_name}: {exc.message}") from exc
+                    f"{exc.simple_name}: {exc.message}",
+                    site=exc.site) from exc
         return tuple(interpreter.output)
 
     def _find_main(self, classfile: ClassFile) -> MethodInfo:
         probe("machine.find_main")
-        if classfile.is_interface and branch(
-                "machine.interface_main_rejected",
-                not self.policy.allow_interface_main):
-            raise MainMethodNotFoundError(
-                f"Main method not found in interface "
-                f"{classfile.name.replace('/', '.')}")
+        if classfile.is_interface:
+            check("machine.interface_main_rejected",
+                  not self.policy.allow_interface_main,
+                  MainMethodNotFoundError, "Main method not found in "
+                  "interface {.java_name}", classfile)
         main = classfile.main_method()
-        if branch("machine.main_missing", main is None):
-            raise MainMethodNotFoundError(
-                f"Main method not found in class "
-                f"{classfile.name.replace('/', '.')}, please define the "
-                "main method as: public static void main(String[] args)")
-        if self.policy.require_static_main and branch(
-                "machine.main_not_static", not main.is_static):
-            raise MainMethodNotFoundError(
-                f"Main method is not static in class "
-                f"{classfile.name.replace('/', '.')}")
-        if self.policy.require_public_main and branch(
-                "machine.main_not_public",
-                not main.is_public):
-            raise MainMethodNotFoundError(
-                f"Main method not found in class "
-                f"{classfile.name.replace('/', '.')}")
+        check("machine.main_missing", main is None, MainMethodNotFoundError,
+              "Main method not found in class {.java_name}, please define "
+              "the main method as: public static void main(String[] args)",
+              classfile)
+        if self.policy.require_static_main:
+            check("machine.main_not_static", not main.is_static,
+                  MainMethodNotFoundError, "Main method is not static in "
+                  "class {.java_name}", classfile)
+        if self.policy.require_public_main:
+            check("machine.main_not_public", not main.is_public,
+                  MainMethodNotFoundError,
+                  "Main method not found in class {.java_name}", classfile)
         return main

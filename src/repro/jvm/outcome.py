@@ -44,6 +44,7 @@ class Outcome:
         message: the error detail message.
         output: lines the program printed before stopping.
         jvm_name: which JVM produced this outcome.
+        site: the check that raised ``error``; outside equality and hashing.
     """
 
     phase: Phase
@@ -51,6 +52,7 @@ class Outcome:
     message: str = ""
     output: Tuple[str, ...] = ()
     jvm_name: str = ""
+    site: Optional[str] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:

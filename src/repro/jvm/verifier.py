@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.instructions import Instruction, InstructionError
@@ -24,7 +25,7 @@ from repro.classfile.descriptors import (
 )
 from repro.classfile.methods import MethodInfo
 from repro.classfile.model import ClassFile
-from repro.coverage.probes import branch, probe
+from repro.coverage.probes import branch, check, probe
 from repro.errors import (
     ClassFormatError,
     NoClassDefFoundError,
@@ -144,6 +145,14 @@ def verifier_config(policy: JvmPolicy, library: ClassLibrary) -> tuple:
     return _verifier_policy(policy), library if consulted else None
 
 
+def _verify_error(classfile: ClassFile, method: MethodInfo, message: str,
+                  site: Optional[str] = None) -> VerifyError:
+    """A failed check's error, prefixed with its class and method."""
+    return VerifyError(f"(class: {classfile.name}, method: "
+                       f"{classfile.method_name(method)}) {message}",
+                       site=site)
+
+
 class MethodVerifier:
     """Verifies one method body."""
 
@@ -156,18 +165,19 @@ class MethodVerifier:
         self.policy = policy
         self.library = library
         self.pool: ConstantPool = classfile.constant_pool
-        self.where = (f"{classfile.name}."
-                      f"{classfile.method_name(method)}"
-                      f"{classfile.method_descriptor(method)}")
+        #: The checks' error factory, bound once: every check passes it.
+        self._fail = partial(_verify_error, classfile, method)
         #: The method's return category, set when dataflow starts.
         self._return_cat: Optional[str] = None
 
     # -- helpers ------------------------------------------------------------------
 
-    def _fail(self, message: str) -> VerifyError:
-        return VerifyError(f"(class: {self.classfile.name}, method: "
-                           f"{self.classfile.method_name(self.method)}) "
-                           f"{message}")
+    @property
+    def where(self) -> str:
+        """``class.method(descriptor)``, built only when a message reads it."""
+        return (f"{self.classfile.name}."
+                f"{self.classfile.method_name(self.method)}"
+                f"{self.classfile.method_descriptor(self.method)}")
 
     def _assignable(self, source: VType, target: VType) -> bool:
         """Loose reference assignability over the simulated library."""
@@ -224,14 +234,15 @@ class MethodVerifier:
             return first
         if first.cat != second.cat:
             raise self._fail(
-                f"Mismatched stack types ({first} vs {second})")
+                f"Mismatched stack types ({first} vs {second})",
+                site="verifier.merge_mismatch")
         if first.cat != "a":
             return first
-        if self.policy.verify_uninitialized_merge and branch(
-                "verifier.uninit_merge",
-                first.is_uninitialized != second.is_uninitialized):
-            raise self._fail(
-                "Merging initialized and uninitialized object types")
+        if self.policy.verify_uninitialized_merge:
+            check("verifier.uninit_merge",
+                  first.is_uninitialized != second.is_uninitialized,
+                  self._fail,
+                  "Merging initialized and uninitialized object types")
         return VType("a", None)
 
     # -- constant pool access ----------------------------------------------------
@@ -242,11 +253,10 @@ class MethodVerifier:
         except ConstantPoolError as exc:
             raise ClassFormatError(
                 f"Bad constant pool index for {what} in {self.where}: "
-                f"{exc}") from exc
-        if branch("verifier.cp_tag_mismatch", entry.tag not in tags):
-            raise ClassFormatError(
-                f"Constant pool entry {index} for {what} has tag "
-                f"{entry.tag.name} in {self.where}")
+                f"{exc}", site="verifier.cp_index_bad") from exc
+        check("verifier.cp_tag_mismatch", entry.tag not in tags,
+              ClassFormatError, "Constant pool entry {} for {} has tag "
+              "{.name} in {.where}", index, what, entry.tag, self)
         return entry
 
     def _member_ref(self, index: int, *tags: CpTag,
@@ -256,22 +266,19 @@ class MethodVerifier:
             return self.pool.get_member_ref(index)
         except ConstantPoolError as exc:
             raise ClassFormatError(
-                f"Broken {what} reference in {self.where}: {exc}") from exc
+                f"Broken {what} reference in {self.where}: {exc}",
+                site="verifier.member_ref_bad") from exc
 
     def _resolve_owner(self, owner: str, what: str) -> None:
         """Eager reference resolution (policy-gated)."""
         if not self.policy.resolve_refs_eagerly:
             return
         probe("verifier.resolve_ref")
-        if owner.startswith("["):
+        if owner.startswith("[") or owner == self.classfile.name:
             return
-        if owner == self.classfile.name:
-            return
-        if branch("verifier.ref_owner_missing",
-                  self.library.find(owner) is None):
-            raise NoClassDefFoundError(
-                f"{owner.replace('/', '.')} (referenced from {what} "
-                f"in {self.where})")
+        check("verifier.ref_owner_missing", self.library.find(owner) is None,
+              NoClassDefFoundError, "{} (referenced from {} in {.where})",
+              owner.replace("/", "."), what, self)
 
     # -- entry point ---------------------------------------------------------------
 
@@ -282,9 +289,10 @@ class MethodVerifier:
             instructions = self.code.decoded()
         except InstructionError as exc:
             probe("verifier.bad_instruction")
-            raise self._fail(f"Bad instruction: {exc}") from exc
-        if branch("verifier.empty_code", not instructions):
-            raise self._fail("Empty code attribute")
+            raise self._fail(f"Bad instruction: {exc}",
+                             site="verifier.bad_instruction") from exc
+        check("verifier.empty_code", not instructions, self._fail,
+              "Empty code attribute")
         starts = {instruction.offset for instruction in instructions}
         by_offset = {instruction.offset: i
                      for i, instruction in enumerate(instructions)}
@@ -297,23 +305,19 @@ class MethodVerifier:
         probe("verifier.check_branch_targets")
         for instruction in instructions:
             for target in instruction.branch_targets():
-                if branch("verifier.branch_target_bad",
-                          target not in starts):
-                    raise self._fail(
-                        f"Illegal target of jump or branch (offset "
-                        f"{target})")
+                check("verifier.branch_target_bad", target not in starts,
+                      self._fail, "Illegal target of jump or branch (offset "
+                      "{})", target)
 
     def _check_exception_table(self, starts: set) -> None:
         probe("verifier.check_exception_table")
         code_length = len(self.code.code)
         for handler in self.code.exception_table:
-            if branch("verifier.handler_range_bad",
-                      not (0 <= handler.start_pc < handler.end_pc
-                           <= code_length)):
-                raise self._fail("Illegal exception table range")
-            if branch("verifier.handler_pc_bad",
-                      handler.handler_pc not in starts):
-                raise self._fail("Illegal exception table handler")
+            in_range = 0 <= handler.start_pc < handler.end_pc <= code_length
+            check("verifier.handler_range_bad", not in_range, self._fail,
+                  "Illegal exception table range")
+            check("verifier.handler_pc_bad", handler.handler_pc not in starts,
+                  self._fail, "Illegal exception table handler")
             if handler.catch_type:
                 self._cp_entry(handler.catch_type, CpTag.CLASS,
                                what="exception handler")
@@ -331,7 +335,8 @@ class MethodVerifier:
             parsed = parse_method_descriptor(descriptor)
         except DescriptorError as exc:
             raise ClassFormatError(
-                f"Invalid method descriptor in {self.where}: {exc}") from exc
+                f"Invalid method descriptor in {self.where}: {exc}",
+                site="verifier.method_descriptor_bad") from exc
         for param in parsed.parameters:
             if param.dimensions:
                 vtype = VType("a", param.descriptor().replace(".", "/"))
@@ -341,8 +346,8 @@ class MethodVerifier:
                 vtype = VType("a", param.name)
             locals_[slot] = vtype
             slot += vtype.size
-        if branch("verifier.args_exceed_locals", slot > self.code.max_locals):
-            raise self._fail("Arguments can't fit into locals")
+        check("verifier.args_exceed_locals", slot > self.code.max_locals,
+              self._fail, "Arguments can't fit into locals")
         return locals_
 
     def _dataflow(self, instructions: Sequence[Instruction],
@@ -381,15 +386,13 @@ class MethodVerifier:
             next_states = self._transfer(instructions[index], next_offset,
                                          list(stack), dict(locals_))
             for target_offset, new_stack, new_locals in next_states:
-                if branch("verifier.falloff", target_offset is None):
-                    raise self._fail("Falling off the end of the code")
-                if target_offset is None:
-                    continue
+                check("verifier.falloff", target_offset is None, self._fail,
+                      "Falling off the end of the code")
                 target_index = by_offset.get(target_offset)
                 if target_index is None:
                     raise self._fail(
                         f"Illegal target of jump or branch (offset "
-                        f"{target_offset})")
+                        f"{target_offset})", site="verifier.jump_target_bad")
                 merged = self._merge_state(
                     states.get(target_index),
                     (tuple(new_stack), new_locals))
@@ -403,10 +406,9 @@ class MethodVerifier:
         old_stack, old_locals = old
         new_stack, new_locals = new
         if len(old_stack) != len(new_stack):
-            if self.policy.strict_stack_shapes and branch(
-                    "verifier.stack_shape_inconsistent",
-                    True):
-                raise self._fail("Stack shape inconsistent")
+            if self.policy.strict_stack_shapes:
+                check("verifier.stack_shape_inconsistent", True, self._fail,
+                      "Stack shape inconsistent")
             # Lenient vendors keep the shorter shape.
             merged_stack = old_stack if len(old_stack) < len(new_stack) \
                 else new_stack
@@ -439,29 +441,27 @@ class MethodVerifier:
     # -- per-instruction transfer -------------------------------------------------------
 
     def _pop(self, stack: List[VType], expected: Optional[str] = None) -> VType:
-        if branch("verifier.stack_underflow", not stack):
-            raise self._fail("Unable to pop operand off an empty stack")
+        check("verifier.stack_underflow", not stack, self._fail,
+              "Unable to pop operand off an empty stack")
         item = stack.pop()
-        if expected is not None and branch(
-                "verifier.operand_type_mismatch",
-                item.cat != expected):
-            raise self._fail(
-                f"Expecting to find {expected} on stack, found {item.cat}")
+        if expected is not None:
+            check("verifier.operand_type_mismatch", item.cat != expected,
+                  self._fail, "Expecting to find {} on stack, found {}",
+                  expected, item.cat)
         return item
 
     def _push(self, stack: List[VType], item: VType) -> None:
         stack.append(item)
         depth = sum(entry.size for entry in stack)
-        if branch("verifier.stack_overflow", depth > self.code.max_stack):
-            raise self._fail(
-                f"Exceeding stack size (max_stack={self.code.max_stack})")
+        check("verifier.stack_overflow", depth > self.code.max_stack,
+              self._fail, "Exceeding stack size (max_stack={.max_stack})",
+              self.code)
 
     def _check_local(self, slot: int) -> None:
-        if branch("verifier.local_out_of_range",
-                  slot >= max(self.code.max_locals, 0)):
-            raise self._fail(
-                f"Local variable index {slot} out of range "
-                f"(max_locals={self.code.max_locals})")
+        check("verifier.local_out_of_range",
+              slot >= max(self.code.max_locals, 0), self._fail, "Local "
+              "variable index {} out of range (max_locals={.max_locals})",
+              slot, self.code)
 
     def _transfer(self, instruction: Instruction, next_offset: Optional[int],
                   stack: List[VType], locals_: Dict[int, VType]):
@@ -481,7 +481,8 @@ class MethodVerifier:
         else:
             fixed = _FIXED.get(op)
             if fixed is None:
-                raise self._fail(f"Unhandled opcode {op.name.lower()}")
+                raise self._fail(f"Unhandled opcode {op.name.lower()}",
+                                 site="verifier.unhandled_opcode")
             expected, pushed = fixed
             for cat in expected:
                 self._pop(stack, cat)
@@ -525,15 +526,15 @@ class MethodVerifier:
         slot = instruction.operands.get("index", info.implicit)
         self._check_local(slot)
         current = locals_.get(slot)
-        if branch("verifier.load_undefined_local", current is None):
-            raise self._fail(
-                f"Accessing value from uninitialized register {slot}")
+        check("verifier.load_undefined_local", current is None, self._fail,
+              "Accessing value from uninitialized register {}", slot)
         if branch("verifier.load_wrong_category", current.cat != cat):
             if self.policy.verify_type_assignability or current.cat in "ld" \
                     or cat in "ld":
                 raise self._fail(
                     f"Register {slot} contains wrong type (expected {cat}, "
-                    f"found {current.cat})")
+                    f"found {current.cat})",
+                    site="verifier.load_wrong_category")
             current = VType(cat)
         self._push(stack, current)
 
@@ -544,10 +545,9 @@ class MethodVerifier:
         slot = instruction.operands.get("index", info.implicit)
         self._check_local(slot)
         item = self._pop(stack)
-        if branch("verifier.store_wrong_category", item.cat != cat):
-            raise self._fail(
-                f"Expecting to find {cat} on stack for store, found "
-                f"{item.cat}")
+        check("verifier.store_wrong_category", item.cat != cat, self._fail,
+              "Expecting to find {} on stack for store, found {}", cat,
+              item.cat)
         locals_[slot] = item
         if item.size == 2:
             locals_.pop(slot + 1, None)
@@ -566,15 +566,15 @@ class MethodVerifier:
             vtype = _vtype_of_field_descriptor(descriptor)
         except DescriptorError as exc:
             raise ClassFormatError(
-                f"Invalid field descriptor {descriptor!r} in "
-                f"{self.where}") from exc
+                f"Invalid field descriptor {descriptor!r} in {self.where}",
+                site="verifier.field_descriptor_bad") from exc
         self._resolve_owner(owner, "field access")
         if self.policy.resolve_refs_eagerly and owner != self.classfile.name:
             cls = self.library.find(owner)
-            if cls is not None and branch(
-                    "verifier.field_missing",
-                    cls.find_field(name) is None):
-                raise NoSuchFieldError(f"{owner.replace('/', '.')}.{name}")
+            if cls is not None:
+                check("verifier.field_missing", cls.find_field(name) is None,
+                      NoSuchFieldError, "{}.{}", owner.replace("/", "."),
+                      name)
         if op is Op.GETSTATIC:
             self._push(stack, vtype)
         elif op is Op.GETFIELD:
@@ -590,17 +590,14 @@ class MethodVerifier:
 
     def _check_assignable(self, source: VType, target: VType,
                           what: str) -> None:
-        if branch("verifier.value_category_mismatch",
-                  source.cat != target.cat):
-            raise self._fail(
-                f"Incompatible type for {what}: expected {target.cat}, "
-                f"found {source.cat}")
-        if self.policy.verify_type_assignability and branch(
-                "verifier.value_not_assignable",
-                not self._assignable(source, target)):
-            raise self._fail(
-                f"Incompatible object argument for {what}: {source.ref} "
-                f"is not assignable to {target.ref}")
+        check("verifier.value_category_mismatch", source.cat != target.cat,
+              self._fail, "Incompatible type for {}: expected {}, found {}",
+              what, target.cat, source.cat)
+        if self.policy.verify_type_assignability:
+            check("verifier.value_not_assignable",
+                  not self._assignable(source, target), self._fail,
+                  "Incompatible object argument for {}: {} is not "
+                  "assignable to {}", what, source.ref, target.ref)
 
     @_handles(Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC,
               Op.INVOKEINTERFACE)
@@ -612,8 +609,8 @@ class MethodVerifier:
             parsed = parse_method_descriptor(descriptor)
         except DescriptorError as exc:
             raise ClassFormatError(
-                f"Invalid method descriptor {descriptor!r} in "
-                f"{self.where}") from exc
+                f"Invalid method descriptor {descriptor!r} in {self.where}",
+                site="verifier.invoke_descriptor_bad") from exc
         self._resolve_owner(owner, "invocation")
         for param in reversed(parsed.parameters):
             if param.dimensions:
@@ -626,11 +623,10 @@ class MethodVerifier:
             self._check_assignable(value, expected, f"argument of {name}")
         if instruction.op is not Op.INVOKESTATIC:
             receiver = self._pop(stack, "a")
-            if name != "<init>" and self.policy.verify_uninitialized_merge \
-                    and branch("verifier.uninit_receiver",
-                               receiver.is_uninitialized):
-                raise self._fail(
-                    "Calling a method on an uninitialized object")
+            if name != "<init>" and self.policy.verify_uninitialized_merge:
+                check("verifier.uninit_receiver", receiver.is_uninitialized,
+                      self._fail, "Calling a method on an uninitialized "
+                      "object")
             if name == "<init>" and receiver.is_uninitialized:
                 # Initialize every remaining copy of this uninit type
                 # (stack and locals), as JVMS §4.10.1.9.invokespecial does.
@@ -643,11 +639,11 @@ class MethodVerifier:
                         locals_[slot] = initialized
         if self.policy.resolve_refs_eagerly and owner != self.classfile.name:
             cls = self.library.find(owner)
-            if cls is not None and branch(
-                    "verifier.method_missing",
-                    cls.find_method(name, descriptor) is None):
-                raise NoSuchMethodError(
-                    f"{owner.replace('/', '.')}.{name}{descriptor}")
+            if cls is not None:
+                check("verifier.method_missing",
+                      cls.find_method(name, descriptor) is None,
+                      NoSuchMethodError, "{}.{}{}", owner.replace("/", "."),
+                      name, descriptor)
         if parsed.return_type is not None:
             if parsed.return_type.dimensions:
                 self._push(stack, VType(
@@ -660,7 +656,8 @@ class MethodVerifier:
 
     @_handles(Op.INVOKEDYNAMIC)
     def _invokedynamic(self, instruction: Instruction, stack, locals_) -> None:
-        raise self._fail("invokedynamic is not supported by this JVM")
+        raise self._fail("invokedynamic is not supported by this JVM",
+                         site="verifier.invokedynamic")
 
     @_handles(Op.NEW)
     def _new(self, instruction: Instruction, stack, locals_) -> None:
@@ -688,8 +685,8 @@ class MethodVerifier:
         operands = instruction.operands
         self._cp_entry(operands["index"], CpTag.CLASS, what="multianewarray")
         dims = operands.get("dimensions", 0)
-        if branch("verifier.multianewarray_zero_dims", dims == 0):
-            raise self._fail("multianewarray with zero dimensions")
+        check("verifier.multianewarray_zero_dims", dims == 0, self._fail,
+              "multianewarray with zero dimensions")
         for _ in range(dims):
             self._pop(stack, "i")
         self._push(stack, VType("a", "[multi"))
@@ -714,16 +711,16 @@ class MethodVerifier:
         op = instruction.op
         if op is Op.POP:
             item = self._pop(stack)
-            if branch("verifier.pop_category2", item.size == 2):
-                raise self._fail("pop of a category-2 value")
+            check("verifier.pop_category2", item.size == 2, self._fail,
+                  "pop of a category-2 value")
         elif op is Op.POP2:
             item = self._pop(stack)
             if item.size == 1:
                 self._pop(stack)
         elif op is Op.DUP:
             item = self._pop(stack)
-            if branch("verifier.dup_category2", item.size == 2):
-                raise self._fail("dup of a category-2 value")
+            check("verifier.dup_category2", item.size == 2, self._fail,
+                  "dup of a category-2 value")
             stack.append(item)
             self._push(stack, item)
         elif op in (Op.DUP_X1, Op.DUP2_X1, Op.DUP2_X2):
@@ -763,15 +760,15 @@ class MethodVerifier:
         if self.policy.verify_type_assignability and thrown.ref and \
                 not thrown.ref.startswith(("[", "uninit:", "null")):
             cls = self.library.find(thrown.ref)
-            if cls is not None and branch(
-                    "verifier.throw_non_throwable",
-                    not self.library.is_throwable(thrown.ref)):
-                raise self._fail(
-                    f"Can only throw Throwable objects, not {thrown.ref}")
+            if cls is not None:
+                check("verifier.throw_non_throwable",
+                      not self.library.is_throwable(thrown.ref), self._fail,
+                      "Can only throw Throwable objects, not {}", thrown.ref)
 
     @_handles(Op.JSR, Op.JSR_W)
     def _jsr(self, instruction: Instruction, stack, locals_) -> None:
-        raise self._fail("jsr/ret are not supported by this verifier")
+        raise self._fail("jsr/ret are not supported by this verifier",
+                         site="verifier.jsr")
 
     @_handles(*_family(RETURN))
     def _return(self, instruction: Instruction, stack, locals_) -> None:
@@ -779,9 +776,8 @@ class MethodVerifier:
         if actual != "v":
             self._pop(stack, actual)
         expected = self._return_cat
-        if expected is not None and branch(
-                "verifier.return_type_mismatch", actual != expected):
-            raise self._fail(
-                f"Wrong return type in function (expected {expected}, "
-                f"found {actual})")
+        if expected is not None:
+            check("verifier.return_type_mismatch", actual != expected,
+                  self._fail, "Wrong return type in function (expected {}, "
+                  "found {})", expected, actual)
 

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.classfile.access_flags import AccessFlags
+from repro.classfile.reader import read_class
+from repro.classfile.writer import write_class
 from repro.cli import main
 from repro.observe.events import ITERATION, EventBus, JsonlSink
 
@@ -63,6 +66,20 @@ class TestRunCommand:
         main(["run", str(target), "--jvm", "gij"])
         output = capsys.readouterr().out
         assert "gij" in output and "hotspot7" not in output
+
+    def test_run_names_the_rejecting_check(self, seeds_dir, capsys):
+        target = sorted(seeds_dir.glob("*.class"))[0]
+        classfile = read_class(target.read_bytes())
+        classfile.access_flags = (AccessFlags.INTERFACE | AccessFlags.ABSTRACT
+                                  | AccessFlags.FINAL)
+        target.write_bytes(write_class(classfile))
+        assert main(["run", str(target)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rejected = [i for i, line in enumerate(lines) if " during " in line]
+        assert [lines[i].split(":")[0] for i in rejected] == [
+            "hotspot7", "hotspot8", "hotspot9", "j9", "gij"]
+        for index in rejected:
+            assert lines[index + 2] == "    site: loader.interface_is_final"
 
 
 class TestFuzzCommand:

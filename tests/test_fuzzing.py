@@ -150,7 +150,8 @@ class TestDiscardAccounting:
         crasher = Mutator("crasher", "jimple", "always crashes", _crash)
         engine = _FuzzEngine(seeds, __import__("random").Random(0),
                              [crasher])
-        assert engine.mutate_once(crasher) is None
+        draft = engine.mutate_draft(crasher)
+        assert engine.dump_drafts([(crasher, draft)]) == [None]
         assert engine.discards == {"mutator_error": 1}
 
     def test_unexpected_dump_failure_propagates(self, seeds):
@@ -169,11 +170,12 @@ class TestDiscardAccounting:
         def _boom(compiled):
             raise KeyError("writer bug")
 
+        draft = engine.mutate_draft(identity)
         original = fuzzing_module.write_class
         fuzzing_module.write_class = _boom
         try:
             with pytest.raises(KeyError):
-                engine.mutate_once(identity)
+                engine.dump_drafts([(identity, draft)])
         finally:
             fuzzing_module.write_class = original
 

@@ -7,6 +7,7 @@ from repro.errors import (
     ArithmeticException,
     ArrayIndexOutOfBoundsException,
     NullPointerException,
+    StepBudgetExceeded,
 )
 from repro.jimple import ClassBuilder, MethodBuilder, compile_class
 from repro.jimple.statements import (
@@ -30,7 +31,6 @@ from repro.jimple.statements import (
 )
 from repro.jimple.types import INT, JType, STRING, VOID
 from repro.jvm.interpreter import (
-    ExecutionBudgetExceeded,
     Interpreter,
     JObject,
     UserThrowable,
@@ -120,7 +120,7 @@ class TestBasics:
         method.label("spin")
         method.goto("spin")
         builder.method(method.build())
-        with pytest.raises(ExecutionBudgetExceeded):
+        with pytest.raises(StepBudgetExceeded):
             interpret(builder.build(), max_interpreter_steps=500)
 
 
