@@ -2,13 +2,14 @@
 
 Every standard opcode is described by an :class:`OpcodeInfo` carrying its
 mnemonic, operand layout and typed operand-stack effect, and for the
-const/load/store/return opcodes their value category and the implicit
-slot or constant of each ``xload_n``/``xstore_n``/``xconst_n`` shorthand.
-This table is the one place that says what an opcode does: the verifier,
-the interpreter, the Jimple lifter and the compiler read it rather than
-parse mnemonics.  An opcode's operands are a tuple of operand kinds, and
-:data:`OPERAND_FIELDS` gives each fixed-width kind its bytes, the operand
-names they fill and their ``wide`` form, so one generic codec
+const/load/store/return and array opcodes their value category and the
+implicit slot or constant of each ``xload_n``/``xstore_n``/``xconst_n``
+shorthand; :data:`SHUFFLES` gives the pop/dup/swap family in stack slots.
+These tables are the one place that says what an opcode does: the
+verifier, the interpreter, the Jimple lifter and the compiler read them
+rather than parse mnemonics.  An opcode's operands are a tuple of operand
+kinds, and :data:`OPERAND_FIELDS` gives each fixed-width kind its bytes,
+the operand names they fill and their ``wide`` form, so one generic codec
 (:mod:`repro.bytecode.instructions`) decodes, sizes and encodes every
 instruction from a layout built once per opcode; only the variable-length
 ``tableswitch``/``lookupswitch`` keep code of their own.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 # Operand kinds: each fixed-width kind is laid out by OPERAND_FIELDS;
 # SWITCH (the tableswitch/lookupswitch payload) and WIDE (the prefix that
@@ -316,11 +317,12 @@ class OpcodeInfo:
         operands: operand-kind layout (see module constants).
         effect: the fixed stack effect; ``None`` where the operands,
             resolved symbols or the stacked values' own categories decide
-            (ldc, field access, invokes, multianewarray, pop/dup/swap,
-            jsr and the wide prefix).
+            (ldc, field access, invokes, multianewarray, the
+            :data:`SHUFFLES`, jsr and the wide prefix).
         family: ``CONST``/``LOAD``/``STORE``/``RETURN`` for the typed
             value opcodes (``aconst_null`` and ``ldc`` are not ``CONST``).
-        cat: a family opcode's value category (``"v"`` for ``return``).
+        cat: a family opcode's value category (``"v"`` for ``return``),
+            or an array load's or store's element category on the stack.
         implicit: the slot of an ``xload_n``/``xstore_n`` or the constant
             of an ``xconst_n`` shorthand; ``None`` where an operand says.
         is_branch: transfers control conditionally or unconditionally.
@@ -337,6 +339,24 @@ class OpcodeInfo:
     implicit: Union[int, float, None] = None
     is_branch: bool = False
     is_terminal: bool = False
+
+
+#: The stack-shuffle family (JVMS §6.5) in operand-stack slots: the slots
+#: each opcode takes off the top, and the ones it puts back, deepest first,
+#: each by its position among them from the deepest.  A long or double
+#: fills two adjacent slots, so this works on any value; JVMS allows
+#: exactly the layouts in which each long and double is put back whole.
+SHUFFLES: Dict[Op, Tuple[int, Tuple[int, ...]]] = {
+    Op.POP: (1, ()),
+    Op.POP2: (2, ()),
+    Op.DUP: (1, (0, 0)),
+    Op.DUP_X1: (2, (1, 0, 1)),
+    Op.DUP_X2: (3, (2, 0, 1, 2)),
+    Op.DUP2: (2, (0, 1, 0, 1)),
+    Op.DUP2_X1: (3, (1, 2, 0, 1, 2)),
+    Op.DUP2_X2: (4, (2, 3, 0, 1, 2, 3)),
+    Op.SWAP: (2, (1, 0)),
+}
 
 
 def _build_table() -> Dict[int, OpcodeInfo]:
@@ -379,10 +399,9 @@ def _build_table() -> Dict[int, OpcodeInfo]:
             is_terminal=True)
     add(Op.RETURN, family=RETURN, cat="v", is_terminal=True)
     for k, cat in enumerate("ilfdaiii"):
-        add(Op(Op.IALOAD + k), pops=("i", "a"), push=cat)
-        add(Op(Op.IASTORE + k), pops=(ANY, "i", "a"))
-    for op in (Op.POP, Op.POP2, Op.DUP, Op.DUP_X1, Op.DUP_X2, Op.DUP2,
-               Op.DUP2_X1, Op.DUP2_X2, Op.SWAP):
+        add(Op(Op.IALOAD + k), pops=("i", "a"), push=cat, cat=cat)
+        add(Op(Op.IASTORE + k), pops=(ANY, "i", "a"), cat=cat)
+    for op in SHUFFLES:
         add(op, pops=None)
     # add, sub, mul, div and rem, then neg, each for i, l, f, d in turn.
     for k in range(20):
@@ -447,6 +466,26 @@ def _build_table() -> Dict[int, OpcodeInfo]:
 
 #: Opcode byte → :class:`OpcodeInfo` for every standard opcode.
 OPCODES: Dict[int, OpcodeInfo] = _build_table()
+
+#: Each :attr:`OpcodeInfo.family` → its opcodes, in opcode order.
+FAMILIES: Dict[str, Tuple[Op, ...]] = {
+    family: tuple(info.op for info in OPCODES.values()
+                  if info.family == family)
+    for family in (CONST, LOAD, STORE, RETURN)}
+
+
+def handler_table() -> Tuple[Dict[Op, Callable], Callable]:
+    """An empty opcode → handler table, and ``handles(*ops)``, a decorator
+    registering the method it decorates there for ``ops``."""
+    table: Dict[Op, Callable] = {}
+
+    def handles(*ops: Op):
+        def register(handler):
+            table.update(dict.fromkeys(ops, handler))
+            return handler
+        return register
+    return table, handles
+
 
 #: Opcodes whose ``index`` operand is a constant-pool index.
 POOL_INDEX_OPS = frozenset(

@@ -3,23 +3,43 @@
 Executes the test class's methods over a small runtime object model:
 Python ``int``/``float`` for primitives, ``str`` for ``java.lang.String``,
 ``None`` for null, :class:`JObject` for instances, and :class:`JArray` for
-arrays.  Library calls are served by intrinsics (``println`` captures
-output) or by descriptor-shaped default values; runtime constraint
-violations raise the corresponding :mod:`repro.errors` exception, which
-the machine reports as *rejected at runtime*.
+arrays.  The operand stack and the locals follow JVMS §2.6: a long or a
+double takes two entries, its value and a filler, and its category comes
+from the opcode table or a descriptor, never from the value.  Library
+calls are served by intrinsics (``println`` captures output) or by
+descriptor-shaped default values; runtime constraint violations raise the
+corresponding :mod:`repro.errors` exception, which the machine reports as
+*rejected at runtime*.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bytecode.instructions import Instruction, InstructionError
-from repro.bytecode.opcodes import CONST, LOAD, OPCODES, STORE, Op
+from repro.bytecode.opcodes import (
+    ANY,
+    CONST,
+    FAMILIES,
+    LOAD,
+    OPCODES,
+    RETURN,
+    SHUFFLES,
+    SLOTS,
+    STORE,
+    Op,
+    handler_table,
+)
 from repro.classfile.constant_pool import ConstantPoolError, CpTag
-from repro.classfile.descriptors import DescriptorError, parse_method_descriptor
+from repro.classfile.descriptors import (
+    TWO_SLOT_TYPES,
+    DescriptorError,
+    parse_method_descriptor,
+)
 from repro.classfile.methods import MethodInfo
 from repro.classfile.model import ClassFile
 from repro.coverage.probes import branch, check, probe
@@ -90,6 +110,10 @@ class _PrintStream:
         self.sink = sink
 
 
+#: The filler in the upper slot of a long or double.
+_TOP = object()
+
+
 def _default_for_descriptor(descriptor: str) -> object:
     """The JVM default value for a return descriptor."""
     if descriptor in ("I", "Z", "B", "C", "S"):
@@ -101,6 +125,33 @@ def _default_for_descriptor(descriptor: str) -> object:
     return None
 
 
+def _slots(descriptor: str) -> int:
+    """The stack or local slots a value of a field type takes."""
+    return 2 if descriptor in TWO_SLOT_TYPES else 1
+
+
+def _push(stack: List[object], value: object, slots: int) -> None:
+    stack.append(value)
+    if slots == 2:
+        stack.append(_TOP)
+
+
+def _take(stack: List[object], slots: int) -> List[object]:
+    """The top ``slots`` entries, deepest first, taken off the stack."""
+    if len(stack) < slots:
+        raise VerifyError("Operand stack underflow at runtime",
+                          site="interp.stack_underflow")
+    taken = stack[-slots:]
+    del stack[-slots:]
+    return taken
+
+
+def _pop(stack: List[object], slots: int = 1) -> object:
+    """Pop one value: a long or double (``slots`` 2) is the entry below
+    its filler."""
+    return _take(stack, slots)[0]
+
+
 def _wrap_int(value: int) -> int:
     value &= 0xFFFFFFFF
     return value - 0x100000000 if value >= 0x80000000 else value
@@ -109,6 +160,30 @@ def _wrap_int(value: int) -> int:
 def _wrap_long(value: int) -> int:
     value &= 0xFFFFFFFFFFFFFFFF
     return value - 0x10000000000000000 if value >= 0x8000000000000000 else value
+
+
+def _as_int(value: object) -> int:
+    if value is None:
+        return 0
+    if isinstance(value, (int, float)):
+        return int(value)
+    raise ClassCastException(f"expected int, found {type(value).__name__}",
+                             site="interp.not_an_int")
+
+
+def _as_float(value: object) -> float:
+    if value is None:
+        return 0.0
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ClassCastException(f"expected float, found {type(value).__name__}",
+                             site="interp.not_a_float")
+
+
+#: The opcodes whose execution is more than a fixed stack effect, each
+#: with its ``Interpreter`` handler, which takes ``(instruction, stack,
+#: locals_, depth)`` and returns what :meth:`Interpreter._step` does.
+_HANDLERS, _handles = handler_table()
 
 
 class Interpreter:
@@ -141,7 +216,8 @@ class Interpreter:
                       args: Optional[List[object]] = None,
                       receiver: Optional[object] = None,
                       depth: int = 0) -> object:
-        """Interpret ``method`` of the test class and return its result."""
+        """Interpret ``method`` of the test class and return its result;
+        ``args`` fill the slots of its descriptor's parameters."""
         probe("interp.invoke_method")
         if depth > 64:
             raise StackOverflowError_("recursion too deep",
@@ -159,8 +235,8 @@ class Interpreter:
         code = method.code
         if branch("interp.method_missing_code", code is None):
             if method.is_native:
-                return _default_for_descriptor(
-                    self._return_descriptor(method))
+                descriptor = self.classfile.method_descriptor(method)
+                return _default_for_descriptor(descriptor.rsplit(")", 1)[-1])
             raise ClassFormatError(
                 f"Absent Code attribute in method "
                 f"{self.classfile.method_name(method)}",
@@ -172,19 +248,17 @@ class Interpreter:
                               site="interp.bad_instruction") from exc
         by_offset = {instruction.offset: i
                      for i, instruction in enumerate(instructions)}
-        locals_: Dict[int, object] = {}
-        slot = 0
+        # The locals start as the arguments' stack slots.
+        slots: List[object] = []
         if receiver is not None or not method.is_static:
-            locals_[0] = receiver
-            slot = 1
-        for arg in (args or []):
-            locals_[slot] = arg
-            slot += 2 if isinstance(arg, float) else 1
-        return self._run(instructions, by_offset, locals_, code, depth)
-
-    def _return_descriptor(self, method: MethodInfo) -> str:
-        descriptor = self.classfile.method_descriptor(method)
-        return descriptor.rsplit(")", 1)[-1]
+            slots.append(receiver)
+        if args:
+            parameters = parse_method_descriptor(
+                self.classfile.method_descriptor(method)).parameters
+            for arg, parameter in zip(args, parameters):
+                _push(slots, arg, parameter.slots)
+        return self._run(instructions, by_offset, dict(enumerate(slots)),
+                         code, depth)
 
     # -- the dispatch loop --------------------------------------------------------
 
@@ -216,12 +290,12 @@ class Interpreter:
                 stack.append(self._materialize_throwable(thrown))
                 index = handler_index
                 continue
-            if outcome is _NEXT:
+            if outcome is None:
                 index += 1
-            elif isinstance(outcome, _Jump):
-                target = by_offset.get(outcome.offset)
+            elif type(outcome) is int:  # a branch target
+                target = by_offset.get(outcome)
                 if target is None:
-                    raise VerifyError(f"Illegal jump target {outcome.offset}",
+                    raise VerifyError(f"Illegal jump target {outcome}",
                                       site="interp.jump_target_bad")
                 index = target
             else:  # _Return
@@ -267,376 +341,52 @@ class Interpreter:
         name = thrown.java_name.replace(".", "/")
         return JObject(name, {"message": thrown.message}, initialized=True)
 
-    # -- step results ------------------------------------------------------------------
-
-    def _pop(self, stack: List[object]) -> object:
-        if not stack:
-            raise VerifyError("Operand stack underflow at runtime",
-                              site="interp.stack_underflow")
-        return stack.pop()
+    # -- one instruction ----------------------------------------------------------
 
     def _step(self, instruction: Instruction, stack: List[object],
               locals_: Dict[int, object], depth: int):
+        """Run one instruction through its handler, or else the one
+        fixed-effect path: take the operands' slots, apply the value
+        function, push its result or, for a branch, jump if it says so.
+        Returns ``None`` to fall through, the offset to branch to, or a
+        :class:`_Return`."""
         op = instruction.op
-        info = OPCODES[op]
         probe(_OP_SITES[op])
-        operands = instruction.operands
-
-        # Constants, local loads and stores, and returns: their family,
-        # value category and shorthand operand come from the opcode table.
-        family = info.family
-        if family is not None:
-            if family == CONST:
-                stack.append(operands["value"] if info.implicit is None
-                             else info.implicit)
-            elif family == LOAD:
-                stack.append(locals_.get(operands.get("index",
-                                                      info.implicit)))
-            elif family == STORE:
-                locals_[operands.get("index", info.implicit)] = \
-                    self._pop(stack)
-            else:  # RETURN
-                return _Return(None if info.cat == "v" else self._pop(stack))
-            return _NEXT
-        if op is Op.ACONST_NULL:
-            stack.append(None)
-            return _NEXT
-        if op in (Op.LDC, Op.LDC_W, Op.LDC2_W):
-            stack.append(self._load_constant(operands["index"]))
-            return _NEXT
-        if op is Op.IINC:
-            slot = operands["index"]
-            locals_[slot] = _wrap_int(int(locals_.get(slot) or 0)
-                                      + operands["const"])
-            return _NEXT
-        # Stack manipulation.
-        if op is Op.POP:
-            self._pop(stack)
-            return _NEXT
-        if op is Op.POP2:
-            self._pop(stack)
-            if stack:
-                stack.pop()
-            return _NEXT
-        if op is Op.DUP:
-            value = self._pop(stack)
-            stack.extend((value, value))
-            return _NEXT
-        if op is Op.SWAP:
-            first, second = self._pop(stack), self._pop(stack)
-            stack.extend((first, second))
-            return _NEXT
-        if op is Op.DUP_X1:
-            first, second = self._pop(stack), self._pop(stack)
-            stack.extend((first, second, first))
-            return _NEXT
-        if op is Op.DUP_X2:
-            first = self._pop(stack)
-            second = self._pop(stack)
-            third = self._pop(stack)
-            stack.extend((first, third, second, first))
-            return _NEXT
-        if op is Op.DUP2:
-            # Values are whole on our stack (no split slots): duplicating
-            # the top pair covers the category-1 case; category-2 values
-            # (long/double, stored whole) duplicate as a single entry.
-            first = self._pop(stack)
-            if isinstance(first, float) or (isinstance(first, int)
-                                            and abs(first) > 0xFFFFFFFF):
-                stack.extend((first, first))
-            elif stack:
-                second = self._pop(stack)
-                stack.extend((second, first, second, first))
-            else:
-                stack.extend((first, first))
-            return _NEXT
-        if op in (Op.DUP2_X1, Op.DUP2_X2):
-            first, second = self._pop(stack), self._pop(stack)
-            stack.extend((first, second, first))
-            return _NEXT
-        # Arithmetic.
-        result = self._try_arith(op, stack)
-        if result is not None:
-            return _NEXT
-        # Comparisons & branches.
-        if op in _IF_ICMP:
-            right, left = self._as_int(self._pop(stack)), \
-                self._as_int(self._pop(stack))
-            taken = _IF_ICMP[op](left, right)
-            return _Jump(operands["target"]) if taken else _NEXT
-        if op in (Op.IF_ACMPEQ, Op.IF_ACMPNE):
-            right, left = self._pop(stack), self._pop(stack)
-            same = left is right or left == right
-            taken = same if op is Op.IF_ACMPEQ else not same
-            return _Jump(operands["target"]) if taken else _NEXT
-        if op in (Op.IFNULL, Op.IFNONNULL):
-            value = self._pop(stack)
-            taken = (value is None) == (op is Op.IFNULL)
-            return _Jump(operands["target"]) if taken else _NEXT
-        if op in _IF_ZERO:
-            value = self._as_int(self._pop(stack))
-            taken = _IF_ZERO[op](value, 0)
-            return _Jump(operands["target"]) if taken else _NEXT
-        if op in (Op.GOTO, Op.GOTO_W):
-            return _Jump(operands["target"])
-        if op is Op.TABLESWITCH:
-            value = self._as_int(self._pop(stack))
-            low, high = operands["low"], operands["high"]
-            if low <= value <= high:
-                return _Jump(operands["targets"][value - low])
-            return _Jump(operands["default"])
-        if op is Op.LOOKUPSWITCH:
-            value = self._as_int(self._pop(stack))
-            for match, target in operands["pairs"]:
-                if match == value:
-                    return _Jump(target)
-            return _Jump(operands["default"])
-        # Field access.
-        if op is Op.GETSTATIC:
-            stack.append(self._getstatic(operands["index"]))
-            return _NEXT
-        if op is Op.PUTSTATIC:
-            self._putstatic(operands["index"], self._pop(stack))
-            return _NEXT
-        if op is Op.GETFIELD:
-            receiver = self._pop(stack)
-            stack.append(self._getfield(operands["index"], receiver))
-            return _NEXT
-        if op is Op.PUTFIELD:
-            value = self._pop(stack)
-            receiver = self._pop(stack)
-            self._putfield(operands["index"], receiver, value)
-            return _NEXT
-        # Invocations.
-        if op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC,
-                  Op.INVOKEINTERFACE):
-            self._invoke(op, operands["index"], stack, depth)
-            return _NEXT
-        if op is Op.INVOKEDYNAMIC:
-            raise NoSuchMethodError("invokedynamic is unsupported",
-                                    site="interp.invokedynamic")
-        # Object model.
-        if op is Op.NEW:
-            stack.append(self._new(operands["index"]))
-            return _NEXT
-        if op is Op.NEWARRAY:
-            length = self._as_int(self._pop(stack))
-            check("interp.negative_array", length < 0,
-                  NegativeArraySizeException, "{}", length)
-            stack.append(JArray("prim", [0] * length))
-            return _NEXT
-        if op is Op.ANEWARRAY:
-            length = self._as_int(self._pop(stack))
-            check("interp.negative_array_ref", length < 0,
-                  NegativeArraySizeException, "{}", length)
-            stack.append(JArray("ref", [None] * length))
-            return _NEXT
-        if op is Op.MULTIANEWARRAY:
-            dims = operands["dimensions"]
-            sizes = [self._as_int(self._pop(stack)) for _ in range(dims)]
-            if any(size < 0 for size in sizes):
-                raise NegativeArraySizeException(
-                    str(min(sizes)), site="interp.negative_array_multi")
-            stack.append(JArray("multi", [None] * (sizes[-1] if sizes else 0)))
-            return _NEXT
-        if op is Op.ARRAYLENGTH:
-            array = self._pop(stack)
-            check("interp.arraylength_null", array is None,
-                  NullPointerException, "arraylength of null")
-            if isinstance(array, JArray):
-                stack.append(len(array.values))
-            elif isinstance(array, list):
-                stack.append(len(array))
-            else:
-                raise ClassCastException("arraylength of non-array",
-                                         site="interp.arraylength_non_array")
-            return _NEXT
-        if op in _ARRAY_LOADS:
-            index_value = self._as_int(self._pop(stack))
-            array = self._pop(stack)
-            stack.append(self._array_get(array, index_value))
-            return _NEXT
-        if op in _ARRAY_STORES:
-            value = self._pop(stack)
-            index_value = self._as_int(self._pop(stack))
-            array = self._pop(stack)
-            self._array_set(array, index_value, value)
-            return _NEXT
-        if op is Op.CHECKCAST:
-            value = stack[-1] if stack else None
-            self._checkcast(operands["index"], value)
-            return _NEXT
-        if op is Op.INSTANCEOF:
-            value = self._pop(stack)
-            stack.append(1 if self._instance_of(operands["index"], value)
-                         else 0)
-            return _NEXT
-        if op is Op.ATHROW:
-            self._throw(self._pop(stack))
-        if op in (Op.MONITORENTER, Op.MONITOREXIT):
-            receiver = self._pop(stack)
-            check("interp.monitor_null", receiver is None,
-                  NullPointerException, "monitor operation on null")
-            return _NEXT
-        if op is Op.NOP:
-            return _NEXT
-        raise VerifyError(f"Unsupported opcode {instruction.mnemonic} "
-                          "reached at runtime", site="interp.unhandled_opcode")
-
-    # -- helpers ------------------------------------------------------------------------
-
-    @staticmethod
-    def _as_int(value: object) -> int:
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        if value is None:
-            return 0
-        if isinstance(value, float):
-            return int(value)
-        raise ClassCastException(f"expected int, found {type(value).__name__}",
-                                 site="interp.not_an_int")
-
-    @staticmethod
-    def _as_float(value: object) -> float:
-        if isinstance(value, float):
-            return value
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, int):
-            return float(value)
-        if value is None:
-            return 0.0
-        raise ClassCastException(
-            f"expected float, found {type(value).__name__}",
-            site="interp.not_a_float")
-
-    _ARITH = {
-        Op.IADD: lambda a, b: _wrap_int(a + b),
-        Op.ISUB: lambda a, b: _wrap_int(a - b),
-        Op.IMUL: lambda a, b: _wrap_int(a * b),
-        Op.IAND: lambda a, b: a & b,
-        Op.IOR: lambda a, b: a | b,
-        Op.IXOR: lambda a, b: a ^ b,
-        Op.ISHL: lambda a, b: _wrap_int(a << (b & 31)),
-        Op.ISHR: lambda a, b: a >> (b & 31),
-        Op.IUSHR: lambda a, b: _wrap_int((a & 0xFFFFFFFF) >> (b & 31)),
-        Op.LADD: lambda a, b: _wrap_long(a + b),
-        Op.LSUB: lambda a, b: _wrap_long(a - b),
-        Op.LMUL: lambda a, b: _wrap_long(a * b),
-        Op.LAND: lambda a, b: a & b,
-        Op.LOR: lambda a, b: a | b,
-        Op.LXOR: lambda a, b: a ^ b,
-        Op.LSHL: lambda a, b: _wrap_long(a << (b & 63)),
-        Op.LSHR: lambda a, b: a >> (b & 63),
-        Op.LUSHR: lambda a, b: _wrap_long(
-            (a & 0xFFFFFFFFFFFFFFFF) >> (b & 63)),
-        Op.FADD: lambda a, b: a + b, Op.FSUB: lambda a, b: a - b,
-        Op.FMUL: lambda a, b: a * b,
-        Op.DADD: lambda a, b: a + b, Op.DSUB: lambda a, b: a - b,
-        Op.DMUL: lambda a, b: a * b,
-    }
-
-    def _try_arith(self, op: Op, stack: List[object]) -> Optional[bool]:
-        if op in self._ARITH:
-            right = self._pop(stack)
-            left = self._pop(stack)
-            if OPCODES[op].effect.push in ("i", "l"):
-                left, right = self._as_int(left), self._as_int(right)
-            stack.append(self._ARITH[op](left, right))
-            return True
-        if op in (Op.IDIV, Op.IREM, Op.LDIV, Op.LREM):
-            right = self._as_int(self._pop(stack))
-            left = self._as_int(self._pop(stack))
-            check("interp.div_by_zero", right == 0, ArithmeticException,
-                  "/ by zero")
-            if op in (Op.IDIV, Op.LDIV):
-                quotient = abs(left) // abs(right)
-                result = quotient if (left < 0) == (right < 0) else -quotient
-            else:
-                result = abs(left) % abs(right)
-                result = result if left >= 0 else -result
-            wrap = _wrap_int if op in (Op.IDIV, Op.IREM) else _wrap_long
-            stack.append(wrap(result))
-            return True
-        if op in (Op.FDIV, Op.DDIV, Op.FREM, Op.DREM):
-            right = self._pop(stack)
-            left = self._pop(stack)
-            try:
-                value = (left / right) if op in (Op.FDIV, Op.DDIV) \
-                    else (left % right)
-            except ZeroDivisionError:
-                value = float("nan")
-            stack.append(value)
-            return True
-        if op in (Op.INEG, Op.LNEG):
-            wrap = _wrap_int if op is Op.INEG else _wrap_long
-            stack.append(wrap(-self._as_int(self._pop(stack))))
-            return True
-        if op in (Op.FNEG, Op.DNEG):
-            stack.append(-self._pop(stack))
-            return True
-        if op in (Op.I2L, Op.L2I):
-            value = self._as_int(self._pop(stack))
-            stack.append(_wrap_int(value) if op is Op.L2I
-                         else _wrap_long(value))
-            return True
-        if op in (Op.I2B, Op.I2C, Op.I2S):
-            value = self._as_int(self._pop(stack))
-            if branch("interp.narrowing_strict",
-                      self.policy.strict_narrowing_conversions):
-                if op is Op.I2B:
-                    value = ((value & 0xFF) ^ 0x80) - 0x80
-                elif op is Op.I2C:
-                    value = value & 0xFFFF
-                else:  # I2S
-                    value = ((value & 0xFFFF) ^ 0x8000) - 0x8000
-            else:
-                # Legacy passthrough: only the 32-bit wrap is applied.
-                value = _wrap_int(value)
-            stack.append(value)
-            return True
-        if op in (Op.I2F, Op.I2D, Op.L2F, Op.L2D):
-            stack.append(float(self._as_int(self._pop(stack))))
-            return True
-        if op in (Op.F2I, Op.D2I, Op.F2L, Op.D2L):
-            number = self._as_float(self._pop(stack))
-            low, high = ((-0x80000000, 0x7FFFFFFF)
-                         if op in (Op.F2I, Op.D2I)
-                         else (-0x8000000000000000, 0x7FFFFFFFFFFFFFFF))
-            if number != number:  # NaN
-                result = 0 if branch(
-                    "interp.f2i_nan_strict",
-                    self.policy.strict_narrowing_conversions) else low
-            elif number <= low:
-                result = low
-            elif number >= high:
-                result = high
-            else:
-                result = int(number)
-            stack.append(result)
-            return True
-        if op in (Op.F2D, Op.D2F):
-            stack.append(float(self._pop(stack)))
-            return True
-        if op is Op.LCMP:
-            right = self._as_int(self._pop(stack))
-            left = self._as_int(self._pop(stack))
-            stack.append((left > right) - (left < right))
-            return True
-        if op in (Op.FCMPL, Op.FCMPG, Op.DCMPL, Op.DCMPG):
-            right = self._as_float(self._pop(stack))
-            left = self._as_float(self._pop(stack))
-            if branch("interp.fcmp_nan",
-                      left != left or right != right):
-                nan_result = self.policy.fcmpg_nan_result
-                stack.append(nan_result if op in (Op.FCMPG, Op.DCMPG)
-                             else -nan_result)
-            else:
-                stack.append((left > right) - (left < right))
-            return True
+        handler = _HANDLERS.get(op)
+        if handler is not None:
+            return handler(self, instruction, stack, locals_, depth)
+        fixed = _FIXED.get(op)
+        if fixed is None:
+            raise VerifyError(f"Unsupported opcode {instruction.mnemonic} "
+                              "reached at runtime",
+                              site="interp.unhandled_opcode")
+        takes, positions, function, pushes, jumps = fixed
+        if takes:
+            taken = _take(stack, takes)
+            result = function(self, *[taken[i] for i in positions])
+        else:
+            result = function(self)
+        if jumps:
+            return instruction.operands["target"] if result else None
+        if pushes:
+            _push(stack, result, pushes)
         return None
+
+    # -- handlers: constants, locals, returns and the shuffle family -------------
+
+    @_handles(*FAMILIES[CONST])
+    def _const(self, instruction: Instruction, stack, locals_, depth):
+        info = instruction.info
+        _push(stack, instruction.operands["value"] if info.implicit is None
+              else info.implicit, SLOTS[info.cat])
+
+    @_handles(Op.LDC, Op.LDC_W)
+    def _ldc(self, instruction: Instruction, stack, locals_, depth):
+        stack.append(self._load_constant(instruction.operands["index"]))
+
+    @_handles(Op.LDC2_W)
+    def _ldc2_w(self, instruction: Instruction, stack, locals_, depth):
+        _push(stack, self._load_constant(instruction.operands["index"]), 2)
 
     def _load_constant(self, index: int) -> object:
         pool = self.classfile.constant_pool
@@ -656,18 +406,74 @@ class Interpreter:
         raise VerifyError(f"ldc of unloadable constant tag {entry.tag.name}",
                           site="interp.ldc_unloadable")
 
-    # -- fields -----------------------------------------------------------------------------
+    @_handles(*FAMILIES[LOAD])
+    def _load(self, instruction: Instruction, stack, locals_, depth):
+        info = instruction.info
+        _push(stack, locals_.get(instruction.operands.get("index",
+                                                          info.implicit)),
+              SLOTS[info.cat])
 
-    def _field_target(self, index: int):
+    @_handles(*FAMILIES[STORE])
+    def _store(self, instruction: Instruction, stack, locals_, depth):
+        info = instruction.info
+        slot = instruction.operands.get("index", info.implicit)
+        for offset, value in enumerate(_take(stack, SLOTS[info.cat])):
+            locals_[slot + offset] = value
+
+    @_handles(Op.IINC)
+    def _iinc(self, instruction: Instruction, stack, locals_, depth):
+        slot = instruction.operands["index"]
+        locals_[slot] = _wrap_int(int(locals_.get(slot) or 0)
+                                  + instruction.operands["const"])
+
+    @_handles(*FAMILIES[RETURN])
+    def _return(self, instruction: Instruction, stack, locals_, depth):
+        cat = instruction.info.cat
+        return _Return(None if cat == "v" else _pop(stack, SLOTS[cat]))
+
+    @_handles(*SHUFFLES)
+    def _shuffle(self, instruction: Instruction, stack, locals_, depth):
+        takes, order = SHUFFLES[instruction.op]
+        taken = _take(stack, takes)
+        stack.extend([taken[i] for i in order])
+
+    # -- handlers: switches ---------------------------------------------------------
+
+    @_handles(Op.TABLESWITCH)
+    def _tableswitch(self, instruction: Instruction, stack, locals_, depth):
+        value = _as_int(_pop(stack))
+        operands = instruction.operands
+        low, high = operands["low"], operands["high"]
+        if low <= value <= high:
+            return operands["targets"][value - low]
+        return operands["default"]
+
+    @_handles(Op.LOOKUPSWITCH)
+    def _lookupswitch(self, instruction: Instruction, stack, locals_, depth):
+        value = _as_int(_pop(stack))
+        operands = instruction.operands
+        for match, target in operands["pairs"]:
+            if match == value:
+                return target
+        return operands["default"]
+
+    # -- handlers: fields --------------------------------------------------------------
+
+    def _field_target(self, instruction: Instruction):
         pool = self.classfile.constant_pool
         try:
-            return pool.get_member_ref(index)
+            return pool.get_member_ref(instruction.operands["index"])
         except ConstantPoolError as exc:
             raise VerifyError(f"bad field reference: {exc}",
                               site="interp.field_ref_bad") from exc
 
-    def _getstatic(self, index: int) -> object:
-        owner, name, descriptor = self._field_target(index)
+    @_handles(Op.GETSTATIC)
+    def _getstatic(self, instruction: Instruction, stack, locals_, depth):
+        owner, name, descriptor = self._field_target(instruction)
+        _push(stack, self._read_static(owner, name, descriptor),
+              _slots(descriptor))
+
+    def _read_static(self, owner: str, name: str, descriptor: str) -> object:
         probe("interp.getstatic")
         if owner == self.classfile.name:
             # The clinit-visibility axis: a main-phase read of a static
@@ -690,8 +496,10 @@ class Interpreter:
               NoSuchFieldError, "{}.{}", owner.replace("/", "."), name)
         return _default_for_descriptor(descriptor)
 
-    def _putstatic(self, index: int, value: object) -> None:
-        owner, name, _ = self._field_target(index)
+    @_handles(Op.PUTSTATIC)
+    def _putstatic(self, instruction: Instruction, stack, locals_, depth):
+        owner, name, descriptor = self._field_target(instruction)
+        value = _pop(stack, _slots(descriptor))
         probe("interp.putstatic")
         if owner == self.classfile.name:
             if self.clinit_done:
@@ -707,17 +515,22 @@ class Interpreter:
               owner.replace("/", "."))
         # Writes to library statics are accepted and discarded.
 
-    def _getfield(self, index: int, receiver: object) -> object:
-        owner, name, descriptor = self._field_target(index)
+    @_handles(Op.GETFIELD)
+    def _getfield(self, instruction: Instruction, stack, locals_, depth):
+        owner, name, descriptor = self._field_target(instruction)
+        receiver = _pop(stack)
         check("interp.getfield_null", receiver is None, NullPointerException,
               "reading field {} of null", name)
-        if isinstance(receiver, JObject):
-            return receiver.fields.get(
-                name, _default_for_descriptor(descriptor))
-        return _default_for_descriptor(descriptor)
+        value = receiver.fields.get(name, _default_for_descriptor(descriptor)) \
+            if isinstance(receiver, JObject) \
+            else _default_for_descriptor(descriptor)
+        _push(stack, value, _slots(descriptor))
 
-    def _putfield(self, index: int, receiver: object, value: object) -> None:
-        owner, name, _ = self._field_target(index)
+    @_handles(Op.PUTFIELD)
+    def _putfield(self, instruction: Instruction, stack, locals_, depth):
+        owner, name, descriptor = self._field_target(instruction)
+        value = _pop(stack, _slots(descriptor))
+        receiver = _pop(stack)
         check("interp.putfield_null", receiver is None, NullPointerException,
               "writing field {} of null", name)
         if isinstance(receiver, JObject):
@@ -725,7 +538,8 @@ class Interpreter:
 
     # -- arrays -------------------------------------------------------------------------------
 
-    def _array_get(self, array: object, index: int) -> object:
+    def _array_get(self, array: object, index: object) -> object:
+        index = _as_int(index)
         check("interp.array_null", array is None, NullPointerException,
               "array access on null")
         values = array.values if isinstance(array, JArray) else array
@@ -736,7 +550,9 @@ class Interpreter:
               ArrayIndexOutOfBoundsException, "{}", index)
         return values[index]
 
-    def _array_set(self, array: object, index: int, value: object) -> None:
+    def _array_set(self, array: object, index: object,
+                   value: object) -> None:
+        index = _as_int(index)
         check("interp.array_store_null", array is None, NullPointerException,
               "array store on null")
         values = array.values if isinstance(array, JArray) else array
@@ -747,25 +563,35 @@ class Interpreter:
               ArrayIndexOutOfBoundsException, "{}", index)
         values[index] = value
 
-    # -- object model -----------------------------------------------------------------------------
+    # -- handlers: the object model ---------------------------------------------------------------
 
-    def _new(self, index: int) -> JObject:
+    @_handles(Op.NEW)
+    def _new(self, instruction: Instruction, stack, locals_, depth):
         pool = self.classfile.constant_pool
         try:
-            class_name = pool.get_class_name(index)
+            class_name = pool.get_class_name(instruction.operands["index"])
         except ConstantPoolError as exc:
             raise VerifyError(f"new of bad class ref: {exc}",
                               site="interp.new_ref_bad") from exc
         probe("interp.new")
-        if class_name == self.classfile.name:
-            return JObject(class_name)
-        cls = self.library.find(class_name)
-        dotted = class_name.replace("/", ".")
-        check("interp.new_missing_class", cls is None, NoClassDefFoundError,
-              "{}", dotted)
-        check("interp.new_abstract", cls.is_interface or cls.is_abstract,
-              InstantiationError, "{}", dotted)
-        return JObject(class_name)
+        if class_name != self.classfile.name:
+            cls = self.library.find(class_name)
+            dotted = class_name.replace("/", ".")
+            check("interp.new_missing_class", cls is None,
+                  NoClassDefFoundError, "{}", dotted)
+            check("interp.new_abstract", cls.is_interface or cls.is_abstract,
+                  InstantiationError, "{}", dotted)
+        stack.append(JObject(class_name))
+
+    @_handles(Op.MULTIANEWARRAY)
+    def _multianewarray(self, instruction: Instruction, stack, locals_,
+                        depth):
+        sizes = [_as_int(_pop(stack))
+                 for _ in range(instruction.operands["dimensions"])]
+        if any(size < 0 for size in sizes):
+            raise NegativeArraySizeException(
+                str(min(sizes)), site="interp.negative_array_multi")
+        stack.append(JArray("multi", [None] * (sizes[-1] if sizes else 0)))
 
     def _class_of(self, value: object) -> Optional[str]:
         if isinstance(value, str):
@@ -808,11 +634,13 @@ class Interpreter:
                     work.extend(iface_cls.interfaces)
         return False
 
-    def _checkcast(self, index: int, value: object) -> None:
+    @_handles(Op.CHECKCAST)
+    def _checkcast(self, instruction: Instruction, stack, locals_, depth):
+        value = stack[-1] if stack else None
         if value is None:
             return
         pool = self.classfile.constant_pool
-        target = pool.get_class_name(index)
+        target = pool.get_class_name(instruction.operands["index"])
         source = self._class_of(value)
         probe("interp.checkcast")
         if source is None:
@@ -827,14 +655,18 @@ class Interpreter:
               ClassCastException, "{} cannot be cast to {}",
               source.replace("/", "."), target.replace("/", "."))
 
-    def _instance_of(self, index: int, value: object) -> bool:
-        if value is None:
-            return False
-        target = self.classfile.constant_pool.get_class_name(index)
-        source = self._class_of(value)
-        if source is None:
-            return False
-        return self._is_assignable_runtime(source, target)
+    @_handles(Op.INSTANCEOF)
+    def _instanceof(self, instruction: Instruction, stack, locals_, depth):
+        value = _pop(stack)
+        result = 0
+        if value is not None:
+            target = self.classfile.constant_pool.get_class_name(
+                instruction.operands["index"])
+            source = self._class_of(value)
+            if source is not None \
+                    and self._is_assignable_runtime(source, target):
+                result = 1
+        stack.append(result)
 
     def _throw(self, value: object) -> None:
         probe("interp.athrow")
@@ -846,13 +678,20 @@ class Interpreter:
             message = str(value.fields.get("message", ""))
         raise UserThrowable(class_name, message, site="interp.athrow")
 
-    # -- invocation -----------------------------------------------------------------------------------
+    # -- handlers: invocation ---------------------------------------------------------------------------
 
-    def _invoke(self, op: Op, index: int, stack: List[object],
-                depth: int) -> None:
+    @_handles(Op.INVOKEDYNAMIC)
+    def _invokedynamic(self, instruction: Instruction, stack, locals_, depth):
+        raise NoSuchMethodError("invokedynamic is unsupported",
+                                site="interp.invokedynamic")
+
+    @_handles(Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC,
+              Op.INVOKEINTERFACE)
+    def _invoke(self, instruction: Instruction, stack, locals_, depth):
         pool = self.classfile.constant_pool
         try:
-            owner, name, descriptor = pool.get_member_ref(index)
+            owner, name, descriptor = pool.get_member_ref(
+                instruction.operands["index"])
         except ConstantPoolError as exc:
             raise VerifyError(f"bad method reference: {exc}",
                               site="interp.method_ref_bad") from exc
@@ -861,11 +700,12 @@ class Interpreter:
         except DescriptorError as exc:
             raise VerifyError(f"bad method descriptor: {exc}",
                               site="interp.method_descriptor_bad") from exc
-        args = [self._pop(stack) for _ in parsed.parameters]
+        args = [_pop(stack, parameter.slots)
+                for parameter in reversed(parsed.parameters)]
         args.reverse()
         receiver = None
-        if op is not Op.INVOKESTATIC:
-            receiver = self._pop(stack)
+        if instruction.op is not Op.INVOKESTATIC:
+            receiver = _pop(stack)
             check("interp.invoke_on_null",
                   receiver is None and name != "<init>",
                   NullPointerException,
@@ -878,7 +718,7 @@ class Interpreter:
             result = self._invoke_library(owner, name, descriptor, receiver,
                                           args)
         if parsed.return_type is not None:
-            stack.append(result)
+            _push(stack, result, parsed.return_type.slots)
 
     def _invoke_self(self, name: str, descriptor: str,
                      receiver: Optional[object], args: List[object],
@@ -931,11 +771,11 @@ class Interpreter:
             return 1_460_000_000_000  # deterministic clock
         if owner == "java/lang/Math":
             if name == "abs" and args:
-                return abs(self._as_int(args[0]))
+                return abs(_as_int(args[0]))
             if name == "max" and len(args) == 2:
-                return max(self._as_int(args[0]), self._as_int(args[1]))
+                return max(_as_int(args[0]), _as_int(args[1]))
             if name == "min" and len(args) == 2:
-                return min(self._as_int(args[0]), self._as_int(args[1]))
+                return min(_as_int(args[0]), _as_int(args[1]))
         if owner == "java/lang/String":
             if name == "length" and isinstance(receiver, str):
                 return len(receiver)
@@ -964,7 +804,7 @@ class Interpreter:
                             return _wrap_int(ord(ours) - ord(theirs))
                     return _wrap_int(len(receiver) - len(other))
                 # charAt
-                char_index = self._as_int(args[0]) if args else 0
+                char_index = _as_int(args[0]) if args else 0
                 check("interp.charat_oob", not 0 <= char_index < len(receiver),
                       _STRING_INDEX_ERROR,
                       "String index out of range: {}", char_index)
@@ -978,11 +818,11 @@ class Interpreter:
                                     site="interp.parse_int") from None
         if owner == "java/lang/Integer" and name == "valueOf" and args:
             boxed = JObject("java/lang/Integer", initialized=True)
-            boxed.fields["value"] = self._as_int(args[0])
+            boxed.fields["value"] = _as_int(args[0])
             return boxed
         if owner == "java/lang/Integer" and name == "intValue" \
                 and isinstance(receiver, JObject):
-            return self._as_int(receiver.fields.get("value", 0))
+            return _as_int(receiver.fields.get("value", 0))
         if owner == "java/util/ResourceBundle" and name == "getBundle" \
                 and args:
             bundle = str(args[0])
@@ -993,7 +833,7 @@ class Interpreter:
             return JObject("java/util/ResourceBundle",
                            {"name": bundle}, initialized=True)
         if owner == "java/util/Random" and name == "nextInt" and args:
-            bound = max(1, self._as_int(args[0]))
+            bound = max(1, _as_int(args[0]))
             self._random_state = _wrap_long(
                 self._random_state * 6364136223846793005 + 1442695040888963407)
             return abs(self._random_state) % bound
@@ -1057,30 +897,197 @@ def _hashable(value: object) -> object:
 #: Opcode → its ``interp.op.*`` coverage site, built once.
 _OP_SITES = {op: f"interp.op.{info.mnemonic}" for op, info in OPCODES.items()}
 
-#: The conditions of ifeq..ifle (an int against zero) and of
-#: if_icmpeq..if_icmple (two ints), in opcode order: eq ne lt ge gt le.
-_CONDITIONS = (operator.eq, operator.ne, operator.lt, operator.ge,
-               operator.gt, operator.le)
-_IF_ZERO = {Op(Op.IFEQ + k): test for k, test in enumerate(_CONDITIONS)}
-_IF_ICMP = {Op(Op.IF_ICMPEQ + k): test for k, test in enumerate(_CONDITIONS)}
-#: iaload..saload and iastore..sastore.
-_ARRAY_LOADS = frozenset(Op(Op.IALOAD + k) for k in range(8))
-_ARRAY_STORES = frozenset(Op(Op.IASTORE + k) for k in range(8))
-
-
-class _Next:
-    """Sentinel: fall through to the next instruction."""
-
-
-_NEXT = _Next()
 _NO_INTRINSIC = object()
-
-
-@dataclass
-class _Jump:
-    offset: int
 
 
 @dataclass
 class _Return:
     value: object
+
+
+# -- the fixed-effect path: a value function takes the interpreter and the
+# popped values, deepest first, and returns the value to push, or for a
+# branch whether it is taken.
+
+#: Two ints, or two longs (a long shift: a long and an int distance), to
+#: one, wrapped to the result's width with the shift distance masked.
+_ARITH = {
+    Op.IADD: lambda a, b: _wrap_int(a + b),
+    Op.ISUB: lambda a, b: _wrap_int(a - b),
+    Op.IMUL: lambda a, b: _wrap_int(a * b),
+    Op.IAND: lambda a, b: a & b,
+    Op.IOR: lambda a, b: a | b,
+    Op.IXOR: lambda a, b: a ^ b,
+    Op.ISHL: lambda a, b: _wrap_int(a << (b & 31)),
+    Op.ISHR: lambda a, b: a >> (b & 31),
+    Op.IUSHR: lambda a, b: _wrap_int((a & 0xFFFFFFFF) >> (b & 31)),
+    Op.LADD: lambda a, b: _wrap_long(a + b),
+    Op.LSUB: lambda a, b: _wrap_long(a - b),
+    Op.LMUL: lambda a, b: _wrap_long(a * b),
+    Op.LAND: lambda a, b: a & b,
+    Op.LOR: lambda a, b: a | b,
+    Op.LXOR: lambda a, b: a ^ b,
+    Op.LSHL: lambda a, b: _wrap_long(a << (b & 63)),
+    Op.LSHR: lambda a, b: a >> (b & 63),
+    Op.LUSHR: lambda a, b: _wrap_long((a & 0xFFFFFFFFFFFFFFFF) >> (b & 63)),
+}
+
+#: The tests of ifeq..ifle and if_icmpeq..if_icmple, in opcode order.
+_CONDITIONS = (operator.eq, operator.ne, operator.lt, operator.ge,
+               operator.gt, operator.le)
+
+
+def _integral(function):
+    return lambda interp, a, b: function(_as_int(a), _as_int(b))
+
+
+def _if_zero(test):
+    return lambda interp, value: test(_as_int(value), 0)
+
+
+def _compare(left, right) -> int:
+    return (left > right) - (left < right)
+
+
+def _divide(wrap, remainder: bool):
+    """idiv, irem, ldiv or lrem: truncating toward zero."""
+    def divide(interp, left, right):
+        right, left = _as_int(right), _as_int(left)
+        check("interp.div_by_zero", right == 0, ArithmeticException,
+              "/ by zero")
+        if remainder:
+            return wrap(abs(left) % abs(right) * (-1 if left < 0 else 1))
+        quotient = abs(left) // abs(right)
+        return wrap(quotient if (left < 0) == (right < 0) else -quotient)
+    return divide
+
+
+def _float_divide(function):
+    """fdiv, ddiv, frem or drem: NaN where Python's division raises."""
+    def divide(interp, left, right):
+        try:
+            return function(left, right)
+        except ZeroDivisionError:
+            return float("nan")
+    return divide
+
+
+def _narrow(narrow):
+    """i2b, i2c or i2s: truncating on a strict vendor, where a legacy one
+    applies only the 32-bit wrap."""
+    def convert(interp, value):
+        value = _as_int(value)
+        if branch("interp.narrowing_strict",
+                  interp.policy.strict_narrowing_conversions):
+            return narrow(value)
+        return _wrap_int(value)
+    return convert
+
+
+def _to_integral(low: int, high: int):
+    """f2i, d2i, f2l or d2l: saturating at ``low`` and ``high``."""
+    def convert(interp, value):
+        number = _as_float(value)
+        if number != number:  # NaN
+            return 0 if branch("interp.f2i_nan_strict",
+                               interp.policy.strict_narrowing_conversions) \
+                else low
+        return low if number <= low else high if number >= high \
+            else int(number)
+    return convert
+
+
+def _compare_floats(sign: int):
+    """fcmpl and dcmpl (``sign`` -1), fcmpg and dcmpg (1): a NaN operand
+    gives the vendor's ``fcmpg_nan_result`` times ``sign``."""
+    def compare(interp, left, right) -> int:
+        right, left = _as_float(right), _as_float(left)
+        if branch("interp.fcmp_nan", left != left or right != right):
+            return sign * interp.policy.fcmpg_nan_result
+        return _compare(left, right)
+    return compare
+
+
+def _new_array(kind: str, fill: object, site: str):
+    """newarray (``kind`` "prim") or anewarray ("ref")."""
+    def create(interp, length) -> JArray:
+        length = _as_int(length)
+        check(site, length < 0, NegativeArraySizeException, "{}", length)
+        return JArray(kind, [fill] * length)
+    return create
+
+
+def _array_length(interp, array) -> int:
+    check("interp.arraylength_null", array is None, NullPointerException,
+          "arraylength of null")
+    if isinstance(array, JArray):
+        return len(array.values)
+    if isinstance(array, list):
+        return len(array)
+    raise ClassCastException("arraylength of non-array",
+                             site="interp.arraylength_non_array")
+
+
+#: Every opcode of the fixed-effect path, with its value function.
+_VALUES: Dict[Op, Callable[..., object]] = {
+    **dict.fromkeys((Op.NOP, Op.ACONST_NULL), lambda interp: None),
+    **{op: _integral(function) for op, function in _ARITH.items()},
+    **dict.fromkeys((Op.FADD, Op.DADD), lambda interp, a, b: a + b),
+    **dict.fromkeys((Op.FSUB, Op.DSUB), lambda interp, a, b: a - b),
+    **dict.fromkeys((Op.FMUL, Op.DMUL), lambda interp, a, b: a * b),
+    Op.IDIV: _divide(_wrap_int, remainder=False),
+    Op.LDIV: _divide(_wrap_long, remainder=False),
+    Op.IREM: _divide(_wrap_int, remainder=True),
+    Op.LREM: _divide(_wrap_long, remainder=True),
+    **dict.fromkeys((Op.FDIV, Op.DDIV), _float_divide(operator.truediv)),
+    **dict.fromkeys((Op.FREM, Op.DREM), _float_divide(operator.mod)),
+    Op.INEG: lambda interp, value: _wrap_int(-_as_int(value)),
+    Op.LNEG: lambda interp, value: _wrap_long(-_as_int(value)),
+    **dict.fromkeys((Op.FNEG, Op.DNEG), lambda interp, value: -value),
+    Op.I2L: lambda interp, value: _wrap_long(_as_int(value)),
+    Op.L2I: lambda interp, value: _wrap_int(_as_int(value)),
+    **dict.fromkeys((Op.I2F, Op.I2D, Op.L2F, Op.L2D),
+                    lambda interp, value: float(_as_int(value))),
+    **dict.fromkeys((Op.F2I, Op.D2I), _to_integral(-2 ** 31, 2 ** 31 - 1)),
+    **dict.fromkeys((Op.F2L, Op.D2L), _to_integral(-2 ** 63, 2 ** 63 - 1)),
+    **dict.fromkeys((Op.F2D, Op.D2F), lambda interp, value: float(value)),
+    Op.I2B: _narrow(lambda value: ((value & 0xFF) ^ 0x80) - 0x80),
+    Op.I2C: _narrow(lambda value: value & 0xFFFF),
+    Op.I2S: _narrow(lambda value: ((value & 0xFFFF) ^ 0x8000) - 0x8000),
+    Op.LCMP: _integral(_compare),
+    **dict.fromkeys((Op.FCMPL, Op.DCMPL), _compare_floats(-1)),
+    **dict.fromkeys((Op.FCMPG, Op.DCMPG), _compare_floats(1)),
+    **{Op(Op.IFEQ + k): _if_zero(test) for k, test in enumerate(_CONDITIONS)},
+    **{Op(Op.IF_ICMPEQ + k): _integral(test)
+       for k, test in enumerate(_CONDITIONS)},
+    Op.IF_ACMPEQ: lambda interp, a, b: a is b or a == b,
+    Op.IF_ACMPNE: lambda interp, a, b: not (a is b or a == b),
+    Op.IFNULL: lambda interp, value: value is None,
+    Op.IFNONNULL: lambda interp, value: value is not None,
+    **dict.fromkeys((Op.GOTO, Op.GOTO_W), lambda interp: True),
+    **dict.fromkeys((Op(Op.IALOAD + k) for k in range(8)),
+                    Interpreter._array_get),
+    **dict.fromkeys((Op(Op.IASTORE + k) for k in range(8)),
+                    Interpreter._array_set),
+    Op.NEWARRAY: _new_array("prim", 0, "interp.negative_array"),
+    Op.ANEWARRAY: _new_array("ref", None, "interp.negative_array_ref"),
+    Op.ARRAYLENGTH: _array_length,
+    Op.ATHROW: Interpreter._throw,
+    **dict.fromkeys((Op.MONITORENTER, Op.MONITOREXIT),
+                    lambda interp, ref: check(
+                        "interp.monitor_null", ref is None,
+                        NullPointerException, "monitor operation on null")),
+}
+
+
+def _fixed(op: Op, function) -> tuple:
+    """``op`` in slots: the slots it takes, where its values sit among
+    them, its value function, the slots it pushes, whether it branches."""
+    info = OPCODES[op]
+    widths = [SLOTS[info.cat if cat == ANY else cat]
+              for cat in reversed(info.effect.pops)]
+    return (sum(widths), tuple(itertools.accumulate(widths, initial=0))[:-1],
+            function, SLOTS.get(info.effect.push, 0), info.is_branch)
+
+
+_FIXED = {op: _fixed(op, function) for op, function in _VALUES.items()}

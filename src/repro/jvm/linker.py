@@ -200,9 +200,10 @@ class Linker:
     def verify_single_method(self, classfile: ClassFile,
                              method: MethodInfo,
                              verified: Optional[Dict]) -> None:
-        """Verify one method on demand (lazy-verification vendors)."""
+        """Verify one method on demand (lazy-verification vendors), unless
+        linking already did: it verifies every ``<clinit>`` eagerly."""
         code = method.code
-        if code is None:
+        if code is None or classfile.method_name(method) == CLASS_INIT:
             return
         probe("linker.verify_on_demand")
         self.verify_method(classfile, method, code, verified)

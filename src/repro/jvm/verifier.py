@@ -12,14 +12,26 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.instructions import Instruction, InstructionError
-from repro.bytecode.opcodes import ANY, LOAD, NULL, OPCODES, RETURN, STORE, Op
+from repro.bytecode.opcodes import (
+    ANY,
+    FAMILIES,
+    LOAD,
+    NULL,
+    OPCODES,
+    RETURN,
+    SHUFFLES,
+    STORE,
+    Op,
+    handler_table,
+)
 from repro.classfile.attributes import CodeAttribute
 from repro.classfile.constant_pool import ConstantPool, ConstantPoolError, CpTag
 from repro.classfile.descriptors import (
     DescriptorError,
+    FieldType,
     parse_field_descriptor,
     parse_method_descriptor,
 )
@@ -82,24 +94,17 @@ _FIXED = {
     for info in OPCODES.values() if info.effect is not None}
 
 
-def _vtype_of_descriptor_char(char: str, ref: Optional[str] = None) -> VType:
-    if char in ("I", "Z", "B", "C", "S"):
-        return _INT
-    if char == "F":
-        return _FLOAT
-    if char == "J":
-        return _LONG
-    if char == "D":
-        return _DOUBLE
-    return VType("a", ref)
+#: The verification type of each base type.
+_BASE_VTYPES = {"I": _INT, "Z": _INT, "B": _INT, "C": _INT, "S": _INT,
+                "F": _FLOAT, "J": _LONG, "D": _DOUBLE}
 
 
-def _vtype_of_field_descriptor(descriptor: str) -> VType:
-    ftype = parse_field_descriptor(descriptor)
+def _vtype_of(ftype: FieldType) -> VType:
+    """The verification type of a parsed field type."""
     if ftype.dimensions:
-        return VType("a", descriptor.replace(".", "/"))
+        return VType("a", ftype.descriptor().replace(".", "/"))
     if ftype.kind == "base":
-        return _vtype_of_descriptor_char(ftype.name)
+        return _BASE_VTYPES[ftype.name]
     return VType("a", ftype.name)
 
 
@@ -111,20 +116,7 @@ _OP_SITES = {op: f"verifier.op.{info.mnemonic}" for op, info in OPCODES.items()}
 #: handler takes ``(instruction, stack, locals_)`` and updates the stack
 #: and locals in place.  Every other opcode takes ``_transfer``'s one
 #: fixed-effect path.
-_HANDLERS: Dict[Op, Callable[..., None]] = {}
-
-
-def _handles(*ops: Op):
-    """Register the decorated method as the handler of ``ops``."""
-    def register(handler):
-        _HANDLERS.update(dict.fromkeys(ops, handler))
-        return handler
-    return register
-
-
-def _family(family: str) -> List[Op]:
-    """The opcodes of one :attr:`OpcodeInfo.family`."""
-    return [info.op for info in OPCODES.values() if info.family == family]
+_HANDLERS, _handles = handler_table()
 
 
 #: Every :class:`JvmPolicy` field :class:`MethodVerifier` reads (a test
@@ -338,12 +330,7 @@ class MethodVerifier:
                 f"Invalid method descriptor in {self.where}: {exc}",
                 site="verifier.method_descriptor_bad") from exc
         for param in parsed.parameters:
-            if param.dimensions:
-                vtype = VType("a", param.descriptor().replace(".", "/"))
-            elif param.kind == "base":
-                vtype = _vtype_of_descriptor_char(param.name)
-            else:
-                vtype = VType("a", param.name)
+            vtype = _vtype_of(param)
             locals_[slot] = vtype
             slot += vtype.size
         check("verifier.args_exceed_locals", slot > self.code.max_locals,
@@ -434,9 +421,7 @@ class MethodVerifier:
             return None
         if parsed.return_type is None:
             return "v"
-        if parsed.return_type.dimensions or parsed.return_type.kind == "object":
-            return "a"
-        return _vtype_of_descriptor_char(parsed.return_type.name).cat
+        return _vtype_of(parsed.return_type).cat
 
     # -- per-instruction transfer -------------------------------------------------------
 
@@ -519,7 +504,7 @@ class MethodVerifier:
         else:
             self._push(stack, VType("a", "java/lang/Class"))
 
-    @_handles(*_family(LOAD))
+    @_handles(*FAMILIES[LOAD])
     def _load(self, instruction: Instruction, stack, locals_) -> None:
         info = instruction.info
         cat = info.cat
@@ -538,7 +523,7 @@ class MethodVerifier:
             current = VType(cat)
         self._push(stack, current)
 
-    @_handles(*_family(STORE))
+    @_handles(*FAMILIES[STORE])
     def _store(self, instruction: Instruction, stack, locals_) -> None:
         info = instruction.info
         cat = info.cat
@@ -551,6 +536,11 @@ class MethodVerifier:
         locals_[slot] = item
         if item.size == 2:
             locals_.pop(slot + 1, None)
+        # A long or double below the slot loses its upper half (JVMS
+        # §2.6.1), so a later load of it finds no value.
+        below = locals_.get(slot - 1)
+        if below is not None and below.size == 2:
+            del locals_[slot - 1]
 
     @_handles(Op.IINC)
     def _iinc(self, instruction: Instruction, stack, locals_) -> None:
@@ -563,7 +553,7 @@ class MethodVerifier:
             instruction.operands["index"], CpTag.FIELDREF,
             what="field access")
         try:
-            vtype = _vtype_of_field_descriptor(descriptor)
+            vtype = _vtype_of(parse_field_descriptor(descriptor))
         except DescriptorError as exc:
             raise ClassFormatError(
                 f"Invalid field descriptor {descriptor!r} in {self.where}",
@@ -613,14 +603,9 @@ class MethodVerifier:
                 site="verifier.invoke_descriptor_bad") from exc
         self._resolve_owner(owner, "invocation")
         for param in reversed(parsed.parameters):
-            if param.dimensions:
-                expected = VType("a", param.descriptor().replace(".", "/"))
-            elif param.kind == "base":
-                expected = _vtype_of_descriptor_char(param.name)
-            else:
-                expected = VType("a", param.name)
             value = self._pop(stack)
-            self._check_assignable(value, expected, f"argument of {name}")
+            self._check_assignable(value, _vtype_of(param),
+                                   f"argument of {name}")
         if instruction.op is not Op.INVOKESTATIC:
             receiver = self._pop(stack, "a")
             if name != "<init>" and self.policy.verify_uninitialized_merge:
@@ -645,14 +630,7 @@ class MethodVerifier:
                       NoSuchMethodError, "{}.{}{}", owner.replace("/", "."),
                       name, descriptor)
         if parsed.return_type is not None:
-            if parsed.return_type.dimensions:
-                self._push(stack, VType(
-                    "a", parsed.return_type.descriptor().replace(".", "/")))
-            elif parsed.return_type.kind == "base":
-                self._push(stack, _vtype_of_descriptor_char(
-                    parsed.return_type.name))
-            else:
-                self._push(stack, VType("a", parsed.return_type.name))
+            self._push(stack, _vtype_of(parsed.return_type))
 
     @_handles(Op.INVOKEDYNAMIC)
     def _invokedynamic(self, instruction: Instruction, stack, locals_) -> None:
@@ -705,54 +683,26 @@ class MethodVerifier:
         self._pop(stack, "a")
         self._push(stack, _INT)
 
-    @_handles(Op.POP, Op.POP2, Op.DUP, Op.DUP_X1, Op.DUP_X2, Op.DUP2,
-              Op.DUP2_X1, Op.DUP2_X2, Op.SWAP)
+    @_handles(*SHUFFLES)
     def _shuffle(self, instruction: Instruction, stack, locals_) -> None:
-        op = instruction.op
-        if op is Op.POP:
-            item = self._pop(stack)
-            check("verifier.pop_category2", item.size == 2, self._fail,
-                  "pop of a category-2 value")
-        elif op is Op.POP2:
-            item = self._pop(stack)
-            if item.size == 1:
-                self._pop(stack)
-        elif op is Op.DUP:
-            item = self._pop(stack)
-            check("verifier.dup_category2", item.size == 2, self._fail,
-                  "dup of a category-2 value")
-            stack.append(item)
-            self._push(stack, item)
-        elif op in (Op.DUP_X1, Op.DUP2_X1, Op.DUP2_X2):
-            first = self._pop(stack)
-            second = self._pop(stack)
-            stack.append(first)
-            stack.append(second)
-            self._push(stack, first)
-        elif op is Op.DUP_X2:
-            first = self._pop(stack)
-            second = self._pop(stack)
-            third = self._pop(stack)
-            stack.append(first)
-            stack.append(third)
-            stack.append(second)
-            self._push(stack, first)
-        elif op is Op.DUP2:
-            first = self._pop(stack)
-            if first.size == 2:
-                stack.append(first)
-                self._push(stack, first)
-            else:
-                second = self._pop(stack)
-                stack.append(second)
-                stack.append(first)
-                stack.append(second)
-                self._push(stack, first)
-        else:  # SWAP
-            first = self._pop(stack)
-            second = self._pop(stack)
-            stack.append(first)
-            self._push(stack, second)
+        """Put back the halves of the values that fill the opcode's slots
+        in its order: a form of JVMS §6.5 where each long and double comes
+        back whole."""
+        takes, order = SHUFFLES[instruction.op]
+        taken: List[VType] = []
+        while sum(item.size for item in taken) < takes:
+            taken.insert(0, self._pop(stack))
+        halves = [(k, half) for k, item in enumerate(taken)
+                  for half in range(item.size)]
+        put = [halves[slot] for slot in order]
+        kept = [k for k, half in put if half == 0]
+        whole = [(k, half) for k in kept for half in range(taken[k].size)]
+        check("verifier.shuffle_split", len(halves) != takes or put != whole,
+              self._fail, "{.mnemonic} would split a long or double on the "
+              "stack", instruction)
+        if kept:
+            stack.extend(taken[k] for k in kept[:-1])
+            self._push(stack, taken[kept[-1]])
 
     @_handles(Op.ATHROW)
     def _athrow(self, instruction: Instruction, stack, locals_) -> None:
@@ -770,7 +720,7 @@ class MethodVerifier:
         raise self._fail("jsr/ret are not supported by this verifier",
                          site="verifier.jsr")
 
-    @_handles(*_family(RETURN))
+    @_handles(*FAMILIES[RETURN])
     def _return(self, instruction: Instruction, stack, locals_) -> None:
         actual = instruction.info.cat
         if actual != "v":

@@ -19,7 +19,7 @@ from repro.classfile.writer import write_class
 from repro.jimple import ClassBuilder, MethodBuilder, compile_class
 from repro.jimple.statements import AssignCmpStmt, AssignUnopStmt, ReturnStmt
 from repro.jimple.types import DOUBLE, FLOAT, INT, JType, LONG
-from repro.jvm.interpreter import Interpreter
+from repro.jvm.interpreter import _ARITH, Interpreter
 from repro.jvm.policy import JvmPolicy
 from repro.runtime.environment import build_environment
 
@@ -211,7 +211,7 @@ class TestLongBitwiseAndShifts:
     """
 
     def _arith(self, op, left, right):
-        return Interpreter._ARITH[op](left, right)
+        return _ARITH[op](left, right)
 
     def test_bitwise(self):
         assert self._arith(Op.LAND, 0x0FF0, 0x00FF) == 0x00F0

@@ -5,9 +5,10 @@ this pins all five vendors.  The suite is fixed and well-formed: 40 seeds
 (``exec_fraction=0.4``, ``main_fraction=0.5``, so many classes run to the
 execution phase) plus the distinct mutants of a 300-draw randfuzz run.
 Each classfile runs on each vendor from its bytes under a
-:class:`CoverageCollector`, and the run is pinned as a 16-hex digest of
-its phase, error, message, output and full statement and branch probe
-counts.
+:class:`CoverageCollector`, and the run is pinned as two 16-hex digests:
+one of its verdict (phase, error, message and output), one of its full
+statement and branch probe counts.  A failure names which of the two
+moved, so a change meant to move probe counts alone shows it did.
 
 Regenerate only for a change that means to move verdicts or probe
 counts, and say so where the change is recorded::
@@ -51,18 +52,17 @@ def vendor_suite() -> List[Tuple[str, bytes]]:
 
 
 def run_digest(jvm, data: bytes) -> str:
-    """One vendor run of ``data``: outcome and probe counts, digested."""
+    """One vendor run of ``data`` as ``"<verdict digest> <probe digest>"``."""
     collector = CoverageCollector()
     with collector:
         outcome = jvm.run(data)
     trace = collector.tracefile()
-    return _digest([
-        outcome.phase.name, outcome.error, outcome.message,
-        list(outcome.output),
-        sorted(trace.statements.items()),
-        sorted([site, taken, count]
-               for (site, taken), count in trace.branches.items()),
-    ])
+    verdict = _digest([outcome.phase.name, outcome.error, outcome.message,
+                       list(outcome.output)])
+    probes = _digest([sorted(trace.statements.items()),
+                      sorted([site, taken, count] for (site, taken), count
+                             in trace.branches.items())])
+    return f"{verdict} {probes}"
 
 
 def record() -> Dict[str, object]:
@@ -87,11 +87,13 @@ def test_every_vendor_matches_golden_runs():
     assert sorted(golden["runs"]) == sorted(jvm.name for jvm in jvms)
     for position, (label, data) in enumerate(suite):
         for jvm in jvms:
-            expected = golden["runs"][jvm.name][position]
-            actual = run_digest(jvm, data)
-            assert actual == expected, (
-                f"classfile {position} ({label}) on {jvm.name}: run digest "
-                f"{actual} != golden {expected}")
+            expected = golden["runs"][jvm.name][position].split()
+            actual = run_digest(jvm, data).split()
+            for part, got, want in zip(("verdict", "probe"), actual,
+                                       expected):
+                assert got == want, (
+                    f"classfile {position} ({label}) on {jvm.name}: {part} "
+                    f"digest {got} != golden {want}")
 
 
 if __name__ == "__main__":
