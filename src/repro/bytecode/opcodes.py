@@ -2,9 +2,9 @@
 
 Every standard opcode is described by an :class:`OpcodeInfo` carrying its
 mnemonic, operand layout and typed operand-stack effect, and for the
-const/load/store/return and array opcodes their value category and the
-implicit slot or constant of each ``xload_n``/``xstore_n``/``xconst_n``
-shorthand; :data:`SHUFFLES` gives the pop/dup/swap family in stack slots.
+const/load/store/return opcodes their value category and the implicit
+slot or constant of each ``xload_n``/``xstore_n``/``xconst_n`` shorthand;
+:data:`SHUFFLES` gives the pop/dup/swap family in stack slots.
 These tables are the one place that says what an opcode does: the
 verifier, the interpreter, the Jimple lifter and the compiler read them
 rather than parse mnemonics.  An opcode's operands are a tuple of operand
@@ -280,10 +280,8 @@ class Op(IntEnum):
 
 #: Value categories of the typed stack effects (JVMS §2.11.1): ``i``,
 #: ``l``, ``f``, ``d`` and ``a`` (int, long, float, double, reference);
-#: ``NULL`` is the null reference ``aconst_null`` pushes, and ``ANY`` a
-#: popped value whose category is left unchecked (an array store's value).
+#: ``NULL`` is the null reference ``aconst_null`` pushes.
 NULL = "null"
-ANY = "any"
 
 #: Operand-stack slots a value of each category occupies.
 SLOTS = {"i": 1, "f": 1, "a": 1, NULL: 1, "l": 2, "d": 2}
@@ -321,8 +319,7 @@ class OpcodeInfo:
             :data:`SHUFFLES`, jsr and the wide prefix).
         family: ``CONST``/``LOAD``/``STORE``/``RETURN`` for the typed
             value opcodes (``aconst_null`` and ``ldc`` are not ``CONST``).
-        cat: a family opcode's value category (``"v"`` for ``return``),
-            or an array load's or store's element category on the stack.
+        cat: a family opcode's value category (``"v"`` for ``return``).
         implicit: the slot of an ``xload_n``/``xstore_n`` or the constant
             of an ``xconst_n`` shorthand; ``None`` where an operand says.
         is_branch: transfers control conditionally or unconditionally.
@@ -399,8 +396,8 @@ def _build_table() -> Dict[int, OpcodeInfo]:
             is_terminal=True)
     add(Op.RETURN, family=RETURN, cat="v", is_terminal=True)
     for k, cat in enumerate("ilfdaiii"):
-        add(Op(Op.IALOAD + k), pops=("i", "a"), push=cat, cat=cat)
-        add(Op(Op.IASTORE + k), pops=(ANY, "i", "a"), cat=cat)
+        add(Op(Op.IALOAD + k), pops=("i", "a"), push=cat)
+        add(Op(Op.IASTORE + k), pops=(cat, "i", "a"))
     for op in SHUFFLES:
         add(op, pops=None)
     # add, sub, mul, div and rem, then neg, each for i, l, f, d in turn.

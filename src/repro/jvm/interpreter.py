@@ -4,8 +4,8 @@ Executes the test class's methods over a small runtime object model:
 Python ``int``/``float`` for primitives, ``str`` for ``java.lang.String``,
 ``None`` for null, :class:`JObject` for instances, and :class:`JArray` for
 arrays.  The operand stack and the locals follow JVMS §2.6: a long or a
-double takes two entries, its value and a filler, and its category comes
-from the opcode table or a descriptor, never from the value.  Library
+double takes two entries, its value and ``None``, and its category
+comes from the opcode table or a descriptor, never from the value.  Library
 calls are served by intrinsics (``println`` captures output) or by
 descriptor-shaped default values; runtime constraint violations raise the
 corresponding :mod:`repro.errors` exception, which the machine reports as
@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bytecode.instructions import Instruction, InstructionError
 from repro.bytecode.opcodes import (
-    ANY,
     CONST,
     FAMILIES,
     LOAD,
@@ -110,10 +109,6 @@ class _PrintStream:
         self.sink = sink
 
 
-#: The filler in the upper slot of a long or double.
-_TOP = object()
-
-
 def _default_for_descriptor(descriptor: str) -> object:
     """The JVM default value for a return descriptor."""
     if descriptor in ("I", "Z", "B", "C", "S"):
@@ -125,15 +120,12 @@ def _default_for_descriptor(descriptor: str) -> object:
     return None
 
 
-def _slots(descriptor: str) -> int:
-    """The stack or local slots a value of a field type takes."""
-    return 2 if descriptor in TWO_SLOT_TYPES else 1
-
-
 def _push(stack: List[object], value: object, slots: int) -> None:
     stack.append(value)
     if slots == 2:
-        stack.append(_TOP)
+        # The upper slot holds None, so a read of it acts as a read of an
+        # empty local: iinc counts from 0 and println prints null.
+        stack.append(None)
 
 
 def _take(stack: List[object], slots: int) -> List[object]:
@@ -380,13 +372,10 @@ class Interpreter:
         _push(stack, instruction.operands["value"] if info.implicit is None
               else info.implicit, SLOTS[info.cat])
 
-    @_handles(Op.LDC, Op.LDC_W)
+    @_handles(Op.LDC, Op.LDC_W, Op.LDC2_W)
     def _ldc(self, instruction: Instruction, stack, locals_, depth):
-        stack.append(self._load_constant(instruction.operands["index"]))
-
-    @_handles(Op.LDC2_W)
-    def _ldc2_w(self, instruction: Instruction, stack, locals_, depth):
-        _push(stack, self._load_constant(instruction.operands["index"]), 2)
+        _push(stack, self._load_constant(instruction.operands["index"]),
+              2 if instruction.op is Op.LDC2_W else 1)
 
     def _load_constant(self, index: int) -> object:
         pool = self.classfile.constant_pool
@@ -423,7 +412,7 @@ class Interpreter:
     @_handles(Op.IINC)
     def _iinc(self, instruction: Instruction, stack, locals_, depth):
         slot = instruction.operands["index"]
-        locals_[slot] = _wrap_int(int(locals_.get(slot) or 0)
+        locals_[slot] = _wrap_int(_as_int(locals_.get(slot))
                                   + instruction.operands["const"])
 
     @_handles(*FAMILIES[RETURN])
@@ -460,18 +449,22 @@ class Interpreter:
     # -- handlers: fields --------------------------------------------------------------
 
     def _field_target(self, instruction: Instruction):
+        """The field's owner, name and descriptor, and the slots its value
+        takes."""
         pool = self.classfile.constant_pool
         try:
-            return pool.get_member_ref(instruction.operands["index"])
+            owner, name, descriptor = pool.get_member_ref(
+                instruction.operands["index"])
         except ConstantPoolError as exc:
             raise VerifyError(f"bad field reference: {exc}",
                               site="interp.field_ref_bad") from exc
+        slots = 2 if descriptor in TWO_SLOT_TYPES else 1
+        return owner, name, descriptor, slots
 
     @_handles(Op.GETSTATIC)
     def _getstatic(self, instruction: Instruction, stack, locals_, depth):
-        owner, name, descriptor = self._field_target(instruction)
-        _push(stack, self._read_static(owner, name, descriptor),
-              _slots(descriptor))
+        owner, name, descriptor, slots = self._field_target(instruction)
+        _push(stack, self._read_static(owner, name, descriptor), slots)
 
     def _read_static(self, owner: str, name: str, descriptor: str) -> object:
         probe("interp.getstatic")
@@ -498,8 +491,8 @@ class Interpreter:
 
     @_handles(Op.PUTSTATIC)
     def _putstatic(self, instruction: Instruction, stack, locals_, depth):
-        owner, name, descriptor = self._field_target(instruction)
-        value = _pop(stack, _slots(descriptor))
+        owner, name, descriptor, slots = self._field_target(instruction)
+        value = _pop(stack, slots)
         probe("interp.putstatic")
         if owner == self.classfile.name:
             if self.clinit_done:
@@ -517,19 +510,18 @@ class Interpreter:
 
     @_handles(Op.GETFIELD)
     def _getfield(self, instruction: Instruction, stack, locals_, depth):
-        owner, name, descriptor = self._field_target(instruction)
+        owner, name, descriptor, slots = self._field_target(instruction)
         receiver = _pop(stack)
         check("interp.getfield_null", receiver is None, NullPointerException,
               "reading field {} of null", name)
-        value = receiver.fields.get(name, _default_for_descriptor(descriptor)) \
-            if isinstance(receiver, JObject) \
-            else _default_for_descriptor(descriptor)
-        _push(stack, value, _slots(descriptor))
+        default = _default_for_descriptor(descriptor)
+        _push(stack, receiver.fields.get(name, default)
+              if isinstance(receiver, JObject) else default, slots)
 
     @_handles(Op.PUTFIELD)
     def _putfield(self, instruction: Instruction, stack, locals_, depth):
-        owner, name, descriptor = self._field_target(instruction)
-        value = _pop(stack, _slots(descriptor))
+        owner, name, descriptor, slots = self._field_target(instruction)
+        value = _pop(stack, slots)
         receiver = _pop(stack)
         check("interp.putfield_null", receiver is None, NullPointerException,
               "writing field {} of null", name)
@@ -1084,8 +1076,7 @@ def _fixed(op: Op, function) -> tuple:
     """``op`` in slots: the slots it takes, where its values sit among
     them, its value function, the slots it pushes, whether it branches."""
     info = OPCODES[op]
-    widths = [SLOTS[info.cat if cat == ANY else cat]
-              for cat in reversed(info.effect.pops)]
+    widths = [SLOTS[cat] for cat in reversed(info.effect.pops)]
     return (sum(widths), tuple(itertools.accumulate(widths, initial=0))[:-1],
             function, SLOTS.get(info.effect.push, 0), info.is_branch)
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bytecode.instructions import Instruction, InstructionError
 from repro.bytecode.opcodes import (
-    ANY,
     FAMILIES,
     LOAD,
     NULL,
@@ -87,11 +86,9 @@ _PUSHED = {"i": _INT, "l": _LONG, "f": _FLOAT, "d": _DOUBLE,
            "a": VType("a"), NULL: _NULL}
 
 #: Every fixed stack effect in the verifier's terms: the categories to
-#: pop, top first (``None`` for any), and the type to push, if any.
-_FIXED = {
-    info.op: (tuple(None if cat == ANY else cat for cat in info.effect.pops),
-              _PUSHED.get(info.effect.push))
-    for info in OPCODES.values() if info.effect is not None}
+#: pop, top first, and the type to push, if any.
+_FIXED = {info.op: (info.effect.pops, _PUSHED.get(info.effect.push))
+          for info in OPCODES.values() if info.effect is not None}
 
 
 #: The verification type of each base type.

@@ -11,7 +11,7 @@ from repro.bytecode import (
     decode_code,
     encode_code,
 )
-from repro.bytecode.opcodes import ANY, NULL, StackEffect
+from repro.bytecode.opcodes import NULL, StackEffect
 
 
 class TestOpcodeTable:
@@ -42,8 +42,7 @@ class TestOpcodeTable:
 
     def test_fixed_effects_match_reference_slot_counts(self):
         """Every fixed effect's slot widths equal the (pops, pushes) slot
-        counts the table carried before its effects were typed.  An
-        ``ANY`` pop is one or two slots."""
+        counts the table carried before its effects were typed."""
         widths = {"i": 1, "f": 1, "a": 1, NULL: 1, "l": 2, "d": 2}
         not_fixed = set()
         for info in OPCODES.values():
@@ -51,10 +50,7 @@ class TestOpcodeTable:
             if info.effect is None:
                 not_fixed.add(info.mnemonic)
                 continue
-            fixed = sum(widths[cat] for cat in info.effect.pops
-                        if cat != ANY)
-            anys = info.effect.pops.count(ANY)
-            assert fixed + anys <= pops <= fixed + 2 * anys, info
+            assert sum(widths[cat] for cat in info.effect.pops) == pops, info
             pushed = widths[info.effect.push] if info.effect.push else 0
             assert pushed == pushes, info
         assert not_fixed == {

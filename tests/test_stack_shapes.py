@@ -287,6 +287,15 @@ def test_every_parameter_type_keeps_the_next_slot(parameter):
 # -- whole classes, on every vendor ----------------------------------------------------
 
 
+def _emit_all(asm: Assembler, ops: Sequence) -> None:
+    """Emit each opcode, or each ``(op, operands)`` pair."""
+    for op in ops:
+        if isinstance(op, tuple):
+            asm.emit(op[0], **op[1])
+        else:
+            asm.emit(op)
+
+
 def main_class(*body, helper: Sequence = ()) -> bytes:
     """Class ``P`` whose ``main`` runs ``body``; with ``helper``, ``main``
     prints ``f()I``, whose body that is."""
@@ -294,8 +303,7 @@ def main_class(*body, helper: Sequence = ()) -> bytes:
     pool = classfile.constant_pool
     asm = Assembler()
     if helper:
-        for op in helper:
-            asm.emit(op)
+        _emit_all(asm, helper)
         add_method(classfile, "f", "()I", asm)
         asm = Assembler()
         asm.emit(Op.GETSTATIC, index=pool.field_ref(
@@ -303,11 +311,7 @@ def main_class(*body, helper: Sequence = ()) -> bytes:
         asm.emit(Op.INVOKESTATIC, index=pool.method_ref("P", "f", "()I"))
         asm.emit(Op.INVOKEVIRTUAL, index=pool.method_ref(
             "java/io/PrintStream", "println", "(I)V"))
-    for op in body:
-        if isinstance(op, tuple):
-            asm.emit(op[0], **op[1])
-        else:
-            asm.emit(op)
+    _emit_all(asm, body)
     add_method(classfile, "main", "([Ljava/lang/String;)V", asm)
     return write_class(classfile)
 
@@ -365,3 +369,80 @@ class TestLocalsFollowSlots:
                           (Op.LLOAD, {"index": 1}), Op.POP2, Op.RETURN)
         for name, outcome in _outcomes(data).items():
             assert outcome.phase is Phase.INVOKED, (name, outcome.brief())
+
+
+class TestIllTypedReads:
+    """The verifiers let some code read a slot as a type it does not
+    hold.  The run still ends in a Java outcome that every process gives
+    alike: the upper slot of a long holds ``None``, as an empty local
+    does, so iinc counts from 0 and println prints null there, and iinc
+    of a reference is a ClassCastException."""
+
+    def test_iinc_on_the_upper_slot_of_a_long(self):
+        data = main_class(Op.LCONST_0, Op.LSTORE_0,
+                          (Op.IINC, {"index": 1, "const": 1}), Op.RETURN)
+        for name, outcome in _outcomes(data).items():
+            assert outcome.phase is Phase.INVOKED, (name, outcome.brief())
+
+    def test_iinc_of_a_reference(self):
+        data = main_class(Op.ICONST_1, (Op.NEWARRAY, {"value": 10}),
+                          Op.ASTORE_0, (Op.IINC, {"index": 0, "const": 1}),
+                          Op.RETURN)
+        for name, outcome in _outcomes(data).items():
+            assert (outcome.phase, outcome.error, outcome.site) == (
+                Phase.RUNTIME, "ClassCastException", "interp.not_an_int"), \
+                name
+
+    def test_lenient_merge_with_an_extra_long(self):
+        """The path that skips the branch pushes a long; the join keeps
+        the shorter stack on the lenient vendors, so ``istore_1`` takes
+        the long's upper slot and println prints it."""
+        classfile = new_class("P")
+        pool = classfile.constant_pool
+        asm = Assembler()
+        asm.emit(Op.GETSTATIC, index=pool.field_ref(
+            "java/lang/System", "out", "Ljava/io/PrintStream;"))
+        asm.emit(Op.ICONST_5)
+        asm.emit(Op.ICONST_1)
+        asm.branch(Op.IFEQ, "join")
+        asm.emit(Op.LCONST_1)
+        asm.label("join")
+        asm.emit(Op.ISTORE_1)
+        asm.emit(Op.ILOAD_1)
+        asm.emit(Op.INVOKEVIRTUAL, index=pool.method_ref(
+            "java/io/PrintStream", "println", "(I)V"))
+        asm.emit(Op.RETURN)
+        add_method(classfile, "main", "([Ljava/lang/String;)V", asm)
+        for name, outcome in _outcomes(write_class(classfile)).items():
+            if name == "j9":
+                assert (outcome.phase, outcome.site) == (
+                    Phase.RUNTIME, "verifier.stack_shape_inconsistent")
+                continue
+            assert outcome.phase is Phase.INVOKED, (name, outcome.brief())
+            assert outcome.output == ("null",), name
+
+
+class TestArrayStoresTakeTheirCategory:
+    """An array store pops a value of its element's category, in both
+    engines: a long store takes four slots, an int store three."""
+
+    @pytest.mark.parametrize("body", [
+        (Op.ICONST_1, (Op.NEWARRAY, {"value": 10}), Op.ICONST_0, Op.LCONST_1,
+         Op.IASTORE, Op.RETURN),
+        (Op.ICONST_1, (Op.NEWARRAY, {"value": 11}), Op.ICONST_0, Op.ICONST_1,
+         Op.LASTORE, Op.RETURN),
+    ], ids=["iastore-of-long", "lastore-of-int"])
+    def test_a_value_of_the_wrong_category_is_a_verify_error(self, body):
+        for name, outcome in _outcomes(main_class(*body)).items():
+            expected = Phase.RUNTIME if name == "j9" else Phase.LINKING
+            assert (outcome.phase, outcome.error, outcome.site) == (
+                expected, "VerifyError", "verifier.operand_type_mismatch"), \
+                name
+
+    def test_a_long_goes_in_and_comes_back(self):
+        data = main_class(Op.RETURN, helper=(
+            Op.ICONST_1, (Op.NEWARRAY, {"value": 11}), Op.DUP, Op.ICONST_0,
+            Op.LCONST_1, Op.LASTORE, Op.ICONST_0, Op.LALOAD, Op.L2I,
+            Op.IRETURN))
+        for name, outcome in _outcomes(data).items():
+            assert outcome.output == ("1",), (name, outcome.brief())

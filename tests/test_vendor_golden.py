@@ -88,6 +88,9 @@ def test_every_vendor_matches_golden_runs():
     for position, (label, data) in enumerate(suite):
         for jvm in jvms:
             expected = golden["runs"][jvm.name][position].split()
+            assert len(expected) == 2, (
+                f"golden entry {position} on {jvm.name} is not "
+                f"'<verdict> <probe>'")
             actual = run_digest(jvm, data).split()
             for part, got, want in zip(("verdict", "probe"), actual,
                                        expected):
